@@ -14,8 +14,9 @@ Modules:
   inventory with its multilinearity audit.
 - ``multiscale``: dyadic scale assignments, safe-forest projections,
   interval preimages, cut harvesting, and the forest/cut partition identity.
-- ``power_counting``: coalescence trees, total homogeneities, subdivergence
-  audits, cluster-sum evaluators, and summability probes.
+- ``power_counting``: total homogeneities, cluster-sum evaluators, and the
+  subdivergence, sign and identity audits over vertex subsets; coalescence
+  trees remain only for the order audit and the summability probes.
 - ``stochastic``: spectral sampling of the log-correlated field, complex
   chaos fields, renormalization-constant scaling, dipole moment estimation,
   and the additive-decomposition PDE solver.

@@ -48,10 +48,6 @@ class UsageError(Exception):
     pass
 
 
-class AuditFailure(Exception):
-    pass
-
-
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)

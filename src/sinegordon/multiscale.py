@@ -32,14 +32,6 @@ def generalized_edges(d: MomentDiagram) -> list[tuple]:
     return out
 
 
-def edge_endpoints(ge: tuple) -> tuple[int, int]:
-    if ge[0] == BASE:
-        return (0, ge[1])
-    if ge[0] == KER:
-        raise ValueError("kernel endpoints need the diagram")
-    return (ge[1], ge[2])
-
-
 @dataclass
 class ScaleAssignment:
     n: dict[tuple, int]
@@ -244,8 +236,7 @@ def _forests_avoiding(forests, cut: frozenset[int], d: MomentDiagram):
     return out
 
 
-def organize_and_check(d: MomentDiagram, n: ScaleAssignment,
-                       lam_floor: int | None = None) -> PartitionReport:
+def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
     """Verify that the (interval-of-forests, interval-of-cuts) cells exactly
     partition all (forest, cut) pairs, and that harvested cuts are
     compatible with cell membership."""

@@ -5,28 +5,31 @@ A coalescence tree organizes a set of integration variables hierarchically
 by the dyadic scale at which they cluster together.  A total homogeneity is
 a formal linear combination of cluster markers; evaluated on a coalescence
 tree it assigns an exact rational weight to every internal node.  The
-audits in this module check, exhaustively over all coalescence trees on a
-small vertex set, the sign conditions that make the scale-by-scale volume
-bounds summable, and the probes measure that summability numerically.
+weight nested inside a cluster is the sum of the coefficients whose marker
+lies in the cluster, whatever the hierarchy, and the non-root clusters of
+all hierarchies are exactly the vertex subsets of size 2 to n - 1.  The
+subdivergence, sign and identity audits therefore run once over those
+subsets; hierarchies are enumerated only for the order audit and the
+summability probes, which measure the scale sums numerically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .moment_diagrams import BASE_POINT, MomentDiagram, derived_edge_sets
 from .tree_core import SCALING_DIM, deco_weight
-
-UP = "up"
-UPUP = "upup"
 
 #: default combinatorial constant in the annular-window condition
 ANNULUS_CONSTANT = 2
 
 #: hard cap on exhaustive coalescence-tree enumeration
 MAX_EXHAUSTIVE_VERTICES = 8
+
+#: hard cap on the cluster audits, which visit 2^n vertex subsets
+MAX_CLUSTER_VERTICES = 17
 
 
 # --- coalescence trees ---------------------------------------------------------
@@ -92,25 +95,6 @@ class CoalescenceTree:
             raise ValueError(f"marker {sorted(marker)} not within the vertex set")
         return best
 
-    def upup(self, marker: frozenset) -> frozenset:
-        """Parent cluster of ``up(marker)``; the root maps to itself."""
-        a = self.up(marker)
-        if a == self.root:
-            return a
-        best = None
-        for b in self.internal:
-            if a < b and (best is None or len(b) < len(best)):
-                best = b
-        return best
-
-    def subtree(self, a: frozenset) -> list[frozenset]:
-        """Internal clusters contained in ``a`` (including ``a``)."""
-        return [b for b in self.internal if b <= a]
-
-    def co_subtree(self, a: frozenset) -> list[frozenset]:
-        """Internal clusters not contained in ``a``."""
-        return [b for b in self.internal if not (b <= a)]
-
 
 def _set_partitions(seq: list):
     """All partitions of ``seq`` into nonempty blocks."""
@@ -124,14 +108,12 @@ def _set_partitions(seq: list):
         yield [[first]] + part
 
 
-_TREE_CACHE: dict[frozenset, list] = {}
-
-
-def _children_maps(vs: frozenset) -> list[tuple]:
+def _children_maps(vs: frozenset, memo: dict) -> list[tuple]:
     """All cluster hierarchies on ``vs``; each is a tuple of
-    (cluster, children) pairs rooted at ``vs``."""
-    if vs in _TREE_CACHE:
-        return _TREE_CACHE[vs]
+    (cluster, children) pairs rooted at ``vs``.  ``memo`` holds the
+    hierarchies of the sub-blocks already expanded."""
+    if vs in memo:
+        return memo[vs]
     out = []
     for blocks in _set_partitions(sorted(vs)):
         if len(blocks) < 2:
@@ -141,13 +123,13 @@ def _children_maps(vs: frozenset) -> list[tuple]:
             if len(b) == 1:
                 options.append([()])
             else:
-                options.append(_children_maps(frozenset(b)))
+                options.append(_children_maps(frozenset(b), memo))
         for combo in product(*options):
             entry = [(vs, tuple(frozenset(b) for b in blocks))]
             for sub in combo:
                 entry.extend(sub)
             out.append(tuple(entry))
-    _TREE_CACHE[vs] = out
+    memo[vs] = out
     return out
 
 
@@ -160,7 +142,20 @@ def all_coalescence_trees(vertices) -> list[CoalescenceTree]:
         raise ValueError(
             f"refusing exhaustive enumeration beyond {MAX_EXHAUSTIVE_VERTICES} vertices"
         )
-    return [CoalescenceTree(vs, cm) for cm in _children_maps(vs)]
+    return [CoalescenceTree(vs, cm) for cm in _children_maps(vs, {})]
+
+
+def _clusters(vertices) -> list[frozenset]:
+    """The vertex subsets ``a`` with 2 <= |a| < n, by size and then by sorted
+    members: exactly the non-root clusters of the hierarchies on the set."""
+    vs = sorted(frozenset(vertices))
+    if len(vs) < 2:
+        raise ValueError("need at least two vertices")
+    if len(vs) > MAX_CLUSTER_VERTICES:
+        raise ValueError(
+            f"refusing cluster audits beyond {MAX_CLUSTER_VERTICES} vertices"
+        )
+    return [frozenset(c) for k in range(2, len(vs)) for c in combinations(vs, k)]
 
 
 def coalesce(vertices, edges) -> CoalescenceTree:
@@ -222,26 +217,33 @@ def coalesce(vertices, edges) -> CoalescenceTree:
 class TotalHomogeneity:
     """Formal combination of cluster markers with exact coefficients.
 
-    Each term is (coefficient, kind, marker): the coefficient lands on the
-    smallest cluster containing the marker ("up") or on that cluster's
-    parent ("upup").
+    Each term is (coefficient, marker): on a hierarchy the coefficient lands
+    on the smallest cluster containing the marker.
     """
 
-    terms: tuple  # of (Fraction, str, frozenset)
+    terms: tuple  # of (Fraction, frozenset)
 
     def evaluate(self, tree: CoalescenceTree) -> dict[frozenset, Fraction]:
         vals = {a: Fraction(0) for a in tree.internal}
-        for coeff, kind, marker in self.terms:
-            target = tree.up(marker) if kind == UP else tree.upup(marker)
-            vals[target] += coeff
+        for coeff, marker in self.terms:
+            vals[tree.up(marker)] += coeff
         return vals
 
     def order(self, tree: CoalescenceTree) -> Fraction:
         vals = self.evaluate(tree)
         return sum(vals.values()) - (len(tree.vertices) - 1) * SCALING_DIM
 
-    def coefficient_sum(self) -> Fraction:
-        return sum((c for c, _, _ in self.terms), Fraction(0))
+    def nested(self, a: frozenset, vertices: frozenset) -> Fraction:
+        """Weight of the cluster ``a`` and everything nested in it, on any
+        hierarchy that has ``a`` as a cluster: the sum of the coefficients
+        whose marker lies in ``a``."""
+        total = Fraction(0)
+        for coeff, marker in self.terms:
+            if not marker <= vertices:
+                raise ValueError(f"marker {sorted(marker)} not within the vertex set")
+            if marker <= a:
+                total += coeff
+        return total
 
 
 @dataclass
@@ -311,25 +313,24 @@ def sg_total_homogeneity(d: MomentDiagram, forest, s_cut=(), d_cut=()
     for u in d.nodes:
         w = deco_weight(d.deco[u])
         if w:
-            terms.append((Fraction(-w), UP, frozenset([qhat[u], BASE_POINT])))
+            terms.append((Fraction(-w), frozenset([qhat[u], BASE_POINT])))
     for T in members:
         hom = d.bare_s_hom(T)
-        terms.append((-hom, UP, frozenset([qhat[d.subtree_root(T)]])))
+        terms.append((-hom, frozenset([qhat[d.subtree_root(T)]])))
     for e in sorted((top.K_F | top.K_down) - s_cut):
-        terms.append((Fraction(2), UP,
-                      frozenset([qhat[d.parent[e]], qhat[e]])))
+        terms.append((Fraction(2), frozenset([qhat[d.parent[e]], qhat[e]])))
     for a, b in list(top.pairs_F) + list(top.pairs_partial):
         sgn = d.pair_sign((a, b))
-        terms.append((Fraction(-2 * sgn) * bb, UP, frozenset([qhat[a], qhat[b]])))
+        terms.append((Fraction(-2 * sgn) * bb, frozenset([qhat[a], qhat[b]])))
     for e in sorted(d_cut):
         g = d.gamma(e)
-        terms.append((Fraction(g), UP, frozenset([qhat[d.parent[e]], qhat[e]])))
-        terms.append((Fraction(-g), UP, frozenset([BASE_POINT, qhat[d.parent[e]]])))
+        terms.append((Fraction(g), frozenset([qhat[d.parent[e]], qhat[e]])))
+        terms.append((Fraction(-g), frozenset([BASE_POINT, qhat[d.parent[e]]])))
     for e in sorted(s_cut):
         g = d.gamma(e)
-        terms.append((Fraction(g - 1), UP, frozenset([e, BASE_POINT])))
-        terms.append((Fraction(-(g - 1)), UP, frozenset([BASE_POINT, qhat[d.parent[e]]])))
-        terms.append((Fraction(2), UP, frozenset([e, BASE_POINT])))
+        terms.append((Fraction(g - 1), frozenset([e, BASE_POINT])))
+        terms.append((Fraction(-(g - 1)), frozenset([BASE_POINT, qhat[d.parent[e]]])))
+        terms.append((Fraction(2), frozenset([e, BASE_POINT])))
     pinned = frozenset([BASE_POINT]) | frozenset(qhat[r] for r in d.roots)
     return HomogeneitySetup(TotalHomogeneity(tuple(terms)), vertices, qhat,
                             list(members), pinned)
@@ -356,15 +357,15 @@ def inner_total_homogeneity(d: MomentDiagram, S, forest, in_d_cut: bool = False
     vertices = frozenset(qhat[u] for u in S)
     rho = d.subtree_root(S)
 
-    terms = [(Fraction(-collapse_order(d, S, in_d_cut)), UP, vertices)]
+    terms = [(Fraction(-collapse_order(d, S, in_d_cut)), vertices)]
     for T in members:
         hom = d.bare_s_hom(T)
-        terms.append((-hom, UP, frozenset([qhat[d.subtree_root(T)]])))
+        terms.append((-hom, frozenset([qhat[d.subtree_root(T)]])))
     for e in sorted(b.K_F):
-        terms.append((Fraction(2), UP, frozenset([qhat[d.parent[e]], qhat[e]])))
+        terms.append((Fraction(2), frozenset([qhat[d.parent[e]], qhat[e]])))
     for a_, b_ in list(b.pairs_F) + list(b.pairs_partial):
         sgn = d.pair_sign((a_, b_))
-        terms.append((Fraction(-2 * sgn) * bb, UP, frozenset([qhat[a_], qhat[b_]])))
+        terms.append((Fraction(-2 * sgn) * bb, frozenset([qhat[a_], qhat[b_]])))
     return HomogeneitySetup(TotalHomogeneity(tuple(terms)), vertices, qhat,
                             list(members), frozenset([rho]))
 
@@ -463,107 +464,84 @@ class ClusterAuditReport:
         }
 
 
-def divergent_cluster_exclusions(d: MomentDiagram, forest, qhat) -> frozenset:
-    """Quotient images of divergent subtrees not contracted by the forest.
+def _uncontracted_divergent(d: MomentDiagram, forest) -> frozenset:
+    """Divergent subtrees not contracted by the forest.
 
-    A cluster consisting of exactly the nodes of an uncontracted divergent
-    subtree corresponds to scale assignments outside the configuration's
-    scale set (the subtree would have been contracted there), so audits
-    skip it.
+    A cluster consisting of exactly the nodes of such a subtree corresponds
+    to scale assignments outside the configuration's scale set (the subtree
+    would have been contracted there), so audits skip it.
     """
     forest = set(forest)
-    out = []
-    for T in d.divergent_subtrees():
-        if T not in forest:
-            out.append(frozenset(qhat[u] for u in T))
-    return frozenset(out)
+    return frozenset(T for T in d.divergent_subtrees() if T not in forest)
+
+
+def divergent_cluster_exclusions(d: MomentDiagram, forest, qhat) -> frozenset:
+    """Quotient images of divergent subtrees not contracted by the forest."""
+    return frozenset(frozenset(qhat[u] for u in T)
+                     for T in _uncontracted_divergent(d, forest))
 
 
 def subdivergence_audit(sigma: TotalHomogeneity, vertices, region=None,
-                        excluded=(), trees=None) -> ClusterAuditReport:
+                        excluded=()) -> ClusterAuditReport:
     """Check that no cluster of vertices accumulates enough weight to beat
     its integration volume.
 
-    For every cluster hierarchy and every non-root internal cluster inside
-    the region, the weights of the cluster and everything nested in it must
-    sum to strictly less than (size - 1) times the scaling dimension.
+    For every proper cluster of at least two vertices inside the region,
+    the weights of the cluster and everything nested in it must sum to
+    strictly less than (size - 1) times the scaling dimension.
     """
     vertices = frozenset(vertices)
     region = vertices if region is None else frozenset(region)
     excluded = frozenset(frozenset(m) for m in excluded)
-    if trees is None:
-        trees = all_coalescence_trees(vertices)
     report = ClusterAuditReport(True, "subdivergence", 0)
-    for tree in trees:
-        vals = sigma.evaluate(tree)
-        for a in tree.internal:
-            if a == tree.root or not (a <= region) or a in excluded:
-                continue
-            total = sum(vals[b] for b in tree.subtree(a))
-            bound = (len(a) - 1) * SCALING_DIM
-            margin = bound - total
-            report.checked += 1
-            if report.min_margin is None or margin < report.min_margin:
-                report.min_margin = margin
-                report.argmin = sorted(a)
-            if margin <= 0:
-                report.ok = False
-                report.violations.append(
-                    {"cluster": sorted(a), "total": str(total), "bound": bound}
-                )
+    for a in _clusters(vertices):
+        total = sigma.nested(a, vertices)  # before the filter: it checks markers
+        if not (a <= region) or a in excluded:
+            continue
+        bound = (len(a) - 1) * SCALING_DIM
+        margin = bound - total
+        report.checked += 1
+        if report.min_margin is None or margin < report.min_margin:
+            report.min_margin = margin
+            report.argmin = sorted(a)
+        if margin <= 0:
+            report.ok = False
+            report.violations.append(
+                {"cluster": sorted(a), "total": str(total), "bound": bound}
+            )
     return report
 
 
-def order_audit(sigma: TotalHomogeneity, vertices, trees=None
-                ) -> tuple[bool, Fraction]:
+def order_audit(sigma: TotalHomogeneity, vertices) -> tuple[bool, Fraction]:
     """The order must not depend on the cluster hierarchy."""
-    if trees is None:
-        trees = all_coalescence_trees(vertices)
-    orders = {sigma.order(t) for t in trees}
+    orders = {sigma.order(t) for t in all_coalescence_trees(vertices)}
     value = next(iter(orders))
     return len(orders) == 1, value
 
 
-def _cluster_family(setup: HomogeneitySetup, d: MomentDiagram, trees=None):
-    """Distinct re-expanded non-root clusters over all hierarchies."""
-    if trees is None:
-        trees = all_coalescence_trees(setup.vertices)
-    fam = {}
-    for tree in trees:
-        for a in tree.internal:
-            if a == tree.root:
-                continue
-            fam.setdefault(a, reexpanded(setup, a, d))
-    return fam
-
-
-def sign_audit_inner(d: MomentDiagram, S, forest, trees=None) -> ClusterAuditReport:
-    setup = inner_total_homogeneity(d, S, forest)
-    fam = _cluster_family(setup, d, trees)
-    excluded = {frozenset(T) for T in d.divergent_subtrees()
-                if T not in set(forest)}
-    report = ClusterAuditReport(True, "inner", 0)
-    for cluster, M in sorted(fam.items(), key=lambda kv: sorted(kv[0])):
-        if M in excluded:
-            continue
-        val = inner_sigma_tilde(d, S, M)
-        _tally(report, M, val, want_negative=True)
+def _sign_audit(context: str, setup: HomogeneitySetup, d: MomentDiagram,
+                forest, value) -> ClusterAuditReport:
+    """Every re-expanded cluster, other than an uncontracted divergent
+    subtree, must have a strictly negative ``value``."""
+    excluded = _uncontracted_divergent(d, forest)
+    report = ClusterAuditReport(True, context, 0)
+    for a in sorted(_clusters(setup.vertices), key=sorted):
+        M = reexpanded(setup, a, d)
+        if M not in excluded:
+            _tally(report, M, value(M), want_negative=True)
     return report
 
 
-def sign_audit_big_graph(d: MomentDiagram, forest, s_cut=(), d_cut=(),
-                         trees=None) -> ClusterAuditReport:
-    setup = sg_total_homogeneity(d, forest, s_cut, d_cut)
-    fam = _cluster_family(setup, d, trees)
-    excluded = {frozenset(T) for T in d.divergent_subtrees()
-                if T not in set(forest)}
-    report = ClusterAuditReport(True, "big-graph", 0)
-    for cluster, M in sorted(fam.items(), key=lambda kv: sorted(kv[0])):
-        if M in excluded:
-            continue
-        val = big_graph_sigma_tilde(d, s_cut, d_cut, M)
-        _tally(report, M, val, want_negative=True)
-    return report
+def sign_audit_inner(d: MomentDiagram, S, forest) -> ClusterAuditReport:
+    return _sign_audit("inner", inner_total_homogeneity(d, S, forest), d,
+                       forest, lambda M: inner_sigma_tilde(d, S, M))
+
+
+def sign_audit_big_graph(d: MomentDiagram, forest, s_cut=(), d_cut=()
+                         ) -> ClusterAuditReport:
+    return _sign_audit("big-graph", sg_total_homogeneity(d, forest, s_cut, d_cut),
+                       d, forest,
+                       lambda M: big_graph_sigma_tilde(d, s_cut, d_cut, M))
 
 
 def _k_components(d: MomentDiagram, M: frozenset) -> list[frozenset]:
@@ -587,22 +565,14 @@ def _k_components(d: MomentDiagram, M: frozenset) -> list[frozenset]:
     return [frozenset(g) for g in groups.values()]
 
 
-def sign_audit_large_scale(d: MomentDiagram, forest, s_cut=(), d_cut=(),
-                           trees=None) -> ClusterAuditReport:
+def sign_audit_large_scale(d: MomentDiagram, forest, s_cut=(), d_cut=()
+                           ) -> ClusterAuditReport:
     """Everything left outside the cluster of the pinned vertices must carry
     strictly positive decay."""
     setup = sg_total_homogeneity(d, forest, s_cut, d_cut)
-    if trees is None:
-        trees = all_coalescence_trees(setup.vertices)
     all_nodes = frozenset([BASE_POINT]) | frozenset(d.nodes)
-    fam = set()
-    for tree in trees:
-        for a in tree.internal:
-            if a == tree.root or not (setup.pinned <= a):
-                continue
-            M = all_nodes - reexpanded(setup, a, d)
-            for comp in _k_components(d, M):
-                fam.add(comp)
+    fam = {comp for a in _clusters(setup.vertices) if setup.pinned <= a
+           for comp in _k_components(d, all_nodes - reexpanded(setup, a, d))}
     report = ClusterAuditReport(True, "large-scale", 0)
     for M in sorted(fam, key=sorted):
         val = large_scale_sigma_tilde(d, s_cut, d_cut, M)
@@ -621,27 +591,20 @@ def _tally(report: ClusterAuditReport, M, val: Fraction, want_negative: bool):
         report.violations.append({"set": sorted(M), "value": str(val)})
 
 
-def identity_audit(d: MomentDiagram, S, forest, trees=None) -> ClusterAuditReport:
+def identity_audit(d: MomentDiagram, S, forest) -> ClusterAuditReport:
     """The nested cluster-weight sum must equal the re-expanded set weight,
-    exactly, for every non-root cluster of every hierarchy."""
+    exactly, for every proper cluster of at least two vertices."""
     setup = inner_total_homogeneity(d, S, forest)
-    if trees is None:
-        trees = all_coalescence_trees(setup.vertices)
     report = ClusterAuditReport(True, "identity", 0)
-    for tree in trees:
-        vals = setup.sigma.evaluate(tree)
-        for a in tree.internal:
-            if a == tree.root:
-                continue
-            lhs = sum(vals[b] for b in tree.subtree(a)) \
-                - (len(a) - 1) * SCALING_DIM
-            rhs = inner_sigma_tilde(d, S, reexpanded(setup, a, d))
-            report.checked += 1
-            if lhs != rhs:
-                report.ok = False
-                report.violations.append(
-                    {"cluster": sorted(a), "lhs": str(lhs), "rhs": str(rhs)}
-                )
+    for a in _clusters(setup.vertices):
+        lhs = setup.sigma.nested(a, setup.vertices) - (len(a) - 1) * SCALING_DIM
+        rhs = inner_sigma_tilde(d, S, reexpanded(setup, a, d))
+        report.checked += 1
+        if lhs != rhs:
+            report.ok = False
+            report.violations.append(
+                {"cluster": sorted(a), "lhs": str(lhs), "rhs": str(rhs)}
+            )
     return report
 
 

@@ -35,37 +35,6 @@ _DECOS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class RuleSG:
-    """Node grammar data plus the subcriticality witness values.
-
-    The witness registers ``reg_kernel = 7(2-beta_bar)/8`` for the kernel
-    edge type and ``reg_noise = -(2+7*beta_bar)/8`` for the charged node
-    types; admissibility of the grammar is reflected in the exact relations
-    checked by :meth:`witness_ok`.
-    """
-
-    params: ModelParams
-
-    @property
-    def reg_kernel(self) -> Fraction:
-        return Fraction(7, 8) * (2 - self.params.beta_bar)
-
-    @property
-    def reg_noise(self) -> Fraction:
-        return -(2 + 7 * self.params.beta_bar) / 8
-
-    def witness_ok(self) -> bool:
-        bb = self.params.beta_bar
-        # the assigned regularities sit strictly below the true homogeneities
-        # and saturate the budget of one kernel integration exactly
-        return (
-            self.reg_noise < -bb
-            and self.reg_kernel == 2 + self.reg_noise
-            and 0 < 2 - bb
-        )
-
-
 @dataclass
 class TreeCatalog:
     """Complete catalog of admissible trees below the cutoff."""

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
-from typing import Iterable
 
 LABELS = ("+", "0", "-")
 
@@ -244,36 +243,11 @@ def sg_homogeneity(tau: DecoratedTree) -> Homogeneity:
     return Homogeneity(h.const, h.bcoeff + tau.charge**2)
 
 
-def set_s_homogeneity(labels: Iterable[str], decos=None) -> Homogeneity:
-    """Homogeneity -beta_bar*#charges + decoration weight of a label set."""
-    labels = list(labels)
-    n_ch = sum(1 for l in labels if l != "0")
-    w = 0 if decos is None else sum(deco_weight(k) for k in decos)
-    return Homogeneity(Fraction(w), Fraction(-n_ch))
-
-
-def set_sg_homogeneity(labels: Iterable[str]) -> Homogeneity:
-    """Charge-corrected homogeneity -beta_bar*|A| + beta_bar*q(A)^2 of a set."""
-    labels = list(labels)
-    q = charge_of(labels)
-    n_ch = sum(1 for l in labels if l != "0")
-    return Homogeneity(Fraction(0), Fraction(q * q - n_ch))
-
-
-def charge_of(labels: Iterable[str]) -> int:
-    """Total charge of a collection of node labels."""
-    return sum({"+": 1, "0": 0, "-": -1}[l] for l in labels)
-
-
 def pair_sign(label_a: str, label_b: str) -> int:
     """Product of the two unit charges of a noise pair."""
     qa = {"+": 1, "-": -1}[label_a]
     qb = {"+": 1, "-": -1}[label_b]
     return qa * qb
-
-
-def is_neutral(tau: DecoratedTree) -> bool:
-    return tau.charge == 0
 
 
 # --- canonical form, symmetry, conjugation ----------------------------------

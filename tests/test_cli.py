@@ -98,6 +98,13 @@ class TestSubcommands:
                               "--forest", "1,2;3,4"], capsys)
         assert code == 0
 
+    def test_power_audit_nine_vertices(self, capsys):
+        # the p=2 dipole with no forest has 9 vertices
+        code, out, _ = run_cli(["power", "audit", "--p", "2"], capsys)
+        assert code == 0
+        res = json.loads(out)["results"]
+        assert res["margins"]["min"] == "3/2"
+
     def test_csv_emission(self, tmp_path, capsys):
         csv_path = tmp_path / "field.csv"
         code, _, _ = run_cli(["sim", "field", "--n", "64", "--seed", "1",

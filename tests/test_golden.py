@@ -1,0 +1,39 @@
+"""Byte-for-byte golden outputs of ``sgbench power audit``.
+
+The files under ``tests/golden/`` hold the exact stdout of each invocation
+below, recorded when the audits still enumerated every cluster hierarchy.
+Any refactor of the audits must reproduce them unchanged, exit code included.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from sinegordon.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (extra argv after "power audit", expected exit code)
+CASES = {
+    "big_graph_5_4": (["--context", "big-graph", "--beta-bar", "5/4"], 0),
+    "big_graph_5_4_forest_12_34": (["--context", "big-graph", "--beta-bar", "5/4",
+                                    "--forest", "1,2;3,4"], 0),
+    "big_graph_7_5": (["--context", "big-graph", "--beta-bar", "7/5"], 0),
+    "big_graph_7_5_forest_12_34": (["--context", "big-graph", "--beta-bar", "7/5",
+                                    "--forest", "1,2;3,4"], 0),
+    "large_scale": (["--context", "large-scale"], 1),
+    "inner_forest_12": (["--context", "inner", "--forest", "1,2"], 0),
+    "identity_forest_12": (["--context", "identity", "--forest", "1,2"], 0),
+    "p2_big_graph_forest_12": (["--p", "2", "--forest", "1,2",
+                                "--context", "big-graph"], 0),
+    "p2_large_scale_forest_12": (["--p", "2", "--forest", "1,2",
+                                  "--context", "large-scale"], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_power_audit_golden(name, capsys):
+    argv, code = CASES[name]
+    assert main(["power", "audit", *argv]) == code
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

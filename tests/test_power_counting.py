@@ -1,14 +1,19 @@
 """Coalescence hierarchies, cluster sums, sign audits, summability."""
 
 from fractions import Fraction as F
+from itertools import combinations
 from math import floor
 
-from sinegordon.tree_core import DecoratedTree, ModelParams, dipole
-from sinegordon.moment_diagrams import build_diagram
+import pytest
+
+from sinegordon.tree_core import SCALING_DIM, DecoratedTree, ModelParams, dipole
+from sinegordon.moment_diagrams import BASE_POINT, build_diagram
 from sinegordon.power_counting import (
-    ANNULUS_CONSTANT, UP, TotalHomogeneity, all_coalescence_trees, coalesce,
-    divergent_cluster_exclusions, identity_audit, inner_total_homogeneity,
-    order_audit, sg_total_homogeneity, sign_audit_big_graph,
+    ANNULUS_CONSTANT, MAX_CLUSTER_VERTICES, TotalHomogeneity, _k_components,
+    all_coalescence_trees, big_graph_sigma_tilde, coalesce,
+    divergent_cluster_exclusions, identity_audit, inner_sigma_tilde,
+    inner_total_homogeneity, large_scale_sigma_tilde, order_audit,
+    reexpanded, sg_total_homogeneity, sign_audit_big_graph,
     sign_audit_inner, sign_audit_large_scale, subdivergence_audit,
     summability_probe, triangle_cell_count,
 )
@@ -66,14 +71,141 @@ class TestOrderAndSubdivergence:
         assert subdivergence_audit(s.sigma, s.vertices).ok
 
     def test_constructed_violation_is_detected(self):
-        sig_bad = TotalHomogeneity(((F(9), UP, frozenset([1, 2])),))
+        sig_bad = TotalHomogeneity(((F(9), frozenset([1, 2])),))
         assert not subdivergence_audit(sig_bad, [1, 2, 3]).ok
 
     def test_heavier_constructed_violation_located(self):
-        sig_bad = TotalHomogeneity(((F(5), UP, frozenset([1, 2])),
-                                    (F(5), UP, frozenset([2, 3]))))
+        sig_bad = TotalHomogeneity(((F(5), frozenset([1, 2])),
+                                    (F(5), frozenset([2, 3]))))
         rep = subdivergence_audit(sig_bad, [1, 2, 3])
         assert not rep.ok and rep.violations
+
+
+def _hierarchy_clusters(vertices):
+    """(hierarchy, non-root cluster) pairs over all hierarchies."""
+    for tree in all_coalescence_trees(vertices):
+        for a in tree.internal:
+            if a != tree.root:
+                yield tree, a
+
+
+def _hierarchy_nested(sigma, tree, a):
+    vals = sigma.evaluate(tree)
+    return sum(vals[b] for b in tree.internal if b <= a)
+
+
+def _verdict(margins):
+    """(ok, minimum margin) of a reference list of margins."""
+    return all(m > 0 for m in margins), min(margins, default=None)
+
+
+def _small_setups():
+    """(diagram, forest, member or None, setup): the p=1 dipole at both
+    couplings with no forest and with both divergent members contracted,
+    and TAU4, localized to one member and with both copies contracted."""
+    out = []
+    for bb in [F(5, 4), F(7, 5)]:
+        d = build_diagram(dipole(), 1, ModelParams.from_beta_bar(bb))
+        for forest in [(), tuple(d.divergent_subtrees())]:
+            out.append((d, forest, None, sg_total_homogeneity(d, forest)))
+        S4 = frozenset({1, 2, 3, 4})
+        d4 = build_diagram(TAU4, 1, ModelParams.from_beta_bar(bb))
+        out.append((d4, (S4,), S4, inner_total_homogeneity(d4, S4, (S4,))))
+    d4 = build_diagram(TAU4, 1, ModelParams.from_beta_bar(F(7, 4)))
+    both = (frozenset({1, 2, 3, 4}), frozenset({5, 6, 7, 8}))
+    out.append((d4, both, None, sg_total_homogeneity(d4, both)))
+    return out
+
+
+class TestSubsetOracle:
+    """The audits run over vertex subsets; all hierarchies are the oracle."""
+
+    def test_hierarchy_clusters_are_the_proper_subsets(self):
+        for n in range(2, 6):
+            got = {a for _, a in _hierarchy_clusters(range(n))}
+            want = {frozenset(c) for k in range(2, n)
+                    for c in combinations(range(n), k)}
+            assert got == want
+
+    def test_nested_sums_do_not_depend_on_the_hierarchy(self):
+        for _, _, _, setup in _small_setups():
+            for tree, a in _hierarchy_clusters(setup.vertices):
+                assert _hierarchy_nested(setup.sigma, tree, a) == \
+                    setup.sigma.nested(a, setup.vertices)
+
+    def test_subdivergence_matches_hierarchies(self):
+        for d, forest, _, setup in _small_setups():
+            for excluded in [(), divergent_cluster_exclusions(d, forest,
+                                                              setup.qhat)]:
+                margins = [(len(a) - 1) * SCALING_DIM
+                           - _hierarchy_nested(setup.sigma, tree, a)
+                           for tree, a in _hierarchy_clusters(setup.vertices)
+                           if a not in excluded]
+                rep = subdivergence_audit(setup.sigma, setup.vertices,
+                                          excluded=excluded)
+                assert (rep.ok, rep.min_margin) == _verdict(margins)
+
+    def test_identity_matches_hierarchies(self):
+        for d, forest, S, setup in _small_setups():
+            if S is None:
+                continue
+            exact = all(
+                _hierarchy_nested(setup.sigma, tree, a)
+                - (len(a) - 1) * SCALING_DIM
+                == inner_sigma_tilde(d, S, reexpanded(setup, a, d))
+                for tree, a in _hierarchy_clusters(setup.vertices))
+            rep = identity_audit(d, S, forest)
+            n = len(setup.vertices)
+            assert exact and rep.ok and rep.checked == 2 ** n - n - 2
+
+    def test_sign_audits_match_hierarchies(self):
+        for d, forest, S, setup in _small_setups():
+            skip = {T for T in d.divergent_subtrees() if T not in forest}
+            cut = d.cut_sites()
+            family = {a: reexpanded(setup, a, d)
+                      for _, a in _hierarchy_clusters(setup.vertices)}
+            if S is not None:
+                margins = [-inner_sigma_tilde(d, S, M)
+                           for M in family.values() if M not in skip]
+                rep = sign_audit_inner(d, S, forest)
+            else:
+                margins = [-big_graph_sigma_tilde(d, (), cut, M)
+                           for M in family.values() if M not in skip]
+                rep = sign_audit_big_graph(d, forest, d_cut=cut)
+            assert (rep.ok, rep.min_margin) == _verdict(margins)
+            if S is None:
+                rest = frozenset([BASE_POINT]) | frozenset(d.nodes)
+                margins = [large_scale_sigma_tilde(d, (), cut, comp)
+                           for a, M in family.items() if setup.pinned <= a
+                           for comp in _k_components(d, rest - M)]
+                rep = sign_audit_large_scale(d, forest, d_cut=cut)
+                assert (rep.ok, rep.min_margin) == _verdict(margins)
+
+    def test_cluster_cap(self):
+        with pytest.raises(ValueError, match="refusing cluster audits"):
+            subdivergence_audit(TotalHomogeneity(()),
+                                range(MAX_CLUSTER_VERTICES + 1))
+
+
+class TestNineVertexDiagrams:
+    """Diagrams beyond the hierarchy-enumeration cap: the p=2 dipole moment
+    and TAU4 at p=1, with no forest."""
+
+    CASES = [  # tree, p, beta_bar, big-graph margin, large-scale margin
+        (dipole(), 2, F(5, 4), F(3, 2), F(1, 4)),
+        (dipole(), 2, F(7, 5), F(6, 5), F(2, 5)),
+        (TAU4, 1, F(5, 4), F(1), F(1, 4)),
+        (TAU4, 1, F(7, 4), F(1, 2), F(3, 4)),
+    ]
+
+    def test_sign_audits(self):
+        for tau, p, bb, big, large in self.CASES:
+            d = build_diagram(tau, p, ModelParams.from_beta_bar(bb))
+            assert len(sg_total_homogeneity(d, ()).vertices) == 9
+            rep = sign_audit_big_graph(d, ())
+            assert (rep.ok, rep.min_margin) == (True, big)
+            rep = sign_audit_large_scale(d, (), d_cut=d.cut_sites())
+            assert (rep.ok, rep.min_margin) == (True, large)
 
 
 class TestSignAudits:
@@ -125,13 +257,13 @@ class TestIdentity:
 
 class TestSummability:
     def test_single_edge_geometric(self):
-        sig = TotalHomogeneity(((F(1), UP, frozenset(["u", "v"])),))
+        sig = TotalHomogeneity(((F(1), frozenset(["u", "v"])),))
         rep = summability_probe(sig, ["u", "v"], F(1) - 4,
                                 [0, 1, 2], [10, 12, 14])
         assert rep.converged and rep.spread < 0.05
 
     def test_single_edge_matches_exact_geometric_sum(self):
-        sig = TotalHomogeneity(((F(1), UP, frozenset(["u", "v"])),))
+        sig = TotalHomogeneity(((F(1), frozenset(["u", "v"])),))
         rep = summability_probe(sig, ["u", "v"], F(1) - 4,
                                 [0, 1, 2], [10, 12, 14])
         for (r, cap), raw in rep.values.items():
@@ -139,7 +271,7 @@ class TestSummability:
             assert abs(raw - exact) < 1e-12 * max(1.0, exact)
 
     def test_wrong_exponent_fails(self):
-        sig = TotalHomogeneity(((F(1), UP, frozenset(["u", "v"])),))
+        sig = TotalHomogeneity(((F(1), frozenset(["u", "v"])),))
         rep = summability_probe(sig, ["u", "v"], F(-2),
                                 [0, 2, 4], [10, 12, 14])
         assert not rep.converged
