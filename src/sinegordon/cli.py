@@ -316,8 +316,6 @@ def _add_common(p, rational_beta=True):
         p.add_argument("--beta-bar", help="charge weight override (rational)")
         p.add_argument("--mu", help="enumeration cutoff override (rational)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (results are reduction-order independent)")
 
 
 def _add_diagram_flags(p):

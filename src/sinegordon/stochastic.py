@@ -6,9 +6,12 @@ The free field is sampled spectrally: each spatial Fourier mode is an
 independent Ornstein-Uhlenbeck process at equilibrium whose damping is half
 the mode's Laplacian symbol, so the equal-time variance table is exact and
 the renormalization constant computed from the same table gives the chaos
-fields unit expectation exactly in distribution.  All noise comes from
-counter-based generators keyed by (seed, sample, step), so runs are
-reproducible and independent of evaluation order.
+fields unit expectation exactly in distribution.  Sampled fields are real,
+so they are stored as ``rfft2`` half-spectra (the n // 2 + 1 non-negative
+frequencies of the last axis) and transformed with ``rfft2``/``irfft2``;
+the solutions driven by the complex chaos stay on the full ``fft2``.  All
+noise comes from counter-based generators keyed by (seed, sample, step), so
+runs are reproducible and independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ class TorusLattice:
 
     n: int
     dt: float = 2.0**-10
+    _sigma_k: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         if self.n < 4 or self.n & (self.n - 1):
@@ -40,6 +45,7 @@ class TorusLattice:
         self.k2 = (TWO_PI**2) * self.m2          # |2 pi m|^2 per mode
         self.mu = 0.5 * self.k2                  # half-Laplacian damping
         self.nonzero = self.k2 > 0
+        self.n_rfft = self.n // 2 + 1            # columns of an rfft2 table
 
     def min_eps(self) -> float:
         return 2.0 / self.n
@@ -69,6 +75,20 @@ class TorusLattice:
         out[nz] = mm[nz] ** 2 / self.k2[nz]
         return out
 
+    def sigma_k(self, eps: float, shape: str = GAUSS) -> np.ndarray:
+        """Read-only half-spectrum standard deviation per mode.
+
+        Cached per (eps, shape), so call it only at the widths fields are
+        sampled at; width searches use the uncached ``mode_variances``.
+        """
+        key = (eps, shape)
+        sk = self._sigma_k.get(key)
+        if sk is None:
+            sk = np.sqrt(self.mode_variances(eps, shape)[:, : self.n_rfft])
+            sk.flags.writeable = False
+            self._sigma_k[key] = sk
+        return sk
+
 
 def step_rng(seed: int, sample: int, step: int) -> np.random.Generator:
     """Counter-based stream addressing one (sample, step) slot."""
@@ -78,9 +98,9 @@ def step_rng(seed: int, sample: int, step: int) -> np.random.Generator:
 
 
 def white_spectral(lat: TorusLattice, rng: np.random.Generator) -> np.ndarray:
-    """Hermitian spectral white noise, unit variance per mode."""
+    """Half-spectrum of real white noise, unit variance per mode."""
     w = rng.standard_normal((lat.n, lat.n))
-    return np.fft.fft2(w) / lat.n
+    return np.fft.rfft2(w) / lat.n
 
 
 def sigma2(lat: TorusLattice, eps: float, shape: str = GAUSS) -> float:
@@ -138,15 +158,17 @@ class GaussianField:
 
     lat: TorusLattice
     eps: float
-    coeffs: np.ndarray          # complex spectral amplitudes, one per mode
+    coeffs: np.ndarray          # rfft2 half-spectrum amplitudes
     shape: str = GAUSS
     sigma_k: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.sigma_k = np.sqrt(self.lat.mode_variances(self.eps, self.shape))
+        self.sigma_k = self.lat.sigma_k(self.eps, self.shape)
+        self._tables = None         # (dt, decay, kick) of the last advance
 
     def real_space(self) -> np.ndarray:
-        return np.real(np.fft.ifft2(self.coeffs)) * self.lat.n**2
+        n = self.lat.n
+        return np.fft.irfft2(self.coeffs, s=(n, n)) * n**2
 
     def advance(self, white: np.ndarray, dt: float):
         """Exact equilibrium-preserving step driven by shared white noise.
@@ -154,24 +176,32 @@ class GaussianField:
         The mollifier enters only through sigma_k, so fields of different
         widths advanced with the same ``white`` share their driving noise.
         """
-        decay = np.exp(-self.lat.mu * dt)
-        kick = self.sigma_k * np.sqrt(1.0 - decay**2)
+        if self._tables is None or self._tables[0] != dt:
+            decay = np.exp(-self.lat.mu[:, : self.lat.n_rfft] * dt)
+            self._tables = dt, decay, self.sigma_k * np.sqrt(1.0 - decay**2)
+        _, decay, kick = self._tables
         self.coeffs = decay * self.coeffs + kick * white
 
 
 def sample_phi(lat: TorusLattice, eps: float, seed: int, sample: int = 0,
                shape: str = GAUSS) -> GaussianField:
     """Equilibrium sample, deterministic in (seed, sample)."""
-    sk = np.sqrt(lat.mode_variances(eps, shape))
     white = white_spectral(lat, step_rng(seed, sample, 0))
-    return GaussianField(lat, eps, sk * white, shape)
+    return GaussianField(lat, eps, lat.sigma_k(eps, shape) * white, shape)
 
 
 def wick_exponential(phi: np.ndarray, beta_sq, c_eps: float,
                      sign: int = +1) -> np.ndarray:
     """Unit-expectation chaos field C * exp(+-i beta Phi)."""
     beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
-    return c_eps * np.exp(1j * sign * beta * phi)
+    x = beta * phi
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    out *= c_eps
+    if sign < 0:
+        np.negative(out.imag, out=out.imag)
+    return out
 
 
 @dataclass
@@ -282,8 +312,6 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
     c_eps = renorm_constant(lat, eps, beta_sq)
     n = lat.n
     masks = _shell_masks(n, shifts)
-    acc_opp = np.zeros((n, n))
-    acc_same = np.zeros((n, n))
     if condition_modes is not None:
         lo = lat.m2 <= condition_modes**2
         sk2 = lat.mode_variances(eps)
@@ -291,26 +319,38 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
         amp_lo = np.exp(0.5 * beta2 * float(np.where(lo, sk2, 0.0).sum()))
         fac_opp = np.exp(beta2 * cov_hi)
         fac_same = np.exp(-beta2 * cov_hi)
+        lo = lo[:, : lat.n_rfft]
     else:
         lo, fac_opp, fac_same, amp_lo = None, 1.0, 1.0, c_eps
+    # Both correlations are linear in per-field spectral products, so the
+    # products are summed over fields and inverted once.  With
+    # a = fft2(conj xi): translation_correlation(xi, conj xi) inverts |a|^2,
+    # and translation_correlation(xi, xi) inverts conj(a(k) a(-k)).
+    power_opp = np.zeros((n, n))
+    if want_same:
+        cross_same = np.zeros((n, n), dtype=complex)
+        flip = (-np.arange(n)) % n
     for s in range(n_fields):
         fld = sample_phi(lat, eps, seed, sample=s)
         if lo is not None:
-            phi = np.real(np.fft.ifft2(np.where(lo, fld.coeffs, 0.0))) * n**2
+            phi = np.fft.irfft2(np.where(lo, fld.coeffs, 0.0), s=(n, n)) * n**2
         else:
             phi = fld.real_space()
-        xi = wick_exponential(phi, beta_sq, amp_lo)
-        acc_opp += np.real(translation_correlation(xi, np.conj(xi)))
+        a = np.fft.fft2(wick_exponential(phi, beta_sq, amp_lo, sign=-1))
         if want_same:
-            acc_same += np.real(translation_correlation(xi, xi))
-    acc_opp = acc_opp / n_fields * fac_opp
-    acc_same = acc_same / n_fields * fac_same
+            cross_same += a * a[flip][:, flip]
+        power_opp += a.real**2
+        power_opp += a.imag**2
+    scale = n * n * n_fields
+    acc_opp = np.real(np.fft.ifft2(power_opp)) / scale * fac_opp
 
     radii = [c / n for c in shifts]
     opp = _shell_profile(acc_opp, masks, shifts)
     lr = np.log(radii)
     slope_o = float(np.polyfit(lr, np.log(opp), 1)[0])
     if want_same:
+        acc_same = (np.real(np.fft.ifft2(np.conj(cross_same))) / scale
+                    * fac_same)
         same = _shell_profile(acc_same, masks, shifts)
         slope_s = float(np.polyfit(lr, np.log(same), 1)[0])
         prod = float(np.polyfit(
@@ -405,15 +445,13 @@ def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
                        sample: int, collect):
     """Run one stationary trajectory, invoking ``collect(xi_minus, u)`` on
     each measured slice after burn-in."""
-    beta = np.sqrt(float(Fraction(cfg.beta_sq)) * np.pi)
     c_eps = renorm_constant(lat, cfg.eps, cfg.beta_sq)
     fld = sample_phi(lat, cfg.eps, seed, sample)
     driver = _HeatDriver(lat, cfg.dt)
     n_burn = int(round(cfg.t_burn / cfg.dt))
     n_meas = int(round(cfg.t_measure / cfg.dt))
     for step in range(n_burn + n_meas):
-        phi = fld.real_space()
-        xi_plus = c_eps * np.exp(1j * beta * phi)
+        xi_plus = wick_exponential(fld.real_space(), cfg.beta_sq, c_eps)
         driver.step(xi_plus)
         fld.advance(white_spectral(lat, step_rng(seed, sample, step + 1)),
                     cfg.dt)
@@ -463,23 +501,30 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int,
     The measured slices must resolve the chaos decorrelation time: with
     dt * stride much larger than eps^2 the time-Riemann sum picks up a
     same-cell term of size ~C_eps^2 that masquerades as extra small-scale
-    mass and steepens the fitted slope.
+    mass and steepens the fitted slope.  Every lambda's time window must fit
+    at least twice into t_measure, or its standard error is undefined.
     """
     beta2 = float(Fraction(cfg.beta_sq)) * np.pi
     if not (4 * np.pi < beta2 < 16 * np.pi / 3):
         raise ValueError("dipole scaling window requires beta^2 in (4pi, 16pi/3)")
     if min(cfg.lambdas) * lat.n < 4:
         raise ValueError("smallest lambda is below 4 grid cells")
+    lambdas = list(cfg.lambdas)
+    windows = [max(1, int(round(lam**2 / (4.0 * cfg.dt * cfg.stride))))
+               for lam in lambdas]
+    n_slices = -(-int(round(cfg.t_measure / cfg.dt)) // cfg.stride)
+    for lam, w in zip(lambdas, windows):
+        if n_slices // w < 2:
+            raise ValueError(
+                f"lambda = {lam}: t_measure holds {n_slices} measured slices, "
+                f"fewer than 2 time blocks of {w}")
     cterm = dipole_counterterm(
         lat, cfg, counter_seed if counter_seed is not None else seed + 10**6)
 
-    lambdas = list(cfg.lambdas)
     psi_hats = [bump_spectral(lat, lam) for lam in lambdas]
     # the spatial smear of a displacement-only counterterm is z-independent
     kappas = [complex(np.fft.ifft2(ph * np.fft.fft2(cterm))[0, 0])
               for ph in psi_hats]
-    windows = [max(1, int(round(lam**2 / (4.0 * cfg.dt * cfg.stride))))
-               for lam in lambdas]
 
     sq_blocks = [[] for _ in lambdas]     # renormalized |.|^2 per time block
     ab_blocks = [[] for _ in lambdas]     # ablated |.|^2 per time block
@@ -565,8 +610,7 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
         v_full = np.fft.ifft2(v_hat)
         max_imag = max(max_imag, float(np.max(np.abs(v_full.imag))))
         v = np.real(v_full)
-        phi = fld.real_space()
-        xi_plus = c_eps * np.exp(1j * beta * phi)
+        xi_plus = wick_exponential(fld.real_space(), beta_sq, c_eps)
         forcing = np.imag(np.exp(1j * beta * v) * xi_plus)
         v_hat = decay * v_hat + gain * np.fft.fft2(forcing)
         fld.advance(white_spectral(lat, step_rng(seed, sample, step + 1)), dt)
@@ -643,10 +687,8 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     seeds = list(seeds)
     for seed in seeds:
         init = white_spectral(lat, step_rng(seed, 0, 0))
-        sigmas = [np.sqrt(lat.mode_variances(w, sh))
-                  for w, sh in zip(widths, shapes)]
-        flds = [GaussianField(lat, w, sk * init, sh)
-                for w, sh, sk in zip(widths, shapes, sigmas)]
+        flds = [GaussianField(lat, w, lat.sigma_k(w, sh) * init, sh)
+                for w, sh in zip(widths, shapes)]
         v_hats = [np.zeros((lat.n, lat.n), dtype=complex) for _ in widths]
         d_seed = np.zeros(len(eps_list) - 1)
         gap_seed = 0.0
@@ -658,8 +700,8 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
                 max_imag = max(max_imag, float(np.max(np.abs(v_full.imag))))
                 v = np.real(v_full)
                 vs.append(v)
-                phi = flds[i].real_space()
-                xi_plus = consts[i] * np.exp(1j * beta * phi)
+                xi_plus = wick_exponential(flds[i].real_space(), beta_sq,
+                                           consts[i])
                 forcing = np.imag(np.exp(1j * beta * v) * xi_plus)
                 v_hats[i] = decay * v_hats[i] + gain * np.fft.fft2(forcing)
                 flds[i].advance(white, dt)

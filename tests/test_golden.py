@@ -1,8 +1,11 @@
-"""Byte-for-byte golden outputs of ``sgbench power audit``.
+"""Byte-for-byte golden outputs of the fast ``sgbench`` commands.
 
 The files under ``tests/golden/`` hold the exact stdout of each invocation
-below, recorded when the audits still enumerated every cluster hierarchy.
-Any refactor of the audits must reproduce them unchanged, exit code included.
+below, exit code included.  The ``power audit`` files were recorded when the
+audits still enumerated every cluster hierarchy, the others before the field
+sampler moved to real-input transforms.  The echoed ``config`` lost its
+``threads`` entry when the ignored ``--threads`` flag was removed; nothing
+else changed.  Any refactor must reproduce them unchanged.
 """
 
 from pathlib import Path
@@ -30,10 +33,26 @@ CASES = {
                                   "--context", "large-scale"], 1),
 }
 
+# name -> full argv of the other fast commands, each exiting 0
+COMMANDS = {
+    "trees_enum": ["trees", "enum"],
+    "renorm_cancel": ["renorm", "cancel"],
+    "diagram_terms_p1": ["diagram", "terms", "--p", "1"],
+}
+
+
+def _check(name, argv, code, capsys):
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_power_audit_golden(name, capsys):
     argv, code = CASES[name]
-    assert main(["power", "audit", *argv]) == code
-    out = capsys.readouterr().out
-    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    _check(name, ["power", "audit", *argv], code, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_golden(name, capsys):
+    _check(name, COMMANDS[name], 0, capsys)

@@ -14,7 +14,7 @@ from sinegordon.stochastic import (
     GAUSS, QUARTIC, TorusLattice, calibrate_width, chaos_mean,
     convergence_study, correlation_slopes, dipole_counterterm, DipoleConfig,
     renorm_constant, renorm_slope, sample_phi, sigma2, solve_pde,
-    translation_correlation, wick_exponential, covariance_table,
+    step_rng, translation_correlation, wick_exponential, covariance_table,
 )
 
 LAT = TorusLattice(64, dt=2.0**-9)
@@ -58,10 +58,124 @@ class TestField:
         before = float(np.mean(fld.real_space() ** 2))
         rng = np.random.default_rng(0)
         for _ in range(32):
-            white = np.fft.fft2(rng.standard_normal((64, 64))) / 64
+            white = np.fft.rfft2(rng.standard_normal((64, 64))) / 64
             fld.advance(white, LAT.dt)
         after = float(np.mean(fld.real_space() ** 2))
         assert abs(after - before) < 0.5 * before + 0.2
+
+
+class TestRealInputOracle:
+    """The half-spectrum path against the full complex transforms."""
+
+    N, EPS, SEED = 32, 2.0**-4, 5
+
+    def full_coeffs(self, lat, eps, sample):
+        # the full Hermitian spectrum from the same Philox draw
+        w = step_rng(self.SEED, sample, 0).standard_normal((lat.n, lat.n))
+        return np.sqrt(lat.mode_variances(eps)) * np.fft.fft2(w) / lat.n
+
+    def test_real_space_matches_full_inverse(self):
+        lat = TorusLattice(self.N)
+        for sample in range(3):
+            full = self.full_coeffs(lat, self.EPS, sample)
+            fld = sample_phi(lat, self.EPS, self.SEED, sample)
+            assert fld.coeffs.shape == (self.N, self.N // 2 + 1)
+            assert np.allclose(fld.coeffs, full[:, : self.N // 2 + 1],
+                               rtol=0, atol=1e-14)
+            ref = np.real(np.fft.ifft2(full)) * self.N**2
+            assert np.allclose(fld.real_space(), ref, rtol=0, atol=1e-12)
+
+    def test_advance_matches_full_spectrum_update(self):
+        lat = TorusLattice(self.N)
+        sk = np.sqrt(lat.mode_variances(self.EPS))
+        full = self.full_coeffs(lat, self.EPS, 0)
+        fld = sample_phi(lat, self.EPS, self.SEED, 0)
+        for step, dt in enumerate([lat.dt, lat.dt, 2 * lat.dt], start=1):
+            w = step_rng(self.SEED, 0, step).standard_normal((self.N, self.N))
+            decay = np.exp(-lat.mu * dt)
+            full = (decay * full
+                    + sk * np.sqrt(1 - decay**2) * np.fft.fft2(w) / self.N)
+            fld.advance(np.fft.rfft2(w) / self.N, dt)
+            ref = np.real(np.fft.ifft2(full)) * self.N**2
+            assert np.allclose(fld.real_space(), ref, rtol=0, atol=1e-12)
+
+    def test_wick_exponential_matches_complex_exp(self):
+        lat = TorusLattice(self.N)
+        phi = sample_phi(lat, self.EPS, self.SEED).real_space()
+        c = renorm_constant(lat, self.EPS, Fraction(5))
+        beta = np.sqrt(5 * np.pi)
+        for sign in (+1, -1):
+            ref = c * np.exp(1j * sign * beta * phi)
+            got = wick_exponential(phi, Fraction(5), c, sign=sign)
+            assert np.allclose(got, ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("condition_modes", [None, 4])
+    @pytest.mark.parametrize("want_same", [True, False])
+    def test_correlation_slopes_match_per_field_sum(self, want_same,
+                                                    condition_modes):
+        lat, beta_sq, n_fields, shifts = (TorusLattice(self.N), Fraction(1),
+                                          6, [4, 6, 8])
+        n = self.N
+        beta2 = np.pi
+        lo = lat.m2 <= (condition_modes or n) ** 2
+        sk2 = lat.mode_variances(self.EPS)
+        cov_hi = np.real(np.fft.ifft2(np.where(lo, 0.0, sk2))) * n**2
+        amp = np.exp(0.5 * beta2 * float(np.where(lo, sk2, 0.0).sum()))
+        acc_opp, acc_same = np.zeros((n, n)), np.zeros((n, n))
+        for s in range(n_fields):
+            full = np.where(lo, self.full_coeffs(lat, self.EPS, s), 0.0)
+            phi = np.real(np.fft.ifft2(full)) * n**2
+            xi = amp * np.exp(1j * np.sqrt(beta2) * phi)
+            acc_opp += np.real(translation_correlation(xi, np.conj(xi)))
+            acc_same += np.real(translation_correlation(xi, xi))
+        acc_opp *= np.exp(beta2 * cov_hi) / n_fields
+        acc_same *= np.exp(-beta2 * cov_hi) / n_fields
+        m = np.fft.fftfreq(n) * n
+        dist = np.hypot(*np.meshgrid(m, m, indexing="ij"))
+        shells = [np.abs(dist - c) <= 0.5 for c in shifts]
+
+        rep = correlation_slopes(lat, self.EPS, beta_sq, self.SEED,
+                                 n_fields=n_fields, shifts=shifts,
+                                 want_same=want_same,
+                                 condition_modes=condition_modes)
+        assert np.allclose(rep.opposite, [acc_opp[sh].mean() for sh in shells],
+                           rtol=1e-12, atol=0)
+        if want_same:
+            assert np.allclose(rep.same,
+                               [acc_same[sh].mean() for sh in shells],
+                               rtol=1e-12, atol=0)
+        else:
+            assert rep.same == []
+
+
+class TestSigmaCache:
+    def test_sampling_hits_the_cache(self, monkeypatch):
+        lat = TorusLattice(32)
+        calls = []
+        orig = TorusLattice.mode_variances
+        monkeypatch.setattr(TorusLattice, "mode_variances",
+                            lambda self, *a, **k: calls.append(a)
+                            or orig(self, *a, **k))
+        a = sample_phi(lat, 2.0**-3, seed=0, sample=0)
+        b = sample_phi(lat, 2.0**-3, seed=0, sample=1)
+        assert a.sigma_k is b.sigma_k
+        assert len(calls) == 1
+        sample_phi(lat, 2.0**-3, seed=0, sample=0, shape=QUARTIC)
+        assert len(calls) == 2 and len(lat._sigma_k) == 2
+
+    def test_width_searches_do_not_grow_the_cache(self):
+        lat = TorusLattice(32)
+        sample_phi(lat, 2.0**-3, seed=0)
+        sigma2(lat, 2.0**-4)
+        calibrate_width(lat, 2.0**-3, QUARTIC)
+        assert list(lat._sigma_k) == [(2.0**-3, GAUSS)]
+
+    def test_cached_tables_are_read_only(self):
+        lat = TorusLattice(32)
+        sk = sample_phi(lat, 2.0**-3, seed=0).sigma_k
+        assert not sk.flags.writeable
+        with pytest.raises(ValueError):
+            sk[0, 1] = 1.0
 
 
 class TestRenormConstant:
@@ -137,6 +251,19 @@ class TestDipolePieces:
             cfg = DipoleConfig(beta_sq=bad, eps=2.0**-4, dt=2.0**-8)
             with pytest.raises(ValueError):
                 dipole_moment(lat, cfg, seed=0)
+
+    def test_too_few_time_blocks_refused(self):
+        # lambda = 2^-1 averages windows of 16 slices of dt = 2^-8
+        lat = TorusLattice(32, dt=2.0**-8)
+        from sinegordon.stochastic import dipole_moment
+        cfg = DipoleConfig(eps=2.0**-4, dt=2.0**-8, t_burn=0.02,
+                           t_measure=31 * 2.0**-8, lambdas=(2.0**-1, 2.0**-2),
+                           n_samples=1, n_counter=1)
+        with pytest.raises(ValueError, match="fewer than 2 time blocks"):
+            dipole_moment(lat, cfg, seed=0)
+        cfg.t_measure = 32 * 2.0**-8
+        rep = dipole_moment(lat, cfg, seed=0)
+        assert np.all(np.isfinite(rep.stderrs))
 
     def test_lambda_floor_enforced(self):
         lat = TorusLattice(32, dt=2.0**-8)
