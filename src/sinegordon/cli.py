@@ -262,7 +262,8 @@ def cmd_sim_dipole(args):
         _emit_csv(args.out_csv, list(zip(rep.lambdas, rep.second_moments,
                                          rep.stderrs)))
     _emit(args, _payload(args, rep.as_dict()))
-    return 0
+    # criterion 10: slope -1 +- 0.3, and the counterterm moves it by >= 0.2
+    return 0 if (-1.3 <= rep.slope <= -0.7 and rep.ablation_gap >= 0.2) else 1
 
 
 def cmd_sim_pde(args):
@@ -280,7 +281,7 @@ def cmd_sim_pde(args):
         "final_max": float(final.max()),
         "final_mean": float(final.mean()),
     }))
-    return 0
+    return 0 if res.max_imag < 1e-10 else 1     # the solution stays real
 
 
 def cmd_sim_converge(args):

@@ -8,15 +8,17 @@ the mode's Laplacian symbol, so the equal-time variance table is exact and
 the renormalization constant computed from the same table gives the chaos
 fields unit expectation exactly in distribution.  Sampled fields are real,
 so they are stored as ``rfft2`` half-spectra (the n // 2 + 1 non-negative
-frequencies of the last axis) and transformed with ``rfft2``/``irfft2``;
-the solutions driven by the complex chaos stay on the full ``fft2``.  All
-noise comes from counter-based generators keyed by (seed, sample, step), so
-runs are reproducible and independent of evaluation order.
+frequencies of the last axis) and transformed with ``rfft2``/``irfft2``.
+The dipole profile and the shifted equation share one exponential-Euler
+integrator on the full complex ``fft2``, so the shifted solution's
+imaginary residue is read from a complex inverse.  All noise comes from
+counter-based generators keyed by (seed, sample, step), so runs are
+reproducible and independent of evaluation order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -266,14 +268,7 @@ class CorrelationReport:
     product_slope: float
 
     def as_dict(self) -> dict:
-        return {
-            "radii": self.radii,
-            "opposite": self.opposite,
-            "same": self.same,
-            "opposite_slope": self.opposite_slope,
-            "same_slope": self.same_slope,
-            "product_slope": self.product_slope,
-        }
+        return asdict(self)
 
 
 def dyadic_shifts(lat: TorusLattice, r_min: float, r_max: float) -> list[int]:
@@ -377,22 +372,23 @@ def bump_spectral(lat: TorusLattice, lam: float) -> np.ndarray:
 
 
 class _HeatDriver:
-    """Exponential-Euler integrator for the additively forced heat flow.
+    """Exponential-Euler integrator of du = (1/2) Laplacian u dt + f dt.
 
-    The spatial mean is projected out: only differences of the profile
-    enter the estimator, so the undamped constant mode is irrelevant.
+    The decay and gain tables are built once per (lattice, dt).  ``step``
+    updates the spectrum ``u_hat`` in place and returns the forcing
+    spectrum it transformed, for callers that need it too.
     """
 
     def __init__(self, lat: TorusLattice, dt: float):
-        self.lat = lat
         self.decay = np.exp(-lat.mu * dt)
         self.gain = dt * _phi1(-lat.mu * dt)
         self.u_hat = np.zeros((lat.n, lat.n), dtype=complex)
 
-    def step(self, forcing: np.ndarray):
+    def step(self, forcing: np.ndarray) -> np.ndarray:
         f_hat = np.fft.fft2(forcing)
-        f_hat[0, 0] = 0.0
-        self.u_hat = self.decay * self.u_hat + self.gain * f_hat
+        self.u_hat *= self.decay
+        self.u_hat += self.gain * f_hat
+        return f_hat
 
     def profile(self) -> np.ndarray:
         return np.fft.ifft2(self.u_hat)
@@ -427,24 +423,20 @@ class DipoleReport:
         return abs(self.slope - self.ablation_slope)
 
     def as_dict(self) -> dict:
-        return {
-            "lambdas": list(self.lambdas),
-            "second_moments": list(self.second_moments),
-            "stderrs": list(self.stderrs),
-            "ablation_moments": list(self.ablation_moments),
-            "slope": self.slope,
-            "ablation_slope": self.ablation_slope,
-            "ablation_gap": self.ablation_gap,
-            "mean_re": self.mean_complex.real,
-            "mean_im": self.mean_complex.imag,
-            "n_samples": self.n_samples,
-        }
+        out = asdict(self)
+        mean = out.pop("mean_complex")
+        return dict(out, ablation_gap=self.ablation_gap, mean_re=mean.real,
+                    mean_im=mean.imag)
 
 
 def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
                        sample: int, collect):
-    """Run one stationary trajectory, invoking ``collect(xi_minus, u)`` on
-    each measured slice after burn-in."""
+    """Run one stationary trajectory, invoking ``collect(driver, xi_plus,
+    f_hat)`` on each measured slice after burn-in, f_hat = fft2(xi_plus).
+
+    Only differences of the profile enter the estimator, so its undamped
+    mean is projected out after each step; f_hat keeps its zero mode.
+    """
     c_eps = renorm_constant(lat, cfg.eps, cfg.beta_sq)
     fld = sample_phi(lat, cfg.eps, seed, sample)
     driver = _HeatDriver(lat, cfg.dt)
@@ -452,11 +444,12 @@ def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
     n_meas = int(round(cfg.t_measure / cfg.dt))
     for step in range(n_burn + n_meas):
         xi_plus = wick_exponential(fld.real_space(), cfg.beta_sq, c_eps)
-        driver.step(xi_plus)
+        f_hat = driver.step(xi_plus)
+        driver.u_hat[0, 0] = 0.0
         fld.advance(white_spectral(lat, step_rng(seed, sample, step + 1)),
                     cfg.dt)
         if step >= n_burn and (step - n_burn) % cfg.stride == 0:
-            collect(np.conj(xi_plus), driver.profile())
+            collect(driver, xi_plus, f_hat)
 
 
 def dipole_counterterm(lat: TorusLattice, cfg: DipoleConfig, seed: int
@@ -466,24 +459,20 @@ def dipole_counterterm(lat: TorusLattice, cfg: DipoleConfig, seed: int
     c(y, z) = E[xi_-(y) u(y)] - E[xi_-(y) u(z)] depends only on y - z by
     stationarity; both terms are estimated by translation averaging.
     """
-    acc = np.zeros((lat.n, lat.n), dtype=complex)
+    spec = np.zeros((lat.n, lat.n), dtype=complex)
     count = 0
 
-    def collect(xi_minus, u):
-        nonlocal acc, count
-        acc += translation_correlation(u, xi_minus)  # E[xi_-(z+w) u(z)] at w
+    def collect(driver, xi_plus, f_hat):
+        nonlocal spec, count
+        spec += driver.u_hat * np.conj(f_hat)
         count += 1
 
     for s in range(cfg.n_counter):
         _dipole_trajectory(lat, cfg, seed, s, collect)
-    h = acc / count
+    # E[xi_-(z+w) u(z)] is the mean of translation_correlation(u, xi_-), the
+    # inverse of spec(-k) / (count n^2), which is fft2(spec) / (count n^4)
+    h = np.fft.fft2(spec) / (count * lat.n**4)
     return h[0, 0] - h
-
-
-@dataclass
-class _Pending:
-    acc: np.ndarray
-    cnt: int
 
 
 def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int,
@@ -525,35 +514,41 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int,
     # the spatial smear of a displacement-only counterterm is z-independent
     kappas = [complex(np.fft.ifft2(ph * np.fft.fft2(cterm))[0, 0])
               for ph in psi_hats]
+    del cterm       # not held next to the block sums
 
     sq_blocks = [[] for _ in lambdas]     # renormalized |.|^2 per time block
     ab_blocks = [[] for _ in lambdas]     # ablated |.|^2 per time block
     mean_acc = 0.0 + 0.0j
     mean_cnt = 0
+    # Per lambda, the open time block sums the spectra g1 = fft2(xi_- u),
+    # inverted once when it closes, and the products (psi * xi_-) u, where
+    # psi * xi_- = conj(psi * xi_+) because psi is real and even.
+    g1_sums = np.empty((len(lambdas), lat.n, lat.n), dtype=complex)
+    local_sums = np.empty_like(g1_sums)
+    counts = [0] * len(lambdas)
+
+    def collect(driver, xi_plus, f_hat):
+        nonlocal g1_sums, mean_acc, mean_cnt
+        u = driver.profile()
+        g1_sums += np.fft.fft2(np.conj(xi_plus) * u)
+        for i, ph in enumerate(psi_hats):
+            local_sums[i] += np.conj(np.fft.ifft2(ph * f_hat)) * u
+            counts[i] += 1
+            if counts[i] == windows[i]:
+                block = (np.fft.ifft2(ph * g1_sums[i])
+                         - local_sums[i]) / windows[i]
+                ren = block - kappas[i]
+                sq_blocks[i].append(float(np.mean(np.abs(ren) ** 2)))
+                ab_blocks[i].append(float(np.mean(np.abs(block) ** 2)))
+                if i == 0:
+                    mean_acc += complex(np.mean(ren))
+                    mean_cnt += 1
+                g1_sums[i] = local_sums[i] = 0.0
+                counts[i] = 0
 
     for s in range(cfg.n_samples):
-        pend = [_Pending(np.zeros((lat.n, lat.n), dtype=complex), 0)
-                for _ in lambdas]
-
-        def collect(xi_minus, u):
-            nonlocal mean_acc, mean_cnt
-            g1 = np.fft.fft2(xi_minus * u)
-            g2 = np.fft.fft2(xi_minus)
-            for i, ph in enumerate(psi_hats):
-                p = pend[i]
-                p.acc += np.fft.ifft2(ph * g1) - np.fft.ifft2(ph * g2) * u
-                p.cnt += 1
-                if p.cnt >= windows[i]:
-                    block = p.acc / p.cnt
-                    ren = block - kappas[i]
-                    sq_blocks[i].append(float(np.mean(np.abs(ren) ** 2)))
-                    ab_blocks[i].append(float(np.mean(np.abs(block) ** 2)))
-                    if i == 0:
-                        mean_acc += complex(np.mean(ren))
-                        mean_cnt += 1
-                    p.acc = np.zeros((lat.n, lat.n), dtype=complex)
-                    p.cnt = 0
-
+        g1_sums[:] = local_sums[:] = 0.0      # drop the blocks left open
+        counts[:] = [0] * len(lambdas)
         _dipole_trajectory(lat, cfg, seed, s, collect)
 
     moments, errs, ab_moments = [], [], []
@@ -583,40 +578,48 @@ class PDEResult:
         return self.snapshots[-1]
 
 
+def _shifted_step(driver: _HeatDriver, fld: GaussianField, beta: float,
+                  c_eps: float) -> tuple[np.ndarray, float]:
+    """One step of the shifted equation; returns the solution v before it
+    and the largest imaginary residue of its complex inverse transform.
+
+    The reaction is the imaginary part of the positive chaos twisted by v;
+    the two charges are exact conjugates, so it is the real field
+    Im(e^{i beta v} C e^{i beta Phi}) = C sin(beta (Phi + v)).
+    """
+    v_full = driver.profile()
+    v = v_full.real
+    driver.step(c_eps * np.sin(beta * (fld.real_space() + v)))
+    return v, float(np.max(np.abs(v_full.imag)))
+
+
 def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
               t_end: float, v0: np.ndarray | None = None,
               dt: float | None = None, shape: str = GAUSS, sample: int = 0,
               record_every: int | None = None) -> PDEResult:
     """Exponential-Euler solve of the shifted equation.
 
-    The drift is half the Laplacian; the reaction is the imaginary part of
-    the positive chaos twisted by the running solution, which keeps the
-    trajectory real (up to roundoff) because the two charges are exact
-    conjugates.
+    The drift is half the Laplacian and the reaction is the sine
+    nonlinearity of ``_shifted_step``.
     """
     dt = lat.dt if dt is None else dt
     beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
     c_eps = renorm_constant(lat, eps, beta_sq, shape)
     fld = sample_phi(lat, eps, seed, sample, shape)
-    v_hat = np.zeros((lat.n, lat.n), dtype=complex) if v0 is None \
-        else np.fft.fft2(np.asarray(v0, dtype=float))
-    decay = np.exp(-lat.mu * dt)
-    gain = dt * _phi1(-lat.mu * dt)
+    driver = _HeatDriver(lat, dt)
+    if v0 is not None:
+        driver.u_hat = np.fft.fft2(np.asarray(v0, dtype=float))
     n_steps = int(round(t_end / dt))
     record_every = record_every or n_steps
-    times, snaps = [0.0], [np.real(np.fft.ifft2(v_hat))]
+    times, snaps = [0.0], [np.real(driver.profile())]
     max_imag = 0.0
     for step in range(n_steps):
-        v_full = np.fft.ifft2(v_hat)
-        max_imag = max(max_imag, float(np.max(np.abs(v_full.imag))))
-        v = np.real(v_full)
-        xi_plus = wick_exponential(fld.real_space(), beta_sq, c_eps)
-        forcing = np.imag(np.exp(1j * beta * v) * xi_plus)
-        v_hat = decay * v_hat + gain * np.fft.fft2(forcing)
+        _, imag = _shifted_step(driver, fld, beta, c_eps)
+        max_imag = max(max_imag, imag)
         fld.advance(white_spectral(lat, step_rng(seed, sample, step + 1)), dt)
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
             times.append((step + 1) * dt)
-            snaps.append(np.real(np.fft.ifft2(v_hat)))
+            snaps.append(np.real(driver.profile()))
     return PDEResult(times, snaps, max_imag)
 
 
@@ -678,33 +681,28 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
 
     n_steps = int(round(t_end / dt))
     start = int(round(t_start_frac * n_steps))
-    decay = np.exp(-lat.mu * dt)
-    gain = dt * _phi1(-lat.mu * dt)
 
     d_acc = np.zeros(len(eps_list) - 1)
     gap_acc = 0.0
     max_imag = 0.0
     seeds = list(seeds)
+    drivers = [_HeatDriver(lat, dt) for _ in widths]
     for seed in seeds:
         init = white_spectral(lat, step_rng(seed, 0, 0))
         flds = [GaussianField(lat, w, lat.sigma_k(w, sh) * init, sh)
                 for w, sh in zip(widths, shapes)]
-        v_hats = [np.zeros((lat.n, lat.n), dtype=complex) for _ in widths]
+        for driver in drivers:
+            driver.u_hat[...] = 0.0
         d_seed = np.zeros(len(eps_list) - 1)
         gap_seed = 0.0
         for step in range(n_steps):
             white = white_spectral(lat, step_rng(seed, 0, step + 1))
             vs = []
-            for i in range(len(widths)):
-                v_full = np.fft.ifft2(v_hats[i])
-                max_imag = max(max_imag, float(np.max(np.abs(v_full.imag))))
-                v = np.real(v_full)
+            for driver, fld, c_eps in zip(drivers, flds, consts):
+                v, imag = _shifted_step(driver, fld, beta, c_eps)
+                max_imag = max(max_imag, imag)
                 vs.append(v)
-                xi_plus = wick_exponential(flds[i].real_space(), beta_sq,
-                                           consts[i])
-                forcing = np.imag(np.exp(1j * beta * v) * xi_plus)
-                v_hats[i] = decay * v_hats[i] + gain * np.fft.fft2(forcing)
-                flds[i].advance(white, dt)
+                fld.advance(white, dt)
             if step >= start:
                 for j in range(len(eps_list) - 1):
                     d_seed[j] = max(d_seed[j],

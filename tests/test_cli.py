@@ -119,3 +119,43 @@ class TestSubcommands:
         proc = subprocess.run([sys.executable, "-m", "sinegordon.cli",
                                "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
+
+
+class TestSimExitCodes:
+    """The sim commands exit 1 when their own criterion fails; stdout is the
+    same report either way."""
+
+    @staticmethod
+    def results(capsys, argv):
+        code, out, _ = run_cli(argv, capsys)
+        return code, json.loads(out)["results"]
+
+    def test_pde_imaginary_residue(self, capsys, monkeypatch):
+        import numpy as np
+        from sinegordon import stochastic as st
+        outs = {}
+        for max_imag in (3e-17, 1e-10, 2e-9):
+            res = st.PDEResult([0.0, 0.25], [np.zeros((8, 8))] * 2, max_imag)
+            monkeypatch.setattr(st, "solve_pde", lambda *a, res=res, **k: res)
+            outs[max_imag] = self.results(
+                capsys, ["sim", "pde", "--beta2-over-pi", "2", "--n", "8"])
+        assert [code for code, _ in outs.values()] == [0, 1, 1]
+        for max_imag, (_, res) in outs.items():
+            assert res == {"times": [0.0, 0.25], "max_imag": max_imag,
+                           "final_min": 0.0, "final_max": 0.0,
+                           "final_mean": 0.0}
+
+    @pytest.mark.parametrize("slope, ablation_slope, want", [
+        (-1.0, 0.5, 0), (-0.71, -0.4, 0),
+        (-0.6, 0.5, 1), (-1.35, 0.5, 1),     # slope outside -1 +- 0.3
+        (-1.0, -0.9, 1),                     # ablation gap 0.1 < 0.2
+    ])
+    def test_dipole_criterion(self, capsys, monkeypatch, slope,
+                              ablation_slope, want):
+        from sinegordon import stochastic as st
+        rep = st.DipoleReport([0.25, 0.125], [0.2, 0.1], [0.01, 0.01],
+                              [0.3, 0.2], slope, ablation_slope, 0.001 + 0j, 2)
+        monkeypatch.setattr(st, "dipole_moment", lambda *a, **k: rep)
+        code, res = self.results(capsys, ["sim", "dipole", "--n", "32"])
+        assert code == want
+        assert res == rep.as_dict()

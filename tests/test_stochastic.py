@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from sinegordon.stochastic import (
-    GAUSS, QUARTIC, TorusLattice, calibrate_width, chaos_mean,
-    convergence_study, correlation_slopes, dipole_counterterm, DipoleConfig,
-    renorm_constant, renorm_slope, sample_phi, sigma2, solve_pde,
-    step_rng, translation_correlation, wick_exponential, covariance_table,
+    GAUSS, QUARTIC, GaussianField, TorusLattice, bump_spectral,
+    calibrate_width, chaos_mean, convergence_study, correlation_slopes,
+    dipole_counterterm, dipole_moment, DipoleConfig, renorm_constant,
+    renorm_slope, sample_phi, sigma2, solve_pde, step_rng,
+    translation_correlation, white_spectral, wick_exponential,
+    covariance_table,
 )
 
 LAT = TorusLattice(64, dt=2.0**-9)
@@ -304,3 +306,192 @@ class TestPDE:
         w = calibrate_width(lat, eps, QUARTIC)
         assert np.isclose(sigma2(lat, w, QUARTIC), sigma2(lat, eps, GAUSS),
                           rtol=1e-10)
+
+
+# --- oracles: the per-step complex formulation the shared stepper replaced ---
+
+
+def _euler_tables(lat, dt):
+    x = -lat.mu * dt
+    gain = np.full_like(x, dt)
+    nz = x != 0
+    gain[nz] = dt * np.expm1(x[nz]) / x[nz]
+    return np.exp(x), gain
+
+
+def _complex_forcing_step(v_hat, phi, beta_sq, c_eps, tables):
+    """The shifted-equation step built from the complex chaos, a complex
+    exponential of the solution, their product and its imaginary part."""
+    decay, gain = tables
+    beta = np.sqrt(float(beta_sq) * np.pi)
+    v = np.real(np.fft.ifft2(v_hat))
+    xi_plus = c_eps * np.exp(1j * beta * phi)
+    forcing = np.imag(np.exp(1j * beta * v) * xi_plus)
+    return decay * v_hat + gain * np.fft.fft2(forcing), v
+
+
+def _old_dipole_trajectory(lat, cfg, seed, sample, collect):
+    """Zero mode dropped from the forcing; collect(xi_minus, u)."""
+    c_eps = renorm_constant(lat, cfg.eps, cfg.beta_sq)
+    fld = sample_phi(lat, cfg.eps, seed, sample)
+    decay, gain = _euler_tables(lat, cfg.dt)
+    u_hat = np.zeros((lat.n, lat.n), dtype=complex)
+    n_burn = int(round(cfg.t_burn / cfg.dt))
+    n_meas = int(round(cfg.t_measure / cfg.dt))
+    for step in range(n_burn + n_meas):
+        xi_plus = wick_exponential(fld.real_space(), cfg.beta_sq, c_eps)
+        f_hat = np.fft.fft2(xi_plus)
+        f_hat[0, 0] = 0.0
+        u_hat = decay * u_hat + gain * f_hat
+        fld.advance(white_spectral(lat, step_rng(seed, sample, step + 1)),
+                    cfg.dt)
+        if step >= n_burn and (step - n_burn) % cfg.stride == 0:
+            collect(np.conj(xi_plus), np.fft.ifft2(u_hat))
+
+
+def _old_counterterm(lat, cfg, seed):
+    tables = []
+
+    def collect(xi_minus, u):
+        tables.append(translation_correlation(u, xi_minus))
+
+    for s in range(cfg.n_counter):
+        _old_dipole_trajectory(lat, cfg, seed, s, collect)
+    h = sum(tables) / len(tables)
+    return h[0, 0] - h
+
+
+def _old_dipole_blocks(lat, cfg, seed, cterm):
+    """Per-slice real-space block sums: |ren|^2, |block|^2 and mean(ren)."""
+    windows = [max(1, int(round(lam**2 / (4.0 * cfg.dt * cfg.stride))))
+               for lam in cfg.lambdas]
+    psi_hats = [bump_spectral(lat, lam) for lam in cfg.lambdas]
+    kappas = [complex(np.fft.ifft2(ph * np.fft.fft2(cterm))[0, 0])
+              for ph in psi_hats]
+    sq, ab, means = [[] for _ in windows], [[] for _ in windows], []
+    for s in range(cfg.n_samples):
+        acc, cnt = [0.0] * len(windows), [0] * len(windows)
+
+        def collect(xi_minus, u):
+            g1 = np.fft.fft2(xi_minus * u)
+            g2 = np.fft.fft2(xi_minus)
+            for i, ph in enumerate(psi_hats):
+                acc[i] = (acc[i] + np.fft.ifft2(ph * g1)
+                          - np.fft.ifft2(ph * g2) * u)
+                cnt[i] += 1
+                if cnt[i] >= windows[i]:
+                    block = acc[i] / cnt[i]
+                    ren = block - kappas[i]
+                    sq[i].append(np.mean(np.abs(ren) ** 2))
+                    ab[i].append(np.mean(np.abs(block) ** 2))
+                    if i == 0:
+                        means.append(np.mean(ren))
+                    acc[i], cnt[i] = 0.0, 0
+
+        _old_dipole_trajectory(lat, cfg, seed, s, collect)
+    return sq, ab, means
+
+
+def _rel_close(a, b, rtol=1e-12):
+    """Max-norm relative agreement, so entries near zero do not dominate."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
+class TestSharedStepperOracle:
+    """The shared exponential-Euler driver, the real sine forcing and the
+    spectral dipole accumulators against the per-step complex code."""
+
+    LAT = TorusLattice(32, dt=2.0**-8)
+
+    def test_solve_pde_matches_complex_forcing(self):
+        lat, eps, beta_sq, seed = self.LAT, 2.0**-3, Fraction(2), 3
+        x = np.arange(32) / 32
+        v0 = 0.3 * np.sin(2 * np.pi * x)[:, None] * np.cos(4 * np.pi * x)
+        res = solve_pde(lat, eps, beta_sq, seed, t_end=16 * lat.dt, v0=v0,
+                        record_every=4)
+        c_eps = renorm_constant(lat, eps, beta_sq)
+        fld = sample_phi(lat, eps, seed)
+        tables = _euler_tables(lat, lat.dt)
+        v_hat = np.fft.fft2(v0)
+        snaps = [v0]
+        for step in range(16):
+            v_hat, _ = _complex_forcing_step(v_hat, fld.real_space(),
+                                             beta_sq, c_eps, tables)
+            fld.advance(white_spectral(lat, step_rng(seed, 0, step + 1)),
+                        lat.dt)
+            if (step + 1) % 4 == 0:
+                snaps.append(np.real(np.fft.ifft2(v_hat)))
+        assert res.times == [k * 4 * lat.dt for k in range(5)]
+        assert len(res.snapshots) == len(snaps)
+        for got, ref in zip(res.snapshots, snaps):
+            assert _rel_close(got, ref)
+        assert 0 < res.max_imag < 1e-12
+
+    def test_convergence_study_matches_complex_forcing(self):
+        lat, beta_sq, seeds = self.LAT, Fraction(2), [0, 1]
+        eps_list, n_steps, start = [2.0**-2, 2.0**-3], 16, 4
+        rep = convergence_study(lat, beta_sq, eps_list, seeds,
+                                t_end=n_steps * lat.dt)
+        widths = eps_list + [calibrate_width(lat, eps_list[-1], QUARTIC)]
+        shapes = [GAUSS, GAUSS, QUARTIC]
+        consts = [renorm_constant(lat, w, beta_sq, sh)
+                  for w, sh in zip(widths, shapes)]
+        tables = _euler_tables(lat, lat.dt)
+        d, gap = 0.0, 0.0
+        for seed in seeds:
+            init = white_spectral(lat, step_rng(seed, 0, 0))
+            flds = [GaussianField(lat, w, lat.sigma_k(w, sh) * init, sh)
+                    for w, sh in zip(widths, shapes)]
+            v_hats = [np.zeros((32, 32), dtype=complex)] * 3
+            d_seed = gap_seed = 0.0
+            for step in range(n_steps):
+                white = white_spectral(lat, step_rng(seed, 0, step + 1))
+                vs = []
+                for i in range(3):
+                    v_hats[i], v = _complex_forcing_step(
+                        v_hats[i], flds[i].real_space(), beta_sq, consts[i],
+                        tables)
+                    vs.append(v)
+                    flds[i].advance(white, lat.dt)
+                if step >= start:
+                    d_seed = max(d_seed, np.max(np.abs(vs[0] - vs[1])))
+                    gap_seed = max(gap_seed, np.max(np.abs(vs[1] - vs[2])))
+            d += d_seed / len(seeds)
+            gap += gap_seed / len(seeds)
+        assert np.allclose(rep.d_values, [d], rtol=1e-12, atol=0)
+        assert np.isclose(rep.swap_gap, gap, rtol=1e-12, atol=0)
+        assert rep.ratios == []
+        assert 0 < rep.max_imag < 1e-12
+
+    # lambda windows of 4, 2 and 1 slices at stride 1 (2, 1, 1 at stride 2)
+    # over 11 measured steps, so blocks are left open at each trajectory end
+    @staticmethod
+    def dipole_cfg(stride):
+        return DipoleConfig(eps=2.0**-4, dt=2.0**-8, t_burn=0.02,
+                            t_measure=11 * 2.0**-8, stride=stride,
+                            lambdas=(2.0**-2, 2.0**-2.5, 2.0**-3),
+                            n_samples=2, n_counter=2)
+
+    def test_counterterm_matches_translation_correlation_sum(self):
+        cfg = self.dipole_cfg(1)
+        got = dipole_counterterm(self.LAT, cfg, seed=4)
+        assert _rel_close(got, _old_counterterm(self.LAT, cfg, seed=4))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_dipole_moment_matches_per_slice_collect(self, stride):
+        lat, cfg = self.LAT, self.dipole_cfg(stride)
+        rep = dipole_moment(lat, cfg, seed=2, counter_seed=4)
+        sq, ab, means = _old_dipole_blocks(
+            lat, cfg, 2, _old_counterterm(lat, cfg, seed=4))
+        assert np.allclose(rep.second_moments, [np.mean(v) for v in sq],
+                           rtol=1e-12, atol=0)
+        assert np.allclose(rep.stderrs,
+                           [np.std(v, ddof=1) / np.sqrt(len(v)) for v in sq],
+                           rtol=1e-12, atol=0)
+        assert np.allclose(rep.ablation_moments, [np.mean(v) for v in ab],
+                           rtol=1e-12, atol=0)
+        # the mean is a small difference of block values of size
+        # sqrt(ablation moment), so it is compared on that scale
+        scale = np.sqrt(rep.ablation_moments[0])
+        assert abs(rep.mean_complex - np.mean(means)) <= 1e-12 * scale
