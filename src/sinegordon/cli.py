@@ -299,7 +299,9 @@ def cmd_sim_converge(args):
                         [0.0] * len(rep.d_values)))
         _emit_csv(args.out_csv, rows)
     _emit(args, _payload(args, rep.as_dict()))
-    return 0 if (rep.ratios_ok and rep.swap_ok) else 1
+    # criterion 11: ratios <= 0.85, the swap gap, and a real solution
+    ok = rep.ratios_ok and rep.swap_ok and rep.max_imag < 1e-10
+    return 0 if ok else 1
 
 
 # --- argument plumbing ------------------------------------------------------------

@@ -10,10 +10,11 @@ fields unit expectation exactly in distribution.  Sampled fields are real,
 so they are stored as ``rfft2`` half-spectra (the n // 2 + 1 non-negative
 frequencies of the last axis) and transformed with ``rfft2``/``irfft2``.
 The dipole profile and the shifted equation share one exponential-Euler
-integrator on the full complex ``fft2``, so the shifted solution's
-imaginary residue is read from a complex inverse.  All noise comes from
-counter-based generators keyed by (seed, sample, step), so runs are
-reproducible and independent of evaluation order.
+integrator: the dipole's complex forcing steps the full ``fft2`` spectrum,
+the shifted equation's real forcing the ``rfft2`` half-spectrum, whose
+imaginary residue is read from its self-conjugate columns.  All noise
+comes from counter-based generators keyed by (seed, sample, step), so runs
+are reproducible and independent of evaluation order.
 """
 
 from __future__ import annotations
@@ -376,22 +377,40 @@ class _HeatDriver:
 
     The decay and gain tables are built once per (lattice, dt).  ``step``
     updates the spectrum ``u_hat`` in place and returns the forcing
-    spectrum it transformed, for callers that need it too.
+    spectrum it transformed, for callers that need it too.  By default
+    ``u_hat`` is the full ``fft2`` spectrum of a complex profile; with
+    ``real=True`` it is the ``rfft2`` half-spectrum of a real one, and
+    ``profile`` returns the real ``irfft2``.
     """
 
-    def __init__(self, lat: TorusLattice, dt: float):
-        self.decay = np.exp(-lat.mu * dt)
-        self.gain = dt * _phi1(-lat.mu * dt)
-        self.u_hat = np.zeros((lat.n, lat.n), dtype=complex)
+    def __init__(self, lat: TorusLattice, dt: float, *, real: bool = False):
+        mu = lat.mu[:, : lat.n_rfft] if real else lat.mu
+        self.n, self.real = lat.n, real
+        self.decay = np.exp(-mu * dt)
+        self.gain = dt * _phi1(-mu * dt)
+        self.u_hat = np.zeros(mu.shape, dtype=complex)
 
     def step(self, forcing: np.ndarray) -> np.ndarray:
-        f_hat = np.fft.fft2(forcing)
+        f_hat = np.fft.rfft2(forcing) if self.real else np.fft.fft2(forcing)
         self.u_hat *= self.decay
         self.u_hat += self.gain * f_hat
         return f_hat
 
     def profile(self) -> np.ndarray:
+        if self.real:
+            return np.fft.irfft2(self.u_hat, s=(self.n, self.n))
         return np.fft.ifft2(self.u_hat)
+
+    def imag_residue(self) -> float:
+        """max |Im ifft2(E)|, E the Hermitian extension of the half-spectrum.
+
+        Only the self-conjugate columns 0 and n/2 can carry an anti-Hermitian
+        part, and at column offset y they enter as g_0(x) + (-1)^y g_{n/2}(x),
+        g_l = ifft of column l along axis 0; so the residue is
+        (1/n) max_x (|Im g_0(x)| + |Im g_{n/2}(x)|).
+        """
+        g = np.fft.ifft(self.u_hat[:, :: self.n // 2], axis=0)
+        return float(np.max(np.abs(g.imag).sum(axis=1))) / self.n
 
 
 @dataclass
@@ -571,7 +590,8 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int,
 class PDEResult:
     times: list
     snapshots: list          # real-space fields at the recorded times
-    max_imag: float          # largest imaginary residue seen (roundoff)
+    max_imag: float          # largest |Im ifft2| of the Hermitian-extended
+                             # solution half-spectrum (imag_residue; roundoff)
 
     @property
     def final(self) -> np.ndarray:
@@ -580,17 +600,16 @@ class PDEResult:
 
 def _shifted_step(driver: _HeatDriver, fld: GaussianField, beta: float,
                   c_eps: float) -> tuple[np.ndarray, float]:
-    """One step of the shifted equation; returns the solution v before it
-    and the largest imaginary residue of its complex inverse transform.
+    """One step of the shifted equation on a real-mode driver; returns the
+    solution v before it and the driver's imaginary residue at that time.
 
     The reaction is the imaginary part of the positive chaos twisted by v;
     the two charges are exact conjugates, so it is the real field
     Im(e^{i beta v} C e^{i beta Phi}) = C sin(beta (Phi + v)).
     """
-    v_full = driver.profile()
-    v = v_full.real
+    v, imag = driver.profile(), driver.imag_residue()
     driver.step(c_eps * np.sin(beta * (fld.real_space() + v)))
-    return v, float(np.max(np.abs(v_full.imag)))
+    return v, imag
 
 
 def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
@@ -606,12 +625,12 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
     beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
     c_eps = renorm_constant(lat, eps, beta_sq, shape)
     fld = sample_phi(lat, eps, seed, sample, shape)
-    driver = _HeatDriver(lat, dt)
+    driver = _HeatDriver(lat, dt, real=True)
     if v0 is not None:
-        driver.u_hat = np.fft.fft2(np.asarray(v0, dtype=float))
+        driver.u_hat = np.fft.rfft2(np.asarray(v0, dtype=float))
     n_steps = int(round(t_end / dt))
     record_every = record_every or n_steps
-    times, snaps = [0.0], [np.real(driver.profile())]
+    times, snaps = [0.0], [driver.profile()]
     max_imag = 0.0
     for step in range(n_steps):
         _, imag = _shifted_step(driver, fld, beta, c_eps)
@@ -619,7 +638,7 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
         fld.advance(white_spectral(lat, step_rng(seed, sample, step + 1)), dt)
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
             times.append((step + 1) * dt)
-            snaps.append(np.real(driver.profile()))
+            snaps.append(driver.profile())
     return PDEResult(times, snaps, max_imag)
 
 
@@ -686,7 +705,7 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     gap_acc = 0.0
     max_imag = 0.0
     seeds = list(seeds)
-    drivers = [_HeatDriver(lat, dt) for _ in widths]
+    drivers = [_HeatDriver(lat, dt, real=True) for _ in widths]
     for seed in seeds:
         init = white_spectral(lat, step_rng(seed, 0, 0))
         flds = [GaussianField(lat, w, lat.sigma_k(w, sh) * init, sh)

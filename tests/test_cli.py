@@ -115,6 +115,21 @@ class TestSubcommands:
         assert lines[0].split(",")[0] == "scale"
         assert len(lines) > 1
 
+    def test_sim_converge_end_to_end(self, capsys):
+        dt = 2.0**-8
+        code, out, _ = run_cli(
+            ["sim", "converge", "--beta2-over-pi", "2", "--n", "32",
+             "--dt", repr(dt), "--eps-list", repr(2.0**-2), repr(2.0**-3),
+             "--t-end", repr(16 * dt), "--seeds", "1"], capsys)
+        res = json.loads(out)["results"]
+        assert set(res) == {"eps_list", "swap_eps", "d_values", "ratios",
+                            "ratios_ok", "swap_gap", "swap_ok", "max_imag",
+                            "n_seeds"}
+        assert res["eps_list"] == [2.0**-2, 2.0**-3]
+        assert len(res["d_values"]) == 1 and res["ratios"] == []
+        assert 0 < res["max_imag"] < 1e-12
+        assert code == (0 if res["ratios_ok"] and res["swap_ok"] else 1)
+
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "sinegordon.cli",
                                "--version"], capture_output=True, text=True)
@@ -157,5 +172,24 @@ class TestSimExitCodes:
                               [0.3, 0.2], slope, ablation_slope, 0.001 + 0j, 2)
         monkeypatch.setattr(st, "dipole_moment", lambda *a, **k: rep)
         code, res = self.results(capsys, ["sim", "dipole", "--n", "32"])
+        assert code == want
+        assert res == rep.as_dict()
+
+    @pytest.mark.parametrize("ratios, swap_gap, max_imag, want", [
+        ([0.5, 0.6], 0.1, 3e-17, 0),
+        ([0.5, 0.9], 0.1, 3e-17, 1),         # a ratio above 0.85
+        ([0.5, 0.6], 0.13, 3e-17, 1),        # swap gap above 2 d_last
+        ([0.5, 0.6], 0.1, 1e-10, 1),         # the solution is not real
+        ([0.5, 0.6], 0.1, 2e-9, 1),
+    ])
+    def test_converge_criterion(self, capsys, monkeypatch, ratios, swap_gap,
+                                max_imag, want):
+        from sinegordon import stochastic as st
+        rep = st.ConvergenceReport([0.125, 0.0625, 0.03125, 0.015625],
+                                   0.02, [0.2, 0.1, 0.06], ratios, swap_gap,
+                                   max_imag, 2)
+        monkeypatch.setattr(st, "convergence_study", lambda *a, **k: rep)
+        code, res = self.results(
+            capsys, ["sim", "converge", "--beta2-over-pi", "2", "--n", "8"])
         assert code == want
         assert res == rep.as_dict()

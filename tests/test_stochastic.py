@@ -16,7 +16,7 @@ from sinegordon.stochastic import (
     dipole_counterterm, dipole_moment, DipoleConfig, renorm_constant,
     renorm_slope, sample_phi, sigma2, solve_pde, step_rng,
     translation_correlation, white_spectral, wick_exponential,
-    covariance_table,
+    covariance_table, _HeatDriver,
 )
 
 LAT = TorusLattice(64, dt=2.0**-9)
@@ -495,3 +495,58 @@ class TestSharedStepperOracle:
         # sqrt(ablation moment), so it is compared on that scale
         scale = np.sqrt(rep.ablation_moments[0])
         assert abs(rep.mean_complex - np.mean(means)) <= 1e-12 * scale
+
+
+class TestHalfSpectrumResidue:
+    """The real-mode driver's imaginary residue against the complex inverse
+    of the half-spectrum's Hermitian extension."""
+
+    N = 32
+
+    def driver(self, half):
+        drv = _HeatDriver(TorusLattice(self.N), 2.0**-8, real=True)
+        drv.u_hat = half
+        return drv
+
+    def extension(self, half):
+        """The full spectrum E(k, l) = conj(E(-k, -l)) for l > n/2."""
+        n = self.N
+        flip = (-np.arange(n)) % n
+        full = np.empty((n, n), dtype=complex)
+        full[:, : n // 2 + 1] = half
+        full[:, n // 2 + 1:] = np.conj(half[flip][:, n // 2 - 1: 0: -1])
+        return full
+
+    def hermitian_half(self):
+        """Random interior columns; columns 0 and n/2 are real and sit only
+        at the self-conjugate rows 0 and n/2, so the extension is exactly
+        Hermitian."""
+        n = self.N
+        rng = np.random.default_rng(5)
+        half = (rng.standard_normal((n, n // 2 + 1))
+                + 1j * rng.standard_normal((n, n // 2 + 1)))
+        half[:, :: n // 2] = 0.0
+        half[:: n // 2, :: n // 2] = rng.standard_normal((2, 2))
+        return half
+
+    def test_hermitian_half_spectrum_has_no_residue(self):
+        half = self.hermitian_half()
+        drv = self.driver(half)
+        assert drv.imag_residue() == 0.0
+        full = np.fft.ifft2(self.extension(half))
+        assert _rel_close(drv.profile(), full.real)
+        assert np.max(np.abs(full.imag)) < 1e-15 * np.max(np.abs(full.real))
+
+    def test_anti_hermitian_columns_are_measured(self):
+        n = self.N
+        half = self.hermitian_half()
+        rng = np.random.default_rng(6)
+        for col in (0, n // 2):
+            # a(k) = -conj(a(-k)): purely imaginary at the self-conjugate rows
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            a = 0.5 * (a - np.conj(a[(-np.arange(n)) % n]))
+            half[:, col] += (0.3 if col else 1.0) * a
+        got = self.driver(half).imag_residue()
+        want = np.max(np.abs(np.fft.ifft2(self.extension(half)).imag))
+        assert want > 0
+        assert np.isclose(got, want, rtol=1e-12, atol=0)
