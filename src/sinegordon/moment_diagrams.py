@@ -36,31 +36,21 @@ class MomentDiagram:
     copy_of: dict[int, int]
     roots: list[int]
     children: dict[int, list[int]] = field(init=False)
+    # basic node/edge sets, built once; kernel edges are named by their child
+    nodes: list[int] = field(init=False, repr=False, compare=False)
+    noises: list[int] = field(init=False, repr=False, compare=False)
+    kernel_edges: list[int] = field(init=False, repr=False, compare=False)
+    pairs: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.children = {u: [] for u in self.parent}
         for u, par in self.parent.items():
             if par is not None:
                 self.children[par].append(u)
-
-    # --- basic node/edge sets ------------------------------------------
-
-    @property
-    def nodes(self) -> list[int]:
-        return sorted(self.parent)
-
-    @property
-    def noises(self) -> list[int]:
-        return [u for u in self.nodes if self.label[u] != "0"]
-
-    @property
-    def kernel_edges(self) -> list[int]:
-        """Edges identified by their child node id."""
-        return [u for u in self.nodes if self.parent[u] is not None]
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(combinations(self.noises, 2))
+        self.nodes = sorted(self.parent)
+        self.noises = [u for u in self.nodes if self.label[u] != "0"]
+        self.kernel_edges = [u for u in self.nodes if self.parent[u] is not None]
+        self.pairs = list(combinations(self.noises, 2))
 
     def charge(self, node_set) -> int:
         return sum({"+": 1, "0": 0, "-": -1}[self.label[u]] for u in node_set)
@@ -143,12 +133,10 @@ class MomentDiagram:
 
         yield from expand(0, frozenset([root]))
 
-    def enumerate_forests(self, div=None) -> list[frozenset[frozenset[int]]]:
+    def enumerate_forests(self) -> list[frozenset[frozenset[int]]]:
         """All subsets of the divergent subtrees that are pairwise nested
         or disjoint."""
-        if div is None:
-            div = self.divergent_subtrees()
-        div = list(div)
+        div = self.divergent_subtrees()
         forests: list[frozenset[frozenset[int]]] = []
 
         def ok(S, chosen):
@@ -362,8 +350,7 @@ def moment_terms(d: MomentDiagram) -> list[MomentTerm]:
     interactions and unshadowed kernels plus a collapse-operator site, and
     hands the straddling interactions and entering kernels one level down.
     """
-    div = d.divergent_subtrees()
-    forests = d.enumerate_forests(div)
+    forests = d.enumerate_forests()
     sites = set(d.cut_sites())
     bb = d.params.beta_bar
     terms: list[MomentTerm] = []

@@ -9,6 +9,12 @@ pair edges not owned by nested members; its external scale is the coarsest
 (maximum) scale among the edges that tie it to its surroundings, restricted
 to the interior of the enclosing forest member.  A member is safe when the
 internal scale does not exceed the external one.
+
+The partition identity splits the (forest, cut) pairs into cells.  A cut
+collection leaves the forests whose kernel edges it avoids; those forests
+group by their safe projection, and each group is a forest interval M whose
+minimum is the projection.  The cut belongs to M's admissible collections,
+which the harvested cuts of M's maximum then tile into intervals of cuts.
 """
 
 from __future__ import annotations
@@ -64,12 +70,6 @@ def internal_edges_forest(d: MomentDiagram, F) -> set[tuple]:
     return out
 
 
-def internal_edges_relative(d: MomentDiagram, F, S: frozenset[int]) -> set[tuple]:
-    """Internal edges of S not owned by nested forest members."""
-    b = derived_edge_sets(d, F, S)
-    return {(KER, e) for e in b.K_F} | {(PAIR, a, b_) for a, b_ in b.pairs_F}
-
-
 def external_edges(d: MomentDiagram, S: frozenset[int]) -> set[tuple]:
     """Edges tying S to its surroundings: base edges of its nodes, entering
     kernel edges, and pair edges with exactly one end in S."""
@@ -80,38 +80,18 @@ def external_edges(d: MomentDiagram, S: frozenset[int]) -> set[tuple]:
     return out
 
 
-def enclosing_member(F, S: frozenset[int]) -> frozenset[int] | None:
-    """Minimal forest member strictly containing S, or None for the diagram."""
-    above = [T for T in F if S < T]
-    if not above:
-        return None
-    return min(above, key=len)
-
-
-def external_edges_relative(d: MomentDiagram, F, S: frozenset[int]) -> set[tuple]:
-    A = enclosing_member(F, S)
-    ext = external_edges(d, S)
-    if A is None:
-        return ext
-    return ext & internal_edges(d, A)
-
-
-def int_ext_scales(d: MomentDiagram, F, S: frozenset[int], n: ScaleAssignment
-                   ) -> tuple[int | None, int | None]:
-    ints = [n.n[ge] for ge in internal_edges_relative(d, F, S)]
-    exts = [n.n[ge] for ge in external_edges_relative(d, F, S)]
-    return (min(ints) if ints else None, max(exts) if exts else None)
-
-
 def safe_projection(d: MomentDiagram, F, n: ScaleAssignment) -> frozenset[frozenset[int]]:
     """Members whose internal scale does not exceed their external scale."""
     kept = []
     for S in F:
-        i, e = int_ext_scales(d, F, S, n)
-        if i is None:
-            i = float("inf")
-        if e is None:
-            e = float("-inf")
+        b = derived_edge_sets(d, F, S)
+        internal = {(KER, e) for e in b.K_F} | {(PAIR, *ab) for ab in b.pairs_F}
+        external = external_edges(d, S)
+        above = [T for T in F if S < T]
+        if above:  # restrict to the interior of the smallest enclosing member
+            external &= internal_edges(d, min(above, key=len))
+        i = min((n.n[ge] for ge in internal), default=float("inf"))
+        e = max((n.n[ge] for ge in external), default=float("-inf"))
         if i <= e:
             kept.append(S)
     return frozenset(kept)
@@ -132,6 +112,17 @@ class ForestInterval:
         return [F for F in universe if F in self]
 
 
+def _interval(target, pre, universe) -> ForestInterval:
+    """The interval [meet, join] of the forests ``pre``; raises unless its
+    members in ``universe`` are exactly ``pre``."""
+    interval = ForestInterval(frozenset.intersection(*pre), frozenset.union(*pre))
+    if {F for F in universe if F in interval} != set(pre):
+        raise AssertionError(
+            f"safe-projection preimage of {sorted(map(sorted, target))} is not an interval"
+        )
+    return interval
+
+
 def preimage_interval(d: MomentDiagram, target, n: ScaleAssignment,
                       forests=None) -> ForestInterval | None:
     """Preimage of ``target`` under the safe projection over all forests.
@@ -141,19 +132,10 @@ def preimage_interval(d: MomentDiagram, target, n: ScaleAssignment,
     """
     if forests is None:
         forests = d.enumerate_forests()
+    forests = [frozenset(F) for F in forests]
     target = frozenset(target)
-    pre = [frozenset(F) for F in forests if safe_projection(d, F, n) == target]
-    if not pre:
-        return None
-    lower = frozenset.intersection(*pre)
-    upper = frozenset.union(*pre)
-    interval = ForestInterval(lower, upper)
-    expected = {F for F in map(frozenset, forests) if F in interval}
-    if expected != set(pre):
-        raise AssertionError(
-            f"safe-projection preimage of {sorted(map(sorted, target))} is not an interval"
-        )
-    return interval
+    pre = [F for F in forests if safe_projection(d, F, n) == target]
+    return _interval(target, pre, forests) if pre else None
 
 
 # --- cut harvesting ------------------------------------------------------------
@@ -227,72 +209,62 @@ class PartitionReport:
     failures: list[dict] = field(default_factory=list)
 
 
-def _forests_avoiding(forests, cut: frozenset[int], d: MomentDiagram):
-    out = []
-    for F in forests:
-        K_F = frozenset().union(*[d.K(T) for T in F]) if F else frozenset()
-        if not (K_F & cut):
-            out.append(frozenset(F))
-    return out
+def _subsets(items) -> list[frozenset]:
+    """All subsets of ``items``, by size and then lexicographically."""
+    items = sorted(items)
+    return [frozenset(c) for r in range(len(items) + 1)
+            for c in combinations(items, r)]
 
 
 def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
     """Verify that the (interval-of-forests, interval-of-cuts) cells exactly
     partition all (forest, cut) pairs, and that harvested cuts are
-    compatible with cell membership."""
+    compatible with cell membership.
+
+    One pass over the cut collections builds the cells.  For each cut, the
+    forests avoiding it are grouped by safe projection; each group must be
+    an interval M, and the cut is admissible for M when the group's
+    projection is M's minimum.  That is the definition of admissibility:
+    the forests that avoid the cut and project to M's minimum are exactly
+    M.  The cut needs no separate restriction to the sites outside the
+    kernel edges of M's maximum, because every member of M avoids the cut,
+    so the cut misses the kernel edges of their union.
+    """
     forests = [frozenset(F) for F in d.enumerate_forests()]
     sites = frozenset(d.cut_sites())
-    all_pairs = set()
-    for F in forests:
-        K_F = frozenset().union(*[d.K(T) for T in F]) if F else frozenset()
-        for r in range(len(sites - K_F) + 1):
-            for cut in combinations(sorted(sites - K_F), r):
-                all_pairs.add((F, frozenset(cut)))
+    proj = {F: safe_projection(d, F, n) for F in forests}
+    kernel = {F: frozenset().union(*map(d.K, F)) for F in forests}
+    all_pairs = {(F, cut) for F in forests for cut in _subsets(sites - kernel[F])}
 
     failures: list[dict] = []
     interval_checks = 0
     compat_checks = 0
 
-    # collect all cells (M, G)
-    cells = []  # (frozenset-of-forests M, lower, upper, frozenset-of-cuts G)
-    seen_M: dict[frozenset, tuple] = {}
-    for cut in [frozenset(c) for r in range(len(sites) + 1)
-                for c in combinations(sorted(sites), r)]:
-        avail = _forests_avoiding(forests, cut, d)
-        images = {safe_projection(d, F, n) for F in avail}
-        for img in images:
+    # forest interval M -> (its bounds, its admissible cut collections)
+    cells: dict[frozenset, tuple[ForestInterval, set]] = {}
+    for cut in _subsets(sites):
+        avail = [F for F in forests if not kernel[F] & cut]
+        for img in {proj[F] for F in avail}:
+            pre = [F for F in avail if proj[F] == img]
             try:
-                interval = preimage_interval(d, img, n, avail)
+                interval = _interval(img, pre, avail)
             except AssertionError as exc:
                 failures.append({"kind": "interval", "cut": sorted(cut), "err": str(exc)})
                 continue
             interval_checks += 1
-            if interval is None:
-                continue
-            M = frozenset(F for F in avail if F in interval)
-            if frozenset(img) != interval.lower:
+            admissible = cells.setdefault(frozenset(pre), (interval, set()))[1]
+            if img == interval.lower:
+                admissible.add(cut)
+            else:
                 failures.append({
                     "kind": "min", "cut": sorted(cut),
                     "detail": "projection image is not the interval minimum",
                 })
-            key = M
-            if key not in seen_M:
-                seen_M[key] = (interval.lower, interval.upper)
-    # admissible cut collections per cell
     coverage: dict[tuple, int] = {pair: 0 for pair in all_pairs}
     n_cells = 0
-    for M, (lower, upper) in seen_M.items():
-        K_b = frozenset().union(*[d.K(T) for T in upper]) if upper else frozenset()
-        harv = harvest_cuts(d, upper, n) - K_b
-        cut_universe = sorted(sites - K_b)
-        admissible = set()
-        for r in range(len(cut_universe) + 1):
-            for cut in combinations(cut_universe, r):
-                cut = frozenset(cut)
-                avail = _forests_avoiding(forests, cut, d)
-                pre = frozenset(F for F in avail if safe_projection(d, F, n) == lower)
-                if pre == M:
-                    admissible.add(cut)
+    for M, (interval, admissible) in cells.items():
+        K_b = frozenset().union(*map(d.K, interval.upper))
+        harv = harvest_cuts(d, interval.upper, n) - K_b
         # compatibility: harvested non-forest edges toggle freely
         for cut in admissible | {c ^ frozenset([e]) for c in admissible for e in harv}:
             for e in harv:
@@ -303,25 +275,20 @@ def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
                         "kind": "compatibility", "edge": e, "cut": sorted(cut),
                     })
         # the harvested intervals must tile the admissible collections
-        base_universe = sorted(sites - K_b - harv)
-        for r in range(len(base_universe) + 1):
-            for seed in combinations(base_universe, r):
-                seed = frozenset(seed)
-                block = [seed | frozenset(x)
-                         for k in range(len(harv) + 1)
-                         for x in combinations(sorted(harv), k)]
-                inside = [c in admissible for c in block]
-                if any(inside) and not all(inside):
-                    failures.append({
-                        "kind": "block", "seed": sorted(seed),
-                        "detail": "harvest interval straddles the admissible set",
-                    })
-                    continue
-                if all(inside):
-                    n_cells += 1
-                    for cut in block:
-                        for F in M:
-                            coverage[(F, cut)] += 1
+        for seed in _subsets(sites - K_b - harv):
+            block = [seed | x for x in _subsets(harv)]
+            inside = [c in admissible for c in block]
+            if any(inside) and not all(inside):
+                failures.append({
+                    "kind": "block", "seed": sorted(seed),
+                    "detail": "harvest interval straddles the admissible set",
+                })
+                continue
+            if all(inside):
+                n_cells += 1
+                for cut in block:
+                    for F in M:
+                        coverage[(F, cut)] += 1
 
     for pair, cnt in coverage.items():
         if cnt != 1:
@@ -334,9 +301,3 @@ def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
             })
     return PartitionReport(not failures, len(all_pairs), n_cells,
                            interval_checks, compat_checks, failures)
-
-
-def scale_floor_ok(d: MomentDiagram, n: ScaleAssignment, lam_floor: int) -> bool:
-    """Base edges at the copy roots must sit at or above the test-function
-    scale floor."""
-    return all(n.n[(BASE, rho)] >= lam_floor for rho in d.roots)

@@ -2,15 +2,17 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from sinegordon.tree_core import ModelParams, dipole
-from sinegordon.moment_diagrams import build_diagram
+from sinegordon import multiscale as ms
+from sinegordon.tree_core import DecoratedTree, ModelParams, XI_MINUS, XI_PLUS, dipole
+from sinegordon.moment_diagrams import build_diagram, derived_edge_sets
 from sinegordon.multiscale import (ScaleAssignment, safe_projection,
                                    preimage_interval, harvest_cuts,
-                                   organize_and_check, generalized_edges,
-                                   scale_floor_ok)
+                                   organize_and_check, generalized_edges)
 
 P54 = ModelParams.from_beta_bar(Fraction(5, 4))
 D2 = build_diagram(dipole(), 1, P54)
@@ -81,9 +83,183 @@ class TestPartitionIdentity:
                 assert set(harvest_cuts(D2, F, n)) <= sites
 
 
-class TestScaleFloor:
-    def test_floor_check(self):
-        lo = ScaleAssignment.constant(D2, 0)
-        hi = ScaleAssignment.constant(D2, 3)
-        assert scale_floor_ok(D2, hi, 2)
-        assert not scale_floor_ok(D2, lo, 1)
+# --- the two-pass audit, kept as an oracle for the one-pass rewrite ----------
+#
+# Projections are recomputed per (cut, image) and the admissible cuts of each
+# cell are rebuilt in a second pass, exactly as the audit was first written.
+# ``ms.safe_projection`` and ``ms.harvest_cuts`` are looked up on the module
+# so that a patched projection reaches the oracle and the audit alike.
+
+
+def _oracle_safe_projection(d, F, n):
+    """Members with internal scale <= external scale, edge sets built apart."""
+    kept = []
+    for S in F:
+        b = derived_edge_sets(d, F, S)
+        ints = [n.n[(ms.KER, e)] for e in b.K_F]
+        ints += [n.n[(ms.PAIR, a, c)] for a, c in b.pairs_F]
+        ext = ms.external_edges(d, S)
+        above = [T for T in F if S < T]
+        if above:
+            ext = ext & ms.internal_edges(d, min(above, key=len))
+        exts = [n.n[ge] for ge in ext]
+        i = min(ints) if ints else float("inf")
+        e = max(exts) if exts else float("-inf")
+        if i <= e:
+            kept.append(S)
+    return frozenset(kept)
+
+
+def _forests_avoiding(forests, cut, d):
+    out = []
+    for F in forests:
+        K_F = frozenset().union(*[d.K(T) for T in F]) if F else frozenset()
+        if not (K_F & cut):
+            out.append(frozenset(F))
+    return out
+
+
+def _oracle_preimage_interval(d, target, n, forests):
+    target = frozenset(target)
+    pre = [frozenset(F) for F in forests if ms.safe_projection(d, F, n) == target]
+    if not pre:
+        return None
+    interval = ms.ForestInterval(frozenset.intersection(*pre), frozenset.union(*pre))
+    expected = {F for F in map(frozenset, forests) if F in interval}
+    if expected != set(pre):
+        raise AssertionError(
+            f"safe-projection preimage of {sorted(map(sorted, target))} is not an interval"
+        )
+    return interval
+
+
+def _oracle_organize_and_check(d, n):
+    forests = [frozenset(F) for F in d.enumerate_forests()]
+    sites = frozenset(d.cut_sites())
+    all_pairs = set()
+    for F in forests:
+        K_F = frozenset().union(*[d.K(T) for T in F]) if F else frozenset()
+        for r in range(len(sites - K_F) + 1):
+            for cut in combinations(sorted(sites - K_F), r):
+                all_pairs.add((F, frozenset(cut)))
+
+    failures = []
+    interval_checks = 0
+    compat_checks = 0
+    seen_M = {}
+    for cut in [frozenset(c) for r in range(len(sites) + 1)
+                for c in combinations(sorted(sites), r)]:
+        avail = _forests_avoiding(forests, cut, d)
+        images = {ms.safe_projection(d, F, n) for F in avail}
+        for img in images:
+            try:
+                interval = _oracle_preimage_interval(d, img, n, avail)
+            except AssertionError as exc:
+                failures.append({"kind": "interval", "cut": sorted(cut), "err": str(exc)})
+                continue
+            interval_checks += 1
+            if interval is None:
+                continue
+            M = frozenset(F for F in avail if F in interval)
+            if frozenset(img) != interval.lower:
+                failures.append({
+                    "kind": "min", "cut": sorted(cut),
+                    "detail": "projection image is not the interval minimum",
+                })
+            if M not in seen_M:
+                seen_M[M] = (interval.lower, interval.upper)
+    coverage = {pair: 0 for pair in all_pairs}
+    n_cells = 0
+    for M, (lower, upper) in seen_M.items():
+        K_b = frozenset().union(*[d.K(T) for T in upper]) if upper else frozenset()
+        harv = ms.harvest_cuts(d, upper, n) - K_b
+        cut_universe = sorted(sites - K_b)
+        admissible = set()
+        for r in range(len(cut_universe) + 1):
+            for cut in combinations(cut_universe, r):
+                cut = frozenset(cut)
+                avail = _forests_avoiding(forests, cut, d)
+                pre = frozenset(F for F in avail if ms.safe_projection(d, F, n) == lower)
+                if pre == M:
+                    admissible.add(cut)
+        for cut in admissible | {c ^ frozenset([e]) for c in admissible for e in harv}:
+            for e in harv:
+                lo, hi = cut - {e}, cut | {e}
+                compat_checks += 1
+                if (lo in admissible) != (hi in admissible):
+                    failures.append({
+                        "kind": "compatibility", "edge": e, "cut": sorted(cut),
+                    })
+        base_universe = sorted(sites - K_b - harv)
+        for r in range(len(base_universe) + 1):
+            for seed in combinations(base_universe, r):
+                seed = frozenset(seed)
+                block = [seed | frozenset(x)
+                         for k in range(len(harv) + 1)
+                         for x in combinations(sorted(harv), k)]
+                inside = [c in admissible for c in block]
+                if any(inside) and not all(inside):
+                    failures.append({
+                        "kind": "block", "seed": sorted(seed),
+                        "detail": "harvest interval straddles the admissible set",
+                    })
+                    continue
+                if all(inside):
+                    n_cells += 1
+                    for cut in block:
+                        for F in M:
+                            coverage[(F, cut)] += 1
+    for pair, cnt in coverage.items():
+        if cnt != 1:
+            F, cut = pair
+            failures.append({
+                "kind": "coverage",
+                "forest": sorted(sorted(T) for T in F),
+                "cut": sorted(cut),
+                "count": cnt,
+            })
+    return ms.PartitionReport(not failures, len(all_pairs), n_cells,
+                              interval_checks, compat_checks, failures)
+
+
+TAU4 = DecoratedTree("-", (0, 0, 0), (XI_PLUS, XI_PLUS, XI_MINUS))
+ORACLE_DIAGRAMS = {
+    "dipole_5_4": D2,
+    "dipole_7_5": build_diagram(dipole(), 1, ModelParams.from_beta_bar(Fraction(7, 5))),
+    "tau4_5_4": build_diagram(TAU4, 1, P54),
+}
+
+
+class TestTwoPassOracle:
+    @pytest.mark.parametrize("cap", [1, 2, 4])
+    @pytest.mark.parametrize("name", sorted(ORACLE_DIAGRAMS))
+    def test_reports_and_projections_match(self, name, cap):
+        d = ORACLE_DIAGRAMS[name]
+        forests = d.enumerate_forests()
+        rng = random.Random(cap)
+        for _ in range(12):
+            n = ScaleAssignment.random_assignment(d, cap, rng)
+            for F in forests:
+                assert safe_projection(d, F, n) == _oracle_safe_projection(d, F, n)
+            assert organize_and_check(d, n) == _oracle_organize_and_check(d, n)
+
+    @pytest.mark.parametrize("kind", ["interval", "min"])
+    def test_broken_projection_fails_the_audit(self, kind, monkeypatch):
+        # "interval": every forest but the largest projects to the empty
+        # forest.  Their union is the largest forest, so that preimage is not
+        # an interval whenever the cut leaves all of them available.
+        # "min": every forest projects to the largest, which is never the
+        # minimum of the interval it is the image of.
+        largest = max(D2.enumerate_forests(), key=len)
+        if kind == "interval":
+            broken = lambda d, F, n: largest if F == largest else frozenset()
+        else:
+            broken = lambda d, F, n: largest
+        monkeypatch.setattr(ms, "safe_projection", broken)
+        rng = random.Random(5)
+        for _ in range(10):
+            n = ScaleAssignment.random_assignment(D2, 4, rng)
+            rep = organize_and_check(D2, n)
+            assert rep.ok is False
+            assert any(f["kind"] == kind for f in rep.failures)
+            assert rep == _oracle_organize_and_check(D2, n)
