@@ -255,8 +255,7 @@ def cmd_sim_dipole(args):
     lat = _lattice(args)
     cfg = st.DipoleConfig(beta_sq=params.beta_sq, eps=args.eps,
                           lambdas=tuple(args.lam or st.DipoleConfig.lambdas),
-                          dt=args.dt, n_samples=args.samples,
-                          n_counter=args.samples)
+                          dt=args.dt, n_samples=args.samples)
     rep = st.dipole_moment(lat, cfg, args.seed)
     if args.out_csv:
         _emit_csv(args.out_csv, list(zip(rep.lambdas, rep.second_moments,
@@ -393,7 +392,10 @@ def build_parser() -> _Parser:
     _add_common(p); _add_sim_flags(p)
     p.add_argument("--lambda", dest="lam", type=float, action="append",
                    help="smearing scale (repeatable)")
-    p.set_defaults(func=cmd_sim_dipole)
+    # DipoleConfig's validated values, as literals: importing stochastic
+    # here would load numpy for every command
+    p.set_defaults(func=cmd_sim_dipole, eps=2.0**-5.5, dt=2.0**-11,
+                   samples=12)
 
     p = sim.add_parser("pde")
     _add_common(p); _add_sim_flags(p)

@@ -12,9 +12,9 @@ frequencies of the last axis) and transformed with ``rfft2``/``irfft2``.
 The dipole profile and the shifted equation share one exponential-Euler
 integrator: the dipole's complex forcing steps the full ``fft2`` spectrum,
 the shifted equation's real forcing the ``rfft2`` half-spectrum, whose
-imaginary residue is read from its self-conjugate columns.  All noise
-comes from counter-based generators keyed by (seed, sample, step), so runs
-are reproducible and independent of evaluation order.
+imaginary residue is read from its self-conjugate columns.  The dipole
+counterterm is exact, not sampled.  All noise comes from counter-based
+generators keyed by (seed, sample, step): runs are reproducible in any order.
 """
 
 from __future__ import annotations
@@ -359,14 +359,6 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
 # --- dipole estimator --------------------------------------------------------
 
 
-def _phi1(x: np.ndarray) -> np.ndarray:
-    """(e^x - 1)/x, stable at zero."""
-    out = np.ones_like(x)
-    nz = np.abs(x) > 1e-12
-    out[nz] = np.expm1(x[nz]) / x[nz]
-    return out
-
-
 def bump_spectral(lat: TorusLattice, lam: float) -> np.ndarray:
     """Spectral multiplier of a unit-mass smooth bump of width ~lam."""
     return np.exp(-0.5 * (lam / 2.0) ** 2 * lat.k2)
@@ -386,8 +378,10 @@ class _HeatDriver:
     def __init__(self, lat: TorusLattice, dt: float, *, real: bool = False):
         mu = lat.mu[:, : lat.n_rfft] if real else lat.mu
         self.n, self.real = lat.n, real
-        self.decay = np.exp(-mu * dt)
-        self.gain = dt * _phi1(-mu * dt)
+        x = -mu * dt
+        self.decay = np.exp(x)
+        self.gain = dt * np.divide(np.expm1(x), x, out=np.ones_like(x),
+                                   where=x != 0)     # dt (e^x - 1) / x
         self.u_hat = np.zeros(mu.shape, dtype=complex)
 
     def step(self, forcing: np.ndarray) -> np.ndarray:
@@ -423,6 +417,7 @@ class DipoleConfig:
     t_measure: float = 0.2
     stride: int = 1
     n_samples: int = 12
+    # unread; perfbench/workloads.py and test_perfbench.py still pass it
     n_counter: int = 12
 
 
@@ -471,36 +466,46 @@ def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
             collect(driver, xi_plus, f_hat)
 
 
-def dipole_counterterm(lat: TorusLattice, cfg: DipoleConfig, seed: int
-                       ) -> np.ndarray:
-    """Displacement-indexed counterterm c(y - z) from an independent batch.
+def _measured_steps(cfg: DipoleConfig) -> np.ndarray:
+    """Step indices of the slices ``_dipole_trajectory`` collects."""
+    n_burn = round(cfg.t_burn / cfg.dt)
+    return n_burn + np.arange(0, round(cfg.t_measure / cfg.dt), cfg.stride)
 
-    c(y, z) = E[xi_-(y) u(y)] - E[xi_-(y) u(z)] depends only on y - z by
-    stationarity; both terms are estimated by translation averaging.
+
+def dipole_counterterm(lat: TorusLattice, cfg: DipoleConfig) -> list[float]:
+    """Exact counterterm kappa_lambda for each lambda in ``cfg.lambdas``.
+
+    The field is an exact OU process damped like the heat flow, so at lag l
+    its covariance is Gamma_l = n^2 irfft2(sigma_k^2 decay^l) and the chaos
+    pair correlation is exp(beta^2 Gamma_l).  The mean over measured slices
+    m of E[u_hat(m) conj f_hat(m)] sums over lags that spectrum times
+    decay^l gain and the share of slices at step >= l.  kappa smears it by
+    1 - psi_lambda, which vanishes on the zero mode that u lacks.
     """
-    spec = np.zeros((lat.n, lat.n), dtype=complex)
-    count = 0
+    n, half = lat.n, lat.n_rfft
+    beta2 = float(Fraction(cfg.beta_sq)) * np.pi
+    driver = _HeatDriver(lat, cfg.dt, real=True)
+    var = lat.mode_variances(cfg.eps)[:, :half]
+    steps = _measured_steps(cfg)
+    q = np.ones_like(driver.decay)                  # decay^lag
+    spec = np.zeros(q.shape, dtype=complex)
+    for lag in range(steps[-1] + 1):
+        gamma = np.fft.irfft2(var * q, s=(n, n)) * n**2
+        spec += (np.count_nonzero(steps >= lag) * q
+                 * np.fft.rfft2(np.exp(beta2 * gamma)))
+        q *= driver.decay
+    spec *= driver.gain * n**2 / len(steps)
+    return [float(np.fft.irfft2((1 - bump_spectral(lat, lam)[:, :half]) * spec,
+                                s=(n, n))[0, 0]) / n**2 for lam in cfg.lambdas]
 
-    def collect(driver, xi_plus, f_hat):
-        nonlocal spec, count
-        spec += driver.u_hat * np.conj(f_hat)
-        count += 1
 
-    for s in range(cfg.n_counter):
-        _dipole_trajectory(lat, cfg, seed, s, collect)
-    # E[xi_-(z+w) u(z)] is the mean of translation_correlation(u, xi_-), the
-    # inverse of spec(-k) / (count n^2), which is fft2(spec) / (count n^4)
-    h = np.fft.fft2(spec) / (count * lat.n**4)
-    return h[0, 0] - h
-
-
-def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int,
-                  counter_seed: int | None = None) -> DipoleReport:
+def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
+                  ) -> DipoleReport:
     """Second moment of the renormalized dipole observable across scales.
 
     The observable pairs the negative-charge chaos against the increment of
     the heat-flow profile driven by the positive charge, subtracts the
-    counterterm built from an independent batch, and is smeared by a
+    exact counterterm of ``dipole_counterterm``, and is smeared by a
     unit-mass bump of width ~lambda in space and a time window of the
     matching parabolic length.  The reported slope is the log-log fit of
     the spatially averaged second moment against lambda; the ablation runs
@@ -520,20 +525,14 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int,
     lambdas = list(cfg.lambdas)
     windows = [max(1, int(round(lam**2 / (4.0 * cfg.dt * cfg.stride))))
                for lam in lambdas]
-    n_slices = -(-int(round(cfg.t_measure / cfg.dt)) // cfg.stride)
+    n_slices = len(_measured_steps(cfg))
     for lam, w in zip(lambdas, windows):
         if n_slices // w < 2:
             raise ValueError(
                 f"lambda = {lam}: t_measure holds {n_slices} measured slices, "
                 f"fewer than 2 time blocks of {w}")
-    cterm = dipole_counterterm(
-        lat, cfg, counter_seed if counter_seed is not None else seed + 10**6)
-
+    kappas = dipole_counterterm(lat, cfg)
     psi_hats = [bump_spectral(lat, lam) for lam in lambdas]
-    # the spatial smear of a displacement-only counterterm is z-independent
-    kappas = [complex(np.fft.ifft2(ph * np.fft.fft2(cterm))[0, 0])
-              for ph in psi_hats]
-    del cterm       # not held next to the block sums
 
     sq_blocks = [[] for _ in lambdas]     # renormalized |.|^2 per time block
     ab_blocks = [[] for _ in lambdas]     # ablated |.|^2 per time block

@@ -175,6 +175,23 @@ class TestSimExitCodes:
         assert code == want
         assert res == rep.as_dict()
 
+    def test_dipole_defaults_are_the_validated_config(self, capsys,
+                                                      monkeypatch):
+        from sinegordon import stochastic as st
+        seen = []
+        rep = st.DipoleReport([0.25, 0.125], [0.2, 0.1], [0.01, 0.01],
+                              [0.3, 0.2], -1.0, 0.5, 0j, 12)
+
+        def fake(lat, cfg, seed):
+            seen.append((lat, cfg, seed))
+            return rep
+
+        monkeypatch.setattr(st, "dipole_moment", fake)
+        code, _ = self.results(capsys, ["sim", "dipole"])
+        assert code == 0
+        assert seen == [(st.TorusLattice(128, dt=st.DipoleConfig.dt),
+                         st.DipoleConfig(), 0)]
+
     @pytest.mark.parametrize("ratios, swap_gap, max_imag, want", [
         ([0.5, 0.6], 0.1, 3e-17, 0),
         ([0.5, 0.9], 0.1, 3e-17, 1),         # a ratio above 0.85

@@ -237,14 +237,17 @@ class TestChaos:
 
 
 class TestDipolePieces:
-    def test_counterterm_vanishes_at_origin(self):
+    def test_counterterm_vanishes_without_smearing(self):
+        # the chaos correlation exp(beta^2 Gamma) is positive definite, so
+        # kappa grows with lambda from exactly 0 at the unsmeared lambda = 0
         lat = TorusLattice(32, dt=2.0**-8)
         cfg = DipoleConfig(eps=2.0**-4, dt=2.0**-8, t_burn=0.02,
-                           t_measure=0.06, n_counter=2,
-                           lambdas=(2.0**-2,), stride=1)
-        c = dipole_counterterm(lat, cfg, seed=1)
-        assert c[0, 0] == 0
-        assert c.shape == (32, 32)
+                           t_measure=0.06, stride=1,
+                           lambdas=(0.0, 2.0**-4, 2.0**-3, 2.0**-2))
+        kappas = dipole_counterterm(lat, cfg)
+        assert all(type(k) is float for k in kappas)
+        assert kappas[0] == 0.0
+        assert 0 < kappas[1] < kappas[2] < kappas[3]
 
     def test_coupling_window_enforced(self):
         lat = TorusLattice(32, dt=2.0**-8)
@@ -260,7 +263,7 @@ class TestDipolePieces:
         from sinegordon.stochastic import dipole_moment
         cfg = DipoleConfig(eps=2.0**-4, dt=2.0**-8, t_burn=0.02,
                            t_measure=31 * 2.0**-8, lambdas=(2.0**-1, 2.0**-2),
-                           n_samples=1, n_counter=1)
+                           n_samples=1)
         with pytest.raises(ValueError, match="fewer than 2 time blocks"):
             dipole_moment(lat, cfg, seed=0)
         cfg.t_measure = 32 * 2.0**-8
@@ -349,25 +352,35 @@ def _old_dipole_trajectory(lat, cfg, seed, sample, collect):
             collect(np.conj(xi_plus), np.fft.ifft2(u_hat))
 
 
-def _old_counterterm(lat, cfg, seed):
-    tables = []
+def _smeared_counterterm(lat, cfg, h):
+    """kappa per lambda from the mean h(w) = E[xi_-(z + w) u(z)]: the
+    displacement table c = h(0) - h, smeared by the bump at the origin."""
+    cterm = h[0, 0] - h
+    return [complex(np.fft.ifft2(bump_spectral(lat, lam)
+                                 * np.fft.fft2(cterm))[0, 0])
+            for lam in cfg.lambdas]
 
-    def collect(xi_minus, u):
-        tables.append(translation_correlation(u, xi_minus))
 
-    for s in range(cfg.n_counter):
+def _old_counterterm(lat, cfg, seed, n_traj):
+    """Sampled kappas, one row per trajectory, each from the per-slice
+    translation correlations of that trajectory."""
+    rows = []
+    for s in range(n_traj):
+        tables = []
+
+        def collect(xi_minus, u):
+            tables.append(translation_correlation(u, xi_minus))
+
         _old_dipole_trajectory(lat, cfg, seed, s, collect)
-    h = sum(tables) / len(tables)
-    return h[0, 0] - h
+        rows.append(_smeared_counterterm(lat, cfg, sum(tables) / len(tables)))
+    return np.array(rows)
 
 
-def _old_dipole_blocks(lat, cfg, seed, cterm):
+def _old_dipole_blocks(lat, cfg, seed, kappas):
     """Per-slice real-space block sums: |ren|^2, |block|^2 and mean(ren)."""
     windows = [max(1, int(round(lam**2 / (4.0 * cfg.dt * cfg.stride))))
                for lam in cfg.lambdas]
     psi_hats = [bump_spectral(lat, lam) for lam in cfg.lambdas]
-    kappas = [complex(np.fft.ifft2(ph * np.fft.fft2(cterm))[0, 0])
-              for ph in psi_hats]
     sq, ab, means = [[] for _ in windows], [[] for _ in windows], []
     for s in range(cfg.n_samples):
         acc, cnt = [0.0] * len(windows), [0] * len(windows)
@@ -471,19 +484,27 @@ class TestSharedStepperOracle:
         return DipoleConfig(eps=2.0**-4, dt=2.0**-8, t_burn=0.02,
                             t_measure=11 * 2.0**-8, stride=stride,
                             lambdas=(2.0**-2, 2.0**-2.5, 2.0**-3),
-                            n_samples=2, n_counter=2)
+                            n_samples=2)
 
-    def test_counterterm_matches_translation_correlation_sum(self):
-        cfg = self.dipole_cfg(1)
-        got = dipole_counterterm(self.LAT, cfg, seed=4)
-        assert _rel_close(got, _old_counterterm(self.LAT, cfg, seed=4))
+    def test_counterterm_within_sampled_batch(self):
+        """The exact kappas against 64 trajectories of the per-slice
+        translation-correlation estimator, within 4 standard errors on the
+        real part; the imaginary part averages to 0 within 4 of its own."""
+        cfg, n_traj, k = self.dipole_cfg(1), 64, 4.0
+        exact = dipole_counterterm(self.LAT, cfg)
+        rows = _old_counterterm(self.LAT, cfg, seed=4, n_traj=n_traj)
+        mean = rows.mean(axis=0)
+        se_re = rows.real.std(axis=0, ddof=1) / np.sqrt(n_traj)
+        se_im = rows.imag.std(axis=0, ddof=1) / np.sqrt(n_traj)
+        assert np.all(np.abs(mean.real - exact) <= k * se_re)
+        assert np.all(np.abs(mean.imag) <= k * se_im)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_dipole_moment_matches_per_slice_collect(self, stride):
         lat, cfg = self.LAT, self.dipole_cfg(stride)
-        rep = dipole_moment(lat, cfg, seed=2, counter_seed=4)
+        rep = dipole_moment(lat, cfg, seed=2)
         sq, ab, means = _old_dipole_blocks(
-            lat, cfg, 2, _old_counterterm(lat, cfg, seed=4))
+            lat, cfg, 2, dipole_counterterm(lat, cfg))
         assert np.allclose(rep.second_moments, [np.mean(v) for v in sq],
                            rtol=1e-12, atol=0)
         assert np.allclose(rep.stderrs,
@@ -495,6 +516,55 @@ class TestSharedStepperOracle:
         # sqrt(ablation moment), so it is compared on that scale
         scale = np.sqrt(rep.ablation_moments[0])
         assert abs(rep.mean_complex - np.mean(means)) <= 1e-12 * scale
+
+
+def _expected_slice_spectrum(lat, cfg):
+    """E[u_hat(m) conj f_hat(m)] averaged over the measured slices m, as
+    the double sum over steps i <= m of decay^(m-i) gain E[f_hat(i) conj
+    f_hat(m)], with Gamma an explicit mode sum and the spectrum of the
+    chaos correlation a direct DFT over pairs of sites."""
+    n, beta2 = lat.n, float(cfg.beta_sq) * np.pi
+    decay, gain = _euler_tables(lat, cfg.dt)
+    var, mu = lat.mode_variances(cfg.eps).ravel(), lat.mu.ravel()
+    sites = np.array([(a, b) for a in range(n) for b in range(n)])
+    phase = np.exp(-2j * np.pi * (sites @ sites.T) / n)    # [mode, site]
+    diff = (sites[:, None, :] - sites[None, :, :]) % n
+    pair = diff[..., 0] * n + diff[..., 1]                  # site of x - y
+
+    def pair_spectrum(lag):        # E[f_hat(i)(k) conj f_hat(i + lag)(k)]
+        gamma = phase.real.T @ (var * np.exp(-mu * lag * cfg.dt))
+        r = np.exp(beta2 * gamma)[pair]
+        return np.einsum("kx,xy,ky->k", phase, r, phase.conj()).reshape(n, n)
+
+    n_burn = int(round(cfg.t_burn / cfg.dt))
+    n_meas = int(round(cfg.t_measure / cfg.dt))
+    slices = [m for m in range(n_burn, n_burn + n_meas)
+              if (m - n_burn) % cfg.stride == 0]
+    tables = {lag: pair_spectrum(lag) for lag in range(slices[-1] + 1)}
+    spec = np.zeros((n, n), dtype=complex)
+    for m in slices:
+        for i in range(m + 1):
+            spec += decay ** (m - i) * gain * tables[m - i]
+    spec[0, 0] = 0.0               # the trajectory projects u's mean out
+    return spec / len(slices)
+
+
+class TestExactCounterterm:
+    """dipole_counterterm against the slice-pair double sum at 8^2."""
+
+    LAT = TorusLattice(8, dt=2.0**-8)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_slice_pair_sum(self, stride):
+        cfg = DipoleConfig(eps=2.0**-2, dt=2.0**-8, t_burn=3 * 2.0**-8,
+                           t_measure=6 * 2.0**-8, stride=stride,
+                           lambdas=(2.0**-1, 2.0**-2, 2.0**-3))
+        # E[xi_-(z + w) u(z)] inverts spec(-k) / n^2: fft2(spec) / n^4
+        h = np.fft.fft2(_expected_slice_spectrum(self.LAT, cfg)) / 8**4
+        want = np.array(_smeared_counterterm(self.LAT, cfg, h))
+        got = dipole_counterterm(self.LAT, cfg)
+        assert np.max(np.abs(want.imag)) <= 1e-14 * np.max(want.real)
+        assert np.allclose(got, want.real, rtol=1e-12, atol=0)
 
 
 class TestHalfSpectrumResidue:
