@@ -7,10 +7,9 @@ a formal linear combination of cluster markers; evaluated on a coalescence
 tree it assigns an exact rational weight to every internal node.  The
 weight nested inside a cluster is the sum of the coefficients whose marker
 lies in the cluster, whatever the hierarchy, and the non-root clusters of
-all hierarchies are exactly the vertex subsets of size 2 to n - 1.  The
-subdivergence, sign and identity audits therefore run once over those
-subsets; hierarchies are enumerated only for the order audit and the
-summability probes, which measure the scale sums numerically.
+all hierarchies are exactly the vertex subsets of size 2 to n - 1.  So the
+cluster audits and the order read vertex subsets, and the summability
+probes recurse over subsets and their set partitions, never hierarchies.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ ANNULUS_CONSTANT = 2
 #: hard cap on exhaustive coalescence-tree enumeration
 MAX_EXHAUSTIVE_VERTICES = 8
 
-#: hard cap on the cluster audits, which visit 2^n vertex subsets
+#: hard cap on the passes over all 2^n vertex subsets (audits, probes)
 MAX_CLUSTER_VERTICES = 17
 
 
@@ -75,12 +74,6 @@ class CoalescenceTree:
     @property
     def internal(self) -> list[frozenset]:
         return [a for a, _ in self.children]
-
-    def kids(self, a: frozenset):
-        return dict(self.children)[a]
-
-    def n_children(self, a: frozenset) -> int:
-        return len(self.kids(a))
 
     def label(self, a: frozenset) -> int:
         return dict(self.labels)[a]
@@ -145,9 +138,8 @@ def all_coalescence_trees(vertices) -> list[CoalescenceTree]:
     return [CoalescenceTree(vs, cm) for cm in _children_maps(vs, {})]
 
 
-def _clusters(vertices) -> list[frozenset]:
-    """The vertex subsets ``a`` with 2 <= |a| < n, by size and then by sorted
-    members: exactly the non-root clusters of the hierarchies on the set."""
+def _subset_vertices(vertices) -> list:
+    """The sorted vertices of a pass over all their subsets."""
     vs = sorted(frozenset(vertices))
     if len(vs) < 2:
         raise ValueError("need at least two vertices")
@@ -155,6 +147,13 @@ def _clusters(vertices) -> list[frozenset]:
         raise ValueError(
             f"refusing cluster audits beyond {MAX_CLUSTER_VERTICES} vertices"
         )
+    return vs
+
+
+def _clusters(vertices) -> list[frozenset]:
+    """The vertex subsets ``a`` with 2 <= |a| < n, by size and then by sorted
+    members: exactly the non-root clusters of the hierarchies on the set."""
+    vs = _subset_vertices(vertices)
     return [frozenset(c) for k in range(2, len(vs)) for c in combinations(vs, k)]
 
 
@@ -228,10 +227,6 @@ class TotalHomogeneity:
         for coeff, marker in self.terms:
             vals[tree.up(marker)] += coeff
         return vals
-
-    def order(self, tree: CoalescenceTree) -> Fraction:
-        vals = self.evaluate(tree)
-        return sum(vals.values()) - (len(tree.vertices) - 1) * SCALING_DIM
 
     def nested(self, a: frozenset, vertices: frozenset) -> Fraction:
         """Weight of the cluster ``a`` and everything nested in it, on any
@@ -513,10 +508,11 @@ def subdivergence_audit(sigma: TotalHomogeneity, vertices, region=None,
 
 
 def order_audit(sigma: TotalHomogeneity, vertices) -> tuple[bool, Fraction]:
-    """The order must not depend on the cluster hierarchy."""
-    orders = {sigma.order(t) for t in all_coalescence_trees(vertices)}
-    value = next(iter(orders))
-    return len(orders) == 1, value
+    """Order: the nested weight of the vertex set, the same on every
+    hierarchy, minus (n - 1) times the scaling dimension.  The verdict only
+    checks that the markers lie in the vertex set (``nested`` raises)."""
+    vs = frozenset(vertices)
+    return True, sigma.nested(vs, vs) - (len(vs) - 1) * SCALING_DIM
 
 
 def _sign_audit(context: str, setup: HomogeneitySetup, d: MomentDiagram,
@@ -644,63 +640,66 @@ class SummabilityReport:
         }
 
 
-def _tree_sum(sigma: TotalHomogeneity, tree: CoalescenceTree,
-              lo: int, hi: int, root_hi: int | None = None) -> float:
-    """Sum over strictly-increasing labelings of the per-scale volume-weighted
-    cluster factors, root label in [lo, root_hi], all labels <= hi."""
-    vals = sigma.evaluate(tree)
-    weights = {a: float(vals[a]) - SCALING_DIM * (tree.n_children(a) - 1)
-               for a in tree.internal}
-    cmap = dict(tree.children)
+def _root_sums(nested: list, cap: int) -> list[float]:
+    """Entry l: the scale sum over the hierarchies on the full vertex set
+    with root label l and all labels at most ``cap``.
 
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def g(a: frozenset, lmin: int) -> float:
-        total = 0.0
-        for l in range(lmin, hi + 1):
-            prod = 2.0 ** (weights[a] * l)
-            for b in cmap[a]:
-                if b in weights:
-                    prod *= g(b, l + 1)
-            total += prod
-        return total
-
-    top = root_hi if root_hi is not None else hi
-    total = 0.0
-    for l in range(lo, min(top, hi) + 1):
-        prod = 2.0 ** (weights[tree.root] * l)
-        for b in cmap[tree.root]:
-            if b in weights:
-                prod *= g(b, l + 1)
-        total += prod
-    return total
+    With N = ``nested`` (by subset bitmask) and d the scaling dimension,
+    S[m] sums, from l = cap down, the hierarchies on m with root label
+    above l.  A block b gives f(b) = 2^(-d*l) if it is a singleton, else
+    2^(-(N(b) + d)*l) * S[b].  P[m] sums prod f over the partitions of m,
+    q over those into two or more blocks; m at root label l gives
+    2^((N(m) + d)*l) * q.
+    """
+    full = len(nested) - 1
+    S = [0.0] * (full + 1)
+    out = [0.0] * (cap + 1)
+    for l in range(cap, -1, -1):
+        f = [2.0 ** (-(SCALING_DIM + nested[m]) * l) * S[m] if m & (m - 1)
+             else 2.0 ** (-SCALING_DIM * l) for m in range(full + 1)]
+        P = [1.0] + [0.0] * full
+        for m in range(1, full + 1):
+            low, rest, q = m & -m, m & (m - 1), 0.0
+            sub = rest
+            while sub:  # the blocks low | sub, other than m itself
+                sub = (sub - 1) & rest
+                q += f[low | sub] * P[rest ^ sub]
+            P[m] = q + f[m]
+            out[l] = 2.0 ** ((nested[m] + SCALING_DIM) * l) * q
+            S[m] += out[l]  # out[l] ends on m = full
+    return out
 
 
 def summability_probe(sigma: TotalHomogeneity, vertices, alpha: Fraction,
                       r_values, caps, tol: float = 0.05) -> SummabilityReport:
-    """Numerically verify the geometric decay of the scale sums.
+    """Numerically verify the geometric decay of the scale sums over all
+    hierarchies with strictly increasing labels up to the cap.
 
-    For negative order the sum runs over labelings whose coarsest scale
-    exceeds r; for positive order over those whose coarsest scale is at
-    most r.  Each raw sum, rescaled by 2^(-alpha*r), must be stable in r
-    and in the label cap.
+    For negative order the sums keep the labelings whose coarsest scale
+    exceeds r, for positive order those whose coarsest scale is at most r.
+    Each raw sum, rescaled by 2^(-alpha*r), must be stable in r and in the
+    cap.  Fewer than two distinct r values or caps, a negative r, or for
+    negative order a cap not above every r is refused: a sum would be
+    empty or a value compared only with itself.
     """
-    trees = all_coalescence_trees(vertices)
-    alpha_f = float(alpha)
-    values: dict = {}
-    normalized: dict = {}
-    for r in r_values:
-        for cap in caps:
-            if alpha < 0:
-                total = sum(_tree_sum(sigma, t, r + 1, cap) for t in trees)
-            else:
-                total = sum(_tree_sum(sigma, t, 0, cap, root_hi=r) for t in trees)
-            values[(r, cap)] = total
-            normalized[(r, cap)] = total * 2.0 ** (-alpha_f * r)
+    vs = _subset_vertices(vertices)
+    r_values, caps = list(r_values), list(caps)
+    if len(set(r_values)) < 2 or len(set(caps)) < 2 or min(r_values) < 0:
+        raise ValueError("need two distinct r values and caps, every r >= 0")
+    if alpha < 0 and min(caps) <= max(r_values):
+        raise ValueError("for negative order every cap must exceed every r")
+    nested = [float(sigma.nested(frozenset(v for i, v in enumerate(vs)
+                                            if m >> i & 1), frozenset(vs)))
+              for m in range(1 << len(vs))]
+    roots = {cap: _root_sums(nested, cap) for cap in caps}
+    values = {(r, cap): sum(roots[cap][r + 1:] if alpha < 0
+                            else roots[cap][:min(r, cap) + 1])
+              for r in r_values for cap in caps}
+    normalized = {(r, cap): v * 2.0 ** (-float(alpha) * r)
+                  for (r, cap), v in values.items()}
     final = [normalized[(r, max(caps))] for r in r_values] + \
         [normalized[(min(r_values), c)] for c in caps]
-    spread = (max(final) - min(final)) / max(final) if max(final) > 0 else 0.0
+    spread = (max(final) - min(final)) / max(final)
     return SummabilityReport(Fraction(alpha), values, normalized, spread,
                              spread <= tol)
 

@@ -1,10 +1,12 @@
 """Coalescence hierarchies, cluster sums, sign audits, summability."""
 
 from fractions import Fraction as F
+from functools import lru_cache
 from itertools import combinations
 from math import floor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sinegordon.tree_core import SCALING_DIM, DecoratedTree, ModelParams, dipole
 from sinegordon.moment_diagrams import BASE_POINT, build_diagram
@@ -185,11 +187,27 @@ class TestSubsetOracle:
         with pytest.raises(ValueError, match="refusing cluster audits"):
             subdivergence_audit(TotalHomogeneity(()),
                                 range(MAX_CLUSTER_VERTICES + 1))
+        # refused before the 2^18 nested weights are built
+        with pytest.raises(ValueError, match="refusing cluster audits"):
+            summability_probe(TotalHomogeneity(()),
+                              range(MAX_CLUSTER_VERTICES + 1), F(-1),
+                              [0, 1], [2, 3])
+
+    def test_order_matches_hierarchies(self):
+        d6 = build_diagram(TAU6, 1, ModelParams.from_beta_bar(F(7, 4)))
+        S6 = frozenset(range(1, 7))
+        setups = [s for *_, s in _small_setups()] + \
+            [inner_total_homogeneity(d6, S6, (S6,))]
+        for setup in setups:
+            n = len(setup.vertices)
+            orders = {sum(setup.sigma.evaluate(t).values()) - (n - 1) * SCALING_DIM
+                      for t in all_coalescence_trees(setup.vertices)}
+            assert orders == {order_audit(setup.sigma, setup.vertices)[1]}
 
 
 class TestNineVertexDiagrams:
     """Diagrams beyond the hierarchy-enumeration cap: the p=2 dipole moment
-    and TAU4 at p=1, with no forest."""
+    and TAU4 at p=1, with no forest (and the dipole fully contracted)."""
 
     CASES = [  # tree, p, beta_bar, big-graph margin, large-scale margin
         (dipole(), 2, F(5, 4), F(3, 2), F(1, 4)),
@@ -206,6 +224,23 @@ class TestNineVertexDiagrams:
             assert (rep.ok, rep.min_margin) == (True, big)
             rep = sign_audit_large_scale(d, (), d_cut=d.cut_sites())
             assert (rep.ok, rep.min_margin) == (True, large)
+
+    def test_summability_fails_with_divergent_subtrees_uncontracted(self):
+        for tau, p in [(dipole(), 2), (TAU4, 1)]:
+            d = build_diagram(tau, p, ModelParams.from_beta_bar(F(5, 4)))
+            s = sg_total_homogeneity(d, ())
+            _, alpha = order_audit(s.sigma, s.vertices)
+            rep = summability_probe(s.sigma, s.vertices, alpha,
+                                    [0, 1, 2], [5, 6, 7, 8])
+            assert len(s.vertices) == 9 and rep.converged is False
+
+    def test_summability_converges_with_all_members_contracted(self):
+        d = build_diagram(dipole(), 2, ModelParams.from_beta_bar(F(5, 4)))
+        s = sg_total_homogeneity(d, tuple(d.divergent_subtrees()))
+        _, alpha = order_audit(s.sigma, s.vertices)
+        rep = summability_probe(s.sigma, s.vertices, alpha,
+                                [0, 1, 2], [5, 6, 7, 8])
+        assert alpha == -14 and rep.converged is True
 
 
 class TestSignAudits:
@@ -285,3 +320,99 @@ class TestSummability:
         shifted = coalesce(verts, [(u, v, s + 3) for u, v, s in base])
         c2 = triangle_cell_count(verts, edges, shifted)
         assert c1 == c2 <= (4 * ANNULUS_CONSTANT * 4) ** 3
+
+
+def _tree_sum(sigma, tree, lo, hi, root_hi=None):
+    """Scale sum of one hierarchy over strictly increasing labelings, root
+    label in [lo, root_hi], all labels <= hi, label by label."""
+    vals = sigma.evaluate(tree)
+    cmap = dict(tree.children)
+    weights = {a: float(vals[a]) - SCALING_DIM * (len(cmap[a]) - 1)
+               for a in tree.internal}
+
+    @lru_cache(maxsize=None)
+    def g(a, lmin):
+        total = 0.0
+        for l in range(lmin, hi + 1):
+            prod = 2.0 ** (weights[a] * l)
+            for b in cmap[a]:
+                if b in weights:
+                    prod *= g(b, l + 1)
+            total += prod
+        return total
+
+    top = root_hi if root_hi is not None else hi
+    total = 0.0
+    for l in range(lo, min(top, hi) + 1):
+        prod = 2.0 ** (weights[tree.root] * l)
+        for b in cmap[tree.root]:
+            if b in weights:
+                prod *= g(b, l + 1)
+        total += prod
+    return total
+
+
+def _hierarchy_values(sigma, vertices, alpha, r_values, caps):
+    """The probe's raw sums, summed hierarchy by hierarchy."""
+    trees = all_coalescence_trees(vertices)
+    return {(r, cap): sum(_tree_sum(sigma, t, r + 1, cap) if alpha < 0
+                          else _tree_sum(sigma, t, 0, cap, root_hi=r)
+                          for t in trees)
+            for r in r_values for cap in caps}
+
+
+def _assert_matches_hierarchies(sigma, vertices, alpha, r_values, caps):
+    rep = summability_probe(sigma, vertices, alpha, r_values, caps)
+    want = _hierarchy_values(sigma, vertices, alpha, r_values, caps)
+    assert list(rep.values) == list(want)
+    for key, value in want.items():
+        assert rep.values[key] == pytest.approx(value, rel=1e-12, abs=0)
+
+
+class TestSummabilityOracle:
+    """The probe recurses over vertex subsets; the sum over all labelled
+    hierarchies is the oracle."""
+
+    CASES = {  # name: (tree, p, contract the divergent subtrees, alpha)
+        "criterion-07": (dipole(), 1, True, F(-7)),
+        "criterion-07-nonnegative": (dipole(), 1, True, F(1)),
+        "p1-dipole-empty-forest": (dipole(), 1, False, F(-7)),
+        "p1-dipole-empty-forest-nonnegative": (dipole(), 1, False, F(0)),
+        "p2-dipole-contracted": (dipole(), 2, True, F(-14)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_hierarchy_sum(self, name):
+        tau, p, contract, alpha = self.CASES[name]
+        d = build_diagram(tau, p, ModelParams.from_beta_bar(F(5, 4)))
+        forest = tuple(d.divergent_subtrees()) if contract else ()
+        s = sg_total_homogeneity(d, forest)
+        _assert_matches_hierarchies(s.sigma, s.vertices, alpha,
+                                    [0, 1, 2], [5, 6, 7, 8])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_hierarchy_sum_on_drawn_sigma(self, data):
+        n = data.draw(st.integers(2, 5))
+        markers = [frozenset([u]) for u in range(n)] + \
+            [frozenset(c) for c in combinations(range(n), 2)]
+        coeff = st.builds(F, st.integers(-8, 8), st.integers(1, 4))
+        terms = data.draw(st.lists(st.tuples(coeff, st.sampled_from(markers)),
+                                   max_size=6))
+        alpha = data.draw(st.sampled_from([F(-2), F(1)]))
+        _assert_matches_hierarchies(TotalHomogeneity(tuple(terms)), range(n),
+                                    alpha, [0, 1, 2], [3, 4])
+
+    @pytest.mark.parametrize("alpha, r_values, caps", [
+        (F(-3), [5, 6], [3, 4]),   # every sum empty
+        (F(-3), [0], [1]),         # one value compared with itself
+        (F(-3), [0, 1], [5]),
+        (F(-3), [0, 1], [5, 5]),
+        (F(1), [0], [5, 6]),
+        (F(1), [-1, 0], [5, 6]),
+        (F(-3), [0, 2], [2, 5]),   # the cap-2 sum at r = 2 is empty
+    ])
+    def test_refuses_sums_that_cannot_fail(self, alpha, r_values, caps):
+        sig = TotalHomogeneity(((F(1), frozenset(["u", "v"])),))
+        with pytest.raises(ValueError):
+            summability_probe(sig, ["u", "v"], alpha, r_values, caps)
