@@ -13,7 +13,11 @@ The dipole profile and the shifted equation share one exponential-Euler
 integrator: the dipole's complex forcing steps the full ``fft2`` spectrum,
 the shifted equation's real forcing the ``rfft2`` half-spectrum, whose
 imaginary residue is read from its self-conjugate columns.  The dipole
-counterterm is exact, not sampled.  All noise comes from counter-based
+counterterm is exact, not sampled.  The conditioned charge correlation keeps
+only the field modes |m| <= c, whose chaos is band-limited to roundoff, so it
+is evaluated on the smallest power-of-two M^2 grid whose outer band holds at
+most 1e-14 of the power, and zero-padded to n^2 once (M = n without
+conditioning, and then the sums are the full-grid ones).  All noise comes from counter-based
 generators keyed by (seed, sample, step): runs are reproducible in any order.
 """
 
@@ -281,6 +285,84 @@ def dyadic_shifts(lat: TorusLattice, r_min: float, r_max: float) -> list[int]:
     return out
 
 
+_BAND_SHARE = 1e-14     # largest outer-band share of the coarse chaos power
+
+
+def _chaos_spectra(lat: TorusLattice, eps: float, beta_sq, seed: int,
+                   n_fields: int, amp: float, modes: int | None,
+                   want_same: bool):
+    """Spectral products of the chaos amp * exp(-i beta Phi), summed over
+    fields: returns (M, power, cross) with power = sum |a|^2 and, when
+    ``want_same``, cross = sum a(k) a(-k), for a = fft2 of one field's chaos,
+    both as n-by-n tables.
+
+    A field keeping only the modes |m| <= c (``modes`` = c) is a
+    trigonometric polynomial of degree c, and the spectrum of its chaos
+    decays faster than exponentially.  So the chaos is evaluated on an M^2
+    grid, its products are summed there, zero-padded to n^2 and scaled by
+    (n/M)^4.  M starts at the smallest power of two >= 4 (c + 1) and doubles
+    while the outer band max(|q1|, |q2|) >= 3M/8 holds more than
+    ``_BAND_SHARE`` of field 0's power; if the summed power then exceeds the
+    same share, M doubles and the sums are redone.  M never exceeds n, and
+    at M = n (always when ``modes`` is None) these are the full-grid sums.
+    """
+    n = lat.n
+    if modes is None:
+        size = n
+    else:
+        size = min(n, 1 << (4 * modes + 3).bit_length())
+        # the half-spectrum block holding |m| <= c; rows wrap only at M = n,
+        # where the table equals the conditioned half-spectrum
+        rows = np.arange(-modes, modes + 1)
+        cols = slice(0, min(modes, n // 2) + 1)
+        lo = lat.m2[rows % n, cols] <= modes**2
+
+    def spectrum(coeffs, size):
+        if modes is None:
+            tab = coeffs
+        else:
+            tab = np.zeros((size, size // 2 + 1), dtype=complex)
+            tab[rows % size, cols] = np.where(lo, coeffs[rows % n, cols], 0.0)
+        phi = np.fft.irfft2(tab, s=(size, size)) * size**2
+        return np.fft.fft2(wick_exponential(phi, beta_sq, amp, sign=-1))
+
+    def outer_share(power):
+        q = np.abs(np.fft.fftfreq(len(power)) * len(power))
+        band = np.maximum.outer(q, q) >= 3 * len(power) / 8
+        return power[band].sum() / power.sum()
+
+    coeffs0 = sample_phi(lat, eps, seed, sample=0).coeffs
+    while (size < n and outer_share(np.abs(spectrum(coeffs0, size))**2)
+           > _BAND_SHARE):
+        size *= 2
+    while True:
+        power = np.zeros((size, size))
+        cross = np.zeros((size, size), dtype=complex) if want_same else None
+        flip = (-np.arange(size)) % size
+        for s in range(n_fields):
+            coeffs = (coeffs0 if s == 0
+                      else sample_phi(lat, eps, seed, sample=s).coeffs)
+            a = spectrum(coeffs, size)
+            if want_same:
+                cross += a * a[flip][:, flip]
+            power += a.real**2
+            power += a.imag**2
+        if size == n or outer_share(power) <= _BAND_SHARE:
+            break
+        size *= 2
+    if size < n:
+        q = (np.fft.fftfreq(size) * size).astype(int) % n
+
+        def pad(table):
+            out = np.zeros((n, n), dtype=table.dtype)
+            out[np.ix_(q, q)] = table * (n / size) ** 4
+            return out
+
+        power = pad(power)
+        cross = pad(cross) if want_same else None
+    return size, power, cross
+
+
 def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
                        n_fields: int = 64, shifts=None, r_min: float = 2.0**-5,
                        r_max: float = 2.0**-2, want_same: bool = True,
@@ -293,20 +375,28 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
     (positive exponent), and the two fitted power laws are reciprocal, so
     the product's slope is compatible with zero.  The same-charge signal is
     tiny at strong coupling, so ``want_same=False`` skips its fit there.
+    Shifts must lie between 2 eps n and n/2 cells: a shell of larger radius
+    wraps around the torus.
 
     ``condition_modes`` enables conditional Monte Carlo: modes above the
     cutoff are integrated out exactly (their contribution to each two-point
     function is a deterministic Gaussian factor), and only the low-pass
     field is sampled.  The estimator stays unbiased while the variance
     inflation from the fine modes — severe at strong coupling — disappears.
+    The low-pass field's chaos is band-limited to roundoff, so its spectral
+    products are computed on the smallest power-of-two grid whose outer band
+    holds at most 1e-14 of the power (see ``_chaos_spectra``); without
+    conditioning they are computed on the full grid.
     """
+    n = lat.n
     if shifts is None:
         shifts = dyadic_shifts(lat, r_min, r_max)
-    if min(shifts) < 2 * eps * lat.n:
+    if min(shifts) < 2 * eps * n:
         raise ValueError("insufficient scale separation for the fit window")
+    if max(shifts) > n / 2:
+        raise ValueError(f"shifts above n/2 = {n // 2} cells wrap around "
+                         f"the torus")
     beta2 = float(Fraction(beta_sq)) * np.pi
-    c_eps = renorm_constant(lat, eps, beta_sq)
-    n = lat.n
     masks = _shell_masks(n, shifts)
     if condition_modes is not None:
         lo = lat.m2 <= condition_modes**2
@@ -314,29 +404,17 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
         cov_hi = np.real(np.fft.ifft2(np.where(lo, 0.0, sk2))) * n**2
         amp_lo = np.exp(0.5 * beta2 * float(np.where(lo, sk2, 0.0).sum()))
         fac_opp = np.exp(beta2 * cov_hi)
-        fac_same = np.exp(-beta2 * cov_hi)
-        lo = lo[:, : lat.n_rfft]
+        fac_same = np.exp(-beta2 * cov_hi) if want_same else None
     else:
-        lo, fac_opp, fac_same, amp_lo = None, 1.0, 1.0, c_eps
+        amp_lo = renorm_constant(lat, eps, beta_sq)
+        fac_opp = fac_same = 1.0
     # Both correlations are linear in per-field spectral products, so the
-    # products are summed over fields and inverted once.  With
-    # a = fft2(conj xi): translation_correlation(xi, conj xi) inverts |a|^2,
-    # and translation_correlation(xi, xi) inverts conj(a(k) a(-k)).
-    power_opp = np.zeros((n, n))
-    if want_same:
-        cross_same = np.zeros((n, n), dtype=complex)
-        flip = (-np.arange(n)) % n
-    for s in range(n_fields):
-        fld = sample_phi(lat, eps, seed, sample=s)
-        if lo is not None:
-            phi = np.fft.irfft2(np.where(lo, fld.coeffs, 0.0), s=(n, n)) * n**2
-        else:
-            phi = fld.real_space()
-        a = np.fft.fft2(wick_exponential(phi, beta_sq, amp_lo, sign=-1))
-        if want_same:
-            cross_same += a * a[flip][:, flip]
-        power_opp += a.real**2
-        power_opp += a.imag**2
+    # products are summed over fields, on the coarse grid of _chaos_spectra,
+    # and inverted once on the n grid.  With a = fft2(conj xi):
+    # translation_correlation(xi, conj xi) inverts |a|^2, and
+    # translation_correlation(xi, xi) inverts conj(a(k) a(-k)).
+    _, power_opp, cross_same = _chaos_spectra(
+        lat, eps, beta_sq, seed, n_fields, amp_lo, condition_modes, want_same)
     scale = n * n * n_fields
     acc_opp = np.real(np.fft.ifft2(power_opp)) / scale * fac_opp
 

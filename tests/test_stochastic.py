@@ -16,8 +16,9 @@ from sinegordon.stochastic import (
     dipole_counterterm, dipole_moment, DipoleConfig, renorm_constant,
     renorm_slope, sample_phi, sigma2, solve_pde, step_rng,
     translation_correlation, white_spectral, wick_exponential,
-    covariance_table, _HeatDriver,
+    covariance_table, _HeatDriver, _chaos_spectra,
 )
+from sinegordon import stochastic
 
 LAT = TorusLattice(64, dt=2.0**-9)
 
@@ -149,6 +150,73 @@ class TestRealInputOracle:
         else:
             assert rep.same == []
 
+    def per_field_profiles(self, lat, beta_sq, n_fields, shifts, modes):
+        """Shell profiles of the per-field full-grid correlation sums."""
+        n, beta2 = lat.n, float(beta_sq) * np.pi
+        lo = lat.m2 <= modes**2
+        sk2 = lat.mode_variances(self.EPS)
+        cov_hi = np.real(np.fft.ifft2(np.where(lo, 0.0, sk2))) * n**2
+        amp = np.exp(0.5 * beta2 * float(np.where(lo, sk2, 0.0).sum()))
+        acc_opp, acc_same = np.zeros((n, n)), np.zeros((n, n))
+        for s in range(n_fields):
+            full = np.where(lo, self.full_coeffs(lat, self.EPS, s), 0.0)
+            phi = np.real(np.fft.ifft2(full)) * n**2
+            xi = amp * np.exp(1j * np.sqrt(beta2) * phi)
+            acc_opp += np.real(translation_correlation(xi, np.conj(xi)))
+            acc_same += np.real(translation_correlation(xi, xi))
+        acc_opp *= np.exp(beta2 * cov_hi) / n_fields
+        acc_same *= np.exp(-beta2 * cov_hi) / n_fields
+        m = np.fft.fftfreq(n) * n
+        dist = np.hypot(*np.meshgrid(m, m, indexing="ij"))
+        shells = [np.abs(dist - c) <= 0.5 for c in shifts]
+        return ([acc_opp[sh].mean() for sh in shells],
+                [acc_same[sh].mean() for sh in shells])
+
+    @pytest.mark.parametrize("want_same", [True, False])
+    def test_coarse_grid_matches_per_field_sum(self, want_same):
+        # degree-2 field at beta^2 = pi/4: the rule settles on M = 32 < 64
+        lat, beta_sq, n_fields, shifts = (TorusLattice(64), Fraction(1, 4),
+                                          6, [8, 12, 16])
+        m, _, _ = _chaos_spectra(lat, self.EPS, beta_sq, self.SEED, n_fields,
+                                 1.0, 2, want_same)
+        assert m == 32
+        opp, same = self.per_field_profiles(lat, beta_sq, n_fields, shifts, 2)
+        rep = correlation_slopes(lat, self.EPS, beta_sq, self.SEED,
+                                 n_fields=n_fields, shifts=shifts,
+                                 want_same=want_same, condition_modes=2)
+        assert np.allclose(rep.opposite, opp, rtol=1e-12, atol=0)
+        if want_same:
+            assert np.allclose(rep.same, same, rtol=1e-12, atol=0)
+        else:
+            assert rep.same == []
+
+    def test_summed_share_refines_the_probe(self, monkeypatch):
+        # a constant field 0 has no outer band, so only the check on the
+        # summed power can move M from the first probe (16) to 32
+        draw = stochastic.sample_phi
+
+        def flat_first(lat, eps, seed, sample=0):
+            fld = draw(lat, eps, seed, sample)
+            if sample == 0:
+                fld.coeffs = np.zeros_like(fld.coeffs)
+            return fld
+
+        monkeypatch.setattr(stochastic, "sample_phi", flat_first)
+        m, _, _ = _chaos_spectra(TorusLattice(64), self.EPS, Fraction(1, 4),
+                                 self.SEED, 6, 1.0, 2, False)
+        assert m == 32
+
+    def test_criterion_09_grid_is_chosen_by_the_probe(self, monkeypatch):
+        draws = []
+        draw = stochastic.sample_phi
+        monkeypatch.setattr(stochastic, "sample_phi",
+                            lambda *a, **k: draws.append(a) or draw(*a, **k))
+        m, power, cross = _chaos_spectra(TorusLattice(512), 2.0**-7,
+                                         Fraction(5), 11, 2, 1.0, 8, False)
+        assert m == 256
+        assert power.shape == (512, 512) and cross is None
+        assert len(draws) == 2      # field 0 settles M: no sum is redone
+
 
 class TestSigmaCache:
     def test_sampling_hits_the_cache(self, monkeypatch):
@@ -226,6 +294,13 @@ class TestChaos:
         with pytest.raises(ValueError):
             correlation_slopes(LAT, 2.0**-3, Fraction(1), seed=0,
                                shifts=[2, 4])
+
+    @pytest.mark.parametrize("largest", [20, 24])
+    def test_shifts_beyond_half_the_torus_are_refused(self, largest):
+        # on 32^2 a radius-20 shell is 16 corner cells, a radius-24 one empty
+        with pytest.raises(ValueError, match="wrap around"):
+            correlation_slopes(TorusLattice(32), 2.0**-4, Fraction(1),
+                               seed=0, shifts=[4, 8, largest])
 
     def test_translation_correlation_definition(self):
         rng = np.random.default_rng(4)
