@@ -9,7 +9,8 @@ Subcommand groups::
     power       audit                   cluster power-counting audits
     sim         field | dipole | pde | converge    Monte Carlo studies
 
-Exit codes: 0 success, 1 audit/criterion failure, 2 usage error.  All
+Exit codes: 0 success, 1 audit/criterion failure, 2 usage or domain error,
+3 internal error.  All
 rational parameters are passed as exact strings ("5", "503/300"); floats are
 reserved for lattice and tolerance knobs.  Every emitted file embeds a schema
 version plus the fully resolved configuration, and identical (config, seed)
@@ -159,6 +160,9 @@ def cmd_diagram_audit(args):
 
 
 def cmd_multiscale_audit(args):
+    for flag in ("ncap", "trials"):
+        if getattr(args, flag) < 0:
+            raise UsageError(f"--{flag} must be >= 0, got {getattr(args, flag)}")
     d, tau = _diagram_from(args)
     rng = random.Random(args.seed)
     failures = []
@@ -183,25 +187,41 @@ def cmd_multiscale_audit(args):
     return 0 if not failures else 1
 
 
-def _parse_forest(text: str | None):
-    if not text:
-        return ()
-    return tuple(frozenset(int(x) for x in grp.split(","))
-                 for grp in text.split(";") if grp)
+def _ids(flag: str, text: str, allowed, what: str) -> list[int]:
+    """The comma-separated ids of ``text``; each must be in ``allowed``."""
+    out = []
+    for x in filter(None, text.split(",")):
+        try:
+            u = int(x)
+        except ValueError:
+            raise UsageError(f"{flag}: not an integer id: {x!r}") from None
+        if u not in allowed:
+            raise UsageError(f"{flag}: {u} is not {what} of the diagram")
+        out.append(u)
+    return out
 
 
-def _parse_cut(text: str | None):
-    if not text:
-        return ()
-    return tuple(int(x) for x in text.split(",") if x)
+def _parse_forest(text: str | None, d):
+    forest = tuple(frozenset(_ids("--forest", grp, d.nodes, "a node"))
+                   for grp in (text or "").split(";") if grp)
+    if len(set(forest)) != len(forest):
+        raise UsageError(f"--forest: a member is repeated in {text!r}")
+    for T in forest:
+        if sum(d.parent[u] not in T for u in T) != 1:
+            raise UsageError(f"--forest: {sorted(T)} is not a connected subtree")
+    return forest
+
+
+def _parse_cut(text: str | None, d):
+    return tuple(_ids("--cuts", text or "", d.kernel_edges, "a kernel edge"))
 
 
 def cmd_power_audit(args):
     params = ModelParams.from_beta_bar(_rational(args.beta_bar))
     tau = dipole() if args.tree == "dipole" else parse_key(args.tree)
     d = build_diagram(tau, args.p, params)
-    forest = _parse_forest(args.forest)
-    s_cut = _parse_cut(args.cuts)
+    forest = _parse_forest(args.forest, d)
+    s_cut = _parse_cut(args.cuts, d)
     if args.context == "identity":
         member = forest[0] if forest else frozenset(d.nodes)
         rep = identity_audit(d, member, forest)
@@ -425,9 +445,12 @@ def main(argv=None) -> int:
     except SupercriticalError as exc:
         print(f"error: supercritical: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:  # the library refuses the configuration
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,12 +9,20 @@ interaction, polynomial and test-function factors together with the
 nesting level of the recursion that owns each factor; the multilinearity
 audit checks that every noise pair contributes exactly one interaction
 factor per term.
+
+A diagram is frozen, and nothing it determines depends on a scale
+assignment.  So its divergent subtrees, its forests, the gamma exponents
+and cut sites, and the edge sets of every (forest, member) are computed on
+first use and kept in the diagram's memo.  One edge-set model serves the
+members of a forest and the whole diagram alike: the diagram is treated
+as the region that holds every node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations
 from math import ceil
 
@@ -23,7 +31,19 @@ from .tree_core import DecoratedTree, ModelParams, deco_weight, opp
 BASE_POINT = 0
 
 
-@dataclass
+def _memoized(method):
+    """Keep each result of a diagram method in the diagram's memo, keyed on
+    the method's name and arguments."""
+    @wraps(method)
+    def cached(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+    return cached
+
+
+@dataclass(frozen=True)
 class MomentDiagram:
     """Disjoint labeled copies of a tree plus the base point 0."""
 
@@ -41,16 +61,21 @@ class MomentDiagram:
     noises: list[int] = field(init=False, repr=False, compare=False)
     kernel_edges: list[int] = field(init=False, repr=False, compare=False)
     pairs: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    # scale-free data computed on first use (see the module docstring)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
-        self.children = {u: [] for u in self.parent}
+        init = object.__setattr__  # the dataclass is frozen
+        init(self, "children", {u: [] for u in self.parent})
         for u, par in self.parent.items():
             if par is not None:
                 self.children[par].append(u)
-        self.nodes = sorted(self.parent)
-        self.noises = [u for u in self.nodes if self.label[u] != "0"]
-        self.kernel_edges = [u for u in self.nodes if self.parent[u] is not None]
-        self.pairs = list(combinations(self.noises, 2))
+        init(self, "nodes", sorted(self.parent))
+        init(self, "noises", [u for u in self.nodes if self.label[u] != "0"])
+        init(self, "kernel_edges",
+             [u for u in self.nodes if self.parent[u] is not None])
+        init(self, "pairs", list(combinations(self.noises, 2)))
 
     def charge(self, node_set) -> int:
         return sum({"+": 1, "0": 0, "-": -1}[self.label[u]] for u in node_set)
@@ -89,9 +114,6 @@ class MomentDiagram:
             u for u in self.kernel_edges if u not in S and self.parent[u] in S
         )
 
-    def K_bar_down(self, S: frozenset[int]) -> frozenset[int]:
-        return self.K(S) | self.K_down(S)
-
     def L(self, S) -> frozenset[int]:
         return frozenset(u for u in S if self.label[u] != "0")
 
@@ -108,14 +130,15 @@ class MomentDiagram:
 
     # --- divergences ------------------------------------------------------
 
-    def divergent_subtrees(self) -> list[frozenset[int]]:
+    @_memoized
+    def divergent_subtrees(self) -> tuple[frozenset[int], ...]:
         """All neutral connected subtrees with negative bare homogeneity."""
         out = []
         for root in self.nodes:
             for S in self._connected_sets_at(root):
                 if self.charge(S) == 0 and self.bare_s_hom(S) < 0:
                     out.append(S)
-        return sorted(out, key=lambda S: (len(S), sorted(S)))
+        return tuple(sorted(out, key=lambda S: (len(S), sorted(S))))
 
     def _connected_sets_at(self, root: int):
         """Connected subtree node sets whose subtree root is ``root``."""
@@ -133,7 +156,8 @@ class MomentDiagram:
 
         yield from expand(0, frozenset([root]))
 
-    def enumerate_forests(self) -> list[frozenset[frozenset[int]]]:
+    @_memoized
+    def enumerate_forests(self) -> tuple[frozenset[frozenset[int]], ...]:
         """All subsets of the divergent subtrees that are pairwise nested
         or disjoint."""
         div = self.divergent_subtrees()
@@ -156,10 +180,11 @@ class MomentDiagram:
                 chosen.pop()
 
         rec(0, [])
-        return sorted(forests, key=lambda F: (len(F), sorted(map(sorted, F))))
+        return tuple(sorted(forests, key=lambda F: (len(F), sorted(map(sorted, F)))))
 
     # --- positive renormalization data ------------------------------------
 
+    @_memoized
     def gamma(self, e: int) -> int:
         """Order bookkeeping exponent of the kernel edge ``e``.
 
@@ -173,8 +198,9 @@ class MomentDiagram:
             total += deco_weight(self.deco[u]) - self.params.beta_bar
         return ceil(total)
 
-    def cut_sites(self) -> list[int]:
-        return [e for e in self.kernel_edges if self.gamma(e) > 0]
+    @_memoized
+    def cut_sites(self) -> tuple[int, ...]:
+        return tuple(e for e in self.kernel_edges if self.gamma(e) > 0)
 
 
 def _add_copy(diagram_state, tau: DecoratedTree, copy_idx: int):
@@ -222,85 +248,53 @@ def single_copy_diagram(tau: DecoratedTree, params: ModelParams) -> MomentDiagra
 # --- derived edge sets -------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeSetBundle:
-    """All forest-relative node/edge sets for a subtree or the diagram."""
+    """Forest-relative node and edge sets of a region X, a forest member or
+    the whole diagram.  C holds the maximal members inside X other than X
+    itself, and the sets below are X's own, less those of C."""
 
-    S: frozenset[int] | None          # None means the whole diagram
-    C: list[frozenset[int]]           # relevant maximal forest members
-    N_tilde_F: frozenset[int]
-    N_F: frozenset[int]
-    L_F: frozenset[int]
-    K_F: frozenset[int]
-    K_ring: frozenset[int]            # kernel edges not shadowed by children
-    K_partial: frozenset[int]         # kernel edges entering children
-    K_down: frozenset[int]
-    pairs_F: list[tuple[int, int]]    # noise pairs fully outside children
-    pairs_partial: list[tuple[int, int]]  # straddling pairs
+    C: frozenset[frozenset[int]]
+    N_F: frozenset[int]               # X's nodes, C's members cut to roots
+    L_F: frozenset[int]               # noises outside C
+    K_F: frozenset[int]               # kernel edges of X not within C
+    K_ring: frozenset[int]            # kernel edges not shadowed by C
+    K_partial: frozenset[int]         # kernel edges of X entering C
+    K_down: frozenset[int]            # kernel edges entering X
+    pairs_F: tuple[tuple[int, int], ...]        # noise pairs outside C
+    pairs_partial: tuple[tuple[int, int], ...]  # pairs of X straddling C
 
 
 def derived_edge_sets(d: MomentDiagram, F, S=None) -> EdgeSetBundle:
-    F = list(F)
-    if S is None:
-        node_set = frozenset(d.nodes)
-        C = _maximal(F)
-        ntf = node_set - frozenset().union(*[d.N_tilde(T) for T in F]) if F else node_set
-        n_f = ntf
-        l_removed = frozenset().union(*[d.L(T) for T in F]) if F else frozenset()
-        l_f = d.L(node_set) - l_removed
-        kbar = frozenset().union(*[d.K_bar_down(T) for T in C]) if C else frozenset()
-        k_f = frozenset(d.kernel_edges) - kbar
-        k_ring = k_f
-        k_partial = frozenset()
-        k_down = frozenset().union(*[d.K_down(T) for T in C]) if C else frozenset()
-        pairs_f = [e for e in d.pairs if e[0] in l_f and e[1] in l_f]
-        pairs_partial = []
-        for a, b in d.pairs:
-            ta = _member_of(a, C)
-            tb = _member_of(b, C)
-            one_out = (a in l_f) != (b in l_f)
-            crossing = ta is not None and tb is not None and ta is not tb
-            if one_out or crossing:
-                pairs_partial.append((a, b))
-        return EdgeSetBundle(None, C, ntf, n_f, l_f, k_f, k_ring, k_partial,
-                             k_down, pairs_f, pairs_partial)
+    """Edge sets of the member ``S`` of the forest ``F``, or of the whole
+    diagram when ``S`` is None.  One set of formulas serves both; built
+    once per (diagram, F, S)."""
+    F, S = frozenset(F), None if S is None else frozenset(S)
+    key = ("derived_edge_sets", F, S)
+    if key in d._memo:
+        return d._memo[key]
+    X = frozenset(d.nodes) if S is None else S
+    C = frozenset(_maximal([T for T in F if T <= X and T != S]))
 
-    C = _maximal([T for T in F if T < S])
-    rho = d.subtree_root(S)
-    ntf = d.N_tilde(S) - (frozenset().union(*[d.N_tilde(T) for T in C]) if C else frozenset())
-    n_f = ntf | {rho}
-    l_f = d.L(S) - (frozenset().union(*[d.L(T) for T in C]) if C else frozenset())
-    k_s = d.K(S)
-    k_f = k_s - (frozenset().union(*[d.K(T) for T in C]) if C else frozenset())
-    kbar = frozenset().union(*[d.K_bar_down(T) for T in C]) if C else frozenset()
-    k_ring = k_s - kbar
-    kdown_children = frozenset().union(*[d.K_down(T) for T in C]) if C else frozenset()
-    k_partial = k_s & kdown_children
-    pairs_f = [e for e in d.pairs if e[0] in l_f and e[1] in l_f]
-    LS = d.L(S)
-    pairs_partial = []
-    for a, b in d.pairs:
-        if a not in LS or b not in LS:
-            continue
-        ta = _member_of(a, C)
-        tb = _member_of(b, C)
-        one_out = (a in l_f) != (b in l_f)
-        crossing = ta is not None and tb is not None and ta is not tb
-        if one_out or crossing:
-            pairs_partial.append((a, b))
-    return EdgeSetBundle(S, C, ntf, n_f, l_f, k_f, k_ring, k_partial,
-                         d.K_down(S), pairs_f, pairs_partial)
+    def union(sets):
+        return frozenset().union(*map(sets, C))
+
+    K_X, K_down_C = d.K(X), union(d.K_down)
+    K_F, L_F = K_X - union(d.K), d.L(X) - union(d.L)
+    # the member of C holding each noise of X, None outside C
+    owner = {u: T for T in C for u in d.L(T)} | dict.fromkeys(L_F)
+    bundle = EdgeSetBundle(
+        C, X - union(d.N_tilde), L_F, K_F, K_F - K_down_C, K_X & K_down_C,
+        d.K_down(X),
+        tuple((a, b) for a, b in d.pairs if a in L_F and b in L_F),
+        tuple((a, b) for a, b in d.pairs
+              if a in owner and b in owner and owner[a] != owner[b]))
+    d._memo[key] = bundle
+    return bundle
 
 
 def _maximal(trees) -> list[frozenset[int]]:
     return [T for T in trees if not any(T < U for U in trees)]
-
-
-def _member_of(node: int, trees):
-    for T in trees:
-        if node in T:
-            return T
-    return None
 
 
 # --- moment terms ------------------------------------------------------------
@@ -343,66 +337,58 @@ class MomentTerm:
 def moment_terms(d: MomentDiagram) -> list[MomentTerm]:
     """One symbolic term per (forest, cut) pair.
 
-    The inventory mirrors the nested structure of the moment formula: the
-    outermost level carries the interactions, kernels (recentered on cut
-    edges), test functions and polynomial factors attached to uncontracted
-    structure; each forest member contributes, at its nesting depth, its own
-    interactions and unshadowed kernels plus a collapse-operator site, and
-    hands the straddling interactions and entering kernels one level down.
+    The inventory mirrors the nested structure of the moment formula.  The
+    whole diagram is level 0 and each forest member the level of its nesting
+    depth.  A level carries its own interactions and unshadowed kernels
+    (recentered on cut edges, which lie outside every member), and hands the
+    straddling interactions and entering kernels one level down.  Level 0
+    also carries the test functions and the polynomial factors, and each
+    member a collapse-operator site.
     """
-    forests = d.enumerate_forests()
     sites = set(d.cut_sites())
-    bb = d.params.beta_bar
-    terms: list[MomentTerm] = []
-    for G in forests:
-        forest_edges = frozenset().union(*[d.K(T) for T in G]) if G else frozenset()
-        free_sites = sorted(sites - forest_edges)
-        for r in range(len(free_sites) + 1):
-            for cut in combinations(free_sites, r):
-                cut = frozenset(cut)
-                inv: list[Factor] = []
-                y_sites: list[dict] = []
-                top = derived_edge_sets(d, G, None)
-                for pair in top.pairs_F:
-                    inv.append(Factor("interaction", pair, 0, d.pair_sign(pair)))
-                for e in sorted(top.K_F):
-                    inv.append(Factor("rker" if e in cut else "ker", e, 0))
-                for rho in d.roots:
-                    inv.append(Factor("test", rho, 0))
-                for u in sorted(top.N_F):
-                    if deco_weight(d.deco[u]) > 0:
-                        inv.append(Factor("poly", u, 0))
-                # argument handed to the outermost collapse recursion
-                for pair in top.pairs_partial:
-                    inv.append(Factor("interaction", pair, 1, d.pair_sign(pair)))
-                for e in sorted(top.K_down):
-                    inv.append(Factor("rker" if e in cut else "ker", e, 1))
-                maxG = top.C
-                for u in sorted(frozenset().union(*[d.N_tilde(T) for T in maxG])
-                                if maxG else frozenset()):
-                    if deco_weight(d.deco[u]) > 0:
-                        inv.append(Factor("poly", u, 1))
-
-                def recurse(T: frozenset[int], depth: int):
-                    b = derived_edge_sets(d, G, T)
-                    for pair in b.pairs_F:
-                        inv.append(Factor("interaction", pair, depth, d.pair_sign(pair)))
-                    for e in sorted(b.K_ring):
-                        inv.append(Factor("ker", e, depth))
-                    hom = d.bare_s_hom(T)
-                    orders = [0] + ([1] if -2 < hom < -1 else [])
-                    y_sites.append({"subtree": sorted(T), "orders": orders, "level": depth})
-                    for pair in b.pairs_partial:
-                        inv.append(Factor("interaction", pair, depth + 1, d.pair_sign(pair)))
-                    for e in sorted(b.K_partial):
-                        inv.append(Factor("ker", e, depth + 1))
-                    for T2 in b.C:
-                        recurse(T2, depth + 1)
-
-                for T in maxG:
-                    recurse(T, 1)
-                terms.append(MomentTerm(G, cut, inv, y_sites))
+    terms = []
+    for G in d.enumerate_forests():
+        free = sorted(sites - frozenset().union(*map(d.K, G)))
+        terms += [_term(d, G, frozenset(cut))
+                  for r in range(len(free) + 1) for cut in combinations(free, r)]
     return terms
+
+
+def _term(d: MomentDiagram, G, cut: frozenset[int]) -> MomentTerm:
+    """The term of the forest ``G`` and the cut ``cut``; ``level`` visits
+    the whole diagram (T None) and then each member T, nested."""
+    inv: list[Factor] = []
+    y_sites: list[dict] = []
+
+    def poly(nodes, depth):
+        for u in sorted(nodes):
+            if deco_weight(d.deco[u]) > 0:
+                inv.append(Factor("poly", u, depth))
+
+    def level(b: EdgeSetBundle, depth: int, T=None):
+        for pair in b.pairs_F:
+            inv.append(Factor("interaction", pair, depth, d.pair_sign(pair)))
+        for e in sorted(b.K_ring):
+            inv.append(Factor("rker" if e in cut else "ker", e, depth))
+        if T is None:
+            inv.extend(Factor("test", rho, 0) for rho in d.roots)
+            poly(b.N_F, 0)
+        else:
+            hom = d.bare_s_hom(T)
+            orders = [0] + ([1] if -2 < hom < -1 else [])
+            y_sites.append({"subtree": sorted(T), "orders": orders, "level": depth})
+        for pair in b.pairs_partial:
+            inv.append(Factor("interaction", pair, depth + 1, d.pair_sign(pair)))
+        for e in sorted(b.K_partial):
+            inv.append(Factor("rker" if e in cut else "ker", e, depth + 1))
+        if T is None:  # the nodes contracted into members
+            poly(frozenset(d.nodes) - b.N_F, 1)
+        for T2 in G:  # in G's order, since b.C is a set
+            if T2 in b.C:
+                level(derived_edge_sets(d, G, T2), depth + 1, T2)
+
+    level(derived_edge_sets(d, G), 0)
+    return MomentTerm(G, cut, inv, y_sites)
 
 
 @dataclass

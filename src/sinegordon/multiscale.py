@@ -8,7 +8,11 @@ its internal scale is the finest (minimum) scale among its own kernel and
 pair edges not owned by nested members; its external scale is the coarsest
 (maximum) scale among the edges that tie it to its surroundings, restricted
 to the interior of the enclosing forest member.  A member is safe when the
-internal scale does not exceed the external one.
+internal scale does not exceed the external one.  Which edges are internal
+or external depends only on the diagram and the forest, so each forest's
+edge table is built once, from the one edge-set model of
+``derived_edge_sets``, and kept in the diagram's memo; a projection is then
+a min/max of scales over the table.
 
 The partition identity splits the (forest, cut) pairs into cells.  A cut
 collection leaves the forests whose kernel edges it avoids; those forests
@@ -52,49 +56,47 @@ class ScaleAssignment:
         return ScaleAssignment({ge: value for ge in generalized_edges(d)})
 
 
-# --- internal / external generalized-edge sets -------------------------------
+# --- the scale-free edge table of a forest ------------------------------------
 
 
-def internal_edges(d: MomentDiagram, S: frozenset[int]) -> set[tuple]:
-    """Kernel and pair edges with both endpoints in S."""
-    out = {(KER, e) for e in d.K(S)}
-    LS = d.L(S)
-    out |= {(PAIR, a, b) for a, b in d.pairs if a in LS and b in LS}
-    return out
+def _forest_edges(d: MomentDiagram, F) -> tuple[list, frozenset]:
+    """(S, internal, external) per member S of ``F``: the external edges
+    are the base edges of S's nodes, the kernel edges entering S and the
+    pair edges with one end in S, within the smallest enclosing member.
+    Also the forest's interior: the kernel and pair edges inside a member."""
+    F = frozenset(F)
+    key = ("forest edges", F)
+    if key in d._memo:
+        return d._memo[key]
 
+    def interior(S):
+        LS = d.L(S)
+        return ({(KER, e) for e in d.K(S)}
+                | {(PAIR, a, b) for a, b in d.pairs if a in LS and b in LS})
 
-def internal_edges_forest(d: MomentDiagram, F) -> set[tuple]:
-    out: set[tuple] = set()
+    rows = []
     for S in F:
-        out |= internal_edges(d, S)
-    return out
-
-
-def external_edges(d: MomentDiagram, S: frozenset[int]) -> set[tuple]:
-    """Edges tying S to its surroundings: base edges of its nodes, entering
-    kernel edges, and pair edges with exactly one end in S."""
-    out = {(BASE, u) for u in S}
-    out |= {(KER, e) for e in d.K_down(S)}
-    LS = d.L(S)
-    out |= {(PAIR, a, b) for a, b in d.pairs if (a in LS) != (b in LS)}
-    return out
+        own = derived_edge_sets(d, F, S)
+        LS = d.L(S)
+        external = ({(BASE, u) for u in S} | {(KER, e) for e in own.K_down}
+                    | {(PAIR, a, b) for a, b in d.pairs if (a in LS) != (b in LS)})
+        above = [T for T in F if S < T]
+        if above:
+            external &= interior(min(above, key=len))
+        internal = [(KER, e) for e in own.K_F] + [(PAIR, *ab) for ab in own.pairs_F]
+        rows.append((S, internal, list(external)))
+    d._memo[key] = table = (rows, frozenset().union(*map(interior, F)))
+    return table
 
 
 def safe_projection(d: MomentDiagram, F, n: ScaleAssignment) -> frozenset[frozenset[int]]:
     """Members whose internal scale does not exceed their external scale."""
-    kept = []
-    for S in F:
-        b = derived_edge_sets(d, F, S)
-        internal = {(KER, e) for e in b.K_F} | {(PAIR, *ab) for ab in b.pairs_F}
-        external = external_edges(d, S)
-        above = [T for T in F if S < T]
-        if above:  # restrict to the interior of the smallest enclosing member
-            external &= internal_edges(d, min(above, key=len))
-        i = min((n.n[ge] for ge in internal), default=float("inf"))
-        e = max((n.n[ge] for ge in external), default=float("-inf"))
-        if i <= e:
-            kept.append(S)
-    return frozenset(kept)
+    scale = n.n.__getitem__
+    members, _ = _forest_edges(d, F)
+    return frozenset(
+        S for S, internal, external in members
+        if min(map(scale, internal), default=float("inf"))
+        <= max(map(scale, external), default=float("-inf")))
 
 
 # --- interval preimages -------------------------------------------------------
@@ -154,7 +156,7 @@ def bottleneck_scales(d: MomentDiagram, F, n: ScaleAssignment) -> dict:
     W = [[-1] * m for _ in range(m)]
     for i in range(m):
         W[i][i] = INF
-    internal = internal_edges_forest(d, F)
+    _, internal = _forest_edges(d, F)
 
     def connect(u, v, w):
         i, j = idx[u], idx[v]

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-from .moment_diagrams import BASE_POINT, MomentDiagram, derived_edge_sets
+from .moment_diagrams import (BASE_POINT, EdgeSetBundle, MomentDiagram,
+                              derived_edge_sets)
 from .tree_core import SCALING_DIM, deco_weight
 
 #: default combinatorial constant in the annular-window condition
@@ -252,15 +253,20 @@ class HomogeneitySetup:
     pinned: frozenset     # vertices that stay at macroscopic separation
 
 
-def _quotient(d: MomentDiagram, members) -> dict:
-    qhat = {BASE_POINT: BASE_POINT}
-    for u in d.nodes:
-        qhat[u] = u
-    for T in members:
-        rho = d.subtree_root(T)
-        for u in T:
-            qhat[u] = rho
-    return qhat
+def _contracted(d: MomentDiagram, b: EdgeSetBundle, s_cut=frozenset()):
+    """The quotient map that contracts each member of ``b.C`` to its root,
+    and on it the contracted-member, kernel-edge and noise-pair terms of the
+    edge sets ``b``, leaving out the kernel edges in ``s_cut``."""
+    qhat = {BASE_POINT: BASE_POINT} | {u: u for u in d.nodes}
+    for T in b.C:
+        qhat |= dict.fromkeys(T, d.subtree_root(T))
+    bb = d.params.beta_bar
+    terms = [(-d.bare_s_hom(T), frozenset([qhat[d.subtree_root(T)]])) for T in b.C]
+    terms += [(Fraction(2), frozenset([qhat[d.parent[e]], qhat[e]]))
+              for e in sorted(b.K_F - s_cut)]
+    terms += [(Fraction(-2 * d.pair_sign((u, v))) * bb, frozenset([qhat[u], qhat[v]]))
+              for u, v in b.pairs_F + b.pairs_partial]
+    return qhat, terms
 
 
 def set_s_hom(d: MomentDiagram, M) -> Fraction:
@@ -295,28 +301,14 @@ def sg_total_homogeneity(d: MomentDiagram, forest, s_cut=(), d_cut=()
     recentered-edge groups.  ``s_cut`` are cut edges entering a contracted
     member, ``d_cut`` the remaining cut edges.
     """
-    bb = d.params.beta_bar
-    top = derived_edge_sets(d, forest, None)
-    members = top.C
-    qhat = _quotient(d, members)
-    removed = frozenset().union(*[d.N_tilde(T) for T in members]) if members else frozenset()
-    vertices = frozenset([BASE_POINT]) | (frozenset(d.nodes) - removed)
+    top = derived_edge_sets(d, forest)
     s_cut = frozenset(s_cut)
     d_cut = frozenset(d_cut)
-
-    terms = []
+    qhat, terms = _contracted(d, top, s_cut)
     for u in d.nodes:
         w = deco_weight(d.deco[u])
         if w:
             terms.append((Fraction(-w), frozenset([qhat[u], BASE_POINT])))
-    for T in members:
-        hom = d.bare_s_hom(T)
-        terms.append((-hom, frozenset([qhat[d.subtree_root(T)]])))
-    for e in sorted((top.K_F | top.K_down) - s_cut):
-        terms.append((Fraction(2), frozenset([qhat[d.parent[e]], qhat[e]])))
-    for a, b in list(top.pairs_F) + list(top.pairs_partial):
-        sgn = d.pair_sign((a, b))
-        terms.append((Fraction(-2 * sgn) * bb, frozenset([qhat[a], qhat[b]])))
     for e in sorted(d_cut):
         g = d.gamma(e)
         terms.append((Fraction(g), frozenset([qhat[d.parent[e]], qhat[e]])))
@@ -327,8 +319,9 @@ def sg_total_homogeneity(d: MomentDiagram, forest, s_cut=(), d_cut=()
         terms.append((Fraction(-(g - 1)), frozenset([BASE_POINT, qhat[d.parent[e]]])))
         terms.append((Fraction(2), frozenset([e, BASE_POINT])))
     pinned = frozenset([BASE_POINT]) | frozenset(qhat[r] for r in d.roots)
-    return HomogeneitySetup(TotalHomogeneity(tuple(terms)), vertices, qhat,
-                            list(members), pinned)
+    return HomogeneitySetup(TotalHomogeneity(tuple(terms)),
+                            frozenset([BASE_POINT]) | top.N_F, qhat,
+                            list(top.C), pinned)
 
 
 def collapse_order(d: MomentDiagram, S, in_d_cut: bool = False) -> int:
@@ -345,24 +338,12 @@ def inner_total_homogeneity(d: MomentDiagram, S, forest, in_d_cut: bool = False
     Vertices are the nodes of ``S`` with nested members contracted to their
     roots; the root of ``S`` is the pinned vertex.
     """
-    bb = d.params.beta_bar
     b = derived_edge_sets(d, forest, S)
-    members = b.C
-    qhat = _quotient(d, members)
+    qhat, terms = _contracted(d, b)
     vertices = frozenset(qhat[u] for u in S)
-    rho = d.subtree_root(S)
-
-    terms = [(Fraction(-collapse_order(d, S, in_d_cut)), vertices)]
-    for T in members:
-        hom = d.bare_s_hom(T)
-        terms.append((-hom, frozenset([qhat[d.subtree_root(T)]])))
-    for e in sorted(b.K_F):
-        terms.append((Fraction(2), frozenset([qhat[d.parent[e]], qhat[e]])))
-    for a_, b_ in list(b.pairs_F) + list(b.pairs_partial):
-        sgn = d.pair_sign((a_, b_))
-        terms.append((Fraction(-2 * sgn) * bb, frozenset([qhat[a_], qhat[b_]])))
+    terms.append((Fraction(-collapse_order(d, S, in_d_cut)), vertices))
     return HomogeneitySetup(TotalHomogeneity(tuple(terms)), vertices, qhat,
-                            list(members), frozenset([rho]))
+                            list(b.C), frozenset([d.subtree_root(S)]))
 
 
 def reexpanded(setup: HomogeneitySetup, cluster: frozenset, d: MomentDiagram

@@ -39,6 +39,40 @@ class TestExitCodes:
         code, _, _ = run_cli(["trees", "enum", "--frobnicate"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv, named", [
+        (["power", "audit", "--forest", "1,99"], "99"),
+        (["power", "audit", "--forest", "1,2;1,2"], "1,2;1,2"),
+        (["power", "audit", "--forest", "2,4"], "[2, 4]"),
+        (["power", "audit", "--forest", "1,x"], "'x'"),
+        (["power", "audit", "--cuts", "99"], "99"),
+        (["power", "audit", "--cuts", "1"], "1 is not a kernel edge"),
+        (["multiscale", "audit", "--ncap", "-1"], "-1"),
+        (["multiscale", "audit", "--trials", "-3"], "-3"),
+    ])
+    def test_bad_ids_and_counts_are_usage_errors(self, capsys, argv, named):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        flag = argv[2]
+        assert err.startswith(f"error: {flag}") and named in err
+
+    def test_library_refusal_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(["diagram", "terms", "--p", "0"], capsys)
+        assert code == 2
+        assert "p must be positive" in err
+
+    def test_internal_fault_is_not_a_usage_error(self, capsys, monkeypatch):
+        from sinegordon import cli
+
+        def broken(d):
+            raise KeyError(99)
+
+        monkeypatch.setattr(cli, "moment_terms", broken)
+        code, out, err = run_cli(["diagram", "terms"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: KeyError")
+
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

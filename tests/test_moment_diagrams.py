@@ -1,9 +1,13 @@
-"""Diagram construction, divergences, gamma bookkeeping, and the term
-inventory."""
+"""Diagram construction, divergences, gamma bookkeeping, the edge sets,
+the memo, and the term inventory."""
 
+import dataclasses
 from fractions import Fraction
 
+import pytest
+
 from sinegordon.tree_core import DecoratedTree, ModelParams, XI_PLUS, XI_MINUS, dipole
+from sinegordon import multiscale as ms
 from sinegordon.moment_diagrams import (BASE_POINT, build_diagram,
                                         single_copy_diagram, derived_edge_sets,
                                         moment_terms, multilinearity_audit)
@@ -16,6 +20,22 @@ TAU6 = DecoratedTree("-", (0, 0, 0), (
     XI_PLUS,
     DecoratedTree("+", (0, 0, 0), (XI_PLUS, XI_MINUS, XI_PLUS)),
 ))
+TAU4 = DecoratedTree("-", (0, 0, 0), (XI_PLUS, XI_PLUS, XI_MINUS))
+
+
+# name -> (tree, copy pairs p, beta_bar)
+DIAGRAMS = {
+    "dipole-1-5/4": (dipole(), 1, "5/4"), "dipole-1-7/5": (dipole(), 1, "7/5"),
+    "dipole-2-5/4": (dipole(), 2, "5/4"), "dipole-2-7/5": (dipole(), 2, "7/5"),
+    "tau4-1-5/4": (TAU4, 1, "5/4"), "tau4-1-7/4": (TAU4, 1, "7/4"),
+    "tau6-1-7/4": (TAU6, 1, "7/4"),
+}
+
+
+def diagram(name):
+    """A fresh diagram, so that no test sees another's memo."""
+    tau, p, beta_bar = DIAGRAMS[name]
+    return build_diagram(tau, p, ModelParams.from_beta_bar(Fraction(beta_bar)))
 
 
 class TestDiagramStructure:
@@ -77,6 +97,149 @@ class TestEdgeSets:
         b = derived_edge_sets(d, F)
         assert b.K_F <= set(d.kernel_edges)
         assert b.K_ring | b.K_partial | b.K_down <= set(d.kernel_edges)
+
+    # TAU6 is left out for time: its 17,424 inventories take seconds alone
+    @pytest.mark.parametrize("name", [n for n in DIAGRAMS if n != "tau6-1-7/4"])
+    def test_each_kernel_edge_once_per_inventory(self, name):
+        d = diagram(name)
+        for term in moment_terms(d):
+            kernels = [f.edge for f in term.inventory
+                       if f.kind in ("ker", "rker")]
+            assert sorted(kernels) == d.kernel_edges, term.as_dict()
+
+
+# --- the two-branch edge sets, kept as an oracle for the one-body rewrite ----
+#
+# The whole diagram and a forest member were once computed by two near-copies.
+# At the top the old fields are renamed versions of the member formulas: old
+# K_F is K_ring, old K_down is K_partial, and old K_F | K_down is K_F; the new
+# K_down is empty, as was the old K_partial.
+
+
+def _maximal(trees):
+    return [T for T in trees if not any(T < U for U in trees)]
+
+
+def _member_of(node, trees):
+    for T in trees:
+        if node in T:
+            return T
+    return None
+
+
+def _oracle_edge_sets(d, F, S=None):
+    F = list(F)
+    if S is None:
+        node_set = frozenset(d.nodes)
+        C = _maximal(F)
+        ntf = node_set - frozenset().union(*[d.N_tilde(T) for T in F]) if F else node_set
+        n_f = ntf
+        l_removed = frozenset().union(*[d.L(T) for T in F]) if F else frozenset()
+        l_f = d.L(node_set) - l_removed
+        kbar = frozenset().union(*[d.K(T) | d.K_down(T) for T in C]) if C else frozenset()
+        k_f = frozenset(d.kernel_edges) - kbar
+        k_ring = k_f
+        k_partial = frozenset()
+        k_down = frozenset().union(*[d.K_down(T) for T in C]) if C else frozenset()
+        pairs_f = [e for e in d.pairs if e[0] in l_f and e[1] in l_f]
+        pairs_partial = []
+        for a, b in d.pairs:
+            ta = _member_of(a, C)
+            tb = _member_of(b, C)
+            one_out = (a in l_f) != (b in l_f)
+            crossing = ta is not None and tb is not None and ta is not tb
+            if one_out or crossing:
+                pairs_partial.append((a, b))
+        return dict(C=C, N_F=n_f, L_F=l_f, K_F=k_f, K_ring=k_ring,
+                    K_partial=k_partial, K_down=k_down, pairs_F=pairs_f,
+                    pairs_partial=pairs_partial)
+
+    C = _maximal([T for T in F if T < S])
+    rho = d.subtree_root(S)
+    ntf = d.N_tilde(S) - (frozenset().union(*[d.N_tilde(T) for T in C]) if C else frozenset())
+    n_f = ntf | {rho}
+    l_f = d.L(S) - (frozenset().union(*[d.L(T) for T in C]) if C else frozenset())
+    k_s = d.K(S)
+    k_f = k_s - (frozenset().union(*[d.K(T) for T in C]) if C else frozenset())
+    kbar = frozenset().union(*[d.K(T) | d.K_down(T) for T in C]) if C else frozenset()
+    k_ring = k_s - kbar
+    kdown_children = frozenset().union(*[d.K_down(T) for T in C]) if C else frozenset()
+    k_partial = k_s & kdown_children
+    pairs_f = [e for e in d.pairs if e[0] in l_f and e[1] in l_f]
+    LS = d.L(S)
+    pairs_partial = []
+    for a, b in d.pairs:
+        if a not in LS or b not in LS:
+            continue
+        ta = _member_of(a, C)
+        tb = _member_of(b, C)
+        one_out = (a in l_f) != (b in l_f)
+        crossing = ta is not None and tb is not None and ta is not tb
+        if one_out or crossing:
+            pairs_partial.append((a, b))
+    return dict(C=C, N_F=n_f, L_F=l_f, K_F=k_f, K_ring=k_ring,
+                K_partial=k_partial, K_down=d.K_down(S), pairs_F=pairs_f,
+                pairs_partial=pairs_partial)
+
+
+def _as_member_fields(old, top):
+    """The old fields under the names of the one-body model."""
+    new = dict(old, C=frozenset(old["C"]), pairs_F=tuple(old["pairs_F"]),
+               pairs_partial=tuple(old["pairs_partial"]))
+    if top:
+        new.update(K_F=old["K_F"] | old["K_down"], K_ring=old["K_F"],
+                   K_partial=old["K_down"], K_down=frozenset())
+    return new
+
+
+class TestTwoBranchOracle:
+    @pytest.mark.parametrize("name", DIAGRAMS)
+    def test_every_field_matches(self, name):
+        d = diagram(name)
+        cases = 0
+        for F in d.enumerate_forests():
+            for S in [None, *F]:
+                got = dataclasses.asdict(derived_edge_sets(d, F, S))
+                want = _as_member_fields(_oracle_edge_sets(d, F, S), S is None)
+                assert got == want, (sorted(map(sorted, F)), S)
+                cases += 1
+        assert cases > len(d.enumerate_forests())
+
+
+class TestMemo:
+    def test_forests_are_computed_once(self):
+        d = build_diagram(TAU4, 1, P54)
+        assert d.enumerate_forests() is d.enumerate_forests()
+        assert d.divergent_subtrees() is d.divergent_subtrees()
+        assert d.cut_sites() is d.cut_sites()
+        F = d.enumerate_forests()[-1]
+        assert derived_edge_sets(d, F) is derived_edge_sets(d, set(F))
+
+    def test_diagram_is_frozen(self):
+        d = build_diagram(dipole(), 1, P54)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.n_copies = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.nodes = []
+
+    def test_memo_is_empty_after_build(self):
+        assert build_diagram(TAU6, 1, P54)._memo == {}
+        assert single_copy_diagram(dipole(), P54)._memo == {}
+
+    def test_projection_reuses_the_edge_table(self, monkeypatch):
+        d = build_diagram(TAU4, 1, P54)
+        F = max(d.enumerate_forests(), key=len)
+        runs = []
+
+        def spy(*args):
+            runs.append(args)
+            return derived_edge_sets(*args)
+
+        monkeypatch.setattr(ms, "derived_edge_sets", spy)
+        images = {ms.safe_projection(d, F, ms.ScaleAssignment.constant(d, c))
+                  for c in range(4)}
+        assert images == {F}
+        assert len(runs) == len(F) > 1
 
 
 class TestMomentTerms:

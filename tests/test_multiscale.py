@@ -88,7 +88,27 @@ class TestPartitionIdentity:
 # Projections are recomputed per (cut, image) and the admissible cuts of each
 # cell are rebuilt in a second pass, exactly as the audit was first written.
 # ``ms.safe_projection`` and ``ms.harvest_cuts`` are looked up on the module
-# so that a patched projection reaches the oracle and the audit alike.
+# so that a patched projection reaches the oracle and the audit alike.  The
+# oracle projection builds its edge sets with the two helpers below, the
+# form they had before the library folded them into one memoized table.
+
+
+def internal_edges(d, S):
+    """Kernel and pair edges with both endpoints in S."""
+    out = {(ms.KER, e) for e in d.K(S)}
+    LS = d.L(S)
+    out |= {(ms.PAIR, a, b) for a, b in d.pairs if a in LS and b in LS}
+    return out
+
+
+def external_edges(d, S):
+    """Edges tying S to its surroundings: base edges of its nodes, entering
+    kernel edges, and pair edges with exactly one end in S."""
+    out = {(ms.BASE, u) for u in S}
+    out |= {(ms.KER, e) for e in d.K_down(S)}
+    LS = d.L(S)
+    out |= {(ms.PAIR, a, b) for a, b in d.pairs if (a in LS) != (b in LS)}
+    return out
 
 
 def _oracle_safe_projection(d, F, n):
@@ -98,10 +118,10 @@ def _oracle_safe_projection(d, F, n):
         b = derived_edge_sets(d, F, S)
         ints = [n.n[(ms.KER, e)] for e in b.K_F]
         ints += [n.n[(ms.PAIR, a, c)] for a, c in b.pairs_F]
-        ext = ms.external_edges(d, S)
+        ext = external_edges(d, S)
         above = [T for T in F if S < T]
         if above:
-            ext = ext & ms.internal_edges(d, min(above, key=len))
+            ext = ext & internal_edges(d, min(above, key=len))
         exts = [n.n[ge] for ge in ext]
         i = min(ints) if ints else float("inf")
         e = max(exts) if exts else float("-inf")
