@@ -14,12 +14,16 @@ Modules:
   inventory with its multilinearity audit.
 - ``multiscale``: dyadic scale assignments, safe-forest projections,
   interval preimages, cut harvesting, and the forest/cut partition identity.
-- ``power_counting``: total homogeneities, cluster-sum evaluators, and the
-  subdivergence, sign and identity audits over vertex subsets; coalescence
-  trees remain only for the order audit and the summability probes.
-- ``stochastic``: spectral sampling of the log-correlated field, complex
-  chaos fields, renormalization-constant scaling, dipole moment estimation,
-  and the additive-decomposition PDE solver.
+- ``power_counting``: total homogeneities, cluster-sum evaluators, the
+  subdivergence, sign, identity and order audits over vertex subsets, and
+  summability probes that recurse over subsets and their set partitions;
+  no audit enumerates coalescence trees, whose enumeration the oracle tests
+  still use.
+- ``stochastic``: spectral sampling of the log-correlated field, its
+  unit-expectation chaos exponentials, renormalization-constant scaling,
+  dipole moment estimation, and the additive-decomposition PDE solver, all
+  heat flows stepped by one real half-spectrum integrator (the dipole's
+  complex profile as two real flows).
 - ``cli``: a single command-line entry point exposing all workflows.
 """
 

@@ -223,8 +223,10 @@ def cmd_power_audit(args):
     forest = _parse_forest(args.forest, d)
     s_cut = _parse_cut(args.cuts, d)
     if args.context == "identity":
-        member = forest[0] if forest else frozenset(d.nodes)
-        rep = identity_audit(d, member, forest)
+        if not forest:
+            raise UsageError("--context identity: requires --forest, whose "
+                             "first member is the audited subtree")
+        rep = identity_audit(d, forest[0], forest)
     else:
         member = forest[0] if (args.context == "inner" and forest) else None
         rep = sigma_tilde_audit(d, args.context, forest=forest,

@@ -9,16 +9,16 @@ the renormalization constant computed from the same table gives the chaos
 fields unit expectation exactly in distribution.  Sampled fields are real,
 so they are stored as ``rfft2`` half-spectra (the n // 2 + 1 non-negative
 frequencies of the last axis) and transformed with ``rfft2``/``irfft2``.
-The dipole profile and the shifted equation share one exponential-Euler
-integrator: the dipole's complex forcing steps the full ``fft2`` spectrum,
-the shifted equation's real forcing the ``rfft2`` half-spectrum, whose
-imaginary residue is read from its self-conjugate columns.  The dipole
-counterterm is exact, not sampled.  The conditioned charge correlation keeps
-only the field modes |m| <= c, whose chaos is band-limited to roundoff, so it
-is evaluated on the smallest power-of-two M^2 grid whose outer band holds at
-most 1e-14 of the power, and zero-padded to n^2 once (M = n without
-conditioning, and then the sums are the full-grid ones).  All noise comes from counter-based
-generators keyed by (seed, sample, step): runs are reproducible in any order.
+One real exponential-Euler integrator steps heat flows on half-spectra: the
+dipole's complex profile is two of them, driven by C cos(beta Phi) and
+C sin(beta Phi), and the shifted equation one, whose imaginary residue is
+read from its self-conjugate columns.  The dipole counterterm is exact, not
+sampled.  The conditioned charge correlation keeps only the field modes
+|m| <= c, whose chaos is band-limited to roundoff, so it is evaluated on the
+smallest power-of-two M^2 grid whose outer band holds at most 1e-14 of the
+power, and zero-padded to n^2 once (M = n without conditioning, and then the
+sums are the full-grid ones).  All noise comes from counter-based generators
+keyed by (seed, sample, step): runs are reproducible in any order.
 """
 
 from __future__ import annotations
@@ -445,33 +445,28 @@ def bump_spectral(lat: TorusLattice, lam: float) -> np.ndarray:
 class _HeatDriver:
     """Exponential-Euler integrator of du = (1/2) Laplacian u dt + f dt.
 
-    The decay and gain tables are built once per (lattice, dt).  ``step``
-    updates the spectrum ``u_hat`` in place and returns the forcing
-    spectrum it transformed, for callers that need it too.  By default
-    ``u_hat`` is the full ``fft2`` spectrum of a complex profile; with
-    ``real=True`` it is the ``rfft2`` half-spectrum of a real one, and
-    ``profile`` returns the real ``irfft2``.
+    u and f are real; the decay and gain tables are built once per (lattice,
+    dt).  ``step`` updates the ``rfft2`` half-spectrum ``u_hat`` in place and
+    returns the forcing half-spectrum it transformed, for callers that need
+    it too; ``profile`` returns the real ``irfft2``.
     """
 
-    def __init__(self, lat: TorusLattice, dt: float, *, real: bool = False):
-        mu = lat.mu[:, : lat.n_rfft] if real else lat.mu
-        self.n, self.real = lat.n, real
-        x = -mu * dt
+    def __init__(self, lat: TorusLattice, dt: float):
+        self.n = lat.n
+        x = -lat.mu[:, : lat.n_rfft] * dt
         self.decay = np.exp(x)
         self.gain = dt * np.divide(np.expm1(x), x, out=np.ones_like(x),
                                    where=x != 0)     # dt (e^x - 1) / x
-        self.u_hat = np.zeros(mu.shape, dtype=complex)
+        self.u_hat = np.zeros(x.shape, dtype=complex)
 
     def step(self, forcing: np.ndarray) -> np.ndarray:
-        f_hat = np.fft.rfft2(forcing) if self.real else np.fft.fft2(forcing)
+        f_hat = np.fft.rfft2(forcing)
         self.u_hat *= self.decay
         self.u_hat += self.gain * f_hat
         return f_hat
 
     def profile(self) -> np.ndarray:
-        if self.real:
-            return np.fft.irfft2(self.u_hat, s=(self.n, self.n))
-        return np.fft.ifft2(self.u_hat)
+        return np.fft.irfft2(self.u_hat, s=(self.n, self.n))
 
     def imag_residue(self) -> float:
         """max |Im ifft2(E)|, E the Hermitian extension of the half-spectrum.
@@ -523,25 +518,29 @@ class DipoleReport:
 
 def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
                        sample: int, collect):
-    """Run one stationary trajectory, invoking ``collect(driver, xi_plus,
-    f_hat)`` on each measured slice after burn-in, f_hat = fft2(xi_plus).
+    """Run one stationary trajectory, invoking ``collect(drivers, forcings,
+    f_hats)`` on each measured slice after burn-in: the two real drivers of
+    u = u_c + i u_s, their forcings (c, s) = C (cos, sin)(beta Phi), the
+    components of xi_plus, and the half-spectra of (c, s).
 
     Only differences of the profile enter the estimator, so its undamped
-    mean is projected out after each step; f_hat keeps its zero mode.
+    mean is projected out after each step; f_hats keep their zero modes.
     """
+    beta = np.sqrt(float(Fraction(cfg.beta_sq)) * np.pi)
     c_eps = renorm_constant(lat, cfg.eps, cfg.beta_sq)
     fld = sample_phi(lat, cfg.eps, seed, sample)
-    driver = _HeatDriver(lat, cfg.dt)
+    drivers = _HeatDriver(lat, cfg.dt), _HeatDriver(lat, cfg.dt)
     n_burn = int(round(cfg.t_burn / cfg.dt))
     n_meas = int(round(cfg.t_measure / cfg.dt))
     for step in range(n_burn + n_meas):
-        xi_plus = wick_exponential(fld.real_space(), cfg.beta_sq, c_eps)
-        f_hat = driver.step(xi_plus)
-        driver.u_hat[0, 0] = 0.0
+        x = beta * fld.real_space()
+        forcings = c_eps * np.cos(x), c_eps * np.sin(x)
+        f_hats = drivers[0].step(forcings[0]), drivers[1].step(forcings[1])
+        drivers[0].u_hat[0, 0] = drivers[1].u_hat[0, 0] = 0.0
         fld.advance(white_spectral(lat, step_rng(seed, sample, step + 1)),
                     cfg.dt)
         if step >= n_burn and (step - n_burn) % cfg.stride == 0:
-            collect(driver, xi_plus, f_hat)
+            collect(drivers, forcings, f_hats)
 
 
 def _measured_steps(cfg: DipoleConfig) -> np.ndarray:
@@ -562,7 +561,7 @@ def dipole_counterterm(lat: TorusLattice, cfg: DipoleConfig) -> list[float]:
     """
     n, half = lat.n, lat.n_rfft
     beta2 = float(Fraction(cfg.beta_sq)) * np.pi
-    driver = _HeatDriver(lat, cfg.dt, real=True)
+    driver = _HeatDriver(lat, cfg.dt)
     var = lat.mode_variances(cfg.eps)[:, :half]
     steps = _measured_steps(cfg)
     q = np.ones_like(driver.decay)                  # decay^lag
@@ -610,54 +609,55 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
                 f"lambda = {lam}: t_measure holds {n_slices} measured slices, "
                 f"fewer than 2 time blocks of {w}")
     kappas = dipole_counterterm(lat, cfg)
-    psi_hats = [bump_spectral(lat, lam) for lam in lambdas]
+    n = lat.n
+    psi_hats = [bump_spectral(lat, lam)[:, : lat.n_rfft] for lam in lambdas]
 
     sq_blocks = [[] for _ in lambdas]     # renormalized |.|^2 per time block
     ab_blocks = [[] for _ in lambdas]     # ablated |.|^2 per time block
-    mean_acc = 0.0 + 0.0j
-    mean_cnt = 0
-    # Per lambda, the open time block sums the spectra g1 = fft2(xi_- u),
-    # inverted once when it closes, and the products (psi * xi_-) u, where
-    # psi * xi_- = conj(psi * xi_+) because psi is real and even.
-    g1_sums = np.empty((len(lambdas), lat.n, lat.n), dtype=complex)
-    local_sums = np.empty_like(g1_sums)
+    mean_acc = 0j            # sum of mean(ren) over the first lambda's blocks
+    # Per lambda, the open time block sums the half-spectra of (Re, Im) of
+    # xi_- u = (c u_c + s u_s) + i (c u_s - s u_c), inverted once when it
+    # closes, and (Re, Im) of the products (psi * xi_-) u, where psi * xi_-
+    # = conj(psi * xi_plus) = p_c - i p_s because psi is real and even.
+    g_sums = np.empty((len(lambdas), 2, n, lat.n_rfft), dtype=complex)
+    local_sums = np.empty((len(lambdas), 2, n, n))
     counts = [0] * len(lambdas)
 
-    def collect(driver, xi_plus, f_hat):
-        nonlocal g1_sums, mean_acc, mean_cnt
-        u = driver.profile()
-        g1_sums += np.fft.fft2(np.conj(xi_plus) * u)
+    def collect(drivers, forcings, f_hats):
+        nonlocal mean_acc
+        u_c, u_s = drivers[0].profile(), drivers[1].profile()
+        c, s = forcings
+        g_sums[:, 0] += np.fft.rfft2(c * u_c + s * u_s)
+        g_sums[:, 1] += np.fft.rfft2(c * u_s - s * u_c)
         for i, ph in enumerate(psi_hats):
-            local_sums[i] += np.conj(np.fft.ifft2(ph * f_hat)) * u
+            p_c, p_s = (np.fft.irfft2(ph * f, s=(n, n)) for f in f_hats)
+            local_sums[i, 0] += p_c * u_c + p_s * u_s
+            local_sums[i, 1] += p_c * u_s - p_s * u_c
             counts[i] += 1
             if counts[i] == windows[i]:
-                block = (np.fft.ifft2(ph * g1_sums[i])
-                         - local_sums[i]) / windows[i]
-                ren = block - kappas[i]
-                sq_blocks[i].append(float(np.mean(np.abs(ren) ** 2)))
-                ab_blocks[i].append(float(np.mean(np.abs(block) ** 2)))
+                re, im = ((np.fft.irfft2(ph * g, s=(n, n)) - loc) / windows[i]
+                          for g, loc in zip(g_sums[i], local_sums[i]))
+                ren = re - kappas[i]
+                sq_blocks[i].append(float(np.mean(ren**2 + im**2)))
+                ab_blocks[i].append(float(np.mean(re**2 + im**2)))
                 if i == 0:
-                    mean_acc += complex(np.mean(ren))
-                    mean_cnt += 1
-                g1_sums[i] = local_sums[i] = 0.0
+                    mean_acc += complex(np.mean(ren), np.mean(im))
+                g_sums[i] = local_sums[i] = 0.0
                 counts[i] = 0
 
-    for s in range(cfg.n_samples):
-        g1_sums[:] = local_sums[:] = 0.0      # drop the blocks left open
+    for sample in range(cfg.n_samples):
+        g_sums[:] = local_sums[:] = 0.0      # drop the blocks left open
         counts[:] = [0] * len(lambdas)
-        _dipole_trajectory(lat, cfg, seed, s, collect)
+        _dipole_trajectory(lat, cfg, seed, sample, collect)
 
-    moments, errs, ab_moments = [], [], []
-    for i in range(len(lambdas)):
-        vals = np.array(sq_blocks[i])
-        moments.append(float(vals.mean()))
-        errs.append(float(vals.std(ddof=1) / np.sqrt(len(vals))))
-        ab_moments.append(float(np.mean(ab_blocks[i])))
+    moments = [float(np.mean(v)) for v in sq_blocks]
+    errs = [float(np.std(v, ddof=1) / np.sqrt(len(v))) for v in sq_blocks]
+    ab_moments = [float(np.mean(v)) for v in ab_blocks]
     ll = np.log(lambdas)
     slope = float(np.polyfit(ll, np.log(moments), 1)[0])
     ab_slope = float(np.polyfit(ll, np.log(ab_moments), 1)[0])
     return DipoleReport(lambdas, moments, errs, ab_moments, slope, ab_slope,
-                        mean_acc / max(mean_cnt, 1), cfg.n_samples)
+                        mean_acc / len(sq_blocks[0]), cfg.n_samples)
 
 
 # --- the shifted equation ----------------------------------------------------
@@ -677,7 +677,7 @@ class PDEResult:
 
 def _shifted_step(driver: _HeatDriver, fld: GaussianField, beta: float,
                   c_eps: float) -> tuple[np.ndarray, float]:
-    """One step of the shifted equation on a real-mode driver; returns the
+    """One step of the shifted equation on ``driver``; returns the
     solution v before it and the driver's imaginary residue at that time.
 
     The reaction is the imaginary part of the positive chaos twisted by v;
@@ -702,7 +702,7 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
     beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
     c_eps = renorm_constant(lat, eps, beta_sq, shape)
     fld = sample_phi(lat, eps, seed, sample, shape)
-    driver = _HeatDriver(lat, dt, real=True)
+    driver = _HeatDriver(lat, dt)
     if v0 is not None:
         driver.u_hat = np.fft.rfft2(np.asarray(v0, dtype=float))
     n_steps = int(round(t_end / dt))
@@ -782,7 +782,7 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     gap_acc = 0.0
     max_imag = 0.0
     seeds = list(seeds)
-    drivers = [_HeatDriver(lat, dt, real=True) for _ in widths]
+    drivers = [_HeatDriver(lat, dt) for _ in widths]
     for seed in seeds:
         init = white_spectral(lat, step_rng(seed, 0, 0))
         flds = [GaussianField(lat, w, lat.sigma_k(w, sh) * init, sh)

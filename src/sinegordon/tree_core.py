@@ -188,7 +188,6 @@ class DecoratedTree:
 
 XI_PLUS = DecoratedTree("+", (0, 0, 0))
 XI_MINUS = DecoratedTree("-", (0, 0, 0))
-ONE = DecoratedTree("0", (0, 0, 0))
 
 
 def noise(sign: str) -> DecoratedTree:

@@ -48,6 +48,7 @@ class TestExitCodes:
         (["power", "audit", "--cuts", "1"], "1 is not a kernel edge"),
         (["multiscale", "audit", "--ncap", "-1"], "-1"),
         (["multiscale", "audit", "--trials", "-3"], "-3"),
+        (["power", "audit", "--context", "identity"], "--forest"),
     ])
     def test_bad_ids_and_counts_are_usage_errors(self, capsys, argv, named):
         code, out, err = run_cli(argv, capsys)

@@ -649,7 +649,7 @@ class TestHalfSpectrumResidue:
     N = 32
 
     def driver(self, half):
-        drv = _HeatDriver(TorusLattice(self.N), 2.0**-8, real=True)
+        drv = _HeatDriver(TorusLattice(self.N), 2.0**-8)
         drv.u_hat = half
         return drv
 
