@@ -13,11 +13,14 @@ One real exponential-Euler integrator steps heat flows on half-spectra: the
 dipole's complex profile is two of them, driven by C cos(beta Phi) and
 C sin(beta Phi), and the shifted equation one, whose imaginary residue is
 read from its self-conjugate columns.  The dipole counterterm is exact, not
-sampled.  The conditioned charge correlation keeps only the field modes
-|m| <= c, whose chaos is band-limited to roundoff, so it is evaluated on the
-smallest power-of-two M^2 grid whose outer band holds at most 1e-14 of the
-power, and zero-padded to n^2 once (M = n without conditioning, and then the
-sums are the full-grid ones).  All noise comes from counter-based generators
+sampled.  The conditioned charge correlation draws only the field modes
+|m| <= c, from white noise on the smallest power-of-two grid M0 > 2c (the
+full n^2 draw when M0 >= n).  Their chaos is band-limited to roundoff, so it
+is evaluated on the smallest power-of-two M^2 grid whose outer band holds at
+most 1e-14 of the power, and zero-padded to n^2 once (M = n without
+conditioning, and then the sums are the full-grid ones).  The convergence
+study's widths share one unit-variance OU process z of the modes, each width
+being sigma_k z.  All noise comes from counter-based generators
 keyed by (seed, sample, step): runs are reproducible in any order.
 """
 
@@ -190,11 +193,32 @@ class GaussianField:
         self.coeffs = decay * self.coeffs + kick * white
 
 
+def _fold(size: int, n: int) -> np.ndarray:
+    """Index on an n grid of each frequency of a size grid (size <= n)."""
+    return (np.fft.fftfreq(size) * size).astype(int) % n
+
+
 def sample_phi(lat: TorusLattice, eps: float, seed: int, sample: int = 0,
-               shape: str = GAUSS) -> GaussianField:
-    """Equilibrium sample, deterministic in (seed, sample)."""
-    white = white_spectral(lat, step_rng(seed, sample, 0))
-    return GaussianField(lat, eps, lat.sigma_k(eps, shape) * white, shape)
+               shape: str = GAUSS, modes: int | None = None) -> GaussianField:
+    """Equilibrium sample, deterministic in (seed, sample).
+
+    With ``modes`` = c only the low modes |m| <= c are drawn and the others
+    are zero.  They come from real white noise on the smallest power-of-two
+    grid M0 > 2c, where they do not alias and have the joint law of the full
+    draw's low modes, rows +-k of column 0 Hermitian pairs included.  At
+    M0 >= n the white noise is the full draw, so the low modes are its own.
+    """
+    rng = step_rng(seed, sample, 0)
+    sk = lat.sigma_k(eps, shape)
+    if modes is None:
+        return GaussianField(lat, eps, sk * white_spectral(lat, rng), shape)
+    size = min(lat.n, 1 << max(2, (2 * modes).bit_length()))
+    small = lat if size == lat.n else TorusLattice(size)
+    block = np.ix_(_fold(size, lat.n), np.arange(small.n_rfft))
+    keep = small.m2[:, : small.n_rfft] <= modes**2
+    coeffs = np.zeros(sk.shape, dtype=complex)
+    coeffs[block] = np.where(keep, sk[block] * white_spectral(small, rng), 0.0)
+    return GaussianField(lat, eps, coeffs, shape)
 
 
 def wick_exponential(phi: np.ndarray, beta_sq, c_eps: float,
@@ -296,33 +320,26 @@ def _chaos_spectra(lat: TorusLattice, eps: float, beta_sq, seed: int,
     ``want_same``, cross = sum a(k) a(-k), for a = fft2 of one field's chaos,
     both as n-by-n tables.
 
-    A field keeping only the modes |m| <= c (``modes`` = c) is a
-    trigonometric polynomial of degree c, and the spectrum of its chaos
-    decays faster than exponentially.  So the chaos is evaluated on an M^2
-    grid, its products are summed there, zero-padded to n^2 and scaled by
-    (n/M)^4.  M starts at the smallest power of two >= 4 (c + 1) and doubles
-    while the outer band max(|q1|, |q2|) >= 3M/8 holds more than
-    ``_BAND_SHARE`` of field 0's power; if the summed power then exceeds the
-    same share, M doubles and the sums are redone.  M never exceeds n, and
-    at M = n (always when ``modes`` is None) these are the full-grid sums.
+    With ``modes`` = c each field is drawn by ``sample_phi(..., modes=c)``,
+    which draws only its modes |m| <= c.  Such a field is a trigonometric
+    polynomial of degree c, and the spectrum of its chaos decays faster than
+    exponentially.  So its half-spectrum is cropped to an M^2 grid, where
+    the chaos is evaluated, and its products are summed there, zero-padded
+    to n^2 and scaled by (n/M)^4.  M starts at the smallest power of two
+    >= 4 (c + 1) and doubles while the outer band max(|q1|, |q2|) >= 3M/8
+    holds more than ``_BAND_SHARE`` of field 0's power; if the summed power
+    then exceeds the same share, M doubles and the sums are redone.  M never
+    exceeds n, and at M = n (always when ``modes`` is None) these are the
+    full-grid sums.
     """
     n = lat.n
-    if modes is None:
-        size = n
-    else:
-        size = min(n, 1 << (4 * modes + 3).bit_length())
-        # the half-spectrum block holding |m| <= c; rows wrap only at M = n,
-        # where the table equals the conditioned half-spectrum
-        rows = np.arange(-modes, modes + 1)
-        cols = slice(0, min(modes, n // 2) + 1)
-        lo = lat.m2[rows % n, cols] <= modes**2
+    size = n if modes is None else min(n, 1 << (4 * modes + 3).bit_length())
 
     def spectrum(coeffs, size):
-        if modes is None:
-            tab = coeffs
-        else:
-            tab = np.zeros((size, size // 2 + 1), dtype=complex)
-            tab[rows % size, cols] = np.where(lo, coeffs[rows % n, cols], 0.0)
+        # a conditioned half-spectrum is zero outside |m| <= c < M/2, so
+        # cropping it to the M grid aliases nothing
+        tab = (coeffs if size == n else
+               coeffs[np.ix_(_fold(size, n), np.arange(size // 2 + 1))])
         phi = np.fft.irfft2(tab, s=(size, size)) * size**2
         return np.fft.fft2(wick_exponential(phi, beta_sq, amp, sign=-1))
 
@@ -331,7 +348,7 @@ def _chaos_spectra(lat: TorusLattice, eps: float, beta_sq, seed: int,
         band = np.maximum.outer(q, q) >= 3 * len(power) / 8
         return power[band].sum() / power.sum()
 
-    coeffs0 = sample_phi(lat, eps, seed, sample=0).coeffs
+    coeffs0 = sample_phi(lat, eps, seed, sample=0, modes=modes).coeffs
     while (size < n and outer_share(np.abs(spectrum(coeffs0, size))**2)
            > _BAND_SHARE):
         size *= 2
@@ -340,8 +357,8 @@ def _chaos_spectra(lat: TorusLattice, eps: float, beta_sq, seed: int,
         cross = np.zeros((size, size), dtype=complex) if want_same else None
         flip = (-np.arange(size)) % size
         for s in range(n_fields):
-            coeffs = (coeffs0 if s == 0
-                      else sample_phi(lat, eps, seed, sample=s).coeffs)
+            coeffs = (coeffs0 if s == 0 else
+                      sample_phi(lat, eps, seed, sample=s, modes=modes).coeffs)
             a = spectrum(coeffs, size)
             if want_same:
                 cross += a * a[flip][:, flip]
@@ -351,7 +368,7 @@ def _chaos_spectra(lat: TorusLattice, eps: float, beta_sq, seed: int,
             break
         size *= 2
     if size < n:
-        q = (np.fft.fftfreq(size) * size).astype(int) % n
+        q = _fold(size, n)
 
         def pad(table):
             out = np.zeros((n, n), dtype=table.dtype)
@@ -381,7 +398,9 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
     ``condition_modes`` enables conditional Monte Carlo: modes above the
     cutoff are integrated out exactly (their contribution to each two-point
     function is a deterministic Gaussian factor), and only the low-pass
-    field is sampled.  The estimator stays unbiased while the variance
+    field is sampled: only its modes |m| <= c are drawn, from white noise on
+    a grid just large enough to hold them without aliasing (see
+    ``sample_phi``).  The estimator stays unbiased while the variance
     inflation from the fine modes — severe at strong coupling — disappears.
     The low-pass field's chaos is band-limited to roundoff, so its spectral
     products are computed on the smallest power-of-two grid whose outer band
@@ -757,9 +776,11 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     """Cauchy-in-width study with common driving noise across widths.
 
     For each seed, all widths (plus one differently-shaped mollifier whose
-    width is calibrated to match the finest variance) are advanced with the
-    same white-noise modes; d is the sup over the late-time space-time grid
-    of the difference between solutions at consecutive widths.
+    width is calibrated to match the finest variance) share their white-noise
+    modes: each width's coefficients are sigma_k z for one unit-variance OU
+    process z, advanced once per step.  d is the sup over the late-time
+    space-time grid of the difference between solutions at consecutive
+    widths.
     """
     dt = lat.dt if dt is None else dt
     eps_list = sorted(eps_list, reverse=True)
@@ -783,22 +804,26 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     max_imag = 0.0
     seeds = list(seeds)
     drivers = [_HeatDriver(lat, dt) for _ in widths]
+    decay = drivers[0].decay        # the field is damped like the heat flow
+    kick = np.sqrt(1.0 - decay**2)
     for seed in seeds:
-        init = white_spectral(lat, step_rng(seed, 0, 0))
-        flds = [GaussianField(lat, w, lat.sigma_k(w, sh) * init, sh)
+        z = white_spectral(lat, step_rng(seed, 0, 0))
+        flds = [GaussianField(lat, w, lat.sigma_k(w, sh) * z, sh)
                 for w, sh in zip(widths, shapes)]
         for driver in drivers:
             driver.u_hat[...] = 0.0
         d_seed = np.zeros(len(eps_list) - 1)
         gap_seed = 0.0
         for step in range(n_steps):
-            white = white_spectral(lat, step_rng(seed, 0, step + 1))
             vs = []
             for driver, fld, c_eps in zip(drivers, flds, consts):
                 v, imag = _shifted_step(driver, fld, beta, c_eps)
                 max_imag = max(max_imag, imag)
                 vs.append(v)
-                fld.advance(white, dt)
+            z = decay * z + kick * white_spectral(
+                lat, step_rng(seed, 0, step + 1))
+            for fld in flds:
+                fld.coeffs = fld.sigma_k * z
             if step >= start:
                 for j in range(len(eps_list) - 1):
                     d_seed[j] = max(d_seed[j],

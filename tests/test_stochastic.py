@@ -77,6 +77,24 @@ class TestRealInputOracle:
         w = step_rng(self.SEED, sample, 0).standard_normal((lat.n, lat.n))
         return np.sqrt(lat.mode_variances(eps)) * np.fft.fft2(w) / lat.n
 
+    def draw_coeffs(self, lat, eps, sample, modes):
+        """The full Hermitian spectrum that sample_phi draws: with ``modes``
+        = c its modes |m| <= c, from the same Philox slot on the smallest
+        power-of-two grid m0 > 2c (the full draw at m0 >= n)."""
+        if modes is None:
+            return self.full_coeffs(lat, eps, sample)
+        m0 = 4
+        while m0 <= 2 * modes:
+            m0 *= 2
+        lo = lat.m2 <= modes**2
+        if m0 >= lat.n:
+            return np.where(lo, self.full_coeffs(lat, eps, sample), 0.0)
+        w = step_rng(self.SEED, sample, 0).standard_normal((m0, m0))
+        q = (np.fft.fftfreq(m0) * m0).astype(int) % lat.n
+        white = np.zeros((lat.n, lat.n), dtype=complex)
+        white[np.ix_(q, q)] = np.fft.fft2(w) / m0
+        return np.where(lo, np.sqrt(lat.mode_variances(eps)) * white, 0.0)
+
     def test_real_space_matches_full_inverse(self):
         lat = TorusLattice(self.N)
         for sample in range(3):
@@ -126,7 +144,7 @@ class TestRealInputOracle:
         amp = np.exp(0.5 * beta2 * float(np.where(lo, sk2, 0.0).sum()))
         acc_opp, acc_same = np.zeros((n, n)), np.zeros((n, n))
         for s in range(n_fields):
-            full = np.where(lo, self.full_coeffs(lat, self.EPS, s), 0.0)
+            full = self.draw_coeffs(lat, self.EPS, s, condition_modes)
             phi = np.real(np.fft.ifft2(full)) * n**2
             xi = amp * np.exp(1j * np.sqrt(beta2) * phi)
             acc_opp += np.real(translation_correlation(xi, np.conj(xi)))
@@ -159,7 +177,7 @@ class TestRealInputOracle:
         amp = np.exp(0.5 * beta2 * float(np.where(lo, sk2, 0.0).sum()))
         acc_opp, acc_same = np.zeros((n, n)), np.zeros((n, n))
         for s in range(n_fields):
-            full = np.where(lo, self.full_coeffs(lat, self.EPS, s), 0.0)
+            full = self.draw_coeffs(lat, self.EPS, s, modes)
             phi = np.real(np.fft.ifft2(full)) * n**2
             xi = amp * np.exp(1j * np.sqrt(beta2) * phi)
             acc_opp += np.real(translation_correlation(xi, np.conj(xi)))
@@ -195,8 +213,8 @@ class TestRealInputOracle:
         # summed power can move M from the first probe (16) to 32
         draw = stochastic.sample_phi
 
-        def flat_first(lat, eps, seed, sample=0):
-            fld = draw(lat, eps, seed, sample)
+        def flat_first(lat, eps, seed, sample=0, modes=None):
+            fld = draw(lat, eps, seed, sample, modes=modes)
             if sample == 0:
                 fld.coeffs = np.zeros_like(fld.coeffs)
             return fld
@@ -216,6 +234,52 @@ class TestRealInputOracle:
         assert m == 256
         assert power.shape == (512, 512) and cross is None
         assert len(draws) == 2      # field 0 settles M: no sum is redone
+
+
+class TestConditionedDraw:
+    """sample_phi(..., modes=c): only the low modes, drawn on a small grid."""
+
+    EPS, SEED = 2.0**-4, 5
+
+    @pytest.mark.parametrize("n, modes", [(64, 4), (512, 8)])
+    def test_low_block_only_with_hermitian_column_0(self, n, modes):
+        lat = TorusLattice(n)
+        coeffs = sample_phi(lat, self.EPS, self.SEED, 3, modes=modes).coeffs
+        lo = lat.m2[:, : lat.n_rfft] <= modes**2
+        assert not np.any(coeffs[~lo])
+        assert np.all(coeffs[lo & lat.nonzero[:, : lat.n_rfft]] != 0)
+        col = coeffs[:, 0]
+        k = np.arange(1, modes + 1)
+        assert np.allclose(col[-k], np.conj(col[k]), rtol=0,
+                           atol=1e-14 * np.abs(col).max())
+
+    @pytest.mark.parametrize("n, modes", [(16, 8), (32, 8), (32, 20)])
+    def test_small_grid_falls_back_to_the_full_draw(self, n, modes):
+        # m0 = 32 for c = 8 and 64 for c = 20, so the draw is the full one
+        lat, eps = TorusLattice(n), 2.0**-3
+        full = sample_phi(lat, eps, self.SEED, 2).coeffs
+        got = sample_phi(lat, eps, self.SEED, 2, modes=modes).coeffs
+        lo = lat.m2[:, : lat.n_rfft] <= modes**2
+        assert np.array_equal(got, np.where(lo, full, 0.0))
+
+    def test_opposite_profile_matches_the_exact_lattice_value(self):
+        """The conditioned estimator is unbiased for E[xi_+(0) xi_-(z)] =
+        exp(beta^2 Gamma(z)), Gamma = covariance_table.  Fixed before the
+        first run: 64^2, eps = 2^-4, beta^2 = 2 pi, c = 4 (drawn on 16^2),
+        16 batches of 16 fields at seeds 0..15, each shell within k = 4
+        batch standard errors.  Observed z = -0.92, -0.64, -0.48."""
+        lat, beta_sq, modes = TorusLattice(64), Fraction(2), 4
+        shifts, n_batches, n_fields, k = [8, 16, 32], 16, 16, 4.0
+        rows = np.array([correlation_slopes(
+            lat, self.EPS, beta_sq, seed, n_fields=n_fields, shifts=shifts,
+            want_same=False, condition_modes=modes).opposite
+            for seed in range(n_batches)])
+        exact = np.exp(2 * np.pi * covariance_table(lat, self.EPS))
+        m = np.fft.fftfreq(64) * 64
+        dist = np.hypot(*np.meshgrid(m, m, indexing="ij"))
+        ref = [exact[np.abs(dist - c) <= 0.5].mean() for c in shifts]
+        se = rows.std(axis=0, ddof=1) / np.sqrt(n_batches)
+        assert np.all(np.abs(rows.mean(axis=0) - ref) <= k * se)
 
 
 class TestSigmaCache:
