@@ -290,8 +290,6 @@ def cmd_sim_dipole(args):
 def cmd_sim_pde(args):
     from . import stochastic as st
     params = _params_from(args)
-    if float(params.beta_sq) >= 4.0:
-        raise UsageError("pde solver requires beta^2 < 4*pi")
     lat = _lattice(args)
     res = st.solve_pde(lat, args.eps, params.beta_sq, args.seed, args.t_end)
     final = res.final
@@ -308,8 +306,6 @@ def cmd_sim_pde(args):
 def cmd_sim_converge(args):
     from . import stochastic as st
     params = _params_from(args)
-    if float(params.beta_sq) >= 4.0:
-        raise UsageError("pde solver requires beta^2 < 4*pi")
     lat = _lattice(args)
     eps_list = args.eps_list or [2.0**-3, 2.0**-4, 2.0**-5]
     seeds = list(range(args.seed, args.seed + args.seeds))

@@ -158,6 +158,27 @@ def _clusters(vertices) -> list[frozenset]:
     return [frozenset(c) for k in range(2, len(vs)) for c in combinations(vs, k)]
 
 
+def _components(vertices, links) -> list[frozenset]:
+    """Connected components of ``vertices`` joined by the (u, v) pairs
+    ``links``, in the order of their first vertex in ``vertices``."""
+    par = {v: v for v in vertices}
+
+    def find(x):
+        while par[x] != x:
+            par[x] = par[par[x]]
+            x = par[x]
+        return x
+
+    for u, v in links:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            par[ru] = rv
+    groups: dict = {}
+    for v in vertices:
+        groups.setdefault(find(v), []).append(v)
+    return [frozenset(g) for g in groups.values()]
+
+
 def coalesce(vertices, edges) -> CoalescenceTree:
     """Cluster hierarchy determined by dyadic edge scales.
 
@@ -171,28 +192,9 @@ def coalesce(vertices, edges) -> CoalescenceTree:
     edges = list(edges)
     max_scale = max((s for _, _, s in edges), default=0)
 
-    def components(r: int) -> list[frozenset]:
-        par = {v: v for v in vs}
-
-        def find(x):
-            while par[x] != x:
-                par[x] = par[par[x]]
-                x = par[x]
-            return x
-
-        for u, v, s in edges:
-            if s >= r:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    par[ru] = rv
-        groups: dict = {}
-        for v in vs:
-            groups.setdefault(find(v), []).append(v)
-        return [frozenset(g) for g in groups.values()]
-
     clusters: dict[frozenset, int] = {}
     for r in range(max_scale + 2):
-        comps = components(r)
+        comps = _components(vs, ((u, v) for u, v, s in edges if s >= r))
         if r == 0 and len(comps) != 1:
             raise ValueError("graph must be connected at scale zero")
         for c in comps:
@@ -523,23 +525,8 @@ def sign_audit_big_graph(d: MomentDiagram, forest, s_cut=(), d_cut=()
 
 def _k_components(d: MomentDiagram, M: frozenset) -> list[frozenset]:
     M = frozenset(M) - {BASE_POINT}
-    par = {u: u for u in M}
-
-    def find(x):
-        while par[x] != x:
-            par[x] = par[par[x]]
-            x = par[x]
-        return x
-
-    for e in d.kernel_edges:
-        if e in M and d.parent[e] in M:
-            ru, rv = find(e), find(d.parent[e])
-            if ru != rv:
-                par[ru] = rv
-    groups: dict = {}
-    for u in M:
-        groups.setdefault(find(u), []).append(u)
-    return [frozenset(g) for g in groups.values()]
+    return _components(M, ((e, d.parent[e]) for e in d.kernel_edges
+                           if e in M and d.parent[e] in M))
 
 
 def sign_audit_large_scale(d: MomentDiagram, forest, s_cut=(), d_cut=()

@@ -13,15 +13,15 @@ One real exponential-Euler integrator steps heat flows on half-spectra: the
 dipole's complex profile is two of them, driven by C cos(beta Phi) and
 C sin(beta Phi), and the shifted equation one, whose imaginary residue is
 read from its self-conjugate columns.  The dipole counterterm is exact, not
-sampled.  The conditioned charge correlation draws only the field modes
-|m| <= c, from white noise on the smallest power-of-two grid M0 > 2c (the
-full n^2 draw when M0 >= n).  Their chaos is band-limited to roundoff, so it
-is evaluated on the smallest power-of-two M^2 grid whose outer band holds at
-most 1e-14 of the power, and zero-padded to n^2 once (M = n without
-conditioning, and then the sums are the full-grid ones).  The convergence
-study's widths share one unit-variance OU process z of the modes, each width
-being sigma_k z.  All noise comes from counter-based generators
-keyed by (seed, sample, step): runs are reproducible in any order.
+sampled.  The charge correlation conditions on the field modes |m| <= c
+(every mode by default) and draws only those, from white noise on the
+smallest power-of-two grid M0 > 2c (the full n^2 draw when M0 >= n), placed
+straight onto the coarse grid of their chaos: the smallest power-of-two M^2
+grid whose outer band holds at most 1e-14 of the power.  The products are
+zero-padded to n^2 once (at M = n they are the full-grid sums).  The
+convergence study's widths share one unit-variance OU process z of the
+modes, each width being sigma_k z.  All noise comes from counter-based
+generators keyed by (seed, sample, step): runs are reproducible in any order.
 """
 
 from __future__ import annotations
@@ -193,32 +193,13 @@ class GaussianField:
         self.coeffs = decay * self.coeffs + kick * white
 
 
-def _fold(size: int, n: int) -> np.ndarray:
-    """Index on an n grid of each frequency of a size grid (size <= n)."""
-    return (np.fft.fftfreq(size) * size).astype(int) % n
-
-
 def sample_phi(lat: TorusLattice, eps: float, seed: int, sample: int = 0,
-               shape: str = GAUSS, modes: int | None = None) -> GaussianField:
-    """Equilibrium sample, deterministic in (seed, sample).
-
-    With ``modes`` = c only the low modes |m| <= c are drawn and the others
-    are zero.  They come from real white noise on the smallest power-of-two
-    grid M0 > 2c, where they do not alias and have the joint law of the full
-    draw's low modes, rows +-k of column 0 Hermitian pairs included.  At
-    M0 >= n the white noise is the full draw, so the low modes are its own.
-    """
+               shape: str = GAUSS) -> GaussianField:
+    """Equilibrium sample, deterministic in (seed, sample): sigma_k times
+    the white noise of the Philox slot (seed, sample, 0)."""
     rng = step_rng(seed, sample, 0)
-    sk = lat.sigma_k(eps, shape)
-    if modes is None:
-        return GaussianField(lat, eps, sk * white_spectral(lat, rng), shape)
-    size = min(lat.n, 1 << max(2, (2 * modes).bit_length()))
-    small = lat if size == lat.n else TorusLattice(size)
-    block = np.ix_(_fold(size, lat.n), np.arange(small.n_rfft))
-    keep = small.m2[:, : small.n_rfft] <= modes**2
-    coeffs = np.zeros(sk.shape, dtype=complex)
-    coeffs[block] = np.where(keep, sk[block] * white_spectral(small, rng), 0.0)
-    return GaussianField(lat, eps, coeffs, shape)
+    return GaussianField(lat, eps, lat.sigma_k(eps, shape)
+                         * white_spectral(lat, rng), shape)
 
 
 def wick_exponential(phi: np.ndarray, beta_sq, c_eps: float,
@@ -276,17 +257,6 @@ def translation_correlation(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(np.conj(np.fft.fft2(np.conj(f))) * np.fft.fft2(g)) / n2
 
 
-def _shell_masks(n: int, radii_cells) -> dict:
-    m = np.fft.fftfreq(n) * n
-    mx, my = np.meshgrid(m, m, indexing="ij")
-    dist = np.sqrt(mx**2 + my**2)
-    return {c: np.abs(dist - c) <= 0.5 for c in radii_cells}
-
-
-def _shell_profile(table: np.ndarray, masks: dict, radii_cells) -> list[float]:
-    return [float(np.mean(table[masks[c]])) for c in radii_cells]
-
-
 @dataclass
 class CorrelationReport:
     radii: list
@@ -312,34 +282,48 @@ def dyadic_shifts(lat: TorusLattice, r_min: float, r_max: float) -> list[int]:
 _BAND_SHARE = 1e-14     # largest outer-band share of the coarse chaos power
 
 
+def _fold(size: int, n: int) -> np.ndarray:
+    """Index on an n grid of each frequency of a size grid (size <= n)."""
+    return (np.fft.fftfreq(size) * size).astype(int) % n
+
+
 def _chaos_spectra(lat: TorusLattice, eps: float, beta_sq, seed: int,
-                   n_fields: int, amp: float, modes: int | None,
-                   want_same: bool):
+                   n_fields: int, amp: float, modes: int, want_same: bool):
     """Spectral products of the chaos amp * exp(-i beta Phi), summed over
     fields: returns (M, power, cross) with power = sum |a|^2 and, when
     ``want_same``, cross = sum a(k) a(-k), for a = fft2 of one field's chaos,
     both as n-by-n tables.
 
-    With ``modes`` = c each field is drawn by ``sample_phi(..., modes=c)``,
-    which draws only its modes |m| <= c.  Such a field is a trigonometric
-    polynomial of degree c, and the spectrum of its chaos decays faster than
-    exponentially.  So its half-spectrum is cropped to an M^2 grid, where
-    the chaos is evaluated, and its products are summed there, zero-padded
-    to n^2 and scaled by (n/M)^4.  M starts at the smallest power of two
-    >= 4 (c + 1) and doubles while the outer band max(|q1|, |q2|) >= 3M/8
-    holds more than ``_BAND_SHARE`` of field 0's power; if the summed power
-    then exceeds the same share, M doubles and the sums are redone.  M never
-    exceeds n, and at M = n (always when ``modes`` is None) these are the
-    full-grid sums.
+    Each field has only its modes |m| <= c = ``modes``.  They are drawn from
+    the white noise of the Philox slot (seed, sample, 0) on the smallest
+    power-of-two grid M0 > 2c, where they do not alias and have the joint
+    law of an n^2 draw's low modes, rows +-k of column 0 Hermitian pairs
+    included; at M0 = n they are that draw's own.  Such a field is a
+    trigonometric polynomial of degree c, and the spectrum of its chaos
+    decays faster than exponentially.  So its half-spectrum is placed on an
+    M^2 grid, where the chaos is evaluated, and its products are summed
+    there, zero-padded to n^2 and scaled by (n/M)^4.  M starts at the
+    smallest power of two >= 4 (c + 1) and doubles while the outer band
+    max(|q1|, |q2|) >= 3M/8 holds more than ``_BAND_SHARE`` of field 0's
+    power; if the summed power then exceeds the same share, M doubles and
+    the sums are redone.  M never exceeds n, and at M = n (always when
+    4c >= n) these are the full-grid sums.
     """
     n = lat.n
-    size = n if modes is None else min(n, 1 << (4 * modes + 3).bit_length())
+    size0 = min(n, 1 << max(2, (2 * modes).bit_length()))
+    small = lat if size0 == n else TorusLattice(size0)
+    cols = np.arange(small.n_rfft)
+    sk_lo = np.where(small.m2[:, cols] <= modes**2,
+                     lat.sigma_k(eps)[np.ix_(_fold(size0, n), cols)], 0.0)
+    size = min(n, 1 << (4 * modes + 3).bit_length())
 
-    def spectrum(coeffs, size):
-        # a conditioned half-spectrum is zero outside |m| <= c < M/2, so
-        # cropping it to the M grid aliases nothing
-        tab = (coeffs if size == n else
-               coeffs[np.ix_(_fold(size, n), np.arange(size // 2 + 1))])
+    def draw(sample):
+        return sk_lo * white_spectral(small, step_rng(seed, sample, 0))
+
+    def spectrum(low, size):
+        # M >= M0, so each drawn mode keeps its frequency on the M grid
+        tab = np.zeros((size, size // 2 + 1), dtype=complex)
+        tab[np.ix_(_fold(size0, size), cols)] = low
         phi = np.fft.irfft2(tab, s=(size, size)) * size**2
         return np.fft.fft2(wick_exponential(phi, beta_sq, amp, sign=-1))
 
@@ -348,8 +332,8 @@ def _chaos_spectra(lat: TorusLattice, eps: float, beta_sq, seed: int,
         band = np.maximum.outer(q, q) >= 3 * len(power) / 8
         return power[band].sum() / power.sum()
 
-    coeffs0 = sample_phi(lat, eps, seed, sample=0, modes=modes).coeffs
-    while (size < n and outer_share(np.abs(spectrum(coeffs0, size))**2)
+    low0 = draw(0)
+    while (size < n and outer_share(np.abs(spectrum(low0, size))**2)
            > _BAND_SHARE):
         size *= 2
     while True:
@@ -357,9 +341,7 @@ def _chaos_spectra(lat: TorusLattice, eps: float, beta_sq, seed: int,
         cross = np.zeros((size, size), dtype=complex) if want_same else None
         flip = (-np.arange(size)) % size
         for s in range(n_fields):
-            coeffs = (coeffs0 if s == 0 else
-                      sample_phi(lat, eps, seed, sample=s, modes=modes).coeffs)
-            a = spectrum(coeffs, size)
+            a = spectrum(low0 if s == 0 else draw(s), size)
             if want_same:
                 cross += a * a[flip][:, flip]
             power += a.real**2
@@ -395,17 +377,18 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
     Shifts must lie between 2 eps n and n/2 cells: a shell of larger radius
     wraps around the torus.
 
-    ``condition_modes`` enables conditional Monte Carlo: modes above the
-    cutoff are integrated out exactly (their contribution to each two-point
-    function is a deterministic Gaussian factor), and only the low-pass
-    field is sampled: only its modes |m| <= c are drawn, from white noise on
-    a grid just large enough to hold them without aliasing (see
-    ``sample_phi``).  The estimator stays unbiased while the variance
-    inflation from the fine modes — severe at strong coupling — disappears.
-    The low-pass field's chaos is band-limited to roundoff, so its spectral
-    products are computed on the smallest power-of-two grid whose outer band
-    holds at most 1e-14 of the power (see ``_chaos_spectra``); without
-    conditioning they are computed on the full grid.
+    The estimator is conditional Monte Carlo on the modes |m| <= c =
+    ``condition_modes`` (None: every mode).  Modes above the cutoff are
+    integrated out exactly (their contribution to each two-point function
+    is a deterministic Gaussian factor), and only the low-pass field is
+    sampled: only its modes |m| <= c are drawn, from white noise on a grid
+    just large enough to hold them without aliasing.  The estimator stays
+    unbiased while the variance inflation from the fine modes — severe at
+    strong coupling — disappears.  The low-pass field's chaos is
+    band-limited to roundoff, so its spectral products are computed on the
+    smallest power-of-two grid whose outer band holds at most 1e-14 of the
+    power (see ``_chaos_spectra``).  With every mode kept, the factor is 1,
+    the amplitude is ``renorm_constant`` and the grids are the full one.
     """
     n = lat.n
     if shifts is None:
@@ -416,35 +399,32 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
         raise ValueError(f"shifts above n/2 = {n // 2} cells wrap around "
                          f"the torus")
     beta2 = float(Fraction(beta_sq)) * np.pi
-    masks = _shell_masks(n, shifts)
-    if condition_modes is not None:
-        lo = lat.m2 <= condition_modes**2
-        sk2 = lat.mode_variances(eps)
-        cov_hi = np.real(np.fft.ifft2(np.where(lo, 0.0, sk2))) * n**2
-        amp_lo = np.exp(0.5 * beta2 * float(np.where(lo, sk2, 0.0).sum()))
-        fac_opp = np.exp(beta2 * cov_hi)
-        fac_same = np.exp(-beta2 * cov_hi) if want_same else None
-    else:
-        amp_lo = renorm_constant(lat, eps, beta_sq)
-        fac_opp = fac_same = 1.0
+    modes = n if condition_modes is None else condition_modes
+    lo = lat.m2 <= modes**2
+    sk2 = lat.mode_variances(eps)
+    cov_hi = np.real(np.fft.ifft2(np.where(lo, 0.0, sk2))) * n**2
+    amp_lo = np.exp(0.5 * beta2 * float(np.where(lo, sk2, 0.0).sum()))
     # Both correlations are linear in per-field spectral products, so the
     # products are summed over fields, on the coarse grid of _chaos_spectra,
     # and inverted once on the n grid.  With a = fft2(conj xi):
     # translation_correlation(xi, conj xi) inverts |a|^2, and
     # translation_correlation(xi, xi) inverts conj(a(k) a(-k)).
     _, power_opp, cross_same = _chaos_spectra(
-        lat, eps, beta_sq, seed, n_fields, amp_lo, condition_modes, want_same)
+        lat, eps, beta_sq, seed, n_fields, amp_lo, modes, want_same)
     scale = n * n * n_fields
-    acc_opp = np.real(np.fft.ifft2(power_opp)) / scale * fac_opp
+    shells = [np.abs(np.sqrt(lat.m2) - c) <= 0.5 for c in shifts]
+
+    def profile(table):
+        return [float(np.mean(table[sh])) for sh in shells]
 
     radii = [c / n for c in shifts]
-    opp = _shell_profile(acc_opp, masks, shifts)
+    opp = profile(np.real(np.fft.ifft2(power_opp)) / scale
+                  * np.exp(beta2 * cov_hi))
     lr = np.log(radii)
     slope_o = float(np.polyfit(lr, np.log(opp), 1)[0])
     if want_same:
-        acc_same = (np.real(np.fft.ifft2(np.conj(cross_same))) / scale
-                    * fac_same)
-        same = _shell_profile(acc_same, masks, shifts)
+        same = profile(np.real(np.fft.ifft2(np.conj(cross_same))) / scale
+                       * np.exp(-beta2 * cov_hi))
         slope_s = float(np.polyfit(lr, np.log(same), 1)[0])
         prod = float(np.polyfit(
             lr, np.log(np.array(opp) * np.array(same)), 1)[0])
@@ -537,10 +517,11 @@ class DipoleReport:
 
 def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
                        sample: int, collect):
-    """Run one stationary trajectory, invoking ``collect(drivers, forcings,
-    f_hats)`` on each measured slice after burn-in: the two real drivers of
-    u = u_c + i u_s, their forcings (c, s) = C (cos, sin)(beta Phi), the
-    components of xi_plus, and the half-spectra of (c, s).
+    """Run one stationary trajectory up to its last measured slice,
+    invoking ``collect(drivers, forcings, f_hats)`` on each slice of
+    ``_measured_steps``: the two real drivers of u = u_c + i u_s, their
+    forcings (c, s) = C (cos, sin)(beta Phi), the components of xi_plus,
+    and the half-spectra of (c, s).
 
     Only differences of the profile enter the estimator, so its undamped
     mean is projected out after each step; f_hats keep their zero modes.
@@ -549,16 +530,15 @@ def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
     c_eps = renorm_constant(lat, cfg.eps, cfg.beta_sq)
     fld = sample_phi(lat, cfg.eps, seed, sample)
     drivers = _HeatDriver(lat, cfg.dt), _HeatDriver(lat, cfg.dt)
-    n_burn = int(round(cfg.t_burn / cfg.dt))
-    n_meas = int(round(cfg.t_measure / cfg.dt))
-    for step in range(n_burn + n_meas):
+    measured = set(_measured_steps(cfg).tolist())
+    for step in range(max(measured) + 1):
         x = beta * fld.real_space()
         forcings = c_eps * np.cos(x), c_eps * np.sin(x)
         f_hats = drivers[0].step(forcings[0]), drivers[1].step(forcings[1])
         drivers[0].u_hat[0, 0] = drivers[1].u_hat[0, 0] = 0.0
         fld.advance(white_spectral(lat, step_rng(seed, sample, step + 1)),
                     cfg.dt)
-        if step >= n_burn and (step - n_burn) % cfg.stride == 0:
+        if step in measured:
             collect(drivers, forcings, f_hats)
 
 
@@ -708,6 +688,11 @@ def _shifted_step(driver: _HeatDriver, fld: GaussianField, beta: float,
     return v, imag
 
 
+def _check_pde_coupling(beta_sq):
+    if float(Fraction(beta_sq)) >= 4.0:
+        raise ValueError("pde solver requires beta^2 < 4*pi")
+
+
 def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
               t_end: float, v0: np.ndarray | None = None,
               dt: float | None = None, shape: str = GAUSS, sample: int = 0,
@@ -715,8 +700,9 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
     """Exponential-Euler solve of the shifted equation.
 
     The drift is half the Laplacian and the reaction is the sine
-    nonlinearity of ``_shifted_step``.
+    nonlinearity of ``_shifted_step``.  Only beta^2 < 4 pi is accepted.
     """
+    _check_pde_coupling(beta_sq)
     dt = lat.dt if dt is None else dt
     beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
     c_eps = renorm_constant(lat, eps, beta_sq, shape)
@@ -780,8 +766,9 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     modes: each width's coefficients are sigma_k z for one unit-variance OU
     process z, advanced once per step.  d is the sup over the late-time
     space-time grid of the difference between solutions at consecutive
-    widths.
+    widths.  Only beta^2 < 4 pi is accepted.
     """
+    _check_pde_coupling(beta_sq)
     dt = lat.dt if dt is None else dt
     eps_list = sorted(eps_list, reverse=True)
     if len(eps_list) < 2:

@@ -62,6 +62,13 @@ class TestExitCodes:
         assert code == 2
         assert "p must be positive" in err
 
+    @pytest.mark.parametrize("sub", ["pde", "converge"])
+    def test_shifted_equation_refuses_beta_sq_4pi(self, capsys, sub):
+        code, out, err = run_cli(["sim", sub, "--beta2-over-pi", "4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: pde solver requires beta^2 < 4*pi\n"
+
     def test_internal_fault_is_not_a_usage_error(self, capsys, monkeypatch):
         from sinegordon import cli
 

@@ -67,6 +67,13 @@ class TestField:
         assert abs(after - before) < 0.5 * before + 0.2
 
 
+class ZeroNoise:
+    """A generator whose normal draws are all zero."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
 class TestRealInputOracle:
     """The half-spectrum path against the full complex transforms."""
 
@@ -130,7 +137,8 @@ class TestRealInputOracle:
             got = wick_exponential(phi, Fraction(5), c, sign=sign)
             assert np.allclose(got, ref, rtol=1e-13, atol=0)
 
-    @pytest.mark.parametrize("condition_modes", [None, 4])
+    # c = 20 draws on m0 = 64 >= n, so its modes are the full draw's own
+    @pytest.mark.parametrize("condition_modes", [None, 4, 20])
     @pytest.mark.parametrize("want_same", [True, False])
     def test_correlation_slopes_match_per_field_sum(self, want_same,
                                                     condition_modes):
@@ -211,54 +219,67 @@ class TestRealInputOracle:
     def test_summed_share_refines_the_probe(self, monkeypatch):
         # a constant field 0 has no outer band, so only the check on the
         # summed power can move M from the first probe (16) to 32
-        draw = stochastic.sample_phi
-
-        def flat_first(lat, eps, seed, sample=0, modes=None):
-            fld = draw(lat, eps, seed, sample, modes=modes)
-            if sample == 0:
-                fld.coeffs = np.zeros_like(fld.coeffs)
-            return fld
-
-        monkeypatch.setattr(stochastic, "sample_phi", flat_first)
+        rng = stochastic.step_rng
+        monkeypatch.setattr(stochastic, "step_rng", lambda seed, sample, step:
+                            ZeroNoise() if sample == 0
+                            else rng(seed, sample, step))
         m, _, _ = _chaos_spectra(TorusLattice(64), self.EPS, Fraction(1, 4),
                                  self.SEED, 6, 1.0, 2, False)
         assert m == 32
 
     def test_criterion_09_grid_is_chosen_by_the_probe(self, monkeypatch):
-        draws = []
-        draw = stochastic.sample_phi
-        monkeypatch.setattr(stochastic, "sample_phi",
-                            lambda *a, **k: draws.append(a) or draw(*a, **k))
+        slots = []
+        rng = stochastic.step_rng
+        monkeypatch.setattr(stochastic, "step_rng",
+                            lambda *slot: slots.append(slot) or rng(*slot))
         m, power, cross = _chaos_spectra(TorusLattice(512), 2.0**-7,
                                          Fraction(5), 11, 2, 1.0, 8, False)
         assert m == 256
         assert power.shape == (512, 512) and cross is None
-        assert len(draws) == 2      # field 0 settles M: no sum is redone
+        # one draw per field: field 0 settles M, so no sum is redone
+        assert slots == [(11, 0, 0), (11, 1, 0)]
 
 
 class TestConditionedDraw:
-    """sample_phi(..., modes=c): only the low modes, drawn on a small grid."""
+    """The fields of _chaos_spectra: only the modes |m| <= c, drawn on a
+    small grid and placed on the M grid."""
 
     EPS, SEED = 2.0**-4, 5
 
+    def drawn_tables(self, monkeypatch, lat, eps, modes):
+        """Every M-grid half-spectrum of field 0 that _chaos_spectra
+        inverts, one per probed M (the last at the settled M)."""
+        tables = []
+        irfft2 = np.fft.irfft2
+        monkeypatch.setattr(np.fft, "irfft2", lambda a, s: tables.append(
+            a.copy()) or irfft2(a, s=s))
+        _chaos_spectra(lat, eps, Fraction(1, 4), self.SEED, 1, 1.0, modes,
+                       False)
+        monkeypatch.undo()
+        return tables
+
     @pytest.mark.parametrize("n, modes", [(64, 4), (512, 8)])
-    def test_low_block_only_with_hermitian_column_0(self, n, modes):
-        lat = TorusLattice(n)
-        coeffs = sample_phi(lat, self.EPS, self.SEED, 3, modes=modes).coeffs
-        lo = lat.m2[:, : lat.n_rfft] <= modes**2
-        assert not np.any(coeffs[~lo])
-        assert np.all(coeffs[lo & lat.nonzero[:, : lat.n_rfft]] != 0)
-        col = coeffs[:, 0]
-        k = np.arange(1, modes + 1)
-        assert np.allclose(col[-k], np.conj(col[k]), rtol=0,
-                           atol=1e-14 * np.abs(col).max())
+    def test_low_block_only_with_hermitian_column_0(self, monkeypatch, n,
+                                                    modes):
+        for tab in self.drawn_tables(monkeypatch, TorusLattice(n), self.EPS,
+                                     modes):
+            grid = TorusLattice(len(tab))
+            m2 = grid.m2[:, : grid.n_rfft]
+            lo = m2 <= modes**2
+            assert not np.any(tab[~lo])
+            assert np.all(tab[lo & (m2 > 0)] != 0)
+            col = tab[:, 0]
+            k = np.arange(1, modes + 1)
+            assert np.allclose(col[-k], np.conj(col[k]), rtol=0,
+                               atol=1e-14 * np.abs(col).max())
 
     @pytest.mark.parametrize("n, modes", [(16, 8), (32, 8), (32, 20)])
-    def test_small_grid_falls_back_to_the_full_draw(self, n, modes):
+    def test_small_grid_falls_back_to_the_full_draw(self, monkeypatch, n,
+                                                    modes):
         # m0 = 32 for c = 8 and 64 for c = 20, so the draw is the full one
         lat, eps = TorusLattice(n), 2.0**-3
-        full = sample_phi(lat, eps, self.SEED, 2).coeffs
-        got = sample_phi(lat, eps, self.SEED, 2, modes=modes).coeffs
+        full = sample_phi(lat, eps, self.SEED, 0).coeffs
+        got = self.drawn_tables(monkeypatch, lat, eps, modes)[-1]
         lo = lat.m2[:, : lat.n_rfft] <= modes**2
         assert np.array_equal(got, np.where(lo, full, 0.0))
 
@@ -441,6 +462,14 @@ class TestPDE:
             convergence_study(lat, Fraction(2), [2.0**-3], [0])
         with pytest.raises(ValueError):
             convergence_study(lat, Fraction(2), [2.0**-3, 2.0**-3.5], [0])
+
+    @pytest.mark.parametrize("beta_sq", [Fraction(4), Fraction(9, 2)])
+    def test_coupling_at_or_above_4pi_refused(self, beta_sq):
+        lat = TorusLattice(8)
+        with pytest.raises(ValueError, match=r"beta\^2 < 4\*pi"):
+            solve_pde(lat, 0.25, beta_sq, seed=0, t_end=lat.dt)
+        with pytest.raises(ValueError, match=r"beta\^2 < 4\*pi"):
+            convergence_study(lat, beta_sq, [0.5, 0.25], [0], t_end=lat.dt)
 
     def test_quartic_width_calibration(self):
         lat = TorusLattice(64)
