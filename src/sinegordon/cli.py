@@ -312,8 +312,7 @@ def cmd_sim_converge(args):
     rep = st.convergence_study(lat, params.beta_sq, eps_list, seeds,
                                t_end=args.t_end)
     if args.out_csv:
-        rows = list(zip(rep.eps_list[1:], rep.d_values,
-                        [0.0] * len(rep.d_values)))
+        rows = list(zip(rep.eps_list[1:], rep.d_values, rep.stderrs))
         _emit_csv(args.out_csv, rows)
     _emit(args, _payload(args, rep.as_dict()))
     # criterion 11: ratios <= 0.85, the swap gap, and a real solution

@@ -11,17 +11,19 @@ so they are stored as ``rfft2`` half-spectra (the n // 2 + 1 non-negative
 frequencies of the last axis) and transformed with ``rfft2``/``irfft2``.
 One real exponential-Euler integrator steps heat flows on half-spectra: the
 dipole's complex profile is two of them, driven by C cos(beta Phi) and
-C sin(beta Phi), and the shifted equation one, whose imaginary residue is
-read from its self-conjugate columns.  The dipole counterterm is exact, not
-sampled.  The charge correlation conditions on the field modes |m| <= c
-(every mode by default) and draws only those, from white noise on the
-smallest power-of-two grid M0 > 2c (the full n^2 draw when M0 >= n), placed
-straight onto the coarse grid of their chaos: the smallest power-of-two M^2
-grid whose outer band holds at most 1e-14 of the power.  The products are
-zero-padded to n^2 once (at M = n they are the full-grid sums).  The
-convergence study's widths share one unit-variance OU process z of the
-modes, each width being sigma_k z.  All noise comes from counter-based
-generators keyed by (seed, sample, step): runs are reproducible in any order.
+C sin(beta Phi), and the shifted equation one, its reaction from one irfft2
+of the summed half-spectra of Phi and v, its imaginary residue from its
+self-conjugate columns.  The dipole counterterm is exact, not sampled.  The
+charge correlation conditions on the field modes |m| <= c (every mode by
+default) and draws only those, from white noise on the smallest power-of-two
+grid M0 > 2c (the full n^2 draw when M0 >= n), placed straight onto the
+coarse grid of their chaos: the smallest power-of-two M^2 grid whose outer
+band holds at most 1e-14 of the power.  The products are zero-padded to n^2
+once (at M = n they are the full-grid sums).  The convergence study's widths
+share one unit-variance OU process z of the modes, each width being
+sigma_k z; its sup-distances invert half-spectral differences.  All noise
+comes from counter-based generators keyed by (seed, sample, step): runs are
+reproducible in any order.
 """
 
 from __future__ import annotations
@@ -152,6 +154,8 @@ def calibrate_width(lat: TorusLattice, eps_ref: float,
         raise ValueError("target variance not reachable at resolvable widths")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:       # adjacent floats: neither end can move
+            break
         if sigma2(lat, mid, shape) > target:
             lo = mid
         else:
@@ -674,18 +678,22 @@ class PDEResult:
         return self.snapshots[-1]
 
 
-def _shifted_step(driver: _HeatDriver, fld: GaussianField, beta: float,
-                  c_eps: float) -> tuple[np.ndarray, float]:
-    """One step of the shifted equation on ``driver``; returns the
-    solution v before it and the driver's imaginary residue at that time.
+def _shifted_step(driver: _HeatDriver, phi_hat: np.ndarray, beta: float,
+                  c_eps: float) -> float:
+    """One step of the shifted equation on ``driver``, with ``phi_hat`` the
+    ``rfft2`` half-spectrum of Phi; returns the driver's imaginary residue
+    before the step.
 
     The reaction is the imaginary part of the positive chaos twisted by v;
     the two charges are exact conjugates, so it is the real field
-    Im(e^{i beta v} C e^{i beta Phi}) = C sin(beta (Phi + v)).
+    Im(e^{i beta v} C e^{i beta Phi}) = C sin(beta (Phi + v)), and Phi + v
+    is one ``irfft2`` of the summed half-spectra.
     """
-    v, imag = driver.profile(), driver.imag_residue()
-    driver.step(c_eps * np.sin(beta * (fld.real_space() + v)))
-    return v, imag
+    imag, n = driver.imag_residue(), driver.n
+    x = np.fft.irfft2(driver.u_hat + phi_hat, s=(n, n))
+    x *= beta               # in place: fewer full-grid temporaries per step
+    driver.step(np.multiply(np.sin(x, out=x), c_eps, out=x))
+    return imag
 
 
 def _check_pde_coupling(beta_sq):
@@ -715,8 +723,8 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
     times, snaps = [0.0], [driver.profile()]
     max_imag = 0.0
     for step in range(n_steps):
-        _, imag = _shifted_step(driver, fld, beta, c_eps)
-        max_imag = max(max_imag, imag)
+        max_imag = max(max_imag, _shifted_step(driver, lat.n**2 * fld.coeffs,
+                                               beta, c_eps))
         fld.advance(white_spectral(lat, step_rng(seed, sample, step + 1)), dt)
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
             times.append((step + 1) * dt)
@@ -733,6 +741,7 @@ class ConvergenceReport:
     swap_gap: float
     max_imag: float
     n_seeds: int
+    stderrs: list = field(default_factory=list)   # seed-to-seed SE of each d
 
     @property
     def ratios_ok(self) -> bool:
@@ -749,9 +758,9 @@ class ConvergenceReport:
             "d_values": [float(d) for d in self.d_values],
             "ratios": [float(r) for r in self.ratios],
             "ratios_ok": self.ratios_ok,
-            "swap_gap": self.swap_gap,
+            "swap_gap": float(self.swap_gap),
             "swap_ok": self.swap_ok,
-            "max_imag": self.max_imag,
+            "max_imag": float(self.max_imag),
             "n_seeds": self.n_seeds,
         }
 
@@ -766,7 +775,9 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     modes: each width's coefficients are sigma_k z for one unit-variance OU
     process z, advanced once per step.  d is the sup over the late-time
     space-time grid of the difference between solutions at consecutive
-    widths.  Only beta^2 < 4 pi is accepted.
+    widths, each an ``irfft2`` of their half-spectral difference, and the
+    swap gap is that of the finest Gaussian and the quartic.  Only
+    beta^2 < 4 pi is accepted.
     """
     _check_pde_coupling(beta_sq)
     dt = lat.dt if dt is None else dt
@@ -782,45 +793,38 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     widths = eps_list + [swap_eps]
     consts = [renorm_constant(lat, w, beta_sq, sh)
               for w, sh in zip(widths, shapes)]
+    # the dyadic neighbours, then the swap pair (finest Gaussian, quartic)
+    pairs = [(j, j + 1) for j in range(len(eps_list))]
 
-    n_steps = int(round(t_end / dt))
+    n, n_steps = lat.n, int(round(t_end / dt))
     start = int(round(t_start_frac * n_steps))
 
-    d_acc = np.zeros(len(eps_list) - 1)
-    gap_acc = 0.0
-    max_imag = 0.0
     seeds = list(seeds)
+    sups = np.zeros((len(seeds), len(pairs)))     # per seed, per pair
+    max_imag = 0.0
     drivers = [_HeatDriver(lat, dt) for _ in widths]
+    # rfft2 of a width's field is n^2 sigma_k z (n^2 scales exactly)
+    scales = [n**2 * lat.sigma_k(w, sh) for w, sh in zip(widths, shapes)]
     decay = drivers[0].decay        # the field is damped like the heat flow
     kick = np.sqrt(1.0 - decay**2)
-    for seed in seeds:
+    for sup, seed in zip(sups, seeds):
         z = white_spectral(lat, step_rng(seed, 0, 0))
-        flds = [GaussianField(lat, w, lat.sigma_k(w, sh) * z, sh)
-                for w, sh in zip(widths, shapes)]
         for driver in drivers:
             driver.u_hat[...] = 0.0
-        d_seed = np.zeros(len(eps_list) - 1)
-        gap_seed = 0.0
         for step in range(n_steps):
-            vs = []
-            for driver, fld, c_eps in zip(drivers, flds, consts):
-                v, imag = _shifted_step(driver, fld, beta, c_eps)
-                max_imag = max(max_imag, imag)
-                vs.append(v)
+            if step >= start:           # sup |v_a - v_b| before the step
+                diffs = (np.fft.irfft2(drivers[a].u_hat - drivers[b].u_hat,
+                                       s=(n, n)) for a, b in pairs)
+                np.maximum(sup, [np.max(np.abs(d)) for d in diffs], out=sup)
+            for driver, scale, c_eps in zip(drivers, scales, consts):
+                max_imag = max(max_imag,
+                               _shifted_step(driver, scale * z, beta, c_eps))
             z = decay * z + kick * white_spectral(
                 lat, step_rng(seed, 0, step + 1))
-            for fld in flds:
-                fld.coeffs = fld.sigma_k * z
-            if step >= start:
-                for j in range(len(eps_list) - 1):
-                    d_seed[j] = max(d_seed[j],
-                                    float(np.max(np.abs(vs[j] - vs[j + 1]))))
-                gap_seed = max(gap_seed,
-                               float(np.max(np.abs(vs[len(eps_list) - 1]
-                                                   - vs[-1]))))
-        d_acc += d_seed
-        gap_acc += gap_seed
-    d_vals = list(d_acc / len(seeds))
+    d_vals = list(sups[:, :-1].mean(axis=0))
     ratios = [d_vals[j + 1] / d_vals[j] for j in range(len(d_vals) - 1)]
+    errs = (sups[:, :-1].std(axis=0, ddof=1) / np.sqrt(len(seeds))
+            if len(seeds) > 1 else np.full(len(d_vals), np.nan))
     return ConvergenceReport(eps_list, swap_eps, d_vals, ratios,
-                             gap_acc / len(seeds), max_imag, len(seeds))
+                             float(sups[:, -1].mean()), max_imag, len(seeds),
+                             errs.tolist())

@@ -172,6 +172,34 @@ class TestSubcommands:
         assert 0 < res["max_imag"] < 1e-12
         assert code == (0 if res["ratios_ok"] and res["swap_ok"] else 1)
 
+    def test_converge_csv_stderr(self, tmp_path, capsys):
+        """The CSV's stderr column is the seed-to-seed standard error of
+        each d, checked against the study run one seed at a time."""
+        from fractions import Fraction
+
+        import numpy as np
+        from sinegordon import stochastic as st
+        dt, eps_list = 2.0**-8, [2.0**-2, 2.0**-3, 2.0**-4]
+        csv_path = tmp_path / "converge.csv"
+        run_cli(["sim", "converge", "--beta2-over-pi", "2", "--n", "32",
+                 "--dt", repr(dt), "--eps-list", *map(repr, eps_list),
+                 "--t-end", repr(16 * dt), "--seed", "5", "--seeds", "2",
+                 "--out-csv", str(csv_path)], capsys)
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[0] == "scale,estimate,stderr"
+        table = np.array([[float(v) for v in line.split(",")]
+                          for line in lines[1:]])
+        lat = st.TorusLattice(32, dt=dt)
+        reps = [st.convergence_study(lat, Fraction(2), eps_list, [seed],
+                                     t_end=16 * dt) for seed in (5, 6)]
+        assert all(np.isnan(rep.stderrs).all() for rep in reps)
+        d = np.array([rep.d_values for rep in reps])
+        assert table[:, 0].tolist() == eps_list[1:]
+        assert np.allclose(table[:, 1], d.mean(axis=0), rtol=1e-12, atol=0)
+        assert np.allclose(table[:, 2], d.std(axis=0, ddof=1) / np.sqrt(2),
+                           rtol=1e-12, atol=0)
+        assert (table[:, 2] > 0).all()
+
     def test_console_script_installed(self):
         proc = subprocess.run([sys.executable, "-m", "sinegordon.cli",
                                "--version"], capture_output=True, text=True)

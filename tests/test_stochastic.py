@@ -478,6 +478,51 @@ class TestPDE:
         assert np.isclose(sigma2(lat, w, QUARTIC), sigma2(lat, eps, GAUSS),
                           rtol=1e-10)
 
+    @pytest.mark.parametrize("n, eps", [(64, 2.0**-4), (128, 2.0**-6)])
+    def test_calibration_stops_once_the_bracket_does(self, monkeypatch, n,
+                                                     eps):
+        """The early exit returns the float of all 200 bisection steps."""
+        lat = TorusLattice(n)
+        target = sigma2(lat, eps, GAUSS)
+        lo, hi = lat.min_eps(), 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if sigma2(lat, mid, QUARTIC) > target:
+                lo = mid
+            else:
+                hi = mid
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sigma2(*args)
+
+        monkeypatch.setattr(stochastic, "sigma2", counted)
+        assert calibrate_width(lat, eps, QUARTIC) == 0.5 * (lo + hi)
+        assert len(calls) < 100
+
+    def test_convergence_study_transform_count(self, monkeypatch):
+        """Per seed: one inverse per width and step for the reaction, and
+        one per compared pair on each step from ``start`` on."""
+        calls = []
+        irfft2 = np.fft.irfft2
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return irfft2(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft2", counted)
+        lat = TorusLattice(32, dt=2.0**-8)
+        eps_list, seeds = [2.0**-2, 2.0**-3, 2.0**-4], [0, 1]
+        n_steps, start = 16, 4
+        convergence_study(lat, Fraction(2), eps_list, seeds,
+                          t_end=n_steps * lat.dt)
+        widths = len(eps_list) + 1      # the Gaussian widths and the swap
+        pairs = len(eps_list)           # the dyadic neighbours and the swap
+        assert len(calls) == len(seeds) * (n_steps * widths
+                                           + (n_steps - start) * pairs)
+        assert set(calls) == {(32, 17)}
+
 
 # --- oracles: the per-step complex formulation the shared stepper replaced ---
 
@@ -643,6 +688,45 @@ class TestSharedStepperOracle:
         assert np.allclose(rep.d_values, [d], rtol=1e-12, atol=0)
         assert np.isclose(rep.swap_gap, gap, rtol=1e-12, atol=0)
         assert rep.ratios == []
+        assert 0 < rep.max_imag < 1e-12
+
+    def test_convergence_study_with_a_ratio_matches_complex_forcing(self):
+        """Three Gaussian widths and the swap: both dyadic pairs, their
+        ratio, and the swap pair (width 2 against the quartic)."""
+        lat, beta_sq, seeds = self.LAT, Fraction(2), [0, 1]
+        eps_list, n_steps, start = [2.0**-2, 2.0**-3, 2.0**-4], 16, 4
+        rep = convergence_study(lat, beta_sq, eps_list, seeds,
+                                t_end=n_steps * lat.dt)
+        widths = eps_list + [calibrate_width(lat, eps_list[-1], QUARTIC)]
+        shapes = [GAUSS, GAUSS, GAUSS, QUARTIC]
+        consts = [renorm_constant(lat, w, beta_sq, sh)
+                  for w, sh in zip(widths, shapes)]
+        tables = _euler_tables(lat, lat.dt)
+        pairs = [(0, 1), (1, 2), (2, 3)]
+        sups = np.zeros(len(pairs))
+        for seed in seeds:
+            init = white_spectral(lat, step_rng(seed, 0, 0))
+            flds = [GaussianField(lat, w, lat.sigma_k(w, sh) * init, sh)
+                    for w, sh in zip(widths, shapes)]
+            v_hats = [np.zeros((32, 32), dtype=complex)] * 4
+            sup_seed = np.zeros(len(pairs))
+            for step in range(n_steps):
+                white = white_spectral(lat, step_rng(seed, 0, step + 1))
+                vs = []
+                for i in range(4):
+                    v_hats[i], v = _complex_forcing_step(
+                        v_hats[i], flds[i].real_space(), beta_sq, consts[i],
+                        tables)
+                    vs.append(v)
+                    flds[i].advance(white, lat.dt)
+                if step >= start:
+                    sup_seed = np.maximum(sup_seed, [
+                        np.max(np.abs(vs[a] - vs[b])) for a, b in pairs])
+            sups += sup_seed / len(seeds)
+        assert np.allclose(rep.d_values, sups[:2], rtol=1e-12, atol=0)
+        assert np.allclose(rep.ratios, [sups[1] / sups[0]], rtol=1e-12,
+                           atol=0)
+        assert np.isclose(rep.swap_gap, sups[2], rtol=1e-12, atol=0)
         assert 0 < rep.max_imag < 1e-12
 
     # lambda windows of 4, 2 and 1 slices at stride 1 (2, 1, 1 at stride 2)
