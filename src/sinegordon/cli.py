@@ -29,12 +29,13 @@ from fractions import Fraction
 
 from .tree_core import (ModelParams, SupercriticalError, dipole,
                         canonical_key, parse_key)
-from .rule_engine import enumerate_trees, classify_trees
+from .rule_engine import enumerate_trees
 from .counterterm import cancellation_report
 from .moment_diagrams import (build_diagram, moment_terms,
                               multilinearity_audit)
 from .multiscale import ScaleAssignment, organize_and_check
-from .power_counting import sigma_tilde_audit, identity_audit
+from .power_counting import (identity_audit, sign_audit_big_graph,
+                             sign_audit_inner, sign_audit_large_scale)
 
 SCHEMA_VERSION = 1
 
@@ -58,6 +59,7 @@ def _rational(text: str) -> Fraction:
 
 def _params_from(args) -> ModelParams:
     beta_sq = _rational(args.beta2_over_pi)
+    # the sim commands read beta^2 only and have no --beta-bar or --mu
     beta_bar = getattr(args, "beta_bar", None)
     if beta_bar is not None:
         beta_bar = _rational(beta_bar)
@@ -79,6 +81,14 @@ def _payload(args, results) -> dict:
               if k != "func" and v is not None}
     return {"schema_version": SCHEMA_VERSION, "config": config,
             "results": results}
+
+
+def _check_counts(args, **lows):
+    """Refuse each count ``args.<dest>`` below its least value ``lows[dest]``."""
+    for dest, low in lows.items():
+        value = getattr(args, dest)
+        if value < low:
+            raise UsageError(f"--{dest} must be >= {low}, got {value}")
 
 
 def _emit(args, payload: dict):
@@ -111,12 +121,11 @@ def cmd_trees_enum(args):
 
 
 def cmd_trees_classify(args):
-    cat = enumerate_trees(_params_from(args))
-    negative, negative_neutral = classify_trees(cat)
+    cat = enumerate_trees(_params_from(args))   # classifies the catalog too
     _emit(args, _payload(args, {
         "total": len(cat.all),
-        "negative": sorted(negative),
-        "negative_neutral": sorted(negative_neutral),
+        "negative": sorted(cat.negative),
+        "negative_neutral": sorted(cat.negative_neutral),
     }))
     return 0
 
@@ -160,9 +169,7 @@ def cmd_diagram_audit(args):
 
 
 def cmd_multiscale_audit(args):
-    for flag in ("ncap", "trials"):
-        if getattr(args, flag) < 0:
-            raise UsageError(f"--{flag} must be >= 0, got {getattr(args, flag)}")
+    _check_counts(args, ncap=0, trials=0)
     d, tau = _diagram_from(args)
     rng = random.Random(args.seed)
     failures = []
@@ -222,15 +229,16 @@ def cmd_power_audit(args):
     d = build_diagram(tau, args.p, params)
     forest = _parse_forest(args.forest, d)
     s_cut = _parse_cut(args.cuts, d)
-    if args.context == "identity":
+    if args.context in ("inner", "identity"):
         if not forest:
-            raise UsageError("--context identity: requires --forest, whose "
-                             "first member is the audited subtree")
-        rep = identity_audit(d, forest[0], forest)
+            raise UsageError(f"--context {args.context}: requires --forest, "
+                             f"whose first member is the audited subtree")
+        audit = sign_audit_inner if args.context == "inner" else identity_audit
+        rep = audit(d, forest[0], forest)
+    elif args.context == "big-graph":
+        rep = sign_audit_big_graph(d, forest, s_cut)
     else:
-        member = forest[0] if (args.context == "inner" and forest) else None
-        rep = sigma_tilde_audit(d, args.context, forest=forest,
-                                s_cut=s_cut, S=member)
+        rep = sign_audit_large_scale(d, forest, s_cut)
     out = rep.as_dict()
     out["margins"] = {"min": out.pop("min_margin"), "argmin": out.pop("argmin")}
     _emit(args, _payload(args, out))
@@ -240,15 +248,11 @@ def cmd_power_audit(args):
 # --- simulation subcommands ------------------------------------------------------
 
 
-def _lattice(args):
-    from .stochastic import TorusLattice
-    return TorusLattice(args.n, dt=args.dt)
-
-
 def cmd_sim_field(args):
     from . import stochastic as st
+    _check_counts(args, samples=2)
     params = _params_from(args)
-    lat = _lattice(args)
+    lat = st.TorusLattice(args.n)     # no time stepping: dt is never read
     eps_list = args.eps_list or [2.0**-k for k in range(3, 8)
                                  if 2.0**-k >= lat.min_eps()]
     slope = st.renorm_slope(lat, eps_list, params.beta_sq)
@@ -273,8 +277,9 @@ def cmd_sim_field(args):
 
 def cmd_sim_dipole(args):
     from . import stochastic as st
+    _check_counts(args, samples=1)
     params = _params_from(args)
-    lat = _lattice(args)
+    lat = st.TorusLattice(args.n, dt=args.dt)
     cfg = st.DipoleConfig(beta_sq=params.beta_sq, eps=args.eps,
                           lambdas=tuple(args.lam or st.DipoleConfig.lambdas),
                           dt=args.dt, n_samples=args.samples)
@@ -290,7 +295,7 @@ def cmd_sim_dipole(args):
 def cmd_sim_pde(args):
     from . import stochastic as st
     params = _params_from(args)
-    lat = _lattice(args)
+    lat = st.TorusLattice(args.n, dt=args.dt)
     res = st.solve_pde(lat, args.eps, params.beta_sq, args.seed, args.t_end)
     final = res.final
     _emit(args, _payload(args, {
@@ -305,8 +310,9 @@ def cmd_sim_pde(args):
 
 def cmd_sim_converge(args):
     from . import stochastic as st
+    _check_counts(args, seeds=1)
     params = _params_from(args)
-    lat = _lattice(args)
+    lat = st.TorusLattice(args.n, dt=args.dt)
     eps_list = args.eps_list or [2.0**-3, 2.0**-4, 2.0**-5]
     seeds = list(range(args.seed, args.seed + args.seeds))
     rep = st.convergence_study(lat, params.beta_sq, eps_list, seeds,
@@ -324,35 +330,42 @@ def cmd_sim_converge(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # exact flags only: sim converge must not read --eps as --eps-list
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # usage problems must exit 2, not argparse's own
         raise UsageError(message)
 
 
-def _add_common(p, rational_beta=True):
-    if rational_beta:
-        p.add_argument("--beta2-over-pi", default="5",
-                       help="coupling beta^2/pi as an exact rational string")
-        p.add_argument("--beta-bar", help="charge weight override (rational)")
-        p.add_argument("--mu", help="enumeration cutoff override (rational)")
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
+#: flags shared by several subcommands; each parser adds only those it reads
+_FLAGS = {
+    "--beta2-over-pi": dict(default="5", help="coupling beta^2/pi as an "
+                            "exact rational string"),
+    "--beta-bar": dict(help="charge weight override (rational)"),
+    "--mu": dict(help="enumeration cutoff override (rational)"),
+    "--out": dict(help="write the JSON report here instead of stdout"),
+    "--tree": dict(default="dipole",
+                   help="canonical tree key, or the shorthand 'dipole'"),
+    "--p": dict(type=int, default=1,
+                help="number of conjugate copy pairs in the moment"),
+    "--n": dict(type=int, default=128, help="spatial points per axis"),
+    "--dt": dict(type=float, default=2.0**-10, help="time step"),
+    "--eps": dict(type=float, default=2.0**-5, help="mollification width"),
+    "--samples": dict(type=int, default=16,
+                      help="independent Monte Carlo samples"),
+    "--seed": dict(type=int, default=0, help="base RNG seed"),
+    "--t-end": dict(type=float, default=0.25),
+    "--out-csv": dict(help="write (scale, estimate, stderr) rows here"),
+}
+_MODEL = ("--beta2-over-pi", "--beta-bar", "--mu", "--out")
+_DIAGRAM = (*_MODEL, "--tree", "--p")
+_SIM = ("--beta2-over-pi", "--n", "--seed", "--out")
 
 
-def _add_diagram_flags(p):
-    p.add_argument("--tree", default="dipole",
-                   help="canonical tree key, or the shorthand 'dipole'")
-    p.add_argument("--p", type=int, default=1,
-                   help="number of conjugate copy pairs in the moment")
-
-
-def _add_sim_flags(p):
-    p.add_argument("--n", type=int, default=128, help="spatial points per axis")
-    p.add_argument("--dt", type=float, default=2.0**-10, help="time step")
-    p.add_argument("--eps", type=float, default=2.0**-5,
-                   help="mollification width")
-    p.add_argument("--samples", type=int, default=16,
-                   help="independent Monte Carlo samples")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--out-csv", help="write (scale, estimate, stderr) rows here")
+def _add(p, *flags):
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
 
 
 def build_parser() -> _Parser:
@@ -364,32 +377,28 @@ def build_parser() -> _Parser:
     groups = top.add_subparsers(dest="group", required=True)
 
     trees = groups.add_parser("trees").add_subparsers(dest="sub", required=True)
-    p = trees.add_parser("enum");      _add_common(p); p.set_defaults(func=cmd_trees_enum)
-    p = trees.add_parser("classify");  _add_common(p); p.set_defaults(func=cmd_trees_classify)
+    p = trees.add_parser("enum"); _add(p, *_MODEL); p.set_defaults(func=cmd_trees_enum)
+    p = trees.add_parser("classify"); _add(p, *_MODEL); p.set_defaults(func=cmd_trees_classify)
 
     renorm = groups.add_parser("renorm").add_subparsers(dest="sub", required=True)
-    p = renorm.add_parser("cancel");   _add_common(p); p.set_defaults(func=cmd_renorm_cancel)
+    p = renorm.add_parser("cancel"); _add(p, *_MODEL); p.set_defaults(func=cmd_renorm_cancel)
 
     diagram = groups.add_parser("diagram").add_subparsers(dest="sub", required=True)
     for name, fn in [("terms", cmd_diagram_terms), ("audit", cmd_diagram_audit)]:
         p = diagram.add_parser(name)
-        _add_common(p)
-        _add_diagram_flags(p)
+        _add(p, *_DIAGRAM)
         p.set_defaults(func=fn)
 
     multi = groups.add_parser("multiscale").add_subparsers(dest="sub", required=True)
     p = multi.add_parser("audit")
-    _add_common(p)
-    _add_diagram_flags(p)
+    _add(p, *_DIAGRAM, "--seed")
     p.add_argument("--ncap", type=int, default=4, help="largest dyadic scale index")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_multiscale_audit)
 
     power = groups.add_parser("power").add_subparsers(dest="sub", required=True)
     p = power.add_parser("audit")
-    _add_common(p, rational_beta=False)
-    _add_diagram_flags(p)
+    _add(p, "--out", "--tree", "--p")
     p.add_argument("--beta-bar", default="5/4",
                    help="charge weight beta_bar as an exact rational string")
     p.add_argument("--context", default="big-graph",
@@ -400,13 +409,13 @@ def build_parser() -> _Parser:
 
     sim = groups.add_parser("sim").add_subparsers(dest="sub", required=True)
     p = sim.add_parser("field")
-    _add_common(p); _add_sim_flags(p)
+    _add(p, *_SIM, "--eps", "--samples", "--out-csv")
     p.add_argument("--eps-list", type=float, nargs="+",
                    help="widths for the constant-scaling regression")
     p.set_defaults(func=cmd_sim_field)
 
     p = sim.add_parser("dipole")
-    _add_common(p); _add_sim_flags(p)
+    _add(p, *_SIM, "--dt", "--eps", "--samples", "--out-csv")
     p.add_argument("--lambda", dest="lam", type=float, action="append",
                    help="smearing scale (repeatable)")
     # DipoleConfig's validated values, as literals: importing stochastic
@@ -415,13 +424,11 @@ def build_parser() -> _Parser:
                    samples=12)
 
     p = sim.add_parser("pde")
-    _add_common(p); _add_sim_flags(p)
-    p.add_argument("--t-end", type=float, default=0.25)
+    _add(p, *_SIM, "--dt", "--eps", "--t-end")
     p.set_defaults(func=cmd_sim_pde)
 
     p = sim.add_parser("converge")
-    _add_common(p); _add_sim_flags(p)
-    p.add_argument("--t-end", type=float, default=0.25)
+    _add(p, *_SIM, "--dt", "--t-end", "--out-csv")
     p.add_argument("--eps-list", type=float, nargs="+",
                    help="dyadic cascade of widths, coarsest first")
     p.add_argument("--seeds", type=int, default=8,

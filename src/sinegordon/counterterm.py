@@ -37,9 +37,6 @@ class UpsilonValue:
             raise ValueError("cannot add values of different symbolic degree")
         return UpsilonValue(self.c + other.c, self.k, self.m)
 
-    def __neg__(self) -> "UpsilonValue":
-        return UpsilonValue(-self.c, self.k, self.m)
-
     @property
     def is_zero(self) -> bool:
         return self.c == 0

@@ -22,7 +22,7 @@ from .moment_diagrams import (BASE_POINT, EdgeSetBundle, MomentDiagram,
                               derived_edge_sets)
 from .tree_core import SCALING_DIM, deco_weight
 
-#: default combinatorial constant in the annular-window condition
+#: combinatorial constant in the annular-window condition
 ANNULUS_CONSTANT = 2
 
 #: hard cap on exhaustive coalescence-tree enumeration
@@ -459,22 +459,22 @@ def divergent_cluster_exclusions(d: MomentDiagram, forest, qhat) -> frozenset:
                      for T in _uncontracted_divergent(d, forest))
 
 
-def subdivergence_audit(sigma: TotalHomogeneity, vertices, region=None,
-                        excluded=()) -> ClusterAuditReport:
+def subdivergence_audit(sigma: TotalHomogeneity, vertices, excluded=()
+                        ) -> ClusterAuditReport:
     """Check that no cluster of vertices accumulates enough weight to beat
     its integration volume.
 
-    For every proper cluster of at least two vertices inside the region,
-    the weights of the cluster and everything nested in it must sum to
-    strictly less than (size - 1) times the scaling dimension.
+    For every proper cluster of at least two vertices, other than the
+    ``excluded`` ones, the weights of the cluster and everything nested in
+    it must sum to strictly less than (size - 1) times the scaling
+    dimension.
     """
     vertices = frozenset(vertices)
-    region = vertices if region is None else frozenset(region)
     excluded = frozenset(frozenset(m) for m in excluded)
     report = ClusterAuditReport(True, "subdivergence", 0)
     for a in _clusters(vertices):
         total = sigma.nested(a, vertices)  # before the filter: it checks markers
-        if not (a <= region) or a in excluded:
+        if a in excluded:
             continue
         bound = (len(a) - 1) * SCALING_DIM
         margin = bound - total
@@ -572,20 +572,6 @@ def identity_audit(d: MomentDiagram, S, forest) -> ClusterAuditReport:
     return report
 
 
-def sigma_tilde_audit(d: MomentDiagram, context: str, forest=(), s_cut=(),
-                      d_cut=(), S=None) -> ClusterAuditReport:
-    """Dispatch the applicable cluster-sum sign audit."""
-    if context == "inner":
-        if S is None:
-            raise ValueError("inner audit needs the member S")
-        return sign_audit_inner(d, S, forest)
-    if context == "big-graph":
-        return sign_audit_big_graph(d, forest, s_cut, d_cut)
-    if context == "large-scale":
-        return sign_audit_large_scale(d, forest, s_cut, d_cut)
-    raise ValueError(f"unknown audit context {context!r}")
-
-
 # --- summability probes -----------------------------------------------------------
 
 
@@ -675,14 +661,13 @@ def summability_probe(sigma: TotalHomogeneity, vertices, alpha: Fraction,
 # --- bounded-cardinality cells ----------------------------------------------------
 
 
-def triangle_cell_count(vertices, edges, tree: CoalescenceTree,
-                        c_const: int = ANNULUS_CONSTANT) -> int:
+def triangle_cell_count(vertices, edges, tree: CoalescenceTree) -> int:
     """Count scale assignments reproducing a given labeled hierarchy within
     the annular window around each edge's cluster label."""
     if tree.labels is None:
         raise ValueError("labeled hierarchy required")
     n_v = len(frozenset(vertices))
-    width = 2 * c_const * n_v
+    width = 2 * ANNULUS_CONSTANT * n_v
     ranges = []
     for u, v, _ in edges:
         s = tree.label(tree.up(frozenset([u, v])))

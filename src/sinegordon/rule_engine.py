@@ -149,8 +149,7 @@ def classify_trees(cat: TreeCatalog):
     return neg, neg_neut
 
 
-def structural_audit(cat: TreeCatalog, extra: dict[str, DecoratedTree] | None = None
-                     ) -> AuditReport:
+def structural_audit(cat: TreeCatalog) -> AuditReport:
     """Check the structural constraints every divergent tree must satisfy.
 
     For each divergent tree: every node carries a charge (no 0-labeled
@@ -160,11 +159,8 @@ def structural_audit(cat: TreeCatalog, extra: dict[str, DecoratedTree] | None = 
     """
     bb = cat.params.beta_bar
     violations: list[dict] = []
-    negatives = dict(cat.negative)
-    if extra:
-        negatives.update(extra)
     checked = 0
-    for key, tau in negatives.items():
+    for key, tau in cat.negative.items():
         checked += 1
         labels = [node.label for node in tau.iter_nodes()]
         if any(l == "0" for l in labels):

@@ -136,19 +136,22 @@ def renorm_constant(lat: TorusLattice, eps: float, beta_sq,
 
 def renorm_slope(lat: TorusLattice, eps_list, beta_sq,
                  shape: str = GAUSS) -> float:
-    """Fitted slope of log C_eps against log eps."""
+    """Fitted slope of log C_eps against log eps, over at least two
+    distinct widths."""
+    if len(set(eps_list)) < 2:
+        raise ValueError("need at least two distinct widths")
     logs = [np.log(renorm_constant(lat, e, beta_sq, shape)) for e in eps_list]
     return float(np.polyfit(np.log(eps_list), logs, 1)[0])
 
 
 def calibrate_width(lat: TorusLattice, eps_ref: float,
-                    shape: str = QUARTIC, ref_shape: str = GAUSS) -> float:
-    """Width for ``shape`` matching the variance of ``ref_shape`` at eps_ref.
+                    shape: str = QUARTIC) -> float:
+    """Width for ``shape`` matching the variance of the Gaussian at eps_ref.
 
     Matching the exact lattice variances makes the two renormalization
     constants identical, isolating the mollifier-shape dependence.
     """
-    target = sigma2(lat, eps_ref, ref_shape)
+    target = sigma2(lat, eps_ref, GAUSS)
     lo, hi = lat.min_eps(), 1.0
     if sigma2(lat, lo, shape) < target:
         raise ValueError("target variance not reachable at resolvable widths")
@@ -367,8 +370,7 @@ def _chaos_spectra(lat: TorusLattice, eps: float, beta_sq, seed: int,
 
 
 def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
-                       n_fields: int = 64, shifts=None, r_min: float = 2.0**-5,
-                       r_max: float = 2.0**-2, want_same: bool = True,
+                       n_fields: int = 64, shifts=None, want_same: bool = True,
                        condition_modes: int | None = None
                        ) -> CorrelationReport:
     """Log-log fits of the two-charge correlations over a range of
@@ -379,7 +381,8 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
     the product's slope is compatible with zero.  The same-charge signal is
     tiny at strong coupling, so ``want_same=False`` skips its fit there.
     Shifts must lie between 2 eps n and n/2 cells: a shell of larger radius
-    wraps around the torus.
+    wraps around the torus.  The default shifts are the dyadic separations
+    2^-5 ... 2^-2.
 
     The estimator is conditional Monte Carlo on the modes |m| <= c =
     ``condition_modes`` (None: every mode).  Modes above the cutoff are
@@ -396,7 +399,7 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
     """
     n = lat.n
     if shifts is None:
-        shifts = dyadic_shifts(lat, r_min, r_max)
+        shifts = dyadic_shifts(lat, 2.0**-5, 2.0**-2)
     if min(shifts) < 2 * eps * n:
         raise ValueError("insufficient scale separation for the fit window")
     if max(shifts) > n / 2:
@@ -766,18 +769,18 @@ class ConvergenceReport:
 
 
 def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
-                      t_end: float = 0.25, dt: float | None = None,
-                      t_start_frac: float = 0.25) -> ConvergenceReport:
+                      t_end: float = 0.25, dt: float | None = None
+                      ) -> ConvergenceReport:
     """Cauchy-in-width study with common driving noise across widths.
 
     For each seed, all widths (plus one differently-shaped mollifier whose
     width is calibrated to match the finest variance) share their white-noise
     modes: each width's coefficients are sigma_k z for one unit-variance OU
     process z, advanced once per step.  d is the sup over the late-time
-    space-time grid of the difference between solutions at consecutive
-    widths, each an ``irfft2`` of their half-spectral difference, and the
-    swap gap is that of the finest Gaussian and the quartic.  Only
-    beta^2 < 4 pi is accepted.
+    space-time grid (the last three quarters of the steps) of the
+    difference between solutions at consecutive widths, each an ``irfft2``
+    of their half-spectral difference, and the swap gap is that of the
+    finest Gaussian and the quartic.  Only beta^2 < 4 pi is accepted.
     """
     _check_pde_coupling(beta_sq)
     dt = lat.dt if dt is None else dt
@@ -797,7 +800,7 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     pairs = [(j, j + 1) for j in range(len(eps_list))]
 
     n, n_steps = lat.n, int(round(t_end / dt))
-    start = int(round(t_start_frac * n_steps))
+    start = int(round(0.25 * n_steps))
 
     seeds = list(seeds)
     sups = np.zeros((len(seeds), len(pairs)))     # per seed, per pair

@@ -39,10 +39,6 @@ class Homogeneity:
     def __sub__(self, other: "Homogeneity") -> "Homogeneity":
         return Homogeneity(self.const - other.const, self.bcoeff - other.bcoeff)
 
-    def scaled(self, c) -> "Homogeneity":
-        c = Fraction(c)
-        return Homogeneity(self.const * c, self.bcoeff * c)
-
     def at(self, beta_bar: Fraction) -> Fraction:
         """Evaluate at a rational beta_bar; the result is an exact rational."""
         return self.const + self.bcoeff * Fraction(beta_bar)
@@ -69,7 +65,6 @@ class ModelParams:
     beta_sq: Fraction
     beta_bar: Fraction
     mu: Fraction
-    scaling: tuple[int, int, int] = SCALING
 
     @property
     def beta_prime(self) -> Fraction:
@@ -94,14 +89,9 @@ class ModelParams:
     @staticmethod
     def make(beta_sq, beta_bar=None, mu=None) -> "ModelParams":
         """Build params, defaulting beta_bar and mu to interval midpoints."""
-        beta_sq = Fraction(beta_sq)
-        if not (0 < beta_sq < 8):
-            raise SupercriticalError(
-                f"beta^2/pi = {beta_sq} outside the subcritical range (0, 8)"
-            )
-        beta_prime = beta_sq / 4
+        beta_sq = Fraction(beta_sq)   # __post_init__ refuses it if supercritical
         if beta_bar is None:
-            beta_bar = (beta_prime + 2) / 2
+            beta_bar = (beta_sq / 4 + 2) / 2
         beta_bar = Fraction(beta_bar)
         if mu is None:
             mu = (beta_bar + 2) / 2
@@ -240,13 +230,6 @@ def sg_homogeneity(tau: DecoratedTree) -> Homogeneity:
     """Charge-corrected homogeneity |tau|_s + beta_bar * charge^2."""
     h = s_homogeneity(tau)
     return Homogeneity(h.const, h.bcoeff + tau.charge**2)
-
-
-def pair_sign(label_a: str, label_b: str) -> int:
-    """Product of the two unit charges of a noise pair."""
-    qa = {"+": 1, "-": -1}[label_a]
-    qb = {"+": 1, "-": -1}[label_b]
-    return qa * qb
 
 
 # --- canonical form, symmetry, conjugation ----------------------------------

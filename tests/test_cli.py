@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, JSON schema, reproducibility."""
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from sinegordon.cli import main
+from sinegordon.cli import build_parser, main
 
 
 def run_cli(args, capsys):
@@ -16,6 +17,9 @@ def run_cli(args, capsys):
         code = exc.code or 0
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+SIM_SUBS = ("field", "dipole", "pde", "converge")
 
 
 class TestExitCodes:
@@ -49,6 +53,11 @@ class TestExitCodes:
         (["multiscale", "audit", "--ncap", "-1"], "-1"),
         (["multiscale", "audit", "--trials", "-3"], "-3"),
         (["power", "audit", "--context", "identity"], "--forest"),
+        (["sim", "converge", "--seeds", "0"], "got 0"),
+        (["sim", "field", "--samples", "0"], "got 0"),
+        (["sim", "field", "--samples", "1"], "got 1"),
+        (["sim", "dipole", "--samples", "0"], "got 0"),
+        (["power", "audit", "--context", "inner"], "--forest"),
     ])
     def test_bad_ids_and_counts_are_usage_errors(self, capsys, argv, named):
         code, out, err = run_cli(argv, capsys)
@@ -56,6 +65,28 @@ class TestExitCodes:
         assert out == ""
         flag = argv[2]
         assert err.startswith(f"error: {flag}") and named in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sim", "pde", "--samples", "4"],
+        ["sim", "pde", "--out-csv", "pde.csv"],
+        ["sim", "converge", "--eps", "0.125"],
+        ["sim", "converge", "--samples", "4"],
+        ["sim", "field", "--dt", "0.001"],
+        *[["sim", sub, "--beta-bar", "3/2"] for sub in SIM_SUBS],
+        *[["sim", sub, "--mu", "7/4"] for sub in SIM_SUBS],
+    ])
+    def test_removed_sim_flags_are_refused(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: unrecognized arguments: " + argv[2])
+
+    def test_one_width_slope_is_refused(self, capsys):
+        code, out, err = run_cli(["sim", "field", "--n", "32", "--eps",
+                                  "0.125", "--eps-list", "0.125"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: need at least two distinct widths\n"
 
     def test_library_refusal_is_a_usage_error(self, capsys):
         code, _, err = run_cli(["diagram", "terms", "--p", "0"], capsys)
@@ -280,3 +311,44 @@ class TestSimExitCodes:
             capsys, ["sim", "converge", "--beta2-over-pi", "2", "--n", "8"])
         assert code == want
         assert res == rep.as_dict()
+
+
+def _stub_sim(monkeypatch):
+    """Replace each stochastic entry point of the sim commands by a stub that
+    returns a fixed report."""
+    import numpy as np
+    from sinegordon import stochastic as st
+    monkeypatch.setattr(st, "renorm_slope", lambda *a, **k: -1.25)
+    monkeypatch.setattr(st, "renorm_constant", lambda *a, **k: 2.0)
+    monkeypatch.setattr(st, "chaos_mean",
+                        lambda *a, **k: st.ChaosStats(1.0, 0.1, 0.0, 0.1, 4))
+    monkeypatch.setattr(st, "dipole_moment", lambda *a, **k: st.DipoleReport(
+        [0.25, 0.125], [0.2, 0.1], [0.01, 0.01], [0.3, 0.2], -1.0, 0.5,
+        0j, 2))
+    monkeypatch.setattr(st, "solve_pde", lambda *a, **k: st.PDEResult(
+        [0.0, 0.25], [np.zeros((8, 8))] * 2, 0.0))
+    monkeypatch.setattr(st, "convergence_study",
+                        lambda *a, **k: st.ConvergenceReport(
+                            [0.125, 0.0625, 0.03125], 0.02, [0.2, 0.1], [0.5],
+                            0.1, 0.0, 2, [0.01, 0.01]))
+
+
+@pytest.mark.parametrize("sub", SIM_SUBS)
+def test_every_sim_flag_is_read(sub, monkeypatch, capsys):
+    """Each option of a sim subcommand is read by its command at the
+    defaults: a flag that changes nothing is not declared."""
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    _stub_sim(monkeypatch)
+    args = build_parser().parse_args(["sim", sub], namespace=Recording())
+    func = args.func
+    dests = set(vars(args)) - {"group", "sub", "func"}
+    reads.clear()
+    func(args)
+    capsys.readouterr()
+    assert dests - reads == set()

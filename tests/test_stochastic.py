@@ -353,6 +353,11 @@ class TestRenormConstant:
             slope = renorm_slope(lat, [2.0**-k for k in range(3, 8)], bsq)
             assert abs(slope - (-float(bsq) / 4)) < 0.05 * float(bsq) / 4
 
+    @pytest.mark.parametrize("eps_list", [[2.0**-3], [2.0**-3, 2.0**-3]])
+    def test_slope_needs_two_distinct_widths(self, eps_list):
+        with pytest.raises(ValueError, match="two distinct widths"):
+            renorm_slope(LAT, eps_list, Fraction(2))
+
 
 class TestChaos:
     def test_modulus_and_conjugation(self):
