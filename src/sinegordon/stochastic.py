@@ -14,16 +14,21 @@ dipole's complex profile is two of them, driven by C cos(beta Phi) and
 C sin(beta Phi), and the shifted equation one, its reaction from one irfft2
 of the summed half-spectra of Phi and v, its imaginary residue from its
 self-conjugate columns.  The dipole counterterm is exact, not sampled.  The
-charge correlation conditions on the field modes |m| <= c (every mode by
-default) and draws only those, from white noise on the smallest power-of-two
-grid M0 > 2c (the full n^2 draw when M0 >= n), placed straight onto the
-coarse grid of their chaos: the smallest power-of-two M^2 grid whose outer
-band holds at most 1e-14 of the power.  The products are zero-padded to n^2
-once (at M = n they are the full-grid sums).  The convergence study's widths
-share one unit-variance OU process z of the modes, each width being
-sigma_k z; its sup-distances invert half-spectral differences.  All noise
-comes from counter-based generators keyed by (seed, sample, step): runs are
-reproducible in any order.
+dipole loop allocates no full-grid array per step: ``dipole_moment``
+allocates the drivers, the field's real space, the forcings, the white noise
+and ``collect``'s products once and reuses them for every sample, the
+counterterm one set for every lag, and the 2-d transforms are written into
+them as two 1-d passes (``_rfft2_into``, ``_irfft2_into``), bit for bit
+rfft2/irfft2.  The charge correlation conditions on the field modes |m| <= c
+(every mode by default) and draws only those, from white noise on the
+smallest power-of-two grid M0 > 2c (the full n^2 draw when M0 >= n), placed
+straight onto the coarse grid of their chaos: the smallest power-of-two M^2
+grid whose outer band holds at most 1e-14 of the power.  The products are
+zero-padded to n^2 once (at M = n they are the full-grid sums).  The
+convergence study's widths share one unit-variance OU process z of the
+modes, each width being sigma_k z, and step through one shared pair of
+half-spectra; its sup-distances invert half-spectral differences.  All noise comes from counter-based generators keyed by (seed,
+sample, step): runs are reproducible in any order.
 """
 
 from __future__ import annotations
@@ -115,6 +120,25 @@ def white_spectral(lat: TorusLattice, rng: np.random.Generator) -> np.ndarray:
     return np.fft.rfft2(w) / lat.n
 
 
+def _rfft2_into(x: np.ndarray, out: np.ndarray, tmp: np.ndarray
+                ) -> np.ndarray:
+    """``np.fft.rfft2(x)`` written into ``out``, bit for bit, through the
+    scratch ``tmp`` (both complex, shaped like the half-spectrum): rfft2 is
+    these two passes, and neither allocates once given ``out``."""
+    np.fft.rfft(x, axis=1, out=tmp)
+    return np.fft.fft(tmp, axis=0, out=out)
+
+
+def _irfft2_into(h: np.ndarray, out: np.ndarray, tmp: np.ndarray
+                 ) -> np.ndarray:
+    """``np.fft.irfft2(h, s=out.shape)`` written into the real ``out``, bit
+    for bit, through the complex scratch ``tmp`` shaped like ``h``.
+    ``np.fft.irfft2`` itself drops ``out=`` (numpy 2.4), and ``irfftn``
+    allocates its axis-0 pass, so the two passes are spelled out."""
+    np.fft.ifft(h, axis=0, out=tmp)
+    return np.fft.irfft(tmp, n=out.shape[1], axis=1, out=out)
+
+
 def sigma2(lat: TorusLattice, eps: float, shape: str = GAUSS) -> float:
     """Exact lattice mode sum for the equal-time field variance."""
     return float(np.sum(lat.mode_variances(eps, shape)))
@@ -134,13 +158,12 @@ def renorm_constant(lat: TorusLattice, eps: float, beta_sq,
     return float(np.exp(0.5 * beta2 * sigma2(lat, eps, shape)))
 
 
-def renorm_slope(lat: TorusLattice, eps_list, beta_sq,
-                 shape: str = GAUSS) -> float:
+def renorm_slope(lat: TorusLattice, eps_list, beta_sq) -> float:
     """Fitted slope of log C_eps against log eps, over at least two
     distinct widths."""
     if len(set(eps_list)) < 2:
         raise ValueError("need at least two distinct widths")
-    logs = [np.log(renorm_constant(lat, e, beta_sq, shape)) for e in eps_list]
+    logs = [np.log(renorm_constant(lat, e, beta_sq)) for e in eps_list]
     return float(np.polyfit(np.log(eps_list), logs, 1)[0])
 
 
@@ -181,23 +204,27 @@ class GaussianField:
 
     def __post_init__(self):
         self.sigma_k = self.lat.sigma_k(self.eps, self.shape)
-        self._tables = None         # (dt, decay, kick) of the last advance
+        # (dt, decay, kick, buffer for kick * white) of the last advance
+        self._tables = None
 
     def real_space(self) -> np.ndarray:
         n = self.lat.n
         return np.fft.irfft2(self.coeffs, s=(n, n)) * n**2
 
     def advance(self, white: np.ndarray, dt: float):
-        """Exact equilibrium-preserving step driven by shared white noise.
+        """Exact equilibrium-preserving step driven by shared white noise,
+        in place on ``coeffs``; ``white`` is only read.
 
         The mollifier enters only through sigma_k, so fields of different
         widths advanced with the same ``white`` share their driving noise.
         """
         if self._tables is None or self._tables[0] != dt:
             decay = np.exp(-self.lat.mu[:, : self.lat.n_rfft] * dt)
-            self._tables = dt, decay, self.sigma_k * np.sqrt(1.0 - decay**2)
-        _, decay, kick = self._tables
-        self.coeffs = decay * self.coeffs + kick * white
+            self._tables = (dt, decay, self.sigma_k * np.sqrt(1.0 - decay**2),
+                            np.empty_like(self.coeffs))
+        _, decay, kick, kicked = self._tables
+        np.multiply(decay, self.coeffs, out=self.coeffs)
+        self.coeffs += np.multiply(kick, white, out=kicked)
 
 
 def sample_phi(lat: TorusLattice, eps: float, seed: int, sample: int = 0,
@@ -452,9 +479,11 @@ class _HeatDriver:
     """Exponential-Euler integrator of du = (1/2) Laplacian u dt + f dt.
 
     u and f are real; the decay and gain tables are built once per (lattice,
-    dt).  ``step`` updates the ``rfft2`` half-spectrum ``u_hat`` in place and
-    returns the forcing half-spectrum it transformed, for callers that need
-    it too; ``profile`` returns the real ``irfft2``.
+    dt).  ``step`` updates the ``rfft2`` half-spectrum ``u_hat`` in place,
+    writes the forcing's half-spectrum into the caller's ``f_hat`` and
+    returns it, for callers that need it too; ``tmp`` is the caller's
+    scratch.  A step allocates nothing, and drivers stepped in turn can
+    share both buffers.  ``profile`` returns the real ``irfft2``.
     """
 
     def __init__(self, lat: TorusLattice, dt: float):
@@ -465,10 +494,11 @@ class _HeatDriver:
                                    where=x != 0)     # dt (e^x - 1) / x
         self.u_hat = np.zeros(x.shape, dtype=complex)
 
-    def step(self, forcing: np.ndarray) -> np.ndarray:
-        f_hat = np.fft.rfft2(forcing)
+    def step(self, forcing: np.ndarray, f_hat: np.ndarray, tmp: np.ndarray
+             ) -> np.ndarray:
+        _rfft2_into(forcing, f_hat, tmp)
         self.u_hat *= self.decay
-        self.u_hat += self.gain * f_hat
+        self.u_hat += np.multiply(self.gain, f_hat, out=tmp)
         return f_hat
 
     def profile(self) -> np.ndarray:
@@ -523,30 +553,46 @@ class DipoleReport:
 
 
 def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
-                       sample: int, collect):
+                       sample: int, collect, drivers, scratch):
     """Run one stationary trajectory up to its last measured slice,
     invoking ``collect(drivers, forcings, f_hats)`` on each slice of
     ``_measured_steps``: the two real drivers of u = u_c + i u_s, their
     forcings (c, s) = C (cos, sin)(beta Phi), the components of xi_plus,
     and the half-spectra of (c, s).
 
-    Only differences of the profile enter the estimator, so its undamped
-    mean is projected out after each step; f_hats keep their zero modes.
+    The caller allocates ``drivers`` (reset here) and ``scratch`` = (three
+    real n-by-n arrays, four half-spectra) once for all its trajectories;
+    forcings, f_hats and the white noise live in them and are overwritten
+    by the next step, so a step allocates no full-grid array.  Only
+    differences of the profile enter the estimator, so its undamped mean is
+    projected out after each step; f_hats keep their zero modes.
     """
+    n = lat.n
     beta = np.sqrt(float(Fraction(cfg.beta_sq)) * np.pi)
     c_eps = renorm_constant(lat, cfg.eps, cfg.beta_sq)
     fld = sample_phi(lat, cfg.eps, seed, sample)
-    drivers = _HeatDriver(lat, cfg.dt), _HeatDriver(lat, cfg.dt)
+    (x, c, s), (f_c, f_s, white, tmp) = scratch
+    for driver in drivers:
+        driver.u_hat[...] = 0.0
     measured = set(_measured_steps(cfg).tolist())
     for step in range(max(measured) + 1):
-        x = beta * fld.real_space()
-        forcings = c_eps * np.cos(x), c_eps * np.sin(x)
-        f_hats = drivers[0].step(forcings[0]), drivers[1].step(forcings[1])
+        # x = beta * fld.real_space(), one factor at a time
+        _irfft2_into(fld.coeffs, x, tmp)
+        x *= n**2
+        x *= beta
+        np.cos(x, out=c)
+        c *= c_eps
+        np.sin(x, out=s)
+        s *= c_eps
+        f_hats = drivers[0].step(c, f_c, tmp), drivers[1].step(s, f_s, tmp)
         drivers[0].u_hat[0, 0] = drivers[1].u_hat[0, 0] = 0.0
-        fld.advance(white_spectral(lat, step_rng(seed, sample, step + 1)),
-                    cfg.dt)
+        # white_spectral of the step's Philox slot, drawn into x
+        step_rng(seed, sample, step + 1).standard_normal(out=x)
+        _rfft2_into(x, white, tmp)
+        white /= n
+        fld.advance(white, cfg.dt)
         if step in measured:
-            collect(drivers, forcings, f_hats)
+            collect(drivers, (c, s), f_hats)
 
 
 def _measured_steps(cfg: DipoleConfig) -> np.ndarray:
@@ -572,10 +618,16 @@ def dipole_counterterm(lat: TorusLattice, cfg: DipoleConfig) -> list[float]:
     steps = _measured_steps(cfg)
     q = np.ones_like(driver.decay)                  # decay^lag
     spec = np.zeros(q.shape, dtype=complex)
+    # each lag's terms, in buffers reused by every lag
+    weight, gamma = np.empty_like(q), np.empty((n, n))
+    var_q, pair, tmp = (np.empty_like(spec) for _ in range(3))
     for lag in range(steps[-1] + 1):
-        gamma = np.fft.irfft2(var * q, s=(n, n)) * n**2
-        spec += (np.count_nonzero(steps >= lag) * q
-                 * np.fft.rfft2(np.exp(beta2 * gamma)))
+        _irfft2_into(np.multiply(var, q, out=var_q), gamma, tmp)
+        gamma *= n**2
+        gamma *= beta2
+        _rfft2_into(np.exp(gamma, out=gamma), pair, tmp)
+        np.multiply(q, np.count_nonzero(steps >= lag), out=weight)
+        spec += np.multiply(weight, pair, out=pair)
         q *= driver.decay
     spec *= driver.gain * n**2 / len(steps)
     return [float(np.fft.irfft2((1 - bump_spectral(lat, lam)[:, :half]) * spec,
@@ -603,6 +655,8 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
     beta2 = float(Fraction(cfg.beta_sq)) * np.pi
     if not (4 * np.pi < beta2 < 16 * np.pi / 3):
         raise ValueError("dipole scaling window requires beta^2 in (4pi, 16pi/3)")
+    if len(set(cfg.lambdas)) < 2:
+        raise ValueError("need at least two distinct lambdas")
     if min(cfg.lambdas) * lat.n < 4:
         raise ValueError("smallest lambda is below 4 grid cells")
     lambdas = list(cfg.lambdas)
@@ -616,7 +670,9 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
                 f"fewer than 2 time blocks of {w}")
     kappas = dipole_counterterm(lat, cfg)
     n = lat.n
-    psi_hats = [bump_spectral(lat, lam)[:, : lat.n_rfft] for lam in lambdas]
+    # complex, as each product with a half-spectrum would cast them anyway
+    psi_hats = [bump_spectral(lat, lam)[:, : lat.n_rfft].astype(complex)
+                for lam in lambdas]
 
     sq_blocks = [[] for _ in lambdas]     # renormalized |.|^2 per time block
     ab_blocks = [[] for _ in lambdas]     # ablated |.|^2 per time block
@@ -628,33 +684,52 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
     g_sums = np.empty((len(lambdas), 2, n, lat.n_rfft), dtype=complex)
     local_sums = np.empty((len(lambdas), 2, n, n))
     counts = [0] * len(lambdas)
+    # collect's work arrays, allocated once for every slice of every sample
+    u_c, u_s, a, b, p_c, p_s = np.empty((6, n, n))
+    spec, tmp = np.empty((2, n, lat.n_rfft), dtype=complex)
+
+    def parts(p, q):
+        """(Re, Im) of (p - i q) u in turn, each in the buffer ``a``."""
+        yield np.add(np.multiply(p, u_c, out=a), np.multiply(q, u_s, out=b),
+                     out=a)
+        yield np.subtract(np.multiply(p, u_s, out=a),
+                          np.multiply(q, u_c, out=b), out=a)
 
     def collect(drivers, forcings, f_hats):
         nonlocal mean_acc
-        u_c, u_s = drivers[0].profile(), drivers[1].profile()
-        c, s = forcings
-        g_sums[:, 0] += np.fft.rfft2(c * u_c + s * u_s)
-        g_sums[:, 1] += np.fft.rfft2(c * u_s - s * u_c)
+        for driver, u in zip(drivers, (u_c, u_s)):
+            _irfft2_into(driver.u_hat, u, tmp)      # driver.profile()
+        for k, part in enumerate(parts(*forcings)):
+            g_sums[:, k] += _rfft2_into(part, spec, tmp)
         for i, ph in enumerate(psi_hats):
-            p_c, p_s = (np.fft.irfft2(ph * f, s=(n, n)) for f in f_hats)
-            local_sums[i, 0] += p_c * u_c + p_s * u_s
-            local_sums[i, 1] += p_c * u_s - p_s * u_c
+            for f, p in zip(f_hats, (p_c, p_s)):
+                _irfft2_into(np.multiply(ph, f, out=spec), p, tmp)
+            for k, part in enumerate(parts(p_c, p_s)):
+                local_sums[i, k] += part
             counts[i] += 1
             if counts[i] == windows[i]:
-                re, im = ((np.fft.irfft2(ph * g, s=(n, n)) - loc) / windows[i]
-                          for g, loc in zip(g_sums[i], local_sums[i]))
-                ren = re - kappas[i]
-                sq_blocks[i].append(float(np.mean(ren**2 + im**2)))
-                ab_blocks[i].append(float(np.mean(re**2 + im**2)))
+                re, im = p_c, p_s         # free until the next slice
+                for g, loc, out in zip(g_sums[i], local_sums[i], (re, im)):
+                    _irfft2_into(np.multiply(ph, g, out=spec), out, tmp)
+                    out -= loc
+                    out /= windows[i]
+                ren = np.subtract(re, kappas[i], out=a)
                 if i == 0:
                     mean_acc += complex(np.mean(ren), np.mean(im))
+                im2 = np.square(im, out=b)
+                sq_blocks[i].append(float(np.mean(
+                    np.add(np.square(ren, out=a), im2, out=a))))
+                ab_blocks[i].append(float(np.mean(
+                    np.add(np.square(re, out=a), im2, out=a))))
                 g_sums[i] = local_sums[i] = 0.0
                 counts[i] = 0
 
+    drivers = _HeatDriver(lat, cfg.dt), _HeatDriver(lat, cfg.dt)
+    scratch = np.empty((3, n, n)), np.empty((4, n, lat.n_rfft), dtype=complex)
     for sample in range(cfg.n_samples):
         g_sums[:] = local_sums[:] = 0.0      # drop the blocks left open
         counts[:] = [0] * len(lambdas)
-        _dipole_trajectory(lat, cfg, seed, sample, collect)
+        _dipole_trajectory(lat, cfg, seed, sample, collect, drivers, scratch)
 
     moments = [float(np.mean(v)) for v in sq_blocks]
     errs = [float(np.std(v, ddof=1) / np.sqrt(len(v))) for v in sq_blocks]
@@ -682,10 +757,10 @@ class PDEResult:
 
 
 def _shifted_step(driver: _HeatDriver, phi_hat: np.ndarray, beta: float,
-                  c_eps: float) -> float:
+                  c_eps: float, work: np.ndarray) -> float:
     """One step of the shifted equation on ``driver``, with ``phi_hat`` the
-    ``rfft2`` half-spectrum of Phi; returns the driver's imaginary residue
-    before the step.
+    ``rfft2`` half-spectrum of Phi and ``work`` the two half-spectra the
+    driver steps in; returns the driver's imaginary residue before the step.
 
     The reaction is the imaginary part of the positive chaos twisted by v;
     the two charges are exact conjugates, so it is the real field
@@ -695,7 +770,7 @@ def _shifted_step(driver: _HeatDriver, phi_hat: np.ndarray, beta: float,
     imag, n = driver.imag_residue(), driver.n
     x = np.fft.irfft2(driver.u_hat + phi_hat, s=(n, n))
     x *= beta               # in place: fewer full-grid temporaries per step
-    driver.step(np.multiply(np.sin(x, out=x), c_eps, out=x))
+    driver.step(np.multiply(np.sin(x, out=x), c_eps, out=x), *work)
     return imag
 
 
@@ -706,19 +781,20 @@ def _check_pde_coupling(beta_sq):
 
 def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
               t_end: float, v0: np.ndarray | None = None,
-              dt: float | None = None, shape: str = GAUSS, sample: int = 0,
               record_every: int | None = None) -> PDEResult:
-    """Exponential-Euler solve of the shifted equation.
+    """Exponential-Euler solve of the shifted equation, in steps of lat.dt
+    from the Gaussian-mollified field of sample 0.
 
     The drift is half the Laplacian and the reaction is the sine
     nonlinearity of ``_shifted_step``.  Only beta^2 < 4 pi is accepted.
     """
     _check_pde_coupling(beta_sq)
-    dt = lat.dt if dt is None else dt
+    dt = lat.dt
     beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
-    c_eps = renorm_constant(lat, eps, beta_sq, shape)
-    fld = sample_phi(lat, eps, seed, sample, shape)
+    c_eps = renorm_constant(lat, eps, beta_sq)
+    fld = sample_phi(lat, eps, seed)
     driver = _HeatDriver(lat, dt)
+    work = np.empty((2,) + driver.u_hat.shape, dtype=complex)
     if v0 is not None:
         driver.u_hat = np.fft.rfft2(np.asarray(v0, dtype=float))
     n_steps = int(round(t_end / dt))
@@ -727,8 +803,8 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
     max_imag = 0.0
     for step in range(n_steps):
         max_imag = max(max_imag, _shifted_step(driver, lat.n**2 * fld.coeffs,
-                                               beta, c_eps))
-        fld.advance(white_spectral(lat, step_rng(seed, sample, step + 1)), dt)
+                                               beta, c_eps, work))
+        fld.advance(white_spectral(lat, step_rng(seed, 0, step + 1)), dt)
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
             times.append((step + 1) * dt)
             snaps.append(driver.profile())
@@ -769,9 +845,9 @@ class ConvergenceReport:
 
 
 def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
-                      t_end: float = 0.25, dt: float | None = None
-                      ) -> ConvergenceReport:
-    """Cauchy-in-width study with common driving noise across widths.
+                      t_end: float = 0.25) -> ConvergenceReport:
+    """Cauchy-in-width study with common driving noise across widths, in
+    steps of lat.dt.
 
     For each seed, all widths (plus one differently-shaped mollifier whose
     width is calibrated to match the finest variance) share their white-noise
@@ -783,7 +859,7 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     finest Gaussian and the quartic.  Only beta^2 < 4 pi is accepted.
     """
     _check_pde_coupling(beta_sq)
-    dt = lat.dt if dt is None else dt
+    dt = lat.dt
     eps_list = sorted(eps_list, reverse=True)
     if len(eps_list) < 2:
         raise ValueError("need at least two widths")
@@ -806,6 +882,7 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     sups = np.zeros((len(seeds), len(pairs)))     # per seed, per pair
     max_imag = 0.0
     drivers = [_HeatDriver(lat, dt) for _ in widths]
+    work = np.empty((2, n, lat.n_rfft), dtype=complex)    # shared by widths
     # rfft2 of a width's field is n^2 sigma_k z (n^2 scales exactly)
     scales = [n**2 * lat.sigma_k(w, sh) for w, sh in zip(widths, shapes)]
     decay = drivers[0].decay        # the field is damped like the heat flow
@@ -821,7 +898,8 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
                 np.maximum(sup, [np.max(np.abs(d)) for d in diffs], out=sup)
             for driver, scale, c_eps in zip(drivers, scales, consts):
                 max_imag = max(max_imag,
-                               _shifted_step(driver, scale * z, beta, c_eps))
+                               _shifted_step(driver, scale * z, beta, c_eps,
+                                             work))
             z = decay * z + kick * white_spectral(
                 lat, step_rng(seed, 0, step + 1))
     d_vals = list(sups[:, :-1].mean(axis=0))

@@ -88,6 +88,14 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: need at least two distinct widths\n"
 
+    def test_one_lambda_slope_is_refused(self, capsys):
+        code, out, err = run_cli(["sim", "dipole", "--n", "32", "--eps",
+                                  "0.125", "--dt", "0.001953125", "--lambda",
+                                  "0.25", "--samples", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: need at least two distinct lambdas\n"
+
     def test_library_refusal_is_a_usage_error(self, capsys):
         code, _, err = run_cli(["diagram", "terms", "--p", "0"], capsys)
         assert code == 2

@@ -16,7 +16,8 @@ from sinegordon.stochastic import (
     dipole_counterterm, dipole_moment, DipoleConfig, renorm_constant,
     renorm_slope, sample_phi, sigma2, solve_pde, step_rng,
     translation_correlation, white_spectral, wick_exponential,
-    covariance_table, _HeatDriver, _chaos_spectra,
+    covariance_table, _HeatDriver, _chaos_spectra, _irfft2_into,
+    _rfft2_into,
 )
 from sinegordon import stochastic
 
@@ -401,6 +402,29 @@ class TestChaos:
         assert np.isclose(tab[2, 3], direct)
 
 
+class TestTwoPassTransforms:
+    """The allocation-free transforms against numpy's 2-d ones, bit for
+    bit, written into the buffers passed in."""
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_rfft2_into(self, n):
+        x = np.random.default_rng(n).standard_normal((n, n))
+        out = np.full((n, n // 2 + 1), np.nan, dtype=complex)
+        tmp = np.empty_like(out)
+        assert _rfft2_into(x, out, tmp) is out
+        assert np.array_equal(out, np.fft.rfft2(x))
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_irfft2_into(self, n):
+        rng = np.random.default_rng(n)
+        h = (rng.standard_normal((n, n // 2 + 1))
+             + 1j * rng.standard_normal((n, n // 2 + 1)))
+        out = np.full((n, n), np.nan)
+        tmp = np.empty_like(h)
+        assert _irfft2_into(h, out, tmp) is out
+        assert np.array_equal(out, np.fft.irfft2(h, s=(n, n)))
+
+
 class TestDipolePieces:
     def test_counterterm_vanishes_without_smearing(self):
         # the chaos correlation exp(beta^2 Gamma) is positive definite, so
@@ -434,6 +458,15 @@ class TestDipolePieces:
         cfg.t_measure = 32 * 2.0**-8
         rep = dipole_moment(lat, cfg, seed=0)
         assert np.all(np.isfinite(rep.stderrs))
+
+    def test_one_distinct_lambda_refused(self):
+        # a slope through a single lambda is no fit
+        lat = TorusLattice(32, dt=2.0**-9)
+        for lambdas in ((2.0**-2,), (2.0**-2, 2.0**-2)):
+            cfg = DipoleConfig(eps=2.0**-3, dt=2.0**-9, lambdas=lambdas,
+                               n_samples=1)
+            with pytest.raises(ValueError, match="two distinct lambdas"):
+                dipole_moment(lat, cfg, seed=0)
 
     def test_lambda_floor_enforced(self):
         lat = TorusLattice(32, dt=2.0**-8)
@@ -773,6 +806,41 @@ class TestSharedStepperOracle:
         # sqrt(ablation moment), so it is compared on that scale
         scale = np.sqrt(rep.ablation_moments[0])
         assert abs(rep.mean_complex - np.mean(means)) <= 1e-12 * scale
+
+    # repr of as_dict() at 32^2 and seed 2, recorded (numpy 2.4.6, x86-64)
+    # before the dipole loop moved into preallocated buffers: the buffered
+    # loop keeps every floating-point operation and its order
+    PINNED = {
+        1: (
+            "{'lambdas': [0.25, 0.1767766952966369, 0.125],"
+            " 'second_moments': [0.014862069392075334, 0.026068166243015244,"
+            " 0.045549380931721756], 'stderrs': [0.002094620754465353,"
+            " 0.0014776597101206607, 0.0012819694246123227],"
+            " 'ablation_moments': [0.35605832472531423, 0.29028222923465,"
+            " 0.22903594634129876], 'slope': -1.6157964358007637,"
+            " 'ablation_slope': 0.636539541885086, 'n_samples': 2,"
+            " 'ablation_gap': 2.2523359776858496,"
+            " 'mean_re': -0.01068982526457498,"
+            " 'mean_im': 0.007651638319906808}"
+        ),
+        2: (
+            "{'lambdas': [0.25, 0.1767766952966369, 0.125],"
+            " 'second_moments': [0.024422533490977744, 0.04380400303395355,"
+            " 0.045867558092372786], 'stderrs': [0.0034642009711371153,"
+            " 0.002627160124479425, 0.001829086363611608],"
+            " 'ablation_moments': [0.38315719951681243, 0.31705707294452473,"
+            " 0.23340400408616388], 'slope': -0.9092612357249593,"
+            " 'ablation_slope': 0.7151071032292601, 'n_samples': 2,"
+            " 'ablation_gap': 1.6243683389542194,"
+            " 'mean_re': 0.00416786248921644,"
+            " 'mean_im': 0.011029949203374058}"
+        ),
+    }
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_dipole_moment_is_pinned_bit_for_bit(self, stride):
+        rep = dipole_moment(self.LAT, self.dipole_cfg(stride), seed=2)
+        assert repr(rep.as_dict()) == self.PINNED[stride]
 
 
 def _expected_slice_spectrum(lat, cfg):
