@@ -16,19 +16,23 @@ of the summed half-spectra of Phi and v, its imaginary residue from its
 self-conjugate columns.  The dipole counterterm is exact, not sampled.  The
 dipole loop allocates no full-grid array per step: ``dipole_moment``
 allocates the drivers, the field's real space, the forcings, the white noise
-and ``collect``'s products once and reuses them for every sample, the
-counterterm one set for every lag, and the 2-d transforms are written into
-them as two 1-d passes (``_rfft2_into``, ``_irfft2_into``), bit for bit
-rfft2/irfft2.  The charge correlation conditions on the field modes |m| <= c
-(every mode by default) and draws only those, from white noise on the
-smallest power-of-two grid M0 > 2c (the full n^2 draw when M0 >= n), placed
-straight onto the coarse grid of their chaos: the smallest power-of-two M^2
-grid whose outer band holds at most 1e-14 of the power.  The products are
-zero-padded to n^2 once (at M = n they are the full-grid sums).  The
-convergence study's widths share one unit-variance OU process z of the
-modes, each width being sigma_k z, and step through one shared pair of
-half-spectra; its sup-distances invert half-spectral differences.  All noise comes from counter-based generators keyed by (seed,
-sample, step): runs are reproducible in any order.
+and ``collect``'s products once and reuses them for every sample, and the
+counterterm one set for every lag.  The white noise and the real space are
+written into those buffers by ``_white_into`` and ``_real_space_into``,
+which ``white_spectral`` and ``GaussianField.real_space`` call with fresh
+arrays; every 2-d transform into a buffer is two 1-d passes
+(``_rfft2_into``, ``_irfft2_into``), bit for bit rfft2/irfft2.  Each
+``_HeatDriver`` steps in its own forcing half-spectrum and scratch.  The
+charge correlation conditions on the field modes |m| <= c (every mode by
+default) and draws only those, from white noise on the smallest power-of-two
+grid M0 > 2c (the full n^2 draw when M0 >= n), placed straight onto the
+coarse grid of their chaos: the smallest power-of-two M^2 grid whose outer
+band holds at most 1e-14 of the power.  The products are zero-padded to n^2
+once (at M = n they are the full-grid sums).  The convergence study's widths
+share one unit-variance OU process z of the modes, each width being
+sigma_k z; its sup-distances invert half-spectral differences.  All noise
+comes from counter-based generators keyed by (seed, sample, step): runs are
+reproducible in any order.
 """
 
 from __future__ import annotations
@@ -116,8 +120,19 @@ def step_rng(seed: int, sample: int, step: int) -> np.random.Generator:
 
 def white_spectral(lat: TorusLattice, rng: np.random.Generator) -> np.ndarray:
     """Half-spectrum of real white noise, unit variance per mode."""
-    w = rng.standard_normal((lat.n, lat.n))
-    return np.fft.rfft2(w) / lat.n
+    half = np.empty((lat.n, lat.n_rfft), dtype=complex)
+    return _white_into(rng.standard_normal((lat.n, lat.n)), half,
+                       np.empty_like(half))
+
+
+def _white_into(w: np.ndarray, out: np.ndarray, tmp: np.ndarray
+                ) -> np.ndarray:
+    """``white_spectral`` of the standard normal draw ``w`` (real, n by n),
+    written into the half-spectrum ``out`` through the scratch ``tmp``
+    shaped like it."""
+    _rfft2_into(w, out, tmp)
+    out /= w.shape[0]
+    return out
 
 
 def _rfft2_into(x: np.ndarray, out: np.ndarray, tmp: np.ndarray
@@ -137,6 +152,16 @@ def _irfft2_into(h: np.ndarray, out: np.ndarray, tmp: np.ndarray
     allocates its axis-0 pass, so the two passes are spelled out."""
     np.fft.ifft(h, axis=0, out=tmp)
     return np.fft.irfft(tmp, n=out.shape[1], axis=1, out=out)
+
+
+def _real_space_into(coeffs: np.ndarray, out: np.ndarray, tmp: np.ndarray
+                     ) -> np.ndarray:
+    """The real field of the half-spectrum ``coeffs`` (``irfft2`` times
+    n^2), written into the real n-by-n ``out`` through the scratch ``tmp``
+    shaped like ``coeffs``."""
+    _irfft2_into(coeffs, out, tmp)
+    out *= out.shape[0]**2
+    return out
 
 
 def sigma2(lat: TorusLattice, eps: float, shape: str = GAUSS) -> float:
@@ -209,7 +234,8 @@ class GaussianField:
 
     def real_space(self) -> np.ndarray:
         n = self.lat.n
-        return np.fft.irfft2(self.coeffs, s=(n, n)) * n**2
+        return _real_space_into(self.coeffs, np.empty((n, n)),
+                                np.empty_like(self.coeffs))
 
     def advance(self, white: np.ndarray, dt: float):
         """Exact equilibrium-preserving step driven by shared white noise,
@@ -479,11 +505,11 @@ class _HeatDriver:
     """Exponential-Euler integrator of du = (1/2) Laplacian u dt + f dt.
 
     u and f are real; the decay and gain tables are built once per (lattice,
-    dt).  ``step`` updates the ``rfft2`` half-spectrum ``u_hat`` in place,
-    writes the forcing's half-spectrum into the caller's ``f_hat`` and
-    returns it, for callers that need it too; ``tmp`` is the caller's
-    scratch.  A step allocates nothing, and drivers stepped in turn can
-    share both buffers.  ``profile`` returns the real ``irfft2``.
+    dt).  ``step`` updates the ``rfft2`` half-spectrum ``u_hat`` in place
+    and returns the forcing's half-spectrum, for callers that need it too.
+    That array is the driver's own ``f_hat``, overwritten by the next step:
+    a step allocates nothing, transforming through the driver's scratch.
+    ``profile`` returns the real ``irfft2`` as a fresh array.
     """
 
     def __init__(self, lat: TorusLattice, dt: float):
@@ -493,13 +519,13 @@ class _HeatDriver:
         self.gain = dt * np.divide(np.expm1(x), x, out=np.ones_like(x),
                                    where=x != 0)     # dt (e^x - 1) / x
         self.u_hat = np.zeros(x.shape, dtype=complex)
+        self.f_hat, self._tmp = np.empty((2,) + x.shape, dtype=complex)
 
-    def step(self, forcing: np.ndarray, f_hat: np.ndarray, tmp: np.ndarray
-             ) -> np.ndarray:
-        _rfft2_into(forcing, f_hat, tmp)
+    def step(self, forcing: np.ndarray) -> np.ndarray:
+        _rfft2_into(forcing, self.f_hat, self._tmp)
         self.u_hat *= self.decay
-        self.u_hat += np.multiply(self.gain, f_hat, out=tmp)
-        return f_hat
+        self.u_hat += np.multiply(self.gain, self.f_hat, out=self._tmp)
+        return self.f_hat
 
     def profile(self) -> np.ndarray:
         return np.fft.irfft2(self.u_hat, s=(self.n, self.n))
@@ -561,36 +587,31 @@ def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
     and the half-spectra of (c, s).
 
     The caller allocates ``drivers`` (reset here) and ``scratch`` = (three
-    real n-by-n arrays, four half-spectra) once for all its trajectories;
-    forcings, f_hats and the white noise live in them and are overwritten
-    by the next step, so a step allocates no full-grid array.  Only
-    differences of the profile enter the estimator, so its undamped mean is
-    projected out after each step; f_hats keep their zero modes.
+    real n-by-n arrays, two half-spectra) once for all its trajectories;
+    the forcings and the white noise live in them, the f_hats in the
+    drivers, and all are overwritten by the next step, so a step allocates
+    no full-grid array.  Only differences of the profile enter the
+    estimator, so its undamped mean is projected out after each step; f_hats
+    keep their zero modes.
     """
-    n = lat.n
     beta = np.sqrt(float(Fraction(cfg.beta_sq)) * np.pi)
     c_eps = renorm_constant(lat, cfg.eps, cfg.beta_sq)
     fld = sample_phi(lat, cfg.eps, seed, sample)
-    (x, c, s), (f_c, f_s, white, tmp) = scratch
+    (x, c, s), (white, tmp) = scratch
     for driver in drivers:
         driver.u_hat[...] = 0.0
     measured = set(_measured_steps(cfg).tolist())
     for step in range(max(measured) + 1):
-        # x = beta * fld.real_space(), one factor at a time
-        _irfft2_into(fld.coeffs, x, tmp)
-        x *= n**2
+        _real_space_into(fld.coeffs, x, tmp)
         x *= beta
         np.cos(x, out=c)
         c *= c_eps
         np.sin(x, out=s)
         s *= c_eps
-        f_hats = drivers[0].step(c, f_c, tmp), drivers[1].step(s, f_s, tmp)
+        f_hats = drivers[0].step(c), drivers[1].step(s)
         drivers[0].u_hat[0, 0] = drivers[1].u_hat[0, 0] = 0.0
-        # white_spectral of the step's Philox slot, drawn into x
         step_rng(seed, sample, step + 1).standard_normal(out=x)
-        _rfft2_into(x, white, tmp)
-        white /= n
-        fld.advance(white, cfg.dt)
+        fld.advance(_white_into(x, white, tmp), cfg.dt)
         if step in measured:
             collect(drivers, (c, s), f_hats)
 
@@ -725,7 +746,7 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
                 counts[i] = 0
 
     drivers = _HeatDriver(lat, cfg.dt), _HeatDriver(lat, cfg.dt)
-    scratch = np.empty((3, n, n)), np.empty((4, n, lat.n_rfft), dtype=complex)
+    scratch = np.empty((3, n, n)), np.empty((2, n, lat.n_rfft), dtype=complex)
     for sample in range(cfg.n_samples):
         g_sums[:] = local_sums[:] = 0.0      # drop the blocks left open
         counts[:] = [0] * len(lambdas)
@@ -757,10 +778,10 @@ class PDEResult:
 
 
 def _shifted_step(driver: _HeatDriver, phi_hat: np.ndarray, beta: float,
-                  c_eps: float, work: np.ndarray) -> float:
+                  c_eps: float) -> float:
     """One step of the shifted equation on ``driver``, with ``phi_hat`` the
-    ``rfft2`` half-spectrum of Phi and ``work`` the two half-spectra the
-    driver steps in; returns the driver's imaginary residue before the step.
+    ``rfft2`` half-spectrum of Phi; returns the driver's imaginary residue
+    before the step.
 
     The reaction is the imaginary part of the positive chaos twisted by v;
     the two charges are exact conjugates, so it is the real field
@@ -770,7 +791,7 @@ def _shifted_step(driver: _HeatDriver, phi_hat: np.ndarray, beta: float,
     imag, n = driver.imag_residue(), driver.n
     x = np.fft.irfft2(driver.u_hat + phi_hat, s=(n, n))
     x *= beta               # in place: fewer full-grid temporaries per step
-    driver.step(np.multiply(np.sin(x, out=x), c_eps, out=x), *work)
+    driver.step(np.multiply(np.sin(x, out=x), c_eps, out=x))
     return imag
 
 
@@ -794,7 +815,6 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
     c_eps = renorm_constant(lat, eps, beta_sq)
     fld = sample_phi(lat, eps, seed)
     driver = _HeatDriver(lat, dt)
-    work = np.empty((2,) + driver.u_hat.shape, dtype=complex)
     if v0 is not None:
         driver.u_hat = np.fft.rfft2(np.asarray(v0, dtype=float))
     n_steps = int(round(t_end / dt))
@@ -803,7 +823,7 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
     max_imag = 0.0
     for step in range(n_steps):
         max_imag = max(max_imag, _shifted_step(driver, lat.n**2 * fld.coeffs,
-                                               beta, c_eps, work))
+                                               beta, c_eps))
         fld.advance(white_spectral(lat, step_rng(seed, 0, step + 1)), dt)
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
             times.append((step + 1) * dt)
@@ -882,7 +902,6 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     sups = np.zeros((len(seeds), len(pairs)))     # per seed, per pair
     max_imag = 0.0
     drivers = [_HeatDriver(lat, dt) for _ in widths]
-    work = np.empty((2, n, lat.n_rfft), dtype=complex)    # shared by widths
     # rfft2 of a width's field is n^2 sigma_k z (n^2 scales exactly)
     scales = [n**2 * lat.sigma_k(w, sh) for w, sh in zip(widths, shapes)]
     decay = drivers[0].decay        # the field is damped like the heat flow
@@ -898,8 +917,7 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
                 np.maximum(sup, [np.max(np.abs(d)) for d in diffs], out=sup)
             for driver, scale, c_eps in zip(drivers, scales, consts):
                 max_imag = max(max_imag,
-                               _shifted_step(driver, scale * z, beta, c_eps,
-                                             work))
+                               _shifted_step(driver, scale * z, beta, c_eps))
             z = decay * z + kick * white_spectral(
                 lat, step_rng(seed, 0, step + 1))
     d_vals = list(sups[:, :-1].mean(axis=0))

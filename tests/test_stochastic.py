@@ -5,6 +5,7 @@ Monte Carlo noise stays manageable; the heavy strong-coupling scaling runs
 live in the acceptance suite.
 """
 
+import platform
 from fractions import Fraction
 
 import numpy as np
@@ -809,7 +810,11 @@ class TestSharedStepperOracle:
 
     # repr of as_dict() at 32^2 and seed 2, recorded (numpy 2.4.6, x86-64)
     # before the dipole loop moved into preallocated buffers: the buffered
-    # loop keeps every floating-point operation and its order
+    # loop keeps every floating-point operation and its order.  The last
+    # bits depend on the SIMD kernels numpy picks for the CPU and on its
+    # FFT build, so the pin is checked only where it was recorded;
+    # test_dipole_moment_matches_per_slice_collect covers every other setup.
+    PINNED_ON = ("2.4.6", "x86_64")
     PINNED = {
         1: (
             "{'lambdas': [0.25, 0.1767766952966369, 0.125],"
@@ -837,6 +842,9 @@ class TestSharedStepperOracle:
         ),
     }
 
+    @pytest.mark.skipif(
+        (np.__version__, platform.machine()) != PINNED_ON,
+        reason="pinned bits were recorded on numpy 2.4.6, x86-64")
     @pytest.mark.parametrize("stride", [1, 2])
     def test_dipole_moment_is_pinned_bit_for_bit(self, stride):
         rep = dipole_moment(self.LAT, self.dipole_cfg(stride), seed=2)
