@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .tree_core import (ModelParams, SupercriticalError, dipole,
                         canonical_key, parse_key)
-from .rule_engine import enumerate_trees
+from .rule_engine import enumerate_negative_trees, enumerate_trees
 from .counterterm import cancellation_report
 from .moment_diagrams import (build_diagram, moment_terms,
                               multilinearity_audit)
@@ -59,18 +59,15 @@ def _rational(text: str) -> Fraction:
 
 def _params_from(args) -> ModelParams:
     beta_sq = _rational(args.beta2_over_pi)
-    # the sim commands read beta^2 only and have no --beta-bar or --mu
+    # the sim commands read beta^2 only and have no --beta-bar
     beta_bar = getattr(args, "beta_bar", None)
     if beta_bar is not None:
         beta_bar = _rational(beta_bar)
-    mu = getattr(args, "mu", None)
-    if mu is not None:
-        mu = _rational(mu)
     if beta_bar is None and 0 < beta_sq < 8:
         # hug the coupling from above so only genuinely divergent trees enter
         beta_bar = beta_sq / 4 + (2 - beta_sq / 4) / 8
     try:
-        return ModelParams.make(beta_sq, beta_bar=beta_bar, mu=mu)
+        return ModelParams.make(beta_sq, beta_bar=beta_bar)
     except SupercriticalError as exc:
         raise UsageError(f"supercritical: {exc}") from exc
 
@@ -114,14 +111,20 @@ def _emit_csv(path: str, rows: list[tuple]):
 # --- combinatorial subcommands -------------------------------------------------
 
 
+def _catalog(args):
+    """The full catalog below ``--mu``, which only the trees commands read."""
+    mu = None if args.mu is None else _rational(args.mu)
+    return enumerate_trees(_params_from(args), mu)
+
+
 def cmd_trees_enum(args):
-    cat = enumerate_trees(_params_from(args))
+    cat = _catalog(args)
     _emit(args, _payload(args, {"catalog": cat.export()}))
     return 0
 
 
 def cmd_trees_classify(args):
-    cat = enumerate_trees(_params_from(args))   # classifies the catalog too
+    cat = _catalog(args)   # classifies the catalog too
     _emit(args, _payload(args, {
         "total": len(cat.all),
         "negative": sorted(cat.negative),
@@ -131,7 +134,7 @@ def cmd_trees_classify(args):
 
 
 def cmd_renorm_cancel(args):
-    cat = enumerate_trees(_params_from(args))
+    cat = enumerate_negative_trees(_params_from(args))
     ledger = cancellation_report(cat)
     _emit(args, _payload(args, ledger.export()))
     return 0 if ledger.ok else 1
@@ -358,7 +361,7 @@ _FLAGS = {
     "--t-end": dict(type=float, default=0.25),
     "--out-csv": dict(help="write (scale, estimate, stderr) rows here"),
 }
-_MODEL = ("--beta2-over-pi", "--beta-bar", "--mu", "--out")
+_MODEL = ("--beta2-over-pi", "--beta-bar", "--out")
 _DIAGRAM = (*_MODEL, "--tree", "--p")
 _SIM = ("--beta2-over-pi", "--n", "--seed", "--out")
 
@@ -377,8 +380,8 @@ def build_parser() -> _Parser:
     groups = top.add_subparsers(dest="group", required=True)
 
     trees = groups.add_parser("trees").add_subparsers(dest="sub", required=True)
-    p = trees.add_parser("enum"); _add(p, *_MODEL); p.set_defaults(func=cmd_trees_enum)
-    p = trees.add_parser("classify"); _add(p, *_MODEL); p.set_defaults(func=cmd_trees_classify)
+    p = trees.add_parser("enum"); _add(p, *_MODEL, "--mu"); p.set_defaults(func=cmd_trees_enum)
+    p = trees.add_parser("classify"); _add(p, *_MODEL, "--mu"); p.set_defaults(func=cmd_trees_classify)
 
     renorm = groups.add_parser("renorm").add_subparsers(dest="sub", required=True)
     p = renorm.add_parser("cancel"); _add(p, *_MODEL); p.set_defaults(func=cmd_renorm_cancel)
@@ -423,9 +426,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_sim_dipole, eps=2.0**-5.5, dt=2.0**-11,
                    samples=12)
 
+    # the shifted equation needs beta^2 < 4*pi: default to criterion 11's 2*pi
     p = sim.add_parser("pde")
     _add(p, *_SIM, "--dt", "--eps", "--t-end")
-    p.set_defaults(func=cmd_sim_pde)
+    p.set_defaults(func=cmd_sim_pde, beta2_over_pi="2")
 
     p = sim.add_parser("converge")
     _add(p, *_SIM, "--dt", "--t-end", "--out-csv")
@@ -433,7 +437,7 @@ def build_parser() -> _Parser:
                    help="dyadic cascade of widths, coarsest first")
     p.add_argument("--seeds", type=int, default=8,
                    help="number of consecutive seeds starting at --seed")
-    p.set_defaults(func=cmd_sim_converge)
+    p.set_defaults(func=cmd_sim_converge, beta2_over_pi="2")
 
     return top
 

@@ -4,7 +4,10 @@ Each undecorated neutral divergent tree carries an exact coefficient of the
 form c * beta^k * i^m.  Coefficients of charge-flipped partners cancel
 exactly, and decorated divergent trees contribute nothing by a parity
 argument; together these certify that the renormalized equation carries no
-counterterm.
+counterterm.  The certificate needs only the divergent trees, which
+:func:`~sinegordon.rule_engine.enumerate_negative_trees` lists without the
+rest of the catalog, and it checks its own premises on whatever catalog it
+is given.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rule_engine import TreeCatalog
-from .tree_core import DecoratedTree, deco_weight, opp
+from .rule_engine import TreeCatalog, opp_closure_ok, structural_audit
+from .tree_core import DecoratedTree, deco_weight, opp, symmetry_factor
 
 
 @dataclass(frozen=True)
@@ -107,32 +110,33 @@ def cancellation_report(cat: TreeCatalog) -> CancellationLedger:
     trees are parity-killed: their scalar weight vanishes because the
     integrand is odd in the single spatial direction singled out by the
     unit decoration.
-    """
-    from .tree_core import symmetry_factor
 
+    Both arguments rest on premises checked here first: the catalog and its
+    divergent subsets are closed under charge flip (:func:`opp_closure_ok`),
+    and every divergent tree is all-noise with at most one unit decoration
+    (:func:`structural_audit`).  Each broken premise is a failure, and a
+    tree that breaks one is not paired.
+    """
     ledger = CancellationLedger()
-    seen: set[str] = set()
+    audit = structural_audit(cat)
+    ledger.failures.extend(audit.violations)
+    if not opp_closure_ok(cat):
+        ledger.failures.append({"reason": "catalog not closed under charge flip"})
+    seen = {v["key"] for v in audit.violations}
     for key in sorted(cat.negative_neutral):
         if key in seen:
             continue
         tau = cat.negative_neutral[key]
-        if not tau.deco_is_zero:
-            decos = [n.deco for n in tau.iter_nodes() if deco_weight(n.deco) > 0]
-            if len(decos) == 1 and decos[0] in ((0, 1, 0), (0, 0, 1)):
-                ledger.parity_killed.append({"key": key, "deco": list(decos[0])})
-                seen.add(key)
-                ledger.covered += 1
-            else:
-                ledger.failures.append(
-                    {"key": key, "reason": "decorated tree outside the parity pattern"}
-                )
-                seen.add(key)
+        if tau.total_deco_weight:
+            # the structural audit left exactly one unit decoration
+            deco = next(n.deco for n in tau.iter_nodes() if deco_weight(n.deco) > 0)
+            ledger.parity_killed.append({"key": key, "deco": list(deco)})
+            ledger.covered += 1
             continue
         tau_opp = opp(tau)
         key_opp = tau_opp.key
         if key_opp not in cat.negative_neutral:
             ledger.failures.append({"key": key, "reason": "charge-flip partner missing"})
-            seen.add(key)
             continue
         u = upsilon(tau)
         u_opp = upsilon(tau_opp)
@@ -148,7 +152,6 @@ def cancellation_report(cat: TreeCatalog) -> CancellationLedger:
             ledger.failures.append({**entry, "reason": "pair sum nonzero"})
         else:
             ledger.pairs.append(entry)
-            ledger.covered += 2 if key_opp != key else 1
-        seen.add(key)
+            ledger.covered += 2
         seen.add(key_opp)
     return ledger

@@ -2,9 +2,13 @@
 
 A tree is admissible when every node is of one of the allowed shapes: a
 (possibly decorated) 0-node with any number of kernel-edge branches, or a
-charged node with any number of kernel-edge branches.  The enumerator
-returns the full finite catalog below the cutoff ``mu`` and classifies the
-divergent (negative-homogeneity) and neutral-divergent trees.
+charged node with any number of kernel-edge branches.  One fixpoint builds
+every catalog.  :func:`enumerate_trees` returns the full finite catalog
+below a cutoff ``mu`` in (beta_bar, 2); the cutoff is an argument of the
+enumerator alone, not a model parameter.  :func:`enumerate_negative_trees`
+runs the same fixpoint with cutoff 0, which yields exactly the divergent
+(negative-homogeneity) trees.  Both classify the divergent and
+neutral-divergent trees.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ _DECOS = tuple(
 
 @dataclass
 class TreeCatalog:
-    """Complete catalog of admissible trees below the cutoff."""
+    """Complete catalog of admissible trees below an enumeration cutoff."""
 
     params: ModelParams
     all: dict[str, DecoratedTree]
@@ -71,21 +75,37 @@ class AuditReport:
     violations: list[dict]
 
 
-def enumerate_trees(params: ModelParams) -> TreeCatalog:
-    """All admissible trees with homogeneity strictly below ``params.mu``.
+def enumerate_trees(params: ModelParams, mu=None) -> TreeCatalog:
+    """All admissible trees with homogeneity strictly below ``mu``.
 
-    Fixpoint generation: every admissible tree consists of a root node
-    (label, decoration) together with a multiset of admissible branch
-    subtrees, each branch costing ``2 + |branch|_s > 2 - beta_bar > 0``.
-    Every branch of a catalog tree is itself a catalog tree, so iterating
-    node construction over the current catalog until nothing new appears
-    yields exactly the catalog.
+    The cutoff must lie in (beta_bar, 2) and defaults to the midpoint
+    (beta_bar + 2)/2.
     """
     bb = params.beta_bar
-    mu = params.mu
-    if bb >= 2:
-        raise ValueError("enumeration requires beta_bar < 2")
+    mu = (bb + 2) / 2 if mu is None else Fraction(mu)
+    if not (bb < mu < 2):
+        raise ValueError(f"mu = {mu} not in (beta_bar, 2)")
+    return _fixpoint(params, mu)
 
+
+def enumerate_negative_trees(params: ModelParams) -> TreeCatalog:
+    """Exactly the divergent trees: the catalog fixpoint with cutoff 0."""
+    return _fixpoint(params, Fraction(0))
+
+
+def _fixpoint(params: ModelParams, mu: Fraction) -> TreeCatalog:
+    """All admissible trees with homogeneity strictly below ``mu``.
+
+    Every admissible tree consists of a root node (label, decoration) of
+    cost r >= -beta_bar together with a multiset of admissible branch
+    subtrees, each branch b costing ``2 + |b|_s >= 2 - beta_bar > 0``.  A
+    tree below ``mu`` therefore has branches with 2 + |b|_s < mu - r <=
+    mu + beta_bar, that is |b|_s < mu - (2 - beta_bar) < mu: every branch of
+    a catalog tree is itself a catalog tree, whatever the cutoff.  So
+    iterating node construction over the current catalog until nothing new
+    appears yields exactly the catalog.
+    """
+    bb = params.beta_bar
     found: dict[str, DecoratedTree] = {}
 
     def hom_at(tau: DecoratedTree) -> Fraction:
@@ -160,7 +180,7 @@ def structural_audit(cat: TreeCatalog) -> AuditReport:
     bb = cat.params.beta_bar
     violations: list[dict] = []
     checked = 0
-    for key, tau in cat.negative.items():
+    for key, tau in (cat.negative | cat.negative_neutral).items():
         checked += 1
         labels = [node.label for node in tau.iter_nodes()]
         if any(l == "0" for l in labels):
@@ -180,8 +200,10 @@ def structural_audit(cat: TreeCatalog) -> AuditReport:
 
 def opp_closure_ok(cat: TreeCatalog) -> bool:
     """The catalog and both divergent subsets are stable under charge flip."""
-    return (
-        all(opp(t).key in cat.all for t in cat.all.values())
-        and all(opp(t).key in cat.negative for t in cat.negative.values())
-        and all(opp(t).key in cat.negative_neutral for t in cat.negative_neutral.values())
+    trees = cat.all | cat.negative | cat.negative_neutral
+    flips = {key: opp(t).key for key, t in trees.items()}
+    return all(
+        flips[key] in subset
+        for subset in (cat.all, cat.negative, cat.negative_neutral)
+        for key in subset
     )

@@ -56,15 +56,14 @@ class ModelParams:
     """Exact model parameters.
 
     ``beta_sq`` is the squared coupling in units of pi (so a coupling of
-    5*pi is stored as the rational 5).  ``beta_prime`` is beta^2/(4*pi),
+    5*pi is stored as the rational 5).  ``beta_prime`` is beta^2/(4*pi), and
     ``beta_bar`` an exact rational in (beta_prime, 2) controlling all
-    homogeneity bookkeeping, and ``mu`` the enumeration cutoff in
-    (beta_bar, 2).
+    homogeneity bookkeeping.  The tree enumeration cutoff is not a model
+    parameter: :func:`~sinegordon.rule_engine.enumerate_trees` takes it.
     """
 
     beta_sq: Fraction
     beta_bar: Fraction
-    mu: Fraction
 
     @property
     def beta_prime(self) -> Fraction:
@@ -73,7 +72,6 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "beta_sq", Fraction(self.beta_sq))
         object.__setattr__(self, "beta_bar", Fraction(self.beta_bar))
-        object.__setattr__(self, "mu", Fraction(self.mu))
         if not (0 < self.beta_sq < 8):
             raise SupercriticalError(
                 f"beta^2/pi = {self.beta_sq} outside the subcritical range (0, 8)"
@@ -83,27 +81,22 @@ class ModelParams:
                 f"beta_bar = {self.beta_bar} not in (beta', 2) = "
                 f"({self.beta_prime}, 2)"
             )
-        if not (self.beta_bar < self.mu < 2):
-            raise ValueError(f"mu = {self.mu} not in (beta_bar, 2)")
 
     @staticmethod
-    def make(beta_sq, beta_bar=None, mu=None) -> "ModelParams":
-        """Build params, defaulting beta_bar and mu to interval midpoints."""
+    def make(beta_sq, beta_bar=None) -> "ModelParams":
+        """Build params, defaulting beta_bar to the midpoint of (beta', 2)."""
         beta_sq = Fraction(beta_sq)   # __post_init__ refuses it if supercritical
         if beta_bar is None:
             beta_bar = (beta_sq / 4 + 2) / 2
-        beta_bar = Fraction(beta_bar)
-        if mu is None:
-            mu = (beta_bar + 2) / 2
-        return ModelParams(beta_sq, beta_bar, Fraction(mu))
+        return ModelParams(beta_sq, Fraction(beta_bar))
 
     @staticmethod
-    def from_beta_bar(beta_bar, mu=None) -> "ModelParams":
+    def from_beta_bar(beta_bar) -> "ModelParams":
         """Params specified directly by beta_bar (beta^2 chosen compatibly)."""
         beta_bar = Fraction(beta_bar)
         # any beta' < beta_bar works for combinatorics; take beta' = beta_bar/2
         # when that is positive, i.e. beta_sq = 2*beta_bar.
-        return ModelParams.make(2 * beta_bar, beta_bar=beta_bar, mu=mu)
+        return ModelParams.make(2 * beta_bar, beta_bar=beta_bar)
 
 
 class SupercriticalError(ValueError):
@@ -157,12 +150,6 @@ class DecoratedTree:
     @cached_property
     def total_deco_weight(self) -> int:
         return deco_weight(self.deco) + sum(c.total_deco_weight for c in self.children)
-
-    @cached_property
-    def deco_is_zero(self) -> bool:
-        return self.total_deco_weight == 0 and all(
-            k == 0 for k in self.deco
-        ) and all(c.deco_is_zero for c in self.children)
 
     def iter_nodes(self):
         """Yield all subtrees (as node stand-ins), root first."""

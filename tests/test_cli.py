@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from sinegordon.cli import build_parser, main
+from sinegordon.rule_engine import enumerate_negative_trees
 
 
 def run_cli(args, capsys):
@@ -74,6 +75,11 @@ class TestExitCodes:
         ["sim", "field", "--dt", "0.001"],
         *[["sim", sub, "--beta-bar", "3/2"] for sub in SIM_SUBS],
         *[["sim", sub, "--mu", "7/4"] for sub in SIM_SUBS],
+        # only the trees commands enumerate below a cutoff
+        *[[*cmd, "--mu", "7/4"] for cmd in (["renorm", "cancel"],
+                                            ["diagram", "terms"],
+                                            ["diagram", "audit"],
+                                            ["multiscale", "audit"])],
     ])
     def test_removed_sim_flags_are_refused(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)
@@ -96,6 +102,43 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: need at least two distinct lambdas\n"
 
+    def test_cutoff_is_read_by_trees(self, capsys):
+        code, out, _ = run_cli(["trees", "enum", "--mu", "7/4"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"]["mu"] == "7/4"
+        _, lower, _ = run_cli(["trees", "enum", "--mu", "3/2"], capsys)
+        assert len(payload["results"]["catalog"]) > \
+            len(json.loads(lower)["results"]["catalog"])
+
+    def test_cutoff_below_beta_bar_is_refused(self, capsys):
+        code, out, err = run_cli(["trees", "enum", "--mu", "1/2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: mu = 1/2 not in (beta_bar, 2)\n"
+
+    def test_broken_cancellation_premise_exits_1(self, capsys, monkeypatch):
+        from sinegordon import cli
+        from sinegordon.tree_core import DecoratedTree, XI_MINUS, integrate, opp
+        bad = DecoratedTree("+", (0, 0, 0), (integrate(XI_MINUS),))
+
+        def with_zero_node(params):
+            cat = enumerate_negative_trees(params)
+            for tau in (bad, opp(bad)):
+                for subset in (cat.all, cat.negative, cat.negative_neutral):
+                    subset[tau.key] = tau
+            return cat
+
+        monkeypatch.setattr(cli, "enumerate_negative_trees", with_zero_node)
+        code, out, err = run_cli(["renorm", "cancel"], capsys)
+        assert code == 1
+        assert err == ""
+        res = json.loads(out)["results"]
+        assert res["verdict"] == "cancellation FAILED"
+        assert [f["key"] for f in res["failures"]] == sorted(
+            [bad.key, opp(bad).key])
+        assert len(res["pairs"]) == 1
+
     def test_library_refusal_is_a_usage_error(self, capsys):
         code, _, err = run_cli(["diagram", "terms", "--p", "0"], capsys)
         assert code == 2
@@ -107,6 +150,21 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == "error: pde solver requires beta^2 < 4*pi\n"
+
+    @pytest.mark.parametrize("sub, beta_sq", [("field", "5"), ("dipole", "5"),
+                                              ("pde", "2"), ("converge", "2")])
+    def test_default_coupling(self, sub, beta_sq):
+        assert build_parser().parse_args(["sim", sub]).beta2_over_pi == beta_sq
+
+    @pytest.mark.parametrize("argv", [
+        ["sim", "pde", "--n", "32", "--eps", "0.125", "--t-end", "0.0625"],
+        ["sim", "converge", "--n", "32", "--seeds", "2", "--t-end", "0.0625",
+         "--eps-list", "0.25", "0.125"],
+    ])
+    def test_shifted_equation_runs_at_its_default_coupling(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["beta2_over_pi"] == "2"
 
     def test_internal_fault_is_not_a_usage_error(self, capsys, monkeypatch):
         from sinegordon import cli

@@ -3,8 +3,10 @@
 from fractions import Fraction
 from itertools import product
 
+import pytest
+
 from sinegordon.tree_core import (DecoratedTree, ModelParams, canonical_key,
-                                  dipole, opp)
+                                  dipole, opp, s_homogeneity)
 from sinegordon.rule_engine import (enumerate_trees, classify_trees,
                                     structural_audit, opp_closure_ok)
 
@@ -88,3 +90,25 @@ class TestCatalog:
         cat = enumerate_trees(ModelParams.from_beta_bar(Fraction(6, 5)))
         for key, tau in cat.all.items():
             assert canonical_key(opp(tau)) in cat.all
+
+
+class TestCutoff:
+    """The cutoff mu is the enumerator's own argument, refused outside
+    (beta_bar, 2) and defaulting to the midpoint of that window."""
+
+    @pytest.mark.parametrize("mu", [Fraction(5, 4), Fraction(3, 2),
+                                    Fraction(2)])
+    def test_cutoff_outside_window_refused(self, mu):
+        params = ModelParams(Fraction(5), Fraction(3, 2))
+        with pytest.raises(ValueError, match=rf"^mu = {mu} not in \(beta_bar, 2\)$"):
+            enumerate_trees(params, mu)
+
+    def test_default_cutoff_lies_in_window(self):
+        params = ModelParams.from_beta_bar(Fraction(5, 4))
+        mid = (params.beta_bar + 2) / 2
+        cat = enumerate_trees(params)
+        assert set(cat.all) == set(enumerate_trees(params, mid).all)
+        top = max(s_homogeneity(t).at(params.beta_bar) for t in cat.all.values())
+        # trees above beta_bar enter, so beta_bar < top < default cutoff < 2
+        assert params.beta_bar < top < mid < 2
+        assert set(cat.all) < set(enumerate_trees(params, (mid + 2) / 2).all)

@@ -99,12 +99,14 @@ class TestModelParams:
             ModelParams.make(Fraction(8))
 
     def test_interval_constraints(self):
+        # the cutoff's window (beta_bar, 2) is the enumerator's: see
+        # test_rule_engine.TestCutoff
         with pytest.raises(ValueError):
-            ModelParams(Fraction(5), Fraction(1), Fraction(3, 2))  # bb <= b'
+            ModelParams(Fraction(5), Fraction(1))  # bb <= b'
         with pytest.raises(ValueError):
-            ModelParams(Fraction(5), Fraction(3, 2), Fraction(5, 4))  # mu < bb
+            ModelParams(Fraction(5), Fraction(2))  # bb >= 2
 
     def test_from_beta_bar(self):
         p = ModelParams.from_beta_bar(Fraction(5, 4))
         assert p.beta_bar == Fraction(5, 4)
-        assert p.beta_prime < p.beta_bar < p.mu < 2
+        assert p.beta_prime < p.beta_bar < 2
