@@ -107,9 +107,11 @@ def _fixpoint(params: ModelParams, mu: Fraction) -> TreeCatalog:
     """
     bb = params.beta_bar
     found: dict[str, DecoratedTree] = {}
+    hom: dict[str, Fraction] = {}      # |tau|_s, evaluated once per tree
 
-    def hom_at(tau: DecoratedTree) -> Fraction:
-        return s_homogeneity(tau).at(bb)
+    def add(t: DecoratedTree, into: dict[str, DecoratedTree]):
+        into[t.key] = t
+        hom[t.key] = s_homogeneity(t).at(bb)
 
     # single-node seeds
     frontier: list[DecoratedTree] = []
@@ -118,14 +120,14 @@ def _fixpoint(params: ModelParams, mu: Fraction) -> TreeCatalog:
             root_cost = Fraction(deco_weight(deco)) - (bb if label != "0" else 0)
             if root_cost < mu:
                 t = DecoratedTree(label, deco)
-                found[t.key] = t
+                add(t, found)
                 frontier.append(t)
 
     while frontier:
         # branch candidates sorted by cost; cost of using tau as a branch
         # is 2 + |tau|_s
-        cand = sorted(found.values(), key=lambda t: (hom_at(t), t.key))
-        costs = [2 + hom_at(t) for t in cand]
+        cand = sorted(found.values(), key=lambda t: (hom[t.key], t.key))
+        costs = [2 + hom[t.key] for t in cand]
         new: dict[str, DecoratedTree] = {}
 
         def extend(idx: int, budget: Fraction, chosen: list[DecoratedTree],
@@ -133,7 +135,7 @@ def _fixpoint(params: ModelParams, mu: Fraction) -> TreeCatalog:
             if chosen:
                 t = DecoratedTree(root_label, root_deco, tuple(chosen))
                 if t.key not in found and t.key not in new:
-                    new[t.key] = t
+                    add(t, new)
             for i in range(idx, len(cand)):
                 if costs[i] >= budget:
                     break

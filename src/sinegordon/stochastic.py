@@ -13,26 +13,32 @@ One real exponential-Euler integrator steps heat flows on half-spectra: the
 dipole's complex profile is two of them, driven by C cos(beta Phi) and
 C sin(beta Phi), and the shifted equation one, its reaction from one irfft2
 of the summed half-spectra of Phi and v, its imaginary residue from its
-self-conjugate columns.  The dipole counterterm is exact, not sampled.  The
-dipole loop allocates no full-grid array per step: ``dipole_moment``
+self-conjugate columns.  The dipole counterterm is exact, not sampled.  No
+time-stepping loop allocates a full-grid array per step.  ``dipole_moment``
 allocates the drivers, the field's real space, the forcings, the white noise
 and ``collect``'s products once and reuses them for every sample, and the
-counterterm one set for every lag.  The white noise and the real space are
-written into those buffers by ``_white_into`` and ``_real_space_into``,
-which ``white_spectral`` and ``GaussianField.real_space`` call with fresh
-arrays; every 2-d transform into a buffer is two 1-d passes
-(``_rfft2_into``, ``_irfft2_into``), bit for bit rfft2/irfft2.  Each
-``_HeatDriver`` steps in its own forcing half-spectrum and scratch.  The
-charge correlation conditions on the field modes |m| <= c (every mode by
-default) and draws only those, from white noise on the smallest power-of-two
-grid M0 > 2c (the full n^2 draw when M0 >= n), placed straight onto the
-coarse grid of their chaos: the smallest power-of-two M^2 grid whose outer
-band holds at most 1e-14 of the power.  The products are zero-padded to n^2
-once (at M = n they are the full-grid sums).  The convergence study's widths
-share one unit-variance OU process z of the modes, each width being
-sigma_k z; its sup-distances invert half-spectral differences.  All noise
-comes from counter-based generators keyed by (seed, sample, step): runs are
-reproducible in any order.
+counterterm one set for every lag.  ``solve_pde`` and ``convergence_study``
+step through ``_shifted_step``, which sums the half-spectra of Phi and v in
+the driver's forcing half-spectrum and inverts them into one real buffer
+that the sine, the study's sup-distances and the white draw reuse; the
+study reads every width's imaginary residue in one call and updates its
+noise z in place.  The white noise and the real space are written into
+buffers by ``_white_into`` and ``_real_space_into``, which
+``white_spectral`` and ``GaussianField.real_space`` call with fresh arrays;
+every 2-d transform into a buffer is two 1-d passes (``_rfft2_into``,
+``_irfft2_into``), bit for bit rfft2/irfft2.  Each ``_HeatDriver`` steps in
+its own forcing half-spectrum and scratch, and each loop draws its noise
+from one Philox re-keyed to each (seed, sample, step) slot (``_step_rngs``),
+the stream of a fresh ``step_rng``.  The charge correlation conditions on
+the field modes |m| <= c (every mode by default) and draws only those, from
+white noise on the smallest power-of-two grid M0 > 2c (the full n^2 draw
+when M0 >= n), placed straight onto the coarse grid of their chaos: the
+smallest power-of-two M^2 grid whose outer band holds at most 1e-14 of the
+power.  The products are zero-padded to n^2 once (at M = n they are the
+full-grid sums).  The convergence study's widths share one unit-variance OU
+process z of the modes, each width being sigma_k z; its sup-distances invert
+half-spectral differences.  All noise comes from counter-based generators
+keyed by (seed, sample, step): runs are reproducible in any order.
 """
 
 from __future__ import annotations
@@ -116,6 +122,27 @@ def step_rng(seed: int, sample: int, step: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(key=seed, counter=[0, 0, sample, step])
     )
+
+
+def _step_rngs(seed: int):
+    """``step_rng(seed, sample, step)`` for every slot from one Philox.
+
+    Returns ``slot(sample, step)``, which re-keys that one generator to the
+    slot through its state (the counter of the slot, the key of ``seed``
+    and an empty buffer) and returns it; its draws are then those of a
+    fresh ``step_rng(seed, sample, step)``, at a fraction of the cost of
+    building a Philox and its SeedSequence.  The generator is shared: a
+    slot's draws are made before the next slot is asked for.
+    """
+    rng = step_rng(seed, 0, 0)
+    state = rng.bit_generator.state      # key of seed, buffer still empty
+
+    def slot(sample: int, step: int) -> np.random.Generator:
+        state["state"]["counter"][2:] = sample, step
+        rng.bit_generator.state = state
+        return rng
+
+    return slot
 
 
 def white_spectral(lat: TorusLattice, rng: np.random.Generator) -> np.ndarray:
@@ -531,15 +558,25 @@ class _HeatDriver:
         return np.fft.irfft2(self.u_hat, s=(self.n, self.n))
 
     def imag_residue(self) -> float:
-        """max |Im ifft2(E)|, E the Hermitian extension of the half-spectrum.
+        """max |Im ifft2(E)|, E the Hermitian extension of ``u_hat``: the
+        one-spectrum case of ``_imag_residues``."""
+        return float(_imag_residues(self.u_hat))
 
-        Only the self-conjugate columns 0 and n/2 can carry an anti-Hermitian
-        part, and at column offset y they enter as g_0(x) + (-1)^y g_{n/2}(x),
-        g_l = ifft of column l along axis 0; so the residue is
-        (1/n) max_x (|Im g_0(x)| + |Im g_{n/2}(x)|).
-        """
-        g = np.fft.ifft(self.u_hat[:, :: self.n // 2], axis=0)
-        return float(np.max(np.abs(g.imag).sum(axis=1))) / self.n
+
+def _imag_residues(u_hats: np.ndarray) -> np.ndarray:
+    """max |Im ifft2(E)| of each half-spectrum of the stack ``u_hats`` (its
+    last two axes), E the Hermitian extension of that half-spectrum.
+
+    Only the self-conjugate columns 0 and n/2 can carry an anti-Hermitian
+    part, and at column offset y they enter as g_0(x) + (-1)^y g_{n/2}(x),
+    g_l = ifft of column l along its axis; so the residue is
+    (1/n) max_x (|Im g_0(x)| + |Im g_{n/2}(x)|).  Each 1-d transform is
+    computed alone, so a stack reads, bit for bit, the residues of its
+    members one at a time, in one call.
+    """
+    n = u_hats.shape[-2]
+    g = np.fft.ifft(u_hats[..., :: n // 2], axis=-2)
+    return np.abs(g.imag).sum(axis=-1).max(axis=-1) / n
 
 
 @dataclass
@@ -590,13 +627,15 @@ def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
     real n-by-n arrays, two half-spectra) once for all its trajectories;
     the forcings and the white noise live in them, the f_hats in the
     drivers, and all are overwritten by the next step, so a step allocates
-    no full-grid array.  Only differences of the profile enter the
-    estimator, so its undamped mean is projected out after each step; f_hats
-    keep their zero modes.
+    no full-grid array; its white noise is drawn from the one generator of
+    ``_step_rngs``, re-keyed to each slot.  Only differences of the profile
+    enter the estimator, so its undamped mean is projected out after each
+    step; f_hats keep their zero modes.
     """
     beta = np.sqrt(float(Fraction(cfg.beta_sq)) * np.pi)
     c_eps = renorm_constant(lat, cfg.eps, cfg.beta_sq)
     fld = sample_phi(lat, cfg.eps, seed, sample)
+    rng = _step_rngs(seed)
     (x, c, s), (white, tmp) = scratch
     for driver in drivers:
         driver.u_hat[...] = 0.0
@@ -610,7 +649,7 @@ def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
         s *= c_eps
         f_hats = drivers[0].step(c), drivers[1].step(s)
         drivers[0].u_hat[0, 0] = drivers[1].u_hat[0, 0] = 0.0
-        step_rng(seed, sample, step + 1).standard_normal(out=x)
+        rng(sample, step + 1).standard_normal(out=x)
         fld.advance(_white_into(x, white, tmp), cfg.dt)
         if step in measured:
             collect(drivers, (c, s), f_hats)
@@ -777,22 +816,29 @@ class PDEResult:
         return self.snapshots[-1]
 
 
-def _shifted_step(driver: _HeatDriver, phi_hat: np.ndarray, beta: float,
-                  c_eps: float) -> float:
-    """One step of the shifted equation on ``driver``, with ``phi_hat`` the
-    ``rfft2`` half-spectrum of Phi; returns the driver's imaginary residue
-    before the step.
+def _shifted_step(driver: _HeatDriver, scale, z: np.ndarray, beta: float,
+                  c_eps: float, x: np.ndarray):
+    """One step of the shifted equation on ``driver``, where Phi has the
+    ``rfft2`` half-spectrum ``scale * z`` and ``x`` is a real n-by-n
+    scratch.
 
     The reaction is the imaginary part of the positive chaos twisted by v;
     the two charges are exact conjugates, so it is the real field
     Im(e^{i beta v} C e^{i beta Phi}) = C sin(beta (Phi + v)), and Phi + v
-    is one ``irfft2`` of the summed half-spectra.
+    is one inverse transform of the summed half-spectra.  The step
+    allocates no full-grid array: the sum is written into the driver's
+    ``f_hat``, free until ``step`` overwrites it, and inverted through the
+    driver's scratch into ``x`` (``_irfft2_into``, bit for bit ``irfft2``),
+    where the sine is taken in place.  The imaginary residue is the
+    caller's to read, for every driver in one call (``_imag_residues``).
     """
-    imag, n = driver.imag_residue(), driver.n
-    x = np.fft.irfft2(driver.u_hat + phi_hat, s=(n, n))
-    x *= beta               # in place: fewer full-grid temporaries per step
-    driver.step(np.multiply(np.sin(x, out=x), c_eps, out=x))
-    return imag
+    phi_v = np.multiply(scale, z, out=driver.f_hat)
+    phi_v += driver.u_hat
+    _irfft2_into(phi_v, x, driver._tmp)
+    x *= beta
+    np.sin(x, out=x)
+    x *= c_eps
+    driver.step(x)
 
 
 def _check_pde_coupling(beta_sq):
@@ -808,12 +854,18 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
 
     The drift is half the Laplacian and the reaction is the sine
     nonlinearity of ``_shifted_step``.  Only beta^2 < 4 pi is accepted.
+    A step allocates no full-grid array: the reaction and then the white
+    draw share one real buffer, the draw comes from one generator re-keyed
+    to each slot (``_step_rngs``), and its half-spectrum is written into
+    the driver's ``f_hat`` and scratch, free once the step is taken.  Only
+    the recorded snapshots are fresh arrays.
     """
     _check_pde_coupling(beta_sq)
     dt = lat.dt
     beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
     c_eps = renorm_constant(lat, eps, beta_sq)
     fld = sample_phi(lat, eps, seed)
+    rng = _step_rngs(seed)
     driver = _HeatDriver(lat, dt)
     if v0 is not None:
         driver.u_hat = np.fft.rfft2(np.asarray(v0, dtype=float))
@@ -821,10 +873,12 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
     record_every = record_every or n_steps
     times, snaps = [0.0], [driver.profile()]
     max_imag = 0.0
+    x = np.empty((lat.n, lat.n))
     for step in range(n_steps):
-        max_imag = max(max_imag, _shifted_step(driver, lat.n**2 * fld.coeffs,
-                                               beta, c_eps))
-        fld.advance(white_spectral(lat, step_rng(seed, 0, step + 1)), dt)
+        max_imag = max(max_imag, driver.imag_residue())
+        _shifted_step(driver, lat.n**2, fld.coeffs, beta, c_eps, x)
+        rng(0, step + 1).standard_normal(out=x)
+        fld.advance(_white_into(x, driver.f_hat, driver._tmp), dt)
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
             times.append((step + 1) * dt)
             snaps.append(driver.profile())
@@ -874,9 +928,20 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     modes: each width's coefficients are sigma_k z for one unit-variance OU
     process z, advanced once per step.  d is the sup over the late-time
     space-time grid (the last three quarters of the steps) of the
-    difference between solutions at consecutive widths, each an ``irfft2``
-    of their half-spectral difference, and the swap gap is that of the
-    finest Gaussian and the quartic.  Only beta^2 < 4 pi is accepted.
+    difference between solutions at consecutive widths, each an inverse
+    transform of their half-spectral difference, and the swap gap is that
+    of the finest Gaussian and the quartic.  Only beta^2 < 4 pi is
+    accepted.
+
+    A step allocates no full-grid array.  Every width steps through
+    ``_shifted_step``; the solutions' half-spectra are one stack, so one
+    ``_imag_residues`` call reads all their residues.  The reactions, each
+    sup-distance (max |x| of its difference, inverted by ``_irfft2_into``
+    into a real buffer and taken absolute in place, so a NaN reaches the
+    sup) and the white draw share that buffer.  z is updated in place from
+    one generator re-keyed to each slot (``_step_rngs``); the differences
+    and the noise's half-spectrum use the first driver's ``f_hat`` and
+    scratch, free between steps.
     """
     _check_pde_coupling(beta_sq)
     dt = lat.dt
@@ -902,24 +967,34 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     sups = np.zeros((len(seeds), len(pairs)))     # per seed, per pair
     max_imag = 0.0
     drivers = [_HeatDriver(lat, dt) for _ in widths]
+    u_hats = np.zeros((len(widths), n, lat.n_rfft), dtype=complex)
+    for driver, u_hat in zip(drivers, u_hats):
+        driver.u_hat = u_hat
     # rfft2 of a width's field is n^2 sigma_k z (n^2 scales exactly)
     scales = [n**2 * lat.sigma_k(w, sh) for w, sh in zip(widths, shapes)]
     decay = drivers[0].decay        # the field is damped like the heat flow
     kick = np.sqrt(1.0 - decay**2)
+    x, dists = np.empty((n, n)), np.empty(len(pairs))
+    spare, tmp = drivers[0].f_hat, drivers[0]._tmp
+    z = np.empty_like(spare)
     for sup, seed in zip(sups, seeds):
-        z = white_spectral(lat, step_rng(seed, 0, 0))
-        for driver in drivers:
-            driver.u_hat[...] = 0.0
+        rng = _step_rngs(seed)
+        _white_into(rng(0, 0).standard_normal(out=x), z, tmp)
+        u_hats[...] = 0.0
         for step in range(n_steps):
             if step >= start:           # sup |v_a - v_b| before the step
-                diffs = (np.fft.irfft2(drivers[a].u_hat - drivers[b].u_hat,
-                                       s=(n, n)) for a, b in pairs)
-                np.maximum(sup, [np.max(np.abs(d)) for d in diffs], out=sup)
+                for k, (a, b) in enumerate(pairs):
+                    _irfft2_into(np.subtract(u_hats[a], u_hats[b], out=spare),
+                                 x, tmp)
+                    dists[k] = np.abs(x, out=x).max()
+                np.maximum(sup, dists, out=sup)
+            max_imag = max(max_imag, *_imag_residues(u_hats).tolist())
             for driver, scale, c_eps in zip(drivers, scales, consts):
-                max_imag = max(max_imag,
-                               _shifted_step(driver, scale * z, beta, c_eps))
-            z = decay * z + kick * white_spectral(
-                lat, step_rng(seed, 0, step + 1))
+                _shifted_step(driver, scale, z, beta, c_eps, x)
+            white = _white_into(rng(0, step + 1).standard_normal(out=x),
+                                spare, tmp)
+            np.multiply(decay, z, out=z)
+            z += np.multiply(kick, white, out=white)
     d_vals = list(sups[:, :-1].mean(axis=0))
     ratios = [d_vals[j + 1] / d_vals[j] for j in range(len(d_vals) - 1)]
     errs = (sups[:, :-1].std(axis=0, ddof=1) / np.sqrt(len(seeds))

@@ -7,8 +7,10 @@ import pytest
 
 from sinegordon.tree_core import (DecoratedTree, ModelParams, canonical_key,
                                   dipole, opp, s_homogeneity)
-from sinegordon.rule_engine import (enumerate_trees, classify_trees,
-                                    structural_audit, opp_closure_ok)
+from sinegordon import rule_engine
+from sinegordon.rule_engine import (enumerate_negative_trees, enumerate_trees,
+                                    classify_trees, structural_audit,
+                                    opp_closure_ok)
 
 
 def brute_force_negative_neutral(beta_bar: Fraction, max_nodes: int = 4):
@@ -112,3 +114,26 @@ class TestCutoff:
         # trees above beta_bar enter, so beta_bar < top < default cutoff < 2
         assert params.beta_bar < top < mid < 2
         assert set(cat.all) < set(enumerate_trees(params, (mid + 2) / 2).all)
+
+
+def test_fixpoint_evaluates_each_homogeneity_once(monkeypatch):
+    """At beta^2/pi = 13/2 and the CLI's default beta_bar 107/64 (1,298
+    negative trees over several rounds), the fixpoint evaluates |tau|_s at
+    most once per tree it finds, before the catalog is classified."""
+    calls, at_classify = [], []
+
+    def counted(tau):
+        calls.append(tau.key)
+        return s_homogeneity(tau)
+
+    def classify(cat):
+        at_classify.append(len(calls))
+        return classify_trees(cat)
+
+    monkeypatch.setattr(rule_engine, "s_homogeneity", counted)
+    monkeypatch.setattr(rule_engine, "classify_trees", classify)
+    cat = enumerate_negative_trees(ModelParams(Fraction(13, 2),
+                                               Fraction(107, 64)))
+    assert len(cat.all) == 1298
+    assert at_classify == [len(set(calls[: at_classify[0]]))]
+    assert at_classify[0] <= len(cat.all)

@@ -5,6 +5,7 @@ Monte Carlo noise stays manageable; the heavy strong-coupling scaling runs
 live in the acceptance suite.
 """
 
+import hashlib
 import platform
 from fractions import Fraction
 
@@ -17,12 +18,19 @@ from sinegordon.stochastic import (
     dipole_counterterm, dipole_moment, DipoleConfig, renorm_constant,
     renorm_slope, sample_phi, sigma2, solve_pde, step_rng,
     translation_correlation, white_spectral, wick_exponential,
-    covariance_table, _HeatDriver, _chaos_spectra, _irfft2_into,
-    _rfft2_into,
+    covariance_table, _HeatDriver, _chaos_spectra, _imag_residues,
+    _irfft2_into, _rfft2_into, _step_rngs,
 )
 from sinegordon import stochastic
 
 LAT = TorusLattice(64, dt=2.0**-9)
+
+# Pins of exact output bits.  The last bits depend on the SIMD kernels
+# numpy picks for the CPU and on its FFT build, so a pin is checked only
+# where it was recorded; the oracle tests cover every other setup.
+pinned_bits = pytest.mark.skipif(
+    (np.__version__, platform.machine()) != ("2.4.6", "x86_64"),
+    reason="pinned bits were recorded on numpy 2.4.6, x86-64")
 
 
 class TestField:
@@ -426,6 +434,29 @@ class TestTwoPassTransforms:
         assert np.array_equal(out, np.fft.irfft2(h, s=(n, n)))
 
 
+class TestSlotGenerator:
+    """One Philox re-keyed to each slot against a fresh ``step_rng``."""
+
+    @staticmethod
+    def draws(rng):
+        return (rng.standard_normal(5), rng.random(3),
+                rng.integers(0, 2**32, 3, dtype=np.uint32),
+                rng.standard_normal(out=np.empty((3, 3))))
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**32 + 7, 2**64 + 3])
+    def test_slots_reproduce_step_rng(self, seed):
+        slot = _step_rngs(seed)
+        # revisited and interleaved slots; each visit leaves a partial draw
+        # of odd length, so the 4-word buffer and the spare 32-bit word are
+        # both part-used when the next slot is asked for
+        for sample, step in [(0, 0), (0, 1), (3, 1), (0, 1), (1, 2**40),
+                             (0, 0)]:
+            got, want = self.draws(slot(sample, step)), self.draws(
+                step_rng(seed, sample, step))
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), (seed, sample, step)
+
+
 class TestDipolePieces:
     def test_counterterm_vanishes_without_smearing(self):
         # the chaos correlation exp(beta^2 Gamma) is positive definite, so
@@ -542,15 +573,20 @@ class TestPDE:
 
     def test_convergence_study_transform_count(self, monkeypatch):
         """Per seed: one inverse per width and step for the reaction, and
-        one per compared pair on each step from ``start`` on."""
+        one per compared pair on each step from ``start`` on, each through
+        ``_irfft2_into`` and none through ``np.fft.irfft2``."""
         calls = []
-        irfft2 = np.fft.irfft2
+        irfft2_into = stochastic._irfft2_into
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return irfft2(*args, **kwargs)
+        def counted(h, out, tmp):
+            calls.append(h.shape)
+            return irfft2_into(h, out, tmp)
 
-        monkeypatch.setattr(np.fft, "irfft2", counted)
+        def refused(*args, **kwargs):
+            raise AssertionError("np.fft.irfft2 called")
+
+        monkeypatch.setattr(stochastic, "_irfft2_into", counted)
+        monkeypatch.setattr(np.fft, "irfft2", refused)
         lat = TorusLattice(32, dt=2.0**-8)
         eps_list, seeds = [2.0**-2, 2.0**-3, 2.0**-4], [0, 1]
         n_steps, start = 16, 4
@@ -561,6 +597,46 @@ class TestPDE:
         assert len(calls) == len(seeds) * (n_steps * widths
                                            + (n_steps - start) * pairs)
         assert set(calls) == {(32, 17)}
+
+    # Recorded (numpy 2.4.6, x86-64) before the shifted-equation loops moved
+    # into reused buffers: the buffered loops keep every floating-point
+    # operation and its order, so they reproduce these bits.
+    CONVERGENCE_PIN = (
+        "ConvergenceReport(eps_list=[0.25, 0.125, 0.0625],"
+        " swap_eps=0.08702782662877487,"
+        " d_values=[np.float64(0.00954089214250985),"
+        " np.float64(0.00652650484643834)],"
+        " ratios=[np.float64(0.6840560346929425)],"
+        " swap_gap=0.002493931256746398, max_imag=7.085783346967065e-18,"
+        " n_seeds=2, stderrs=[0.001048569254542723, 0.0013224477362779653])"
+    )
+    # sha256 of each snapshot's bytes, at t = 0, 4 dt, ..., 16 dt
+    PDE_PIN = (
+        "d142986c6d6bf86aeb86862d990de0cb90f0bb4c2c4818d6ac74cdb111adec1e",
+        "6bc86b01a1f35dc634d825c98cc8d71d1047c41e41ff0a3519b228aa57798e9b",
+        "0499798d47676a8c052a5acabc634fdf7a0de2d75b17054651c0c46a787663f4",
+        "c3a067557bdfa5a37e6fffe2004f02a849d3402b109348c8c4d4c3006c089286",
+        "8025b32a88add4f3ba0789233e28382f782796cc7215e77602051b4f86019ca2",
+    )
+
+    @pinned_bits
+    def test_convergence_study_is_pinned_bit_for_bit(self):
+        lat = TorusLattice(32, dt=2.0**-8)
+        rep = convergence_study(lat, Fraction(2),
+                                [2.0**-2, 2.0**-3, 2.0**-4], [0, 1],
+                                t_end=16 * lat.dt)
+        assert repr(rep) == self.CONVERGENCE_PIN
+
+    @pinned_bits
+    def test_solve_pde_is_pinned_bit_for_bit(self):
+        lat = TorusLattice(32, dt=2.0**-8)
+        x = np.arange(32) / 32
+        v0 = 0.3 * np.sin(2 * np.pi * x)[:, None] * np.cos(4 * np.pi * x)
+        res = solve_pde(lat, 2.0**-3, Fraction(2), 3, t_end=16 * lat.dt,
+                        v0=v0, record_every=4)
+        assert repr(res.max_imag) == "1.4096125599163788e-18"
+        assert tuple(hashlib.sha256(snap.tobytes()).hexdigest()
+                     for snap in res.snapshots) == self.PDE_PIN
 
 
 # --- oracles: the per-step complex formulation the shared stepper replaced ---
@@ -810,11 +886,8 @@ class TestSharedStepperOracle:
 
     # repr of as_dict() at 32^2 and seed 2, recorded (numpy 2.4.6, x86-64)
     # before the dipole loop moved into preallocated buffers: the buffered
-    # loop keeps every floating-point operation and its order.  The last
-    # bits depend on the SIMD kernels numpy picks for the CPU and on its
-    # FFT build, so the pin is checked only where it was recorded;
+    # loop keeps every floating-point operation and its order.
     # test_dipole_moment_matches_per_slice_collect covers every other setup.
-    PINNED_ON = ("2.4.6", "x86_64")
     PINNED = {
         1: (
             "{'lambdas': [0.25, 0.1767766952966369, 0.125],"
@@ -842,9 +915,7 @@ class TestSharedStepperOracle:
         ),
     }
 
-    @pytest.mark.skipif(
-        (np.__version__, platform.machine()) != PINNED_ON,
-        reason="pinned bits were recorded on numpy 2.4.6, x86-64")
+    @pinned_bits
     @pytest.mark.parametrize("stride", [1, 2])
     def test_dipole_moment_is_pinned_bit_for_bit(self, stride):
         rep = dipole_moment(self.LAT, self.dipole_cfg(stride), seed=2)
@@ -953,3 +1024,13 @@ class TestHalfSpectrumResidue:
         want = np.max(np.abs(np.fft.ifft2(self.extension(half)).imag))
         assert want > 0
         assert np.isclose(got, want, rtol=1e-12, atol=0)
+
+    def test_stack_reads_each_residue_bit_for_bit(self):
+        n, rng = self.N, np.random.default_rng(7)
+        stack = (rng.standard_normal((3, n, n // 2 + 1))
+                 + 1j * rng.standard_normal((3, n, n // 2 + 1)))
+        stack[1] = self.hermitian_half()
+        got = _imag_residues(stack)
+        assert got.shape == (3,) and got[1] == 0.0 < got[0]
+        assert got.tolist() == [self.driver(half).imag_residue()
+                                for half in stack]
