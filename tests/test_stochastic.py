@@ -5,6 +5,7 @@ Monte Carlo noise stays manageable; the heavy strong-coupling scaling runs
 live in the acceptance suite.
 """
 
+import ast
 import hashlib
 import platform
 from fractions import Fraction
@@ -18,8 +19,8 @@ from sinegordon.stochastic import (
     dipole_counterterm, dipole_moment, DipoleConfig, renorm_constant,
     renorm_slope, sample_phi, sigma2, solve_pde, step_rng,
     translation_correlation, white_spectral, wick_exponential,
-    covariance_table, _HeatDriver, _chaos_spectra, _imag_residues,
-    _irfft2_into, _rfft2_into, _step_rngs,
+    covariance_table, _HeatDriver, _chaos_spectra, _charges_into,
+    _imag_residues, _irfft2_into, _rfft2_into, _step_rngs,
 )
 from sinegordon import stochastic
 
@@ -258,14 +259,23 @@ class TestConditionedDraw:
 
     def drawn_tables(self, monkeypatch, lat, eps, modes):
         """Every M-grid half-spectrum of field 0 that _chaos_spectra
-        inverts, one per probed M (the last at the settled M)."""
+        inverts, one per probed M (the last at the settled M).  Its
+        inverse runs the axis-0 ifft on the drawn columns only, so each
+        table is that ifft's input padded with its zero columns."""
         tables = []
-        irfft2 = np.fft.irfft2
-        monkeypatch.setattr(np.fft, "irfft2", lambda a, s: tables.append(
-            a.copy()) or irfft2(a, s=s))
+        ifft = np.fft.ifft
+
+        def padded(a, axis):
+            tab = np.zeros((len(a), len(a) // 2 + 1), dtype=complex)
+            tab[:, : a.shape[1]] = a
+            tables.append(tab)
+            return ifft(a, axis=axis)
+
+        monkeypatch.setattr(np.fft, "ifft", padded)
         _chaos_spectra(lat, eps, Fraction(1, 4), self.SEED, 1, 1.0, modes,
                        False)
         monkeypatch.undo()
+        assert tables
         return tables
 
     @pytest.mark.parametrize("n, modes", [(64, 4), (512, 8)])
@@ -409,6 +419,77 @@ class TestChaos:
         tab = translation_correlation(f, g)
         direct = np.mean(f * np.roll(np.roll(g, -2, axis=0), -3, axis=1))
         assert np.isclose(tab[2, 3], direct)
+
+
+class TestCharges:
+    """``_charges_into`` against libm's sine and cosine."""
+
+    ULP = np.finfo(float).eps
+
+    @staticmethod
+    def arguments():
+        """2^20 uniform angles with |x| <= 60, the poles (2k+1) pi +- 1e-9
+        of the half-angle tangent and the (2k+1) pi nearest to them, and
+        tiny angles, signed zeros and subnormals included."""
+        rng = np.random.default_rng(19)
+        poles = (np.pi * np.arange(-19, 20, 2))[:, None] + [-1e-9, 0, 1e-9]
+        tiny = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e-150, -1e-20, 1e-9]
+        return np.concatenate([rng.uniform(-60, 60, 2**20), poles.ravel(),
+                               tiny])
+
+    @pytest.mark.parametrize("c_eps", [1.0, 7.25])
+    def test_matches_libm(self, c_eps):
+        x = self.arguments()
+        d, s, c = np.empty((3,) + x.shape)
+        _charges_into(0.5 * x, c_eps, d, s, c)
+        tol = 4 * self.ULP * c_eps
+        assert np.abs(s - c_eps * np.sin(x)).max() <= tol
+        assert np.abs(c - c_eps * np.cos(x)).max() <= tol
+        assert np.array_equal(np.signbit(s), np.signbit(np.sin(x)))
+        # the sine alone, written over its half angles, is the same sine
+        t = 0.5 * x
+        _charges_into(t, c_eps, d, t)
+        assert np.array_equal(t, s)
+
+    def test_cosine_carries_only_the_tangent_error_near_its_zeros(self):
+        """Near a zero of cos(x) the tangent t is near +-1, where 1 - t is
+        exact: the cosine is C (1 - t)(1 + t) / (1 + t^2) of its own t to
+        a few roundings, relative to its size, with no cancellation."""
+        offsets = np.geomspace(1e-12, 1e-3, 16)
+        x = (np.pi * (np.arange(-19, 19) + 0.5))[:, None] + np.concatenate(
+            [-offsets, offsets])
+        x = x.ravel()
+        t = np.tan(0.5 * x)
+        d, s, c = np.empty((3,) + x.shape)
+        _charges_into(0.5 * x, 1.0, d, s, c)
+        for ti, ci in zip(t.tolist(), c.tolist()):
+            tf = Fraction(ti)
+            exact = (1 - tf) * (1 + tf) / (1 + tf * tf)
+            assert abs(Fraction(ci) - exact) <= 4 * self.ULP * abs(exact)
+
+    def test_nan_and_infinite_angles_give_nan(self):
+        x = np.array([np.nan, np.inf, -np.inf])
+        d, s, c = np.empty((3, 3))
+        with np.errstate(invalid="ignore"):
+            _charges_into(0.5 * x, 2.0, d, s, c)
+            t = 0.5 * x
+            _charges_into(t, 2.0, d, t)
+        assert np.isnan(s).all() and np.isnan(c).all() and np.isnan(t).all()
+
+    def test_simulations_take_no_libm_sine_or_cosine(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("libm sine or cosine called")
+
+        monkeypatch.setattr(np, "sin", refused)
+        monkeypatch.setattr(np, "cos", refused)
+        lat = TorusLattice(32, dt=2.0**-8)
+        solve_pde(lat, 2.0**-3, Fraction(2), 0, t_end=4 * lat.dt)
+        convergence_study(lat, Fraction(2), [2.0**-2, 2.0**-3], [0],
+                          t_end=4 * lat.dt)
+        dipole_moment(lat, TestSharedStepperOracle.dipole_cfg(2), seed=0)
+        chaos_mean(lat, 2.0**-3, Fraction(2), seed=0, n_fields=2)
+        correlation_slopes(lat, 2.0**-4, Fraction(1), seed=0, n_fields=2,
+                           shifts=[4, 8], condition_modes=4)
 
 
 class TestTwoPassTransforms:
@@ -598,25 +679,34 @@ class TestPDE:
                                            + (n_steps - start) * pairs)
         assert set(calls) == {(32, 17)}
 
-    # Recorded (numpy 2.4.6, x86-64) before the shifted-equation loops moved
-    # into reused buffers: the buffered loops keep every floating-point
-    # operation and its order, so they reproduce these bits.
+    # Recorded (numpy 2.4.6, x86-64) after the chaos sine moved from libm
+    # to the half-angle tangent of _charges_into, which moved every output
+    # at roundoff; CONVERGENCE_LIBM keeps the same run's values from the
+    # libm sine, which the pinned run still matches to rtol 1e-12.  Its
+    # max_imag is roundoff itself (7.1e-18 from libm), so it is not kept.
     CONVERGENCE_PIN = (
         "ConvergenceReport(eps_list=[0.25, 0.125, 0.0625],"
         " swap_eps=0.08702782662877487,"
         " d_values=[np.float64(0.00954089214250985),"
-        " np.float64(0.00652650484643834)],"
-        " ratios=[np.float64(0.6840560346929425)],"
-        " swap_gap=0.002493931256746398, max_imag=7.085783346967065e-18,"
-        " n_seeds=2, stderrs=[0.001048569254542723, 0.0013224477362779653])"
+        " np.float64(0.006526504846438341)],"
+        " ratios=[np.float64(0.6840560346929426)],"
+        " swap_gap=0.002493931256746398, max_imag=5.367043523315856e-18,"
+        " n_seeds=2, stderrs=[0.0010485692545427255, 0.0013224477362779727])"
     )
+    CONVERGENCE_LIBM = {
+        "swap_eps": 0.08702782662877487,
+        "d_values": [0.00954089214250985, 0.00652650484643834],
+        "ratios": [0.6840560346929425],
+        "swap_gap": 0.002493931256746398,
+        "stderrs": [0.001048569254542723, 0.0013224477362779653],
+    }
     # sha256 of each snapshot's bytes, at t = 0, 4 dt, ..., 16 dt
     PDE_PIN = (
         "d142986c6d6bf86aeb86862d990de0cb90f0bb4c2c4818d6ac74cdb111adec1e",
-        "6bc86b01a1f35dc634d825c98cc8d71d1047c41e41ff0a3519b228aa57798e9b",
-        "0499798d47676a8c052a5acabc634fdf7a0de2d75b17054651c0c46a787663f4",
-        "c3a067557bdfa5a37e6fffe2004f02a849d3402b109348c8c4d4c3006c089286",
-        "8025b32a88add4f3ba0789233e28382f782796cc7215e77602051b4f86019ca2",
+        "fdf62a78917d5bc79ae43138a57e6b9cc8f4827ac47108c07e9ec593526ca972",
+        "da356614b4eff5cdec911806c31a0df475fee8d5a104f88e12918ae9684694ec",
+        "46c1329bd01f184720ebfbbb5937c195a46ca432062bc7112af592cdc58dcd3b",
+        "9ddf4e019ea690caa1e9633d0c0cbad8b0f724c0d45a6521c39922f35481d2e5",
     )
 
     @pinned_bits
@@ -626,6 +716,8 @@ class TestPDE:
                                 [2.0**-2, 2.0**-3, 2.0**-4], [0, 1],
                                 t_end=16 * lat.dt)
         assert repr(rep) == self.CONVERGENCE_PIN
+        for key, libm in self.CONVERGENCE_LIBM.items():
+            assert np.allclose(getattr(rep, key), libm, rtol=1e-12, atol=0)
 
     @pinned_bits
     def test_solve_pde_is_pinned_bit_for_bit(self):
@@ -634,7 +726,7 @@ class TestPDE:
         v0 = 0.3 * np.sin(2 * np.pi * x)[:, None] * np.cos(4 * np.pi * x)
         res = solve_pde(lat, 2.0**-3, Fraction(2), 3, t_end=16 * lat.dt,
                         v0=v0, record_every=4)
-        assert repr(res.max_imag) == "1.4096125599163788e-18"
+        assert repr(res.max_imag) == "1.3399043379917235e-18"
         assert tuple(hashlib.sha256(snap.tobytes()).hexdigest()
                      for snap in res.snapshots) == self.PDE_PIN
 
@@ -885,10 +977,38 @@ class TestSharedStepperOracle:
         assert abs(rep.mean_complex - np.mean(means)) <= 1e-12 * scale
 
     # repr of as_dict() at 32^2 and seed 2, recorded (numpy 2.4.6, x86-64)
-    # before the dipole loop moved into preallocated buffers: the buffered
-    # loop keeps every floating-point operation and its order.
+    # after the chaos sine and cosine moved from libm to the half-angle
+    # tangent of _charges_into, which moved them at roundoff.  PINNED_LIBM
+    # keeps the reprs recorded with libm's sine and cosine, which the
+    # pinned runs still match to rtol 1e-12.
     # test_dipole_moment_matches_per_slice_collect covers every other setup.
     PINNED = {
+        1: (
+            "{'lambdas': [0.25, 0.1767766952966369, 0.125],"
+            " 'second_moments': [0.014862069392075334, 0.02606816624301524,"
+            " 0.045549380931721756], 'stderrs': [0.002094620754465353,"
+            " 0.0014776597101206607, 0.0012819694246123227],"
+            " 'ablation_moments': [0.35605832472531423, 0.29028222923465,"
+            " 0.22903594634129873], 'slope': -1.6157964358007637,"
+            " 'ablation_slope': 0.6365395418850863, 'n_samples': 2,"
+            " 'ablation_gap': 2.25233597768585,"
+            " 'mean_re': -0.010689825264574971,"
+            " 'mean_im': 0.007651638319906805}"
+        ),
+        2: (
+            "{'lambdas': [0.25, 0.1767766952966369, 0.125],"
+            " 'second_moments': [0.024422533490977744, 0.04380400303395354,"
+            " 0.045867558092372786], 'stderrs': [0.0034642009711371145,"
+            " 0.002627160124479424, 0.0018290863636116071],"
+            " 'ablation_moments': [0.38315719951681243, 0.31705707294452473,"
+            " 0.23340400408616388], 'slope': -0.9092612357249593,"
+            " 'ablation_slope': 0.7151071032292601, 'n_samples': 2,"
+            " 'ablation_gap': 1.6243683389542194,"
+            " 'mean_re': 0.0041678624892164525,"
+            " 'mean_im': 0.01102994920337405}"
+        ),
+    }
+    PINNED_LIBM = {
         1: (
             "{'lambdas': [0.25, 0.1767766952966369, 0.125],"
             " 'second_moments': [0.014862069392075334, 0.026068166243015244,"
@@ -920,6 +1040,8 @@ class TestSharedStepperOracle:
     def test_dipole_moment_is_pinned_bit_for_bit(self, stride):
         rep = dipole_moment(self.LAT, self.dipole_cfg(stride), seed=2)
         assert repr(rep.as_dict()) == self.PINNED[stride]
+        for key, libm in ast.literal_eval(self.PINNED_LIBM[stride]).items():
+            assert np.allclose(rep.as_dict()[key], libm, rtol=1e-12, atol=0)
 
 
 def _expected_slice_spectrum(lat, cfg):
