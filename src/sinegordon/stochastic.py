@@ -26,10 +26,17 @@ noise z in place.  The white noise and the real space are written into
 buffers by ``_white_into`` and ``_real_space_into``, which
 ``white_spectral`` and ``GaussianField.real_space`` call with fresh arrays;
 every 2-d transform into a buffer is two 1-d passes (``_rfft2_into``,
-``_irfft2_into``), bit for bit rfft2/irfft2.  Each ``_HeatDriver`` steps in
-its own forcing half-spectrum and scratch, and each loop draws its noise
-from one Philox re-keyed to each (seed, sample, step) slot (``_step_rngs``),
-the stream of a fresh ``step_rng``.  The charge correlation conditions on
+``_irfft2_into``), bit for bit rfft2/irfft2.  The exponential-Euler tables
+(decay, gain) are the lattice's, read-only and cached per dt, and every
+driver and field stepped at that dt reads them; a driver's own state is its
+solution ``u_hat``.  The convergence study's widths step through one forcing
+half-spectrum and one scratch, and the dipole's two drivers and ``collect``
+through the trajectory's, each driver keeping its forcing half-spectrum for
+``collect``, so a step's working set stays small (about 1.9 MB for the
+study's five widths at 128^2, against 3.5 MB with per-driver tables and
+buffers).  Each loop draws its noise from one Philox re-keyed to each
+(seed, sample, step) slot (``_step_rngs``), the stream of a fresh
+``step_rng``.  The charge correlation conditions on
 the field modes |m| <= c (every mode by default) and draws only those, from
 white noise on the smallest power-of-two grid M0 > 2c (the full n^2 draw
 when M0 >= n), placed straight onto the coarse grid of their chaos: the
@@ -74,6 +81,8 @@ class TorusLattice:
     dt: float = 2.0**-10
     _sigma_k: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    _heat: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if self.n < 4 or self.n & (self.n - 1):
@@ -127,6 +136,22 @@ class TorusLattice:
             sk.flags.writeable = False
             self._sigma_k[key] = sk
         return sk
+
+    def _heat_tables(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only exponential-Euler tables (decay, gain) of the heat flow
+        du = (1/2) Laplacian u dt + f dt on the half-spectrum, cached per
+        dt: decay = e^x and gain = dt (e^x - 1) / x with x = -mu dt.  Every
+        driver and field stepped at one dt reads the same two arrays."""
+        tables = self._heat.get(dt)
+        if tables is None:
+            x = -self.mu[:, : self.n_rfft] * dt
+            tables = np.exp(x), dt * np.divide(np.expm1(x), x,
+                                               out=np.ones_like(x),
+                                               where=x != 0)
+            for t in tables:
+                t.flags.writeable = False
+            self._heat[dt] = tables
+        return tables
 
 
 def step_rng(seed: int, sample: int, step: int) -> np.random.Generator:
@@ -268,8 +293,8 @@ class GaussianField:
 
     def __post_init__(self):
         self.sigma_k = self.lat.sigma_k(self.eps, self.shape)
-        # (dt, decay, kick, buffer for kick * white) of the last advance
-        self._tables = None
+        # (dt, kick, buffer for kick * white) of the last advance
+        self._kick = None
 
     def real_space(self) -> np.ndarray:
         n = self.lat.n
@@ -282,12 +307,15 @@ class GaussianField:
 
         The mollifier enters only through sigma_k, so fields of different
         widths advanced with the same ``white`` share their driving noise.
+        The damping is the lattice's cached heat decay at ``dt``, shared
+        with every driver at that step; only the kick sigma_k (1 -
+        decay^2)^(1/2) and its product buffer are the field's own.
         """
-        if self._tables is None or self._tables[0] != dt:
-            decay = np.exp(-self.lat.mu[:, : self.lat.n_rfft] * dt)
-            self._tables = (dt, decay, self.sigma_k * np.sqrt(1.0 - decay**2),
-                            np.empty_like(self.coeffs))
-        _, decay, kick, kicked = self._tables
+        decay, _ = self.lat._heat_tables(dt)
+        if self._kick is None or self._kick[0] != dt:
+            self._kick = (dt, self.sigma_k * np.sqrt(1.0 - decay**2),
+                          np.empty_like(self.coeffs))
+        _, kick, kicked = self._kick
         np.multiply(decay, self.coeffs, out=self.coeffs)
         self.coeffs += np.multiply(kick, white, out=kicked)
 
@@ -433,7 +461,8 @@ def _chaos_spectra(lat: TorusLattice, eps: float, beta_sq, seed: int,
     smallest power of two >= 4 (c + 1) and doubles while the outer band
     max(|q1|, |q2|) >= 3M/8 holds more than ``_BAND_SHARE`` of field 0's
     power; if the summed power then exceeds the same share, M doubles and
-    the sums are redone.  M never exceeds n, and at M = n (always when
+    the sums are redone.  The probe is the first term of the sums, so
+    field 0's spectrum at the settled M is computed once.  M never exceeds n, and at M = n (always when
     4c >= n) these are the full-grid sums.
     """
     n = lat.n
@@ -462,22 +491,24 @@ def _chaos_spectra(lat: TorusLattice, eps: float, beta_sq, seed: int,
         band = np.maximum.outer(q, q) >= 3 * len(power) / 8
         return power[band].sum() / power.sum()
 
-    low0 = draw(0)
-    while (size < n and outer_share(np.abs(spectrum(low0, size))**2)
-           > _BAND_SHARE):
-        size *= 2
+    low0, probing = draw(0), True
     while True:
         power = np.zeros((size, size))
         cross = np.zeros((size, size), dtype=complex) if want_same else None
         flip = (-np.arange(size)) % size
         for s in range(n_fields):
             a = spectrum(low0 if s == 0 else draw(s), size)
+            if (not s and probing and size < n
+                    and outer_share(np.abs(a)**2) > _BAND_SHARE):
+                break           # field 0 alone says M is too small
             if want_same:
                 cross += a * a[flip][:, flip]
             power += a.real**2
             power += a.imag**2
-        if size == n or outer_share(power) <= _BAND_SHARE:
-            break
+        else:
+            probing = False
+            if size == n or outer_share(power) <= _BAND_SHARE:
+                break
         size *= 2
     if size < n:
         q = _fold(size, n)
@@ -574,22 +605,26 @@ def bump_spectral(lat: TorusLattice, lam: float) -> np.ndarray:
 class _HeatDriver:
     """Exponential-Euler integrator of du = (1/2) Laplacian u dt + f dt.
 
-    u and f are real; the decay and gain tables are built once per (lattice,
-    dt).  ``step`` updates the ``rfft2`` half-spectrum ``u_hat`` in place
-    and returns the forcing's half-spectrum, for callers that need it too.
-    That array is the driver's own ``f_hat``, overwritten by the next step:
-    a step allocates nothing, transforming through the driver's scratch.
-    ``profile`` returns the real ``irfft2`` as a fresh array.
+    u and f are real.  The decay and gain tables are the lattice's, cached
+    per dt (``TorusLattice._heat_tables``) and read by every driver at that
+    dt.  The ``rfft2`` half-spectrum ``u_hat`` (zero unless given) is the
+    driver's only own state.  ``step`` updates it in place and returns the
+    forcing's half-spectrum, for callers that need it too.  That array is
+    ``f_hat`` and the step transforms through ``_tmp``, the pair
+    ``scratch`` (two half-spectra, fresh unless given): drivers stepped one
+    after another may share both, and ``f_hat`` is then overwritten by the
+    next step of any of them.  A step allocates nothing.  ``profile``
+    returns the real ``irfft2`` as a fresh array.
     """
 
-    def __init__(self, lat: TorusLattice, dt: float):
+    def __init__(self, lat: TorusLattice, dt: float,
+                 u_hat: np.ndarray | None = None, scratch=None):
         self.n = lat.n
-        x = -lat.mu[:, : lat.n_rfft] * dt
-        self.decay = np.exp(x)
-        self.gain = dt * np.divide(np.expm1(x), x, out=np.ones_like(x),
-                                   where=x != 0)     # dt (e^x - 1) / x
-        self.u_hat = np.zeros(x.shape, dtype=complex)
-        self.f_hat, self._tmp = np.empty((2,) + x.shape, dtype=complex)
+        self.decay, self.gain = lat._heat_tables(dt)
+        shape = self.decay.shape
+        self.u_hat = np.zeros(shape, dtype=complex) if u_hat is None else u_hat
+        self.f_hat, self._tmp = (np.empty((2,) + shape, dtype=complex)
+                                 if scratch is None else scratch)
 
     def step(self, forcing: np.ndarray) -> np.ndarray:
         _rfft2_into(forcing, self.f_hat, self._tmp)
@@ -668,9 +703,10 @@ def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
 
     The caller allocates ``drivers`` (reset here) and ``scratch`` = (four
     real n-by-n arrays, two half-spectra) once for all its trajectories;
-    the forcings, the scratch of ``_charges_into`` and the white noise live
-    in them, the f_hats in the drivers, and all are overwritten by the next
-    step, so a step allocates no full-grid array; its white noise is drawn
+    the forcings, the scratch of ``_charges_into``, the white noise and the
+    transform scratch live in them, the drivers step through that scratch
+    and keep the f_hats, and all are overwritten by the next step, so a
+    step allocates no full-grid array; its white noise is drawn
     from the one generator of ``_step_rngs``, re-keyed to each slot.  Only
     differences of the profile enter the estimator, so its undamped mean is
     projected out after each step; f_hats keep their zero modes.
@@ -713,10 +749,10 @@ def dipole_counterterm(lat: TorusLattice, cfg: DipoleConfig) -> list[float]:
     """
     n, half = lat.n, lat.n_rfft
     beta2 = float(Fraction(cfg.beta_sq)) * np.pi
-    driver = _HeatDriver(lat, cfg.dt)
+    decay, gain = lat._heat_tables(cfg.dt)
     var = lat.mode_variances(cfg.eps)[:, :half]
     steps = _measured_steps(cfg)
-    q = np.ones_like(driver.decay)                  # decay^lag
+    q = np.ones_like(decay)                         # decay^lag
     spec = np.zeros(q.shape, dtype=complex)
     # each lag's terms, in buffers reused by every lag
     weight, gamma = np.empty_like(q), np.empty((n, n))
@@ -728,8 +764,8 @@ def dipole_counterterm(lat: TorusLattice, cfg: DipoleConfig) -> list[float]:
         _rfft2_into(np.exp(gamma, out=gamma), pair, tmp)
         np.multiply(q, np.count_nonzero(steps >= lag), out=weight)
         spec += np.multiply(weight, pair, out=pair)
-        q *= driver.decay
-    spec *= driver.gain * n**2 / len(steps)
+        q *= decay
+    spec *= gain * n**2 / len(steps)
     return [float(np.fft.irfft2((1 - bump_spectral(lat, lam)[:, :half]) * spec,
                                 s=(n, n))[0, 0]) / n**2 for lam in cfg.lambdas]
 
@@ -784,9 +820,11 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
     g_sums = np.empty((len(lambdas), 2, n, lat.n_rfft), dtype=complex)
     local_sums = np.empty((len(lambdas), 2, n, n))
     counts = [0] * len(lambdas)
-    # collect's work arrays, allocated once for every slice of every sample
+    # collect's work arrays, allocated once for every slice of every sample;
+    # its half-spectrum and scratch are the trajectory's white noise and
+    # scratch, free while it runs
     u_c, u_s, a, b, p_c, p_s = np.empty((6, n, n))
-    spec, tmp = np.empty((2, n, lat.n_rfft), dtype=complex)
+    spec, tmp, *f_hats = np.empty((4, n, lat.n_rfft), dtype=complex)
 
     def parts(p, q):
         """(Re, Im) of (p - i q) u in turn, each in the buffer ``a``."""
@@ -824,8 +862,11 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
                 g_sums[i] = local_sums[i] = 0.0
                 counts[i] = 0
 
-    drivers = _HeatDriver(lat, cfg.dt), _HeatDriver(lat, cfg.dt)
-    scratch = np.empty((4, n, n)), np.empty((2, n, lat.n_rfft), dtype=complex)
+    scratch = np.empty((4, n, n)), (spec, tmp)
+    # collect reads both forcing half-spectra, so each driver keeps its own;
+    # both step through the trajectory's transform scratch
+    drivers = tuple(_HeatDriver(lat, cfg.dt, scratch=(f_hat, tmp))
+                    for f_hat in f_hats)
     for sample in range(cfg.n_samples):
         g_sums[:] = local_sums[:] = 0.0      # drop the blocks left open
         counts[:] = [0] * len(lambdas)
@@ -906,9 +947,8 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
     c_eps = renorm_constant(lat, eps, beta_sq)
     fld = sample_phi(lat, eps, seed)
     rng = _step_rngs(seed)
-    driver = _HeatDriver(lat, dt)
-    if v0 is not None:
-        driver.u_hat = np.fft.rfft2(np.asarray(v0, dtype=float))
+    driver = _HeatDriver(lat, dt, None if v0 is None
+                         else np.fft.rfft2(np.asarray(v0, dtype=float)))
     n_steps = int(round(t_end / dt))
     record_every = record_every or n_steps
     times, snaps = [0.0], [driver.profile()]
@@ -980,8 +1020,8 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     into a real buffer and taken absolute in place, so a NaN reaches the
     sup) and the white draw share that buffer.  z is updated in place from
     one generator re-keyed to each slot (``_step_rngs``); the differences
-    and the noise's half-spectrum use the first driver's ``f_hat`` and
-    scratch, free between steps.
+    and the noise's half-spectrum use the ``f_hat`` and scratch that every
+    driver steps through, free between steps.
     """
     _check_pde_coupling(beta_sq)
     dt = lat.dt
@@ -1006,16 +1046,16 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     seeds = list(seeds)
     sups = np.zeros((len(seeds), len(pairs)))     # per seed, per pair
     max_imag = 0.0
-    drivers = [_HeatDriver(lat, dt) for _ in widths]
+    # the widths' solutions are the only per-width state: every driver
+    # steps through one forcing half-spectrum and one scratch
     u_hats = np.zeros((len(widths), n, lat.n_rfft), dtype=complex)
-    for driver, u_hat in zip(drivers, u_hats):
-        driver.u_hat = u_hat
+    spare, tmp = np.empty((2, n, lat.n_rfft), dtype=complex)
+    drivers = [_HeatDriver(lat, dt, u_hat, (spare, tmp)) for u_hat in u_hats]
     # rfft2 of a width's field is n^2 sigma_k z (n^2 scales exactly)
     scales = [n**2 * lat.sigma_k(w, sh) for w, sh in zip(widths, shapes)]
-    decay = drivers[0].decay        # the field is damped like the heat flow
+    decay, _ = lat._heat_tables(dt)   # the field is damped like the heat flow
     kick = np.sqrt(1.0 - decay**2)
     (x, d), dists = np.empty((2, n, n)), np.empty(len(pairs))
-    spare, tmp = drivers[0].f_hat, drivers[0]._tmp
     z = np.empty_like(spare)
     for sup, seed in zip(sups, seeds):
         rng = _step_rngs(seed)

@@ -9,6 +9,7 @@ import ast
 import hashlib
 import platform
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +251,19 @@ class TestRealInputOracle:
         # one draw per field: field 0 settles M, so no sum is redone
         assert slots == [(11, 0, 0), (11, 1, 0)]
 
+    def test_probe_spectrum_is_summed_not_recomputed(self, monkeypatch):
+        # degree-2 field at beta^2 = pi/4: the probe runs at M = 16, then
+        # settles at 32, where it has already taken field 0's chaos
+        sizes = []
+        wick = stochastic.wick_exponential
+        monkeypatch.setattr(stochastic, "wick_exponential",
+                            lambda phi, *a, **k: sizes.append(len(phi))
+                            or wick(phi, *a, **k))
+        correlation_slopes(TorusLattice(64), self.EPS, Fraction(1, 4),
+                           self.SEED, n_fields=6, shifts=[8, 12, 16],
+                           want_same=False, condition_modes=2)
+        assert sizes == [16] + [32] * 6
+
 
 class TestConditionedDraw:
     """The fields of _chaos_spectra: only the modes |m| <= c, drawn on a
@@ -351,6 +365,70 @@ class TestSigmaCache:
         assert not sk.flags.writeable
         with pytest.raises(ValueError):
             sk[0, 1] = 1.0
+
+
+class TestHeatTables:
+    """One read-only (decay, gain) pair per lattice and dt, shared by every
+    driver and field stepped at that dt."""
+
+    LAT_N, DT = 32, 2.0**-8
+
+    def test_cached_tables_are_read_only(self):
+        lat = TorusLattice(self.LAT_N)
+        tables = lat._heat_tables(self.DT)
+        assert lat._heat_tables(self.DT) is tables
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 1] = 1.0
+        assert lat._heat_tables(2 * self.DT)[0] is not tables[0]
+
+    def test_convergence_study_shares_one_table_pair_and_scratch(
+            self, monkeypatch):
+        """Each width's own state is its solution; the tables, the forcing
+        half-spectrum and the transform scratch are one for all widths."""
+        drivers = []
+        step = stochastic._shifted_step
+        monkeypatch.setattr(stochastic, "_shifted_step",
+                            lambda driver, *a: drivers.append(driver)
+                            or step(driver, *a))
+        lat = TorusLattice(self.LAT_N, dt=self.DT)
+        convergence_study(lat, Fraction(2), [2.0**-2, 2.0**-3, 2.0**-4], [0],
+                          t_end=2 * lat.dt)
+        first = drivers[0]
+        assert len({id(d) for d in drivers}) == 4     # three widths + swap
+        for d in drivers:
+            assert d.decay is first.decay and d.gain is first.gain
+            assert d.f_hat is first.f_hat and d._tmp is first._tmp
+        decay, gain = lat._heat_tables(lat.dt)
+        assert first.decay is decay and first.gain is gain
+        u_hats = list({id(d): d.u_hat for d in drivers}.values())
+        assert not any(np.shares_memory(u, v)
+                       for i, u in enumerate(u_hats) for v in u_hats[i + 1:])
+
+    def test_dipole_drivers_share_tables_and_scratch(self, monkeypatch):
+        """Both dipole drivers read one table pair and step through the
+        trajectory's scratch, but keep their own forcing spectra, which
+        ``collect`` reads together."""
+        seen = []
+        trajectory = stochastic._dipole_trajectory
+
+        def spy(lat, cfg, seed, sample, collect, drivers, scratch):
+            seen.append((drivers, scratch))
+            return trajectory(lat, cfg, seed, sample, collect, drivers,
+                              scratch)
+
+        monkeypatch.setattr(stochastic, "_dipole_trajectory", spy)
+        lat = TorusLattice(self.LAT_N, dt=self.DT)
+        cfg = TestSharedStepperOracle.dipole_cfg(2)
+        dipole_moment(lat, cfg, seed=0)
+        (c_drv, s_drv), (_, (_, tmp)) = seen[0]
+        assert s_drv.decay is c_drv.decay and s_drv.gain is c_drv.gain
+        decay, gain = lat._heat_tables(cfg.dt)
+        assert c_drv.decay is decay and c_drv.gain is gain
+        assert c_drv._tmp is tmp and s_drv._tmp is tmp
+        assert not np.shares_memory(c_drv.f_hat, s_drv.f_hat)
+        assert not np.shares_memory(c_drv.u_hat, s_drv.u_hat)
 
 
 class TestRenormConstant:
@@ -490,6 +568,46 @@ class TestCharges:
         chaos_mean(lat, 2.0**-3, Fraction(2), seed=0, n_fields=2)
         correlation_slopes(lat, 2.0**-4, Fraction(1), seed=0, n_fields=2,
                            shifts=[4, 8], condition_modes=4)
+
+
+def _fft_out_calls(source: str) -> list[str]:
+    """``np.fft``/``numpy.fft`` calls of a 2-d or n-d transform (name
+    ending in ``2`` or ``n``) that pass ``out=``, as "line: name"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)):
+            continue
+        mod, name = node.func.value, node.func.attr
+        if (isinstance(mod, ast.Attribute) and mod.attr == "fft"
+                and isinstance(mod.value, ast.Name)
+                and mod.value.id in ("np", "numpy")
+                and name.endswith(("2", "n"))
+                and any(k.arg == "out" for k in node.keywords)):
+            found.append(f"{node.lineno}: {name}")
+    return found
+
+
+class TestFftOutTrap:
+    """numpy 2.4's ``irfft2`` accepts ``out=`` and ignores it, returning a
+    fresh array and leaving the buffer stale, and ``irfftn`` allocates its
+    axis-0 pass anyway; so no 2-d or n-d transform in the package may pass
+    ``out=``: buffers are written by the 1-d passes of ``_rfft2_into`` and
+    ``_irfft2_into``."""
+
+    def test_package_passes_no_out_to_a_2d_or_nd_transform(self):
+        package = Path(stochastic.__file__).parent
+        found = {path.name: _fft_out_calls(path.read_text())
+                 for path in sorted(package.glob("*.py"))}
+        assert "stochastic.py" in found
+        assert not any(found.values()), found
+
+    def test_the_scan_sees_such_calls(self):
+        source = ("np.fft.irfft2(h, s=(n, n), out=buf)\n"
+                  "numpy.fft.fftn(a, out=b)\n"
+                  "np.fft.irfft(h, n=8, axis=1, out=buf)\n"
+                  "np.fft.rfft2(x)\n")
+        assert _fft_out_calls(source) == ["1: irfft2", "2: fftn"]
 
 
 class TestTwoPassTransforms:
