@@ -2,62 +2,21 @@
 exponentials, the renormalized dipole estimator, and the shifted-equation
 solver on the two-dimensional unit torus.
 
-The free field is sampled spectrally: each spatial Fourier mode is an
-independent Ornstein-Uhlenbeck process at equilibrium whose damping is half
-the mode's Laplacian symbol, so the equal-time variance table is exact and
-the renormalization constant computed from the same table gives the chaos
-fields unit expectation exactly in distribution.  Sampled fields are real,
-so they are stored as ``rfft2`` half-spectra (the n // 2 + 1 non-negative
-frequencies of the last axis) and transformed with ``rfft2``/``irfft2``.
-One real exponential-Euler integrator steps heat flows on half-spectra: the
-dipole's complex profile is two of them, driven by C cos(beta Phi) and
-C sin(beta Phi), and the shifted equation one, its reaction from one irfft2
-of the summed half-spectra of Phi and v, its imaginary residue from its
-self-conjugate columns.  The dipole counterterm is exact, not sampled.  No
-time-stepping loop allocates a full-grid array per step.  ``dipole_moment``
-allocates the drivers, the field's real space, the forcings, the white noise
-and ``collect``'s products once and reuses them for every sample, and the
-counterterm one set for every lag.  ``solve_pde`` and ``convergence_study``
-step through ``_shifted_step``, which sums the half-spectra of Phi and v in
-the driver's forcing half-spectrum and inverts them into one real buffer
-that the sine, the study's sup-distances and the white draw reuse; the
-study reads every width's imaginary residue in one call and updates its
-noise z in place.  The white noise and the real space are written into
-buffers by ``_white_into`` and ``_real_space_into``, which
-``white_spectral`` and ``GaussianField.real_space`` call with fresh arrays;
-every 2-d transform into a buffer is two 1-d passes (``_rfft2_into``,
-``_irfft2_into``), bit for bit rfft2/irfft2.  The exponential-Euler tables
-(decay, gain) are the lattice's, read-only and cached per dt, and every
-driver and field stepped at that dt reads them; a driver's own state is its
-solution ``u_hat``.  The convergence study's widths step through one forcing
-half-spectrum and one scratch, and the dipole's two drivers and ``collect``
-through the trajectory's, each driver keeping its forcing half-spectrum for
-``collect``, so a step's working set stays small (about 1.9 MB for the
-study's five widths at 128^2, against 3.5 MB with per-driver tables and
-buffers).  Each loop draws its noise from one Philox re-keyed to each
-(seed, sample, step) slot (``_step_rngs``), the stream of a fresh
-``step_rng``.  The charge correlation conditions on
-the field modes |m| <= c (every mode by default) and draws only those, from
-white noise on the smallest power-of-two grid M0 > 2c (the full n^2 draw
-when M0 >= n), placed straight onto the coarse grid of their chaos: the
-smallest power-of-two M^2 grid whose outer band holds at most 1e-14 of the
-power.  The products are zero-padded to n^2 once (at M = n they are the
-full-grid sums).  The convergence study's widths share one unit-variance OU
-process z of the modes, each width being sigma_k z; its sup-distances invert
-half-spectral differences.  All noise comes from counter-based generators
-keyed by (seed, sample, step): runs are reproducible in any order.
+Each Fourier mode of the free field is an independent Ornstein-Uhlenbeck
+process at equilibrium, damped by half its Laplacian symbol, so the
+equal-time variance table is exact and the renormalization constant from
+the same table gives the chaos unit expectation exactly in distribution.
+One real exponential-Euler integrator (``_HeatDriver``) steps every heat
+flow: two for the dipole's complex profile, driven by C cos(beta Phi) and
+C sin(beta Phi), and one for the shifted equation, driven by
+C sin(beta (Phi + v)).  The dipole counterterm is exact, not sampled.
 
-Every chaos sine and cosine, the dipole's forcings, the shifted equation's
-reaction and ``wick_exponential``, comes from ``_charges_into``: from the
-half-angle tangent t = tan(beta Phi / 2) as 2 C t / (1 + t^2) and
-C (1 - t)(1 + t) / (1 + t^2), since numpy's float64 ``tan`` has a SIMD
-kernel and its ``sin`` and ``cos`` run through scalar libm.  Each value is
-within a few ulps of C of libm's; moving off libm shifted the pinned
-convergence and dipole outputs by at most 6e-15 relative (in standard
-errors and means that are small differences) and the pinned solve's
-snapshots by at most 7e-17 of their largest value.  Where numpy has no
-SIMD ``tan`` for the CPU, the sine-only path of ``_shifted_step`` may be
-slower than ``np.sin``; that has not been measured.
+Real fields are stored as ``rfft2`` half-spectra.  All noise comes from
+Philox generators keyed by (seed, sample, step), so runs are reproducible
+in any order.  ``white_spectral``, ``GaussianField.real_space`` and
+``_HeatDriver.profile`` write into the buffers they are given, through the
+1-d passes of ``_rfft2_into``/``_irfft2_into`` (bit for bit
+``rfft2``/``irfft2``).  Chaos sines and cosines come from ``_charges_into``.
 """
 
 from __future__ import annotations
@@ -165,11 +124,9 @@ def _step_rngs(seed: int):
     """``step_rng(seed, sample, step)`` for every slot from one Philox.
 
     Returns ``slot(sample, step)``, which re-keys that one generator to the
-    slot through its state (the counter of the slot, the key of ``seed``
-    and an empty buffer) and returns it; its draws are then those of a
-    fresh ``step_rng(seed, sample, step)``, at a fraction of the cost of
-    building a Philox and its SeedSequence.  The generator is shared: a
-    slot's draws are made before the next slot is asked for.
+    slot through its state and returns it, with the draws of a fresh
+    ``step_rng(seed, sample, step)``.  The generator is shared: a slot's
+    draws are made before the next slot is asked for.
     """
     rng = step_rng(seed, 0, 0)
     state = rng.bit_generator.state      # key of seed, buffer still empty
@@ -182,20 +139,22 @@ def _step_rngs(seed: int):
     return slot
 
 
-def white_spectral(lat: TorusLattice, rng: np.random.Generator) -> np.ndarray:
-    """Half-spectrum of real white noise, unit variance per mode."""
-    half = np.empty((lat.n, lat.n_rfft), dtype=complex)
-    return _white_into(rng.standard_normal((lat.n, lat.n)), half,
-                       np.empty_like(half))
+def white_spectral(lat: TorusLattice, rng: np.random.Generator,
+                   out: np.ndarray | None = None, w: np.ndarray | None = None,
+                   tmp: np.ndarray | None = None) -> np.ndarray:
+    """Half-spectrum of real white noise, unit variance per mode.
 
-
-def _white_into(w: np.ndarray, out: np.ndarray, tmp: np.ndarray
-                ) -> np.ndarray:
-    """``white_spectral`` of the standard normal draw ``w`` (real, n by n),
-    written into the half-spectrum ``out`` through the scratch ``tmp``
-    shaped like it."""
-    _rfft2_into(w, out, tmp)
-    out /= w.shape[0]
+    The standard normal draw is written into the real n-by-n ``w`` and its
+    half-spectrum into ``out`` through the scratch ``tmp`` shaped like it;
+    each is fresh unless given.
+    """
+    n = lat.n
+    w = (rng.standard_normal((n, n)) if w is None
+         else rng.standard_normal(out=w))
+    if out is None:
+        out = np.empty((n, lat.n_rfft), dtype=complex)
+    _rfft2_into(w, out, np.empty_like(out) if tmp is None else tmp)
+    out /= n
     return out
 
 
@@ -211,21 +170,10 @@ def _rfft2_into(x: np.ndarray, out: np.ndarray, tmp: np.ndarray
 def _irfft2_into(h: np.ndarray, out: np.ndarray, tmp: np.ndarray
                  ) -> np.ndarray:
     """``np.fft.irfft2(h, s=out.shape)`` written into the real ``out``, bit
-    for bit, through the complex scratch ``tmp`` shaped like ``h``.
-    ``np.fft.irfft2`` itself drops ``out=`` (numpy 2.4), and ``irfftn``
-    allocates its axis-0 pass, so the two passes are spelled out."""
+    for bit, through the complex scratch ``tmp`` shaped like ``h``
+    (``irfft2`` drops ``out=`` in numpy 2.4 and ``irfftn`` allocates)."""
     np.fft.ifft(h, axis=0, out=tmp)
     return np.fft.irfft(tmp, n=out.shape[1], axis=1, out=out)
-
-
-def _real_space_into(coeffs: np.ndarray, out: np.ndarray, tmp: np.ndarray
-                     ) -> np.ndarray:
-    """The real field of the half-spectrum ``coeffs`` (``irfft2`` times
-    n^2), written into the real n-by-n ``out`` through the scratch ``tmp``
-    shaped like ``coeffs``."""
-    _irfft2_into(coeffs, out, tmp)
-    out *= out.shape[0]**2
-    return out
 
 
 def sigma2(lat: TorusLattice, eps: float, shape: str = GAUSS) -> float:
@@ -265,8 +213,9 @@ def calibrate_width(lat: TorusLattice, eps_ref: float,
     """
     target = sigma2(lat, eps_ref, GAUSS)
     lo, hi = lat.min_eps(), 1.0
-    if sigma2(lat, lo, shape) < target:
-        raise ValueError("target variance not reachable at resolvable widths")
+    if not sigma2(lat, hi, shape) <= target <= sigma2(lat, lo, shape):
+        raise ValueError(f"target variance of eps_ref = {eps_ref} not "
+                         f"reachable at widths in [{lo}, {hi}]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:       # adjacent floats: neither end can move
@@ -296,10 +245,18 @@ class GaussianField:
         # (dt, kick, buffer for kick * white) of the last advance
         self._kick = None
 
-    def real_space(self) -> np.ndarray:
+    def real_space(self, out: np.ndarray | None = None,
+                   tmp: np.ndarray | None = None) -> np.ndarray:
+        """The real field, ``irfft2`` of ``coeffs`` times n^2, written into
+        the real n-by-n ``out`` through the scratch ``tmp`` shaped like
+        ``coeffs``; each is fresh unless given."""
         n = self.lat.n
-        return _real_space_into(self.coeffs, np.empty((n, n)),
-                                np.empty_like(self.coeffs))
+        if out is None:
+            out = np.empty((n, n))
+        _irfft2_into(self.coeffs, out,
+                     np.empty_like(self.coeffs) if tmp is None else tmp)
+        out *= n**2
+        return out
 
     def advance(self, white: np.ndarray, dt: float):
         """Exact equilibrium-preserving step driven by shared white noise,
@@ -307,9 +264,7 @@ class GaussianField:
 
         The mollifier enters only through sigma_k, so fields of different
         widths advanced with the same ``white`` share their driving noise.
-        The damping is the lattice's cached heat decay at ``dt``, shared
-        with every driver at that step; only the kick sigma_k (1 -
-        decay^2)^(1/2) and its product buffer are the field's own.
+        The damping is the lattice's heat decay at ``dt``.
         """
         decay, _ = self.lat._heat_tables(dt)
         if self._kick is None or self._kick[0] != dt:
@@ -335,13 +290,12 @@ def _charges_into(t: np.ndarray, c_eps: float, d: np.ndarray, s: np.ndarray,
     C cos(2 t) into ``c``, from the half angles ``t`` = beta Phi / 2.
 
     Both come from the tangent t = tan(beta Phi / 2), as 2 C t / d and
-    C (1 - t)(1 + t) / d with d = 1 + t^2 written into the scratch ``d``:
-    numpy's float64 ``tan`` runs through its SIMD kernel, while ``sin``
-    and ``cos`` run through scalar libm, about eight times slower.  The
-    absolute error per value is a few ulps of C, poles of the tangent
-    included, and a NaN or infinite angle gives NaN.  ``t`` is overwritten;
-    ``s`` may be ``t`` itself when no cosine is asked for.  All arrays are
-    real and of one shape.
+    C (1 - t)(1 + t) / d with d = 1 + t^2 in the scratch ``d``, since
+    numpy's float64 ``tan`` has a SIMD kernel and ``sin`` and ``cos`` run
+    through scalar libm.  The absolute error per value is a few ulps of C,
+    poles of the tangent included, and a NaN or infinite angle gives NaN.
+    ``t`` is overwritten; ``s`` may be ``t`` itself when no cosine is asked
+    for.  All arrays are real and of one shape.
     """
     np.tan(t, out=t)
     np.multiply(t, t, out=d)
@@ -449,21 +403,17 @@ def _chaos_spectra(lat: TorusLattice, eps: float, beta_sq, seed: int,
     ``want_same``, cross = sum a(k) a(-k), for a = fft2 of one field's chaos,
     both as n-by-n tables.
 
-    Each field has only its modes |m| <= c = ``modes``.  They are drawn from
-    the white noise of the Philox slot (seed, sample, 0) on the smallest
+    Each field has only its modes |m| <= c = ``modes``, drawn from the
+    white noise of the Philox slot (seed, sample, 0) on the smallest
     power-of-two grid M0 > 2c, where they do not alias and have the joint
-    law of an n^2 draw's low modes, rows +-k of column 0 Hermitian pairs
-    included; at M0 = n they are that draw's own.  Such a field is a
-    trigonometric polynomial of degree c, and the spectrum of its chaos
-    decays faster than exponentially.  So its half-spectrum is placed on an
-    M^2 grid, where the chaos is evaluated, and its products are summed
-    there, zero-padded to n^2 and scaled by (n/M)^4.  M starts at the
-    smallest power of two >= 4 (c + 1) and doubles while the outer band
-    max(|q1|, |q2|) >= 3M/8 holds more than ``_BAND_SHARE`` of field 0's
-    power; if the summed power then exceeds the same share, M doubles and
-    the sums are redone.  The probe is the first term of the sums, so
-    field 0's spectrum at the settled M is computed once.  M never exceeds n, and at M = n (always when
-    4c >= n) these are the full-grid sums.
+    law of an n^2 draw's low modes; at M0 = n they are that draw's own.
+    The chaos of such a field is band-limited to roundoff, so it is
+    evaluated and its products summed on an M^2 grid, then zero-padded to
+    n^2 and scaled by (n/M)^4.  M starts at the smallest power of two
+    >= 4 (c + 1) and doubles while the outer band max(|q1|, |q2|) >= 3M/8
+    holds more than ``_BAND_SHARE`` of field 0's power, or of the summed
+    power.  M never exceeds n, and at M = n (always when 4c >= n) these
+    are the full-grid sums.
     """
     n = lat.n
     size0 = min(n, 1 << max(2, (2 * modes).bit_length()))
@@ -477,10 +427,9 @@ def _chaos_spectra(lat: TorusLattice, eps: float, beta_sq, seed: int,
         return sk_lo * white_spectral(small, step_rng(seed, sample, 0))
 
     def spectrum(low, size):
-        # M >= M0, so each drawn mode keeps its frequency on the M grid.
-        # The table is zero past column len(cols), so the axis-0 pass of
-        # irfft2 runs on those columns only and irfft pads the rest: bit
-        # for bit irfft2 of the full table.
+        # M >= M0, so each drawn mode keeps its frequency on the M grid; the
+        # table is zero past column len(cols), so the axis-0 pass runs on
+        # those columns only: bit for bit irfft2 of the full table.
         tab = np.zeros((size, len(cols)), dtype=complex)
         tab[_fold(size0, size)] = low
         phi = np.fft.irfft(np.fft.ifft(tab, axis=0), n=size, axis=1) * size**2
@@ -530,26 +479,21 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
     """Log-log fits of the two-charge correlations over a range of
     separations, averaged over radial shells and over fields.
 
-    Opposite charges attract (negative exponent), same charges repel
-    (positive exponent), and the two fitted power laws are reciprocal, so
-    the product's slope is compatible with zero.  The same-charge signal is
-    tiny at strong coupling, so ``want_same=False`` skips its fit there.
-    Shifts must lie between 2 eps n and n/2 cells: a shell of larger radius
-    wraps around the torus.  The default shifts are the dyadic separations
-    2^-5 ... 2^-2.
+    Opposite charges attract (negative exponent), same charges repel, and
+    the two power laws are reciprocal, so the product's slope is compatible
+    with zero; ``want_same=False`` skips the same-charge fit, whose signal
+    is tiny at strong coupling.  Shifts must lie between 2 eps n and n/2
+    cells, as a larger shell wraps around the torus; by default they are
+    the dyadic separations 2^-5 ... 2^-2.
 
     The estimator is conditional Monte Carlo on the modes |m| <= c =
     ``condition_modes`` (None: every mode).  Modes above the cutoff are
-    integrated out exactly (their contribution to each two-point function
-    is a deterministic Gaussian factor), and only the low-pass field is
-    sampled: only its modes |m| <= c are drawn, from white noise on a grid
-    just large enough to hold them without aliasing.  The estimator stays
-    unbiased while the variance inflation from the fine modes — severe at
-    strong coupling — disappears.  The low-pass field's chaos is
-    band-limited to roundoff, so its spectral products are computed on the
-    smallest power-of-two grid whose outer band holds at most 1e-14 of the
-    power (see ``_chaos_spectra``).  With every mode kept, the factor is 1,
-    the amplitude is ``renorm_constant`` and the grids are the full one.
+    integrated out exactly (a deterministic Gaussian factor in each
+    two-point function) and only the low-pass field is sampled
+    (``_chaos_spectra``), so the estimator stays unbiased while the
+    variance inflation from the fine modes, severe at strong coupling,
+    disappears.  With every mode kept, the factor is 1 and the amplitude is
+    ``renorm_constant``.
     """
     n = lat.n
     if shifts is None:
@@ -605,16 +549,13 @@ def bump_spectral(lat: TorusLattice, lam: float) -> np.ndarray:
 class _HeatDriver:
     """Exponential-Euler integrator of du = (1/2) Laplacian u dt + f dt.
 
-    u and f are real.  The decay and gain tables are the lattice's, cached
-    per dt (``TorusLattice._heat_tables``) and read by every driver at that
-    dt.  The ``rfft2`` half-spectrum ``u_hat`` (zero unless given) is the
-    driver's only own state.  ``step`` updates it in place and returns the
-    forcing's half-spectrum, for callers that need it too.  That array is
-    ``f_hat`` and the step transforms through ``_tmp``, the pair
-    ``scratch`` (two half-spectra, fresh unless given): drivers stepped one
-    after another may share both, and ``f_hat`` is then overwritten by the
-    next step of any of them.  A step allocates nothing.  ``profile``
-    returns the real ``irfft2`` as a fresh array.
+    u and f are real; the half-spectrum ``u_hat`` (zero unless given) is
+    the driver's only own state, and ``step`` updates it in place and
+    returns the forcing's half-spectrum ``f_hat``.  ``step`` and
+    ``profile`` transform through ``_tmp``.  ``scratch`` is the pair
+    (``f_hat``, ``_tmp``), fresh unless given: drivers stepped one after
+    another may share both, and ``f_hat`` is then overwritten by the next
+    step of any of them.
     """
 
     def __init__(self, lat: TorusLattice, dt: float,
@@ -632,13 +573,12 @@ class _HeatDriver:
         self.u_hat += np.multiply(self.gain, self.f_hat, out=self._tmp)
         return self.f_hat
 
-    def profile(self) -> np.ndarray:
-        return np.fft.irfft2(self.u_hat, s=(self.n, self.n))
-
-    def imag_residue(self) -> float:
-        """max |Im ifft2(E)|, E the Hermitian extension of ``u_hat``: the
-        one-spectrum case of ``_imag_residues``."""
-        return float(_imag_residues(self.u_hat))
+    def profile(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The real solution, ``irfft2`` of ``u_hat``, written into the real
+        n-by-n ``out`` (fresh unless given)."""
+        if out is None:
+            out = np.empty((self.n, self.n))
+        return _irfft2_into(self.u_hat, out, self._tmp)
 
 
 def _imag_residues(u_hats: np.ndarray) -> np.ndarray:
@@ -646,11 +586,9 @@ def _imag_residues(u_hats: np.ndarray) -> np.ndarray:
     last two axes), E the Hermitian extension of that half-spectrum.
 
     Only the self-conjugate columns 0 and n/2 can carry an anti-Hermitian
-    part, and at column offset y they enter as g_0(x) + (-1)^y g_{n/2}(x),
-    g_l = ifft of column l along its axis; so the residue is
-    (1/n) max_x (|Im g_0(x)| + |Im g_{n/2}(x)|).  Each 1-d transform is
-    computed alone, so a stack reads, bit for bit, the residues of its
-    members one at a time, in one call.
+    part, entering at column offset y as g_0(x) + (-1)^y g_{n/2}(x), g_l
+    the ifft of column l; so the residue is (1/n) max_x (|Im g_0(x)| +
+    |Im g_{n/2}(x)|), and a stack reads its members' residues bit for bit.
     """
     n = u_hats.shape[-2]
     g = np.fft.ifft(u_hats[..., :: n // 2], axis=-2)
@@ -665,7 +603,6 @@ class DipoleConfig:
     dt: float = 2.0**-11
     t_burn: float = 0.06
     t_measure: float = 0.2
-    stride: int = 1
     n_samples: int = 12
     # unread; perfbench/workloads.py and test_perfbench.py still pass it
     n_counter: int = 12
@@ -701,13 +638,8 @@ def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
     forcings (c, s) = C (cos, sin)(beta Phi), the components of xi_plus,
     and the half-spectra of (c, s).
 
-    The caller allocates ``drivers`` (reset here) and ``scratch`` = (four
-    real n-by-n arrays, two half-spectra) once for all its trajectories;
-    the forcings, the scratch of ``_charges_into``, the white noise and the
-    transform scratch live in them, the drivers step through that scratch
-    and keep the f_hats, and all are overwritten by the next step, so a
-    step allocates no full-grid array; its white noise is drawn
-    from the one generator of ``_step_rngs``, re-keyed to each slot.  Only
+    ``drivers`` (reset here) and ``scratch`` = (four real n-by-n arrays,
+    two half-spectra) are the caller's, and each step overwrites them.  Only
     differences of the profile enter the estimator, so its undamped mean is
     projected out after each step; f_hats keep their zero modes.
     """
@@ -718,23 +650,23 @@ def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
     (x, c, s, d), (white, tmp) = scratch
     for driver in drivers:
         driver.u_hat[...] = 0.0
-    measured = set(_measured_steps(cfg).tolist())
-    for step in range(max(measured) + 1):
-        _real_space_into(fld.coeffs, x, tmp)
+    steps = _measured_steps(cfg)
+    for step in range(steps[-1] + 1):
+        fld.real_space(x, tmp)
         x *= 0.5 * beta
         _charges_into(x, c_eps, d, s, c)
         f_hats = drivers[0].step(c), drivers[1].step(s)
         drivers[0].u_hat[0, 0] = drivers[1].u_hat[0, 0] = 0.0
-        rng(sample, step + 1).standard_normal(out=x)
-        fld.advance(_white_into(x, white, tmp), cfg.dt)
-        if step in measured:
+        fld.advance(white_spectral(lat, rng(sample, step + 1), white, x, tmp),
+                    cfg.dt)
+        if step >= steps[0]:
             collect(drivers, (c, s), f_hats)
 
 
 def _measured_steps(cfg: DipoleConfig) -> np.ndarray:
     """Step indices of the slices ``_dipole_trajectory`` collects."""
     n_burn = round(cfg.t_burn / cfg.dt)
-    return n_burn + np.arange(0, round(cfg.t_measure / cfg.dt), cfg.stride)
+    return n_burn + np.arange(round(cfg.t_measure / cfg.dt))
 
 
 def dipole_counterterm(lat: TorusLattice, cfg: DipoleConfig) -> list[float]:
@@ -782,11 +714,11 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
     the spatially averaged second moment against lambda; the ablation runs
     the identical estimator without the counterterm.
 
-    The measured slices must resolve the chaos decorrelation time: with
-    dt * stride much larger than eps^2 the time-Riemann sum picks up a
-    same-cell term of size ~C_eps^2 that masquerades as extra small-scale
-    mass and steepens the fitted slope.  Every lambda's time window must fit
-    at least twice into t_measure, or its standard error is undefined.
+    The steps must resolve the chaos decorrelation time: with dt much
+    larger than eps^2 the time-Riemann sum picks up a same-cell term of
+    size ~C_eps^2 that masquerades as extra small-scale mass and steepens
+    the fitted slope.  Every lambda's time window must fit at least twice
+    into t_measure, or its standard error is undefined.
     """
     beta2 = float(Fraction(cfg.beta_sq)) * np.pi
     if not (4 * np.pi < beta2 < 16 * np.pi / 3):
@@ -796,8 +728,7 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
     if min(cfg.lambdas) * lat.n < 4:
         raise ValueError("smallest lambda is below 4 grid cells")
     lambdas = list(cfg.lambdas)
-    windows = [max(1, int(round(lam**2 / (4.0 * cfg.dt * cfg.stride))))
-               for lam in lambdas]
+    windows = [max(1, int(round(lam**2 / (4.0 * cfg.dt)))) for lam in lambdas]
     n_slices = len(_measured_steps(cfg))
     for lam, w in zip(lambdas, windows):
         if n_slices // w < 2:
@@ -820,9 +751,8 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
     g_sums = np.empty((len(lambdas), 2, n, lat.n_rfft), dtype=complex)
     local_sums = np.empty((len(lambdas), 2, n, n))
     counts = [0] * len(lambdas)
-    # collect's work arrays, allocated once for every slice of every sample;
-    # its half-spectrum and scratch are the trajectory's white noise and
-    # scratch, free while it runs
+    # collect's work arrays; its half-spectrum and scratch are the
+    # trajectory's white noise and scratch, free while it runs
     u_c, u_s, a, b, p_c, p_s = np.empty((6, n, n))
     spec, tmp, *f_hats = np.empty((4, n, lat.n_rfft), dtype=complex)
 
@@ -836,7 +766,7 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
     def collect(drivers, forcings, f_hats):
         nonlocal mean_acc
         for driver, u in zip(drivers, (u_c, u_s)):
-            _irfft2_into(driver.u_hat, u, tmp)      # driver.profile()
+            driver.profile(u)
         for k, part in enumerate(parts(*forcings)):
             g_sums[:, k] += _rfft2_into(part, spec, tmp)
         for i, ph in enumerate(psi_hats):
@@ -863,8 +793,7 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
                 counts[i] = 0
 
     scratch = np.empty((4, n, n)), (spec, tmp)
-    # collect reads both forcing half-spectra, so each driver keeps its own;
-    # both step through the trajectory's transform scratch
+    # collect reads both forcing half-spectra, so each driver keeps its own
     drivers = tuple(_HeatDriver(lat, cfg.dt, scratch=(f_hat, tmp))
                     for f_hat in f_hats)
     for sample in range(cfg.n_samples):
@@ -889,8 +818,7 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
 class PDEResult:
     times: list
     snapshots: list          # real-space fields at the recorded times
-    max_imag: float          # largest |Im ifft2| of the Hermitian-extended
-                             # solution half-spectrum (imag_residue; roundoff)
+    max_imag: float          # largest |Im ifft2| of the solution (roundoff)
 
     @property
     def final(self) -> np.ndarray:
@@ -904,15 +832,10 @@ def _shifted_step(driver: _HeatDriver, scale, z: np.ndarray, beta: float,
     n-by-n scratch.
 
     The reaction is the imaginary part of the positive chaos twisted by v;
-    the two charges are exact conjugates, so it is the real field
-    Im(e^{i beta v} C e^{i beta Phi}) = C sin(beta (Phi + v)), and Phi + v
-    is one inverse transform of the summed half-spectra.  The step
-    allocates no full-grid array: the sum is written into the driver's
-    ``f_hat``, free until ``step`` overwrites it, and inverted through the
-    driver's scratch into ``x`` (``_irfft2_into``, bit for bit ``irfft2``),
-    where ``_charges_into`` takes the sine in place through ``d``.  The
-    imaginary residue is the caller's to read, for every driver in one call
-    (``_imag_residues``).
+    the charges are exact conjugates, so it is the real field
+    Im(e^{i beta v} C e^{i beta Phi}) = C sin(beta (Phi + v)).  Phi + v is
+    one inverse of the half-spectra summed in the driver's ``f_hat``, free
+    until ``step`` overwrites it.
     """
     phi_v = np.multiply(scale, z, out=driver.f_hat)
     phi_v += driver.u_hat
@@ -931,16 +854,9 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
               t_end: float, v0: np.ndarray | None = None,
               record_every: int | None = None) -> PDEResult:
     """Exponential-Euler solve of the shifted equation, in steps of lat.dt
-    from the Gaussian-mollified field of sample 0.
-
-    The drift is half the Laplacian and the reaction is the sine
-    nonlinearity of ``_shifted_step``.  Only beta^2 < 4 pi is accepted.
-    A step allocates no full-grid array: the reaction and then the white
-    draw share one real buffer, the draw comes from one generator re-keyed
-    to each slot (``_step_rngs``), and its half-spectrum is written into
-    the driver's ``f_hat`` and scratch, free once the step is taken.  Only
-    the recorded snapshots are fresh arrays.
-    """
+    from the Gaussian-mollified field of sample 0: the drift is half the
+    Laplacian and the reaction the sine of ``_shifted_step``.  Only
+    beta^2 < 4 pi is accepted."""
     _check_pde_coupling(beta_sq)
     dt = lat.dt
     beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
@@ -955,10 +871,10 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
     max_imag = 0.0
     x, d = np.empty((2, lat.n, lat.n))
     for step in range(n_steps):
-        max_imag = max(max_imag, driver.imag_residue())
+        max_imag = max(max_imag, float(_imag_residues(driver.u_hat)))
         _shifted_step(driver, lat.n**2, fld.coeffs, beta, c_eps, x, d)
-        rng(0, step + 1).standard_normal(out=x)
-        fld.advance(_white_into(x, driver.f_hat, driver._tmp), dt)
+        fld.advance(white_spectral(lat, rng(0, step + 1), driver.f_hat, x,
+                                   driver._tmp), dt)
         if (step + 1) % record_every == 0 or step + 1 == n_steps:
             times.append((step + 1) * dt)
             snaps.append(driver.profile())
@@ -1003,25 +919,13 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     """Cauchy-in-width study with common driving noise across widths, in
     steps of lat.dt.
 
-    For each seed, all widths (plus one differently-shaped mollifier whose
-    width is calibrated to match the finest variance) share their white-noise
-    modes: each width's coefficients are sigma_k z for one unit-variance OU
-    process z, advanced once per step.  d is the sup over the late-time
-    space-time grid (the last three quarters of the steps) of the
-    difference between solutions at consecutive widths, each an inverse
-    transform of their half-spectral difference, and the swap gap is that
-    of the finest Gaussian and the quartic.  Only beta^2 < 4 pi is
-    accepted.
-
-    A step allocates no full-grid array.  Every width steps through
-    ``_shifted_step``; the solutions' half-spectra are one stack, so one
-    ``_imag_residues`` call reads all their residues.  The reactions, each
-    sup-distance (max |x| of its difference, inverted by ``_irfft2_into``
-    into a real buffer and taken absolute in place, so a NaN reaches the
-    sup) and the white draw share that buffer.  z is updated in place from
-    one generator re-keyed to each slot (``_step_rngs``); the differences
-    and the noise's half-spectrum use the ``f_hat`` and scratch that every
-    driver steps through, free between steps.
+    For each seed, all widths (plus one quartic mollifier whose width
+    matches the finest variance) share their noise: each width's
+    coefficients are sigma_k z for one unit-variance OU process z.  d is
+    the sup over the last three quarters of the steps of the difference
+    between solutions at consecutive widths, and the swap gap is that of
+    the finest Gaussian and the quartic; a NaN solution reaches the sup.
+    Only beta^2 < 4 pi is accepted.
     """
     _check_pde_coupling(beta_sq)
     dt = lat.dt
@@ -1039,15 +943,12 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
               for w, sh in zip(widths, shapes)]
     # the dyadic neighbours, then the swap pair (finest Gaussian, quartic)
     pairs = [(j, j + 1) for j in range(len(eps_list))]
-
     n, n_steps = lat.n, int(round(t_end / dt))
     start = int(round(0.25 * n_steps))
-
     seeds = list(seeds)
     sups = np.zeros((len(seeds), len(pairs)))     # per seed, per pair
     max_imag = 0.0
-    # the widths' solutions are the only per-width state: every driver
-    # steps through one forcing half-spectrum and one scratch
+    # every driver steps through one forcing half-spectrum and one scratch
     u_hats = np.zeros((len(widths), n, lat.n_rfft), dtype=complex)
     spare, tmp = np.empty((2, n, lat.n_rfft), dtype=complex)
     drivers = [_HeatDriver(lat, dt, u_hat, (spare, tmp)) for u_hat in u_hats]
@@ -1059,7 +960,7 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     z = np.empty_like(spare)
     for sup, seed in zip(sups, seeds):
         rng = _step_rngs(seed)
-        _white_into(rng(0, 0).standard_normal(out=x), z, tmp)
+        white_spectral(lat, rng(0, 0), z, x, tmp)
         u_hats[...] = 0.0
         for step in range(n_steps):
             if step >= start:           # sup |v_a - v_b| before the step
@@ -1071,8 +972,7 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
             max_imag = max(max_imag, *_imag_residues(u_hats).tolist())
             for driver, scale, c_eps in zip(drivers, scales, consts):
                 _shifted_step(driver, scale, z, beta, c_eps, x, d)
-            white = _white_into(rng(0, step + 1).standard_normal(out=x),
-                                spare, tmp)
+            white = white_spectral(lat, rng(0, step + 1), spare, x, tmp)
             np.multiply(decay, z, out=z)
             z += np.multiply(kick, white, out=white)
     d_vals = list(sups[:, :-1].mean(axis=0))

@@ -151,6 +151,15 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: pde solver requires beta^2 < 4*pi\n"
 
+    def test_unmatched_swap_width_is_refused(self, capsys):
+        # at 32^2 no quartic width up to 1 has a variance as small as the
+        # Gaussian's at eps = 2, so there is no swap pair to compare
+        code, out, err = run_cli(["sim", "converge", "--n", "32",
+                                  "--eps-list", "4", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: target variance of eps_ref = 2.0 not")
+
     @pytest.mark.parametrize("sub, beta_sq", [("field", "5"), ("dipole", "5"),
                                               ("pde", "2"), ("converge", "2")])
     def test_default_coupling(self, sub, beta_sq):

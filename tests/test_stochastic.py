@@ -420,7 +420,7 @@ class TestHeatTables:
 
         monkeypatch.setattr(stochastic, "_dipole_trajectory", spy)
         lat = TorusLattice(self.LAT_N, dt=self.DT)
-        cfg = TestSharedStepperOracle.dipole_cfg(2)
+        cfg = TestSharedStepperOracle.dipole_cfg()
         dipole_moment(lat, cfg, seed=0)
         (c_drv, s_drv), (_, (_, tmp)) = seen[0]
         assert s_drv.decay is c_drv.decay and s_drv.gain is c_drv.gain
@@ -564,7 +564,7 @@ class TestCharges:
         solve_pde(lat, 2.0**-3, Fraction(2), 0, t_end=4 * lat.dt)
         convergence_study(lat, Fraction(2), [2.0**-2, 2.0**-3], [0],
                           t_end=4 * lat.dt)
-        dipole_moment(lat, TestSharedStepperOracle.dipole_cfg(2), seed=0)
+        dipole_moment(lat, TestSharedStepperOracle.dipole_cfg(), seed=0)
         chaos_mean(lat, 2.0**-3, Fraction(2), seed=0, n_fields=2)
         correlation_slopes(lat, 2.0**-4, Fraction(1), seed=0, n_fields=2,
                            shifts=[4, 8], condition_modes=4)
@@ -633,6 +633,43 @@ class TestTwoPassTransforms:
         assert np.array_equal(out, np.fft.irfft2(h, s=(n, n)))
 
 
+class TestBufferedPrimitives:
+    """Each primitive writes into the buffers it is given exactly what it
+    returns fresh without them."""
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_white_spectral(self, n):
+        lat = TorusLattice(n)
+        fresh = white_spectral(lat, step_rng(3, 1, 2))
+        out = np.full((n, n // 2 + 1), np.nan, dtype=complex)
+        w, tmp = np.empty((n, n)), np.empty_like(out)
+        assert white_spectral(lat, step_rng(3, 1, 2), out, w, tmp) is out
+        assert np.array_equal(out, fresh)
+        assert np.array_equal(w, step_rng(3, 1, 2).standard_normal((n, n)))
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_real_space(self, n):
+        fld = sample_phi(TorusLattice(n), 2.0**-3, seed=4, sample=1)
+        fresh = fld.real_space()
+        assert np.array_equal(fresh, np.fft.irfft2(fld.coeffs, s=(n, n))
+                              * n**2)
+        out = np.full((n, n), np.nan)
+        assert fld.real_space(out, np.empty_like(fld.coeffs)) is out
+        assert np.array_equal(out, fresh)
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_profile_is_irfft2(self, n):
+        rng = np.random.default_rng(n)
+        drv = _HeatDriver(TorusLattice(n), 2.0**-8)
+        drv.u_hat = (rng.standard_normal((n, n // 2 + 1))
+                     + 1j * rng.standard_normal((n, n // 2 + 1)))
+        want = np.fft.irfft2(drv.u_hat, s=(n, n))
+        assert np.array_equal(drv.profile(), want)
+        out = np.full((n, n), np.nan)
+        assert drv.profile(out) is out
+        assert np.array_equal(out, want)
+
+
 class TestSlotGenerator:
     """One Philox re-keyed to each slot against a fresh ``step_rng``."""
 
@@ -662,7 +699,7 @@ class TestDipolePieces:
         # kappa grows with lambda from exactly 0 at the unsmeared lambda = 0
         lat = TorusLattice(32, dt=2.0**-8)
         cfg = DipoleConfig(eps=2.0**-4, dt=2.0**-8, t_burn=0.02,
-                           t_measure=0.06, stride=1,
+                           t_measure=0.06,
                            lambdas=(0.0, 2.0**-4, 2.0**-3, 2.0**-2))
         kappas = dipole_counterterm(lat, cfg)
         assert all(type(k) is float for k in kappas)
@@ -746,6 +783,16 @@ class TestPDE:
         w = calibrate_width(lat, eps, QUARTIC)
         assert np.isclose(sigma2(lat, w, QUARTIC), sigma2(lat, eps, GAUSS),
                           rtol=1e-10)
+
+    def test_calibration_refuses_a_target_below_the_widest_width(self):
+        # at 32^2 the Gaussian at eps = 2 has variance 3.4e-5, below the
+        # quartic's 0.0137 at the widest bracket end, 1.0
+        lat = TorusLattice(32)
+        assert sigma2(lat, 2.0, GAUSS) < sigma2(lat, 1.0, QUARTIC)
+        with pytest.raises(ValueError, match="not reachable"):
+            calibrate_width(lat, 2.0, QUARTIC)
+        with pytest.raises(ValueError, match="not reachable"):
+            convergence_study(lat, Fraction(2), [4.0, 2.0], [0], t_end=lat.dt)
 
     @pytest.mark.parametrize("n, eps", [(64, 2.0**-4), (128, 2.0**-6)])
     def test_calibration_stops_once_the_bracket_does(self, monkeypatch, n,
@@ -886,7 +933,7 @@ def _old_dipole_trajectory(lat, cfg, seed, sample, collect):
         u_hat = decay * u_hat + gain * f_hat
         fld.advance(white_spectral(lat, step_rng(seed, sample, step + 1)),
                     cfg.dt)
-        if step >= n_burn and (step - n_burn) % cfg.stride == 0:
+        if step >= n_burn:
             collect(np.conj(xi_plus), np.fft.ifft2(u_hat))
 
 
@@ -916,7 +963,7 @@ def _old_counterterm(lat, cfg, seed, n_traj):
 
 def _old_dipole_blocks(lat, cfg, seed, kappas):
     """Per-slice real-space block sums: |ren|^2, |block|^2 and mean(ren)."""
-    windows = [max(1, int(round(lam**2 / (4.0 * cfg.dt * cfg.stride))))
+    windows = [max(1, int(round(lam**2 / (4.0 * cfg.dt))))
                for lam in cfg.lambdas]
     psi_hats = [bump_spectral(lat, lam) for lam in cfg.lambdas]
     sq, ab, means = [[] for _ in windows], [[] for _ in windows], []
@@ -1054,12 +1101,12 @@ class TestSharedStepperOracle:
         assert np.isclose(rep.swap_gap, sups[2], rtol=1e-12, atol=0)
         assert 0 < rep.max_imag < 1e-12
 
-    # lambda windows of 4, 2 and 1 slices at stride 1 (2, 1, 1 at stride 2)
-    # over 11 measured steps, so blocks are left open at each trajectory end
+    # lambda windows of 4, 2 and 1 slices over 11 measured steps, so blocks
+    # are left open at each trajectory end
     @staticmethod
-    def dipole_cfg(stride):
+    def dipole_cfg():
         return DipoleConfig(eps=2.0**-4, dt=2.0**-8, t_burn=0.02,
-                            t_measure=11 * 2.0**-8, stride=stride,
+                            t_measure=11 * 2.0**-8,
                             lambdas=(2.0**-2, 2.0**-2.5, 2.0**-3),
                             n_samples=2)
 
@@ -1067,7 +1114,7 @@ class TestSharedStepperOracle:
         """The exact kappas against 64 trajectories of the per-slice
         translation-correlation estimator, within 4 standard errors on the
         real part; the imaginary part averages to 0 within 4 of its own."""
-        cfg, n_traj, k = self.dipole_cfg(1), 64, 4.0
+        cfg, n_traj, k = self.dipole_cfg(), 64, 4.0
         exact = dipole_counterterm(self.LAT, cfg)
         rows = _old_counterterm(self.LAT, cfg, seed=4, n_traj=n_traj)
         mean = rows.mean(axis=0)
@@ -1076,9 +1123,8 @@ class TestSharedStepperOracle:
         assert np.all(np.abs(mean.real - exact) <= k * se_re)
         assert np.all(np.abs(mean.imag) <= k * se_im)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_dipole_moment_matches_per_slice_collect(self, stride):
-        lat, cfg = self.LAT, self.dipole_cfg(stride)
+    def test_dipole_moment_matches_per_slice_collect(self):
+        lat, cfg = self.LAT, self.dipole_cfg()
         rep = dipole_moment(lat, cfg, seed=2)
         sq, ab, means = _old_dipole_blocks(
             lat, cfg, 2, dipole_counterterm(lat, cfg))
@@ -1100,65 +1146,36 @@ class TestSharedStepperOracle:
     # keeps the reprs recorded with libm's sine and cosine, which the
     # pinned runs still match to rtol 1e-12.
     # test_dipole_moment_matches_per_slice_collect covers every other setup.
-    PINNED = {
-        1: (
-            "{'lambdas': [0.25, 0.1767766952966369, 0.125],"
-            " 'second_moments': [0.014862069392075334, 0.02606816624301524,"
-            " 0.045549380931721756], 'stderrs': [0.002094620754465353,"
-            " 0.0014776597101206607, 0.0012819694246123227],"
-            " 'ablation_moments': [0.35605832472531423, 0.29028222923465,"
-            " 0.22903594634129873], 'slope': -1.6157964358007637,"
-            " 'ablation_slope': 0.6365395418850863, 'n_samples': 2,"
-            " 'ablation_gap': 2.25233597768585,"
-            " 'mean_re': -0.010689825264574971,"
-            " 'mean_im': 0.007651638319906805}"
-        ),
-        2: (
-            "{'lambdas': [0.25, 0.1767766952966369, 0.125],"
-            " 'second_moments': [0.024422533490977744, 0.04380400303395354,"
-            " 0.045867558092372786], 'stderrs': [0.0034642009711371145,"
-            " 0.002627160124479424, 0.0018290863636116071],"
-            " 'ablation_moments': [0.38315719951681243, 0.31705707294452473,"
-            " 0.23340400408616388], 'slope': -0.9092612357249593,"
-            " 'ablation_slope': 0.7151071032292601, 'n_samples': 2,"
-            " 'ablation_gap': 1.6243683389542194,"
-            " 'mean_re': 0.0041678624892164525,"
-            " 'mean_im': 0.01102994920337405}"
-        ),
-    }
-    PINNED_LIBM = {
-        1: (
-            "{'lambdas': [0.25, 0.1767766952966369, 0.125],"
-            " 'second_moments': [0.014862069392075334, 0.026068166243015244,"
-            " 0.045549380931721756], 'stderrs': [0.002094620754465353,"
-            " 0.0014776597101206607, 0.0012819694246123227],"
-            " 'ablation_moments': [0.35605832472531423, 0.29028222923465,"
-            " 0.22903594634129876], 'slope': -1.6157964358007637,"
-            " 'ablation_slope': 0.636539541885086, 'n_samples': 2,"
-            " 'ablation_gap': 2.2523359776858496,"
-            " 'mean_re': -0.01068982526457498,"
-            " 'mean_im': 0.007651638319906808}"
-        ),
-        2: (
-            "{'lambdas': [0.25, 0.1767766952966369, 0.125],"
-            " 'second_moments': [0.024422533490977744, 0.04380400303395355,"
-            " 0.045867558092372786], 'stderrs': [0.0034642009711371153,"
-            " 0.002627160124479425, 0.001829086363611608],"
-            " 'ablation_moments': [0.38315719951681243, 0.31705707294452473,"
-            " 0.23340400408616388], 'slope': -0.9092612357249593,"
-            " 'ablation_slope': 0.7151071032292601, 'n_samples': 2,"
-            " 'ablation_gap': 1.6243683389542194,"
-            " 'mean_re': 0.00416786248921644,"
-            " 'mean_im': 0.011029949203374058}"
-        ),
-    }
+    PINNED = (
+        "{'lambdas': [0.25, 0.1767766952966369, 0.125],"
+        " 'second_moments': [0.014862069392075334, 0.02606816624301524,"
+        " 0.045549380931721756], 'stderrs': [0.002094620754465353,"
+        " 0.0014776597101206607, 0.0012819694246123227],"
+        " 'ablation_moments': [0.35605832472531423, 0.29028222923465,"
+        " 0.22903594634129873], 'slope': -1.6157964358007637,"
+        " 'ablation_slope': 0.6365395418850863, 'n_samples': 2,"
+        " 'ablation_gap': 2.25233597768585,"
+        " 'mean_re': -0.010689825264574971,"
+        " 'mean_im': 0.007651638319906805}"
+    )
+    PINNED_LIBM = (
+        "{'lambdas': [0.25, 0.1767766952966369, 0.125],"
+        " 'second_moments': [0.014862069392075334, 0.026068166243015244,"
+        " 0.045549380931721756], 'stderrs': [0.002094620754465353,"
+        " 0.0014776597101206607, 0.0012819694246123227],"
+        " 'ablation_moments': [0.35605832472531423, 0.29028222923465,"
+        " 0.22903594634129876], 'slope': -1.6157964358007637,"
+        " 'ablation_slope': 0.636539541885086, 'n_samples': 2,"
+        " 'ablation_gap': 2.2523359776858496,"
+        " 'mean_re': -0.01068982526457498,"
+        " 'mean_im': 0.007651638319906808}"
+    )
 
     @pinned_bits
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_dipole_moment_is_pinned_bit_for_bit(self, stride):
-        rep = dipole_moment(self.LAT, self.dipole_cfg(stride), seed=2)
-        assert repr(rep.as_dict()) == self.PINNED[stride]
-        for key, libm in ast.literal_eval(self.PINNED_LIBM[stride]).items():
+    def test_dipole_moment_is_pinned_bit_for_bit(self):
+        rep = dipole_moment(self.LAT, self.dipole_cfg(), seed=2)
+        assert repr(rep.as_dict()) == self.PINNED
+        for key, libm in ast.literal_eval(self.PINNED_LIBM).items():
             assert np.allclose(rep.as_dict()[key], libm, rtol=1e-12, atol=0)
 
 
@@ -1182,8 +1199,7 @@ def _expected_slice_spectrum(lat, cfg):
 
     n_burn = int(round(cfg.t_burn / cfg.dt))
     n_meas = int(round(cfg.t_measure / cfg.dt))
-    slices = [m for m in range(n_burn, n_burn + n_meas)
-              if (m - n_burn) % cfg.stride == 0]
+    slices = list(range(n_burn, n_burn + n_meas))
     tables = {lag: pair_spectrum(lag) for lag in range(slices[-1] + 1)}
     spec = np.zeros((n, n), dtype=complex)
     for m in slices:
@@ -1198,10 +1214,9 @@ class TestExactCounterterm:
 
     LAT = TorusLattice(8, dt=2.0**-8)
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_matches_slice_pair_sum(self, stride):
+    def test_matches_slice_pair_sum(self):
         cfg = DipoleConfig(eps=2.0**-2, dt=2.0**-8, t_burn=3 * 2.0**-8,
-                           t_measure=6 * 2.0**-8, stride=stride,
+                           t_measure=6 * 2.0**-8,
                            lambdas=(2.0**-1, 2.0**-2, 2.0**-3))
         # E[xi_-(z + w) u(z)] inverts spec(-k) / n^2: fft2(spec) / n^4
         h = np.fft.fft2(_expected_slice_spectrum(self.LAT, cfg)) / 8**4
@@ -1245,10 +1260,9 @@ class TestHalfSpectrumResidue:
 
     def test_hermitian_half_spectrum_has_no_residue(self):
         half = self.hermitian_half()
-        drv = self.driver(half)
-        assert drv.imag_residue() == 0.0
+        assert _imag_residues(half) == 0.0
         full = np.fft.ifft2(self.extension(half))
-        assert _rel_close(drv.profile(), full.real)
+        assert _rel_close(self.driver(half).profile(), full.real)
         assert np.max(np.abs(full.imag)) < 1e-15 * np.max(np.abs(full.real))
 
     def test_anti_hermitian_columns_are_measured(self):
@@ -1260,7 +1274,7 @@ class TestHalfSpectrumResidue:
             a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             a = 0.5 * (a - np.conj(a[(-np.arange(n)) % n]))
             half[:, col] += (0.3 if col else 1.0) * a
-        got = self.driver(half).imag_residue()
+        got = _imag_residues(half)
         want = np.max(np.abs(np.fft.ifft2(self.extension(half)).imag))
         assert want > 0
         assert np.isclose(got, want, rtol=1e-12, atol=0)
@@ -1272,5 +1286,4 @@ class TestHalfSpectrumResidue:
         stack[1] = self.hermitian_half()
         got = _imag_residues(stack)
         assert got.shape == (3,) and got[1] == 0.0 < got[0]
-        assert got.tolist() == [self.driver(half).imag_residue()
-                                for half in stack]
+        assert got.tolist() == [_imag_residues(half) for half in stack]
