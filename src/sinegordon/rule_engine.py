@@ -2,13 +2,14 @@
 
 A tree is admissible when every node is of one of the allowed shapes: a
 (possibly decorated) 0-node with any number of kernel-edge branches, or a
-charged node with any number of kernel-edge branches.  One fixpoint builds
-every catalog.  :func:`enumerate_trees` returns the full finite catalog
-below a cutoff ``mu`` in (beta_bar, 2); the cutoff is an argument of the
-enumerator alone, not a model parameter.  :func:`enumerate_negative_trees`
-runs the same fixpoint with cutoff 0, which yields exactly the divergent
-(negative-homogeneity) trees.  Both classify the divergent and
-neutral-divergent trees.
+charged node with any number of kernel-edge branches.  One recursion on the
+cutoff builds every catalog, with no rounds and no deduplication, and
+classifies each tree by the homogeneity it was built with.  :func:`enumerate_trees` returns the
+full finite catalog below a cutoff ``mu`` in (beta_bar, 2); the cutoff is
+an argument of the enumerator alone, not a model parameter.
+:func:`enumerate_negative_trees` runs the same recursion with cutoff 0,
+which yields exactly the divergent (negative-homogeneity) trees.  Both
+classify the divergent and neutral-divergent trees.
 """
 
 from __future__ import annotations
@@ -85,90 +86,62 @@ def enumerate_trees(params: ModelParams, mu=None) -> TreeCatalog:
     mu = (bb + 2) / 2 if mu is None else Fraction(mu)
     if not (bb < mu < 2):
         raise ValueError(f"mu = {mu} not in (beta_bar, 2)")
-    return _fixpoint(params, mu)
+    return _catalog(params, mu)
 
 
 def enumerate_negative_trees(params: ModelParams) -> TreeCatalog:
-    """Exactly the divergent trees: the catalog fixpoint with cutoff 0."""
-    return _fixpoint(params, Fraction(0))
+    """Exactly the divergent trees: the catalog below cutoff 0."""
+    return _catalog(params, Fraction(0))
 
 
-def _fixpoint(params: ModelParams, mu: Fraction) -> TreeCatalog:
-    """All admissible trees with homogeneity strictly below ``mu``.
+def _catalog(params: ModelParams, mu: Fraction) -> TreeCatalog:
+    """The catalog below ``mu``, classified by the homogeneity of each tree."""
+    trees = _trees_below(params.beta_bar, mu)
+    negative = {t.key: t for h, t in trees if h < 0}
+    return TreeCatalog(
+        params, {t.key: t for _, t in trees}, negative,
+        {key: t for key, t in negative.items() if t.charge == 0})
 
-    Every admissible tree consists of a root node (label, decoration) of
-    cost r >= -beta_bar together with a multiset of admissible branch
-    subtrees, each branch b costing ``2 + |b|_s >= 2 - beta_bar > 0``.  A
-    tree below ``mu`` therefore has branches with 2 + |b|_s < mu - r <=
-    mu + beta_bar, that is |b|_s < mu - (2 - beta_bar) < mu: every branch of
-    a catalog tree is itself a catalog tree, whatever the cutoff.  So
-    iterating node construction over the current catalog until nothing new
-    appears yields exactly the catalog.
+
+def _trees_below(bb: Fraction, mu: Fraction
+                 ) -> list[tuple[Fraction, DecoratedTree]]:
+    """Every admissible tree with |tau|_s < ``mu``, as (|tau|_s, tau) sorted
+    by homogeneity.
+
+    A tree is a root node (label, decoration) of cost r >= -beta_bar with a
+    multiset of admissible branches, each branch b costing 2 + |b|_s > 0.
+    So no tree lies below -beta_bar, and every branch of a tree below
+    ``mu`` satisfies 2 + |b|_s < mu - r <= mu + beta_bar, that is, lies
+    below mu - (2 - beta_bar) < mu.  The catalog below ``mu`` is therefore
+    each root of cost r < mu extended by every multiset of trees below
+    mu - (2 - beta_bar) whose costs sum to less than mu - r, and distinct
+    (root, multiset) pairs are distinct trees.  A tree is built once here,
+    and again in each deeper call whose cutoff it also lies below.
     """
-    bb = params.beta_bar
-    found: dict[str, DecoratedTree] = {}
-    hom: dict[str, Fraction] = {}      # |tau|_s, evaluated once per tree
+    if mu <= -bb:
+        return []
+    branches = _trees_below(bb, mu - (2 - bb))
+    costs = [2 + h for h, _ in branches]
+    found: list[tuple[Fraction, DecoratedTree]] = []
 
-    def add(t: DecoratedTree, into: dict[str, DecoratedTree]):
-        into[t.key] = t
-        hom[t.key] = s_homogeneity(t).at(bb)
+    def extend(idx: int, budget: Fraction, chosen: list[DecoratedTree],
+               label: str, deco: tuple[int, int, int]):
+        # |tau|_s = root cost + branch costs = mu - the budget they leave
+        found.append((mu - budget, DecoratedTree(label, deco, tuple(chosen))))
+        for i in range(idx, len(branches)):
+            if costs[i] >= budget:
+                break
+            chosen.append(branches[i][1])
+            extend(i, budget - costs[i], chosen, label, deco)
+            chosen.pop()
 
-    # single-node seeds
-    frontier: list[DecoratedTree] = []
     for label in ("+", "-", "0"):
         for deco in _DECOS:
             root_cost = Fraction(deco_weight(deco)) - (bb if label != "0" else 0)
             if root_cost < mu:
-                t = DecoratedTree(label, deco)
-                add(t, found)
-                frontier.append(t)
-
-    while frontier:
-        # branch candidates sorted by cost; cost of using tau as a branch
-        # is 2 + |tau|_s
-        cand = sorted(found.values(), key=lambda t: (hom[t.key], t.key))
-        costs = [2 + hom[t.key] for t in cand]
-        new: dict[str, DecoratedTree] = {}
-
-        def extend(idx: int, budget: Fraction, chosen: list[DecoratedTree],
-                   root_label: str, root_deco: tuple[int, int, int]):
-            if chosen:
-                t = DecoratedTree(root_label, root_deco, tuple(chosen))
-                if t.key not in found and t.key not in new:
-                    add(t, new)
-            for i in range(idx, len(cand)):
-                if costs[i] >= budget:
-                    break
-                chosen.append(cand[i])
-                extend(i, budget - costs[i], chosen, root_label, root_deco)
-                chosen.pop()
-
-        for label in ("+", "-", "0"):
-            for deco in _DECOS:
-                root_cost = Fraction(deco_weight(deco)) - (bb if label != "0" else 0)
                 extend(0, mu - root_cost, [], label, deco)
-
-        found.update(new)
-        frontier = list(new.values())
-
-    cat = TreeCatalog(params, found)
-    classify_trees(cat)
-    return cat
-
-
-def classify_trees(cat: TreeCatalog):
-    """Partition the catalog into divergent and neutral-divergent trees."""
-    bb = cat.params.beta_bar
-    neg: dict[str, DecoratedTree] = {}
-    neg_neut: dict[str, DecoratedTree] = {}
-    for key, tau in cat.all.items():
-        if s_homogeneity(tau).at(bb) < 0:
-            neg[key] = tau
-            if tau.charge == 0:
-                neg_neut[key] = tau
-    cat.negative = neg
-    cat.negative_neutral = neg_neut
-    return neg, neg_neut
+    found.sort(key=lambda entry: entry[0])
+    return found
 
 
 def structural_audit(cat: TreeCatalog) -> AuditReport:

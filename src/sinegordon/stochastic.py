@@ -46,6 +46,9 @@ class TorusLattice:
     def __post_init__(self):
         if self.n < 4 or self.n & (self.n - 1):
             raise ValueError("grid size must be a power of two >= 4")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(
+                f"time step dt = {self.dt} must be positive and finite")
         m = np.fft.fftfreq(self.n) * self.n
         mx, my = np.meshgrid(m, m, indexing="ij")
         self.m2 = mx**2 + my**2                  # integer mode number squared
@@ -723,6 +726,9 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
     beta2 = float(Fraction(cfg.beta_sq)) * np.pi
     if not (4 * np.pi < beta2 < 16 * np.pi / 3):
         raise ValueError("dipole scaling window requires beta^2 in (4pi, 16pi/3)")
+    if not 0 < cfg.dt < np.inf:
+        raise ValueError(
+            f"time step dt = {cfg.dt} must be positive and finite")
     if len(set(cfg.lambdas)) < 2:
         raise ValueError("need at least two distinct lambdas")
     if min(cfg.lambdas) * lat.n < 4:
@@ -859,13 +865,15 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
     beta^2 < 4 pi is accepted."""
     _check_pde_coupling(beta_sq)
     dt = lat.dt
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1:
+        raise ValueError(f"t_end = {t_end} rounds to no step of dt = {dt}")
     beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
     c_eps = renorm_constant(lat, eps, beta_sq)
     fld = sample_phi(lat, eps, seed)
     rng = _step_rngs(seed)
     driver = _HeatDriver(lat, dt, None if v0 is None
                          else np.fft.rfft2(np.asarray(v0, dtype=float)))
-    n_steps = int(round(t_end / dt))
     record_every = record_every or n_steps
     times, snaps = [0.0], [driver.profile()]
     max_imag = 0.0
@@ -929,6 +937,9 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     """
     _check_pde_coupling(beta_sq)
     dt = lat.dt
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1:
+        raise ValueError(f"t_end = {t_end} rounds to no step of dt = {dt}")
     eps_list = sorted(eps_list, reverse=True)
     if len(eps_list) < 2:
         raise ValueError("need at least two widths")
@@ -943,7 +954,7 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
               for w, sh in zip(widths, shapes)]
     # the dyadic neighbours, then the swap pair (finest Gaussian, quartic)
     pairs = [(j, j + 1) for j in range(len(eps_list))]
-    n, n_steps = lat.n, int(round(t_end / dt))
+    n = lat.n
     start = int(round(0.25 * n_steps))
     seeds = list(seeds)
     sups = np.zeros((len(seeds), len(pairs)))     # per seed, per pair

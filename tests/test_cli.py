@@ -102,6 +102,34 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: need at least two distinct lambdas\n"
 
+    @pytest.mark.parametrize("dt", ["0", "-0.001", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [
+        ["sim", "dipole", "--n", "64", "--eps", "0.04", "--lambda", "0.25",
+         "--lambda", "0.125", "--samples", "1"],
+        ["sim", "pde", "--n", "64", "--eps", "0.0625", "--t-end", "0.01"],
+        ["sim", "converge", "--n", "64", "--eps-list", "0.25", "0.125",
+         "--seeds", "1"],
+    ], ids=["dipole", "pde", "converge"])
+    def test_time_step_must_be_positive_and_finite(self, capsys, argv, dt):
+        code, out, err = run_cli([*argv, "--dt", dt], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: time step dt = {float(dt)} must be positive "
+                       "and finite\n")
+
+    @pytest.mark.parametrize("t_end", ["0", "-1", "0.0001"])
+    @pytest.mark.parametrize("argv", [
+        ["sim", "pde", "--n", "64", "--eps", "0.0625"],
+        ["sim", "converge", "--n", "64", "--eps-list", "0.25", "0.125",
+         "--seeds", "1"],
+    ], ids=["pde", "converge"])
+    def test_run_without_steps_is_refused(self, capsys, argv, t_end):
+        code, out, err = run_cli([*argv, "--t-end", t_end], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: t_end = {float(t_end)} rounds to no step of "
+                       f"dt = {2.0**-10}\n")
+
     def test_cutoff_is_read_by_trees(self, capsys):
         code, out, _ = run_cli(["trees", "enum", "--mu", "7/4"], capsys)
         assert code == 0

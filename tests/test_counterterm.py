@@ -93,7 +93,8 @@ def cli_params(beta_sq: Fraction) -> ModelParams:
 
 
 class TestNegativeCatalog:
-    """The cutoff-0 fixpoint against the full catalog, and beyond its reach."""
+    """The catalog below cutoff 0 against the full catalog, and beyond its
+    reach."""
 
     @pytest.mark.parametrize("beta_sq", [Fraction(1, 2), Fraction(2),
                                          Fraction(4), Fraction(5),

@@ -6,11 +6,15 @@ from itertools import product
 import pytest
 
 from sinegordon.tree_core import (DecoratedTree, ModelParams, canonical_key,
-                                  dipole, opp, s_homogeneity)
-from sinegordon import rule_engine
+                                  deco_weight, dipole, opp, s_homogeneity)
 from sinegordon.rule_engine import (enumerate_negative_trees, enumerate_trees,
-                                    classify_trees, structural_audit,
-                                    opp_closure_ok)
+                                    structural_audit, opp_closure_ok)
+
+
+# the params ``sgbench renorm cancel`` builds for beta^2/pi = 5, 6 and 13/2
+NEGATIVE_PARAMS = [ModelParams(Fraction(5), Fraction(43, 32)),
+                   ModelParams(Fraction(6), Fraction(25, 16)),
+                   ModelParams(Fraction(13, 2), Fraction(107, 64))]
 
 
 def brute_force_negative_neutral(beta_bar: Fraction, max_nodes: int = 4):
@@ -77,10 +81,20 @@ class TestCatalog:
             assert undecorated == brute_force_negative_neutral(bb), bb
 
     def test_classify_is_consistent(self):
-        cat = enumerate_trees(ModelParams.from_beta_bar(Fraction(5, 4)))
-        neg, neg_neut = classify_trees(cat)
-        assert set(neg_neut) <= set(neg) <= set(cat.all)
-        assert all(cat.all[k].charge == 0 for k in neg_neut)
+        """Each catalog's divergent and neutral-divergent trees are exactly
+        those of negative |tau|_s, recomputed per tree, and of charge 0.
+        At beta_bar 3/2, 69 catalog trees have |tau|_s = 0 exactly."""
+        cats = [enumerate_trees(ModelParams.from_beta_bar(bb))
+                for bb in (Fraction(11, 10), Fraction(5, 4), Fraction(29, 20),
+                           Fraction(3, 2))]
+        cats += [enumerate_negative_trees(p) for p in NEGATIVE_PARAMS]
+        for cat in cats:
+            bb = cat.params.beta_bar
+            neg = {k for k, t in cat.all.items()
+                   if s_homogeneity(t).at(bb) < 0}
+            assert set(cat.negative) == neg, bb
+            assert set(cat.negative_neutral) == \
+                {k for k in neg if cat.all[k].charge == 0}, bb
 
     def test_structural_audit_and_opp_closure(self):
         cat = enumerate_trees(ModelParams.from_beta_bar(Fraction(5, 4)))
@@ -116,24 +130,89 @@ class TestCutoff:
         assert set(cat.all) < set(enumerate_trees(params, (mid + 2) / 2).all)
 
 
-def test_fixpoint_evaluates_each_homogeneity_once(monkeypatch):
-    """At beta^2/pi = 13/2 and the CLI's default beta_bar 107/64 (1,298
-    negative trees over several rounds), the fixpoint evaluates |tau|_s at
-    most once per tree it finds, before the catalog is classified."""
-    calls, at_classify = [], []
+def reference_fixpoint(params: ModelParams, mu: Fraction
+                       ) -> dict[str, DecoratedTree]:
+    """Oracle: the catalog below ``mu`` by rounds of node construction over
+    everything found so far, until a round finds nothing new.
 
-    def counted(tau):
-        calls.append(tau.key)
-        return s_homogeneity(tau)
+    Every branch of a catalog tree is a catalog tree, so the rounds close
+    on the catalog.  Each round rebuilds the trees of the earlier ones and
+    drops them at the ``key not in found`` check.
+    """
+    bb = params.beta_bar
+    decos = [k for k in product(range(2), range(3), range(3))
+             if deco_weight(k) <= 2]
+    roots = [(label, deco,
+              Fraction(deco_weight(deco)) - (bb if label != "0" else 0))
+             for label in ("+", "-", "0") for deco in decos]
+    found = {}
+    hom = {}
 
-    def classify(cat):
-        at_classify.append(len(calls))
-        return classify_trees(cat)
+    def add(t, into):
+        into[t.key] = t
+        hom[t.key] = s_homogeneity(t).at(bb)
 
-    monkeypatch.setattr(rule_engine, "s_homogeneity", counted)
-    monkeypatch.setattr(rule_engine, "classify_trees", classify)
-    cat = enumerate_negative_trees(ModelParams(Fraction(13, 2),
-                                               Fraction(107, 64)))
+    frontier = []
+    for label, deco, root_cost in roots:
+        if root_cost < mu:
+            t = DecoratedTree(label, deco)
+            add(t, found)
+            frontier.append(t)
+    while frontier:
+        cand = sorted(found.values(), key=lambda t: (hom[t.key], t.key))
+        costs = [2 + hom[t.key] for t in cand]
+        new = {}
+
+        def extend(idx, budget, chosen, root_label, root_deco):
+            if chosen:
+                t = DecoratedTree(root_label, root_deco, tuple(chosen))
+                if t.key not in found and t.key not in new:
+                    add(t, new)
+            for i in range(idx, len(cand)):
+                if costs[i] >= budget:
+                    break
+                chosen.append(cand[i])
+                extend(i, budget - costs[i], chosen, root_label, root_deco)
+                chosen.pop()
+
+        for label, deco, root_cost in roots:
+            extend(0, mu - root_cost, [], label, deco)
+        found.update(new)
+        frontier = list(new.values())
+    return found
+
+
+class TestReferenceFixpoint:
+    """The recursion on the cutoff lists the same trees as the rounds.  At
+    beta_bar 5/4 and cutoff 7/4, and at beta_bar 3/2 and cutoff 0, trees
+    sit exactly at the cutoff, and neither may list them."""
+
+    @pytest.mark.parametrize("mu", [None, Fraction(7, 4)])
+    def test_full_catalog(self, mu):
+        params = ModelParams.from_beta_bar(Fraction(5, 4))
+        assert set(enumerate_trees(params, mu).all) == \
+            set(reference_fixpoint(params, mu or (params.beta_bar + 2) / 2))
+
+    @pytest.mark.parametrize("params", [
+        *NEGATIVE_PARAMS, ModelParams(Fraction(5), Fraction(3, 2))],
+        ids=["5", "6", "13/2", "5 at beta_bar 3/2"])
+    def test_negative_catalog(self, params):
+        assert set(enumerate_negative_trees(params).all) == \
+            set(reference_fixpoint(params, Fraction(0)))
+
+
+def test_enumerator_builds_each_tree_about_once(monkeypatch):
+    """At beta^2/pi = 13/2 and the CLI's beta_bar 107/64, the enumerator
+    keeps 1,298 trees and constructs at most 1.5 times as many: a tree is
+    rebuilt only for each deeper cutoff that it also lies below."""
+    built = []
+    init = DecoratedTree.__post_init__
+
+    def counted(tree):
+        built.append(None)
+        init(tree)
+
+    monkeypatch.setattr(DecoratedTree, "__post_init__", counted)
+    cat = enumerate_negative_trees(NEGATIVE_PARAMS[2])
     assert len(cat.all) == 1298
-    assert at_classify == [len(set(calls[: at_classify[0]]))]
-    assert at_classify[0] <= len(cat.all)
+    assert len(built) <= 1.5 * len(cat.all)

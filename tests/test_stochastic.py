@@ -736,6 +736,18 @@ class TestDipolePieces:
             with pytest.raises(ValueError, match="two distinct lambdas"):
                 dipole_moment(lat, cfg, seed=0)
 
+    @pytest.mark.parametrize("dt", [0.0, -2.0**-8, float("nan"),
+                                    float("inf")])
+    def test_time_step_must_be_positive_and_finite(self, dt):
+        # the lattice refuses it, and so does the dipole, which steps by
+        # cfg.dt rather than lat.dt
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            TorusLattice(32, dt=dt)
+        from sinegordon.stochastic import dipole_moment
+        cfg = DipoleConfig(eps=2.0**-4, dt=dt, n_samples=1)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            dipole_moment(TorusLattice(32, dt=2.0**-8), cfg, seed=0)
+
     def test_lambda_floor_enforced(self):
         lat = TorusLattice(32, dt=2.0**-8)
         from sinegordon.stochastic import dipole_moment
@@ -761,6 +773,16 @@ class TestPDE:
         r2 = solve_pde(lat, 2.0**-4, Fraction(2), seed=7, t_end=0.05)
         assert r1.max_imag < 1e-12
         assert r1.final.tobytes() == r2.final.tobytes()
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, 2.0**-10])
+    def test_run_without_steps_refused(self, t_end):
+        # 2^-10 is a quarter step of dt = 2^-8 and rounds to none
+        lat = TorusLattice(32, dt=2.0**-8)
+        with pytest.raises(ValueError, match="rounds to no step"):
+            solve_pde(lat, 2.0**-3, Fraction(2), seed=0, t_end=t_end)
+        with pytest.raises(ValueError, match="rounds to no step"):
+            convergence_study(lat, Fraction(2), [2.0**-2, 2.0**-3], [0],
+                              t_end=t_end)
 
     def test_convergence_guard_rails(self):
         lat = TorusLattice(32, dt=2.0**-8)
