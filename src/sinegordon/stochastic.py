@@ -6,9 +6,11 @@ Each Fourier mode of the free field is an independent Ornstein-Uhlenbeck
 process at equilibrium, damped by half its Laplacian symbol, so the
 equal-time variance table is exact and the renormalization constant from
 the same table gives the chaos unit expectation exactly in distribution.
-One real exponential-Euler integrator (``_HeatDriver``) steps every heat
-flow: two for the dipole's complex profile, driven by C cos(beta Phi) and
-C sin(beta Phi), and one for the shifted equation, driven by
+A field is sigma_k z for one unit-variance OU process z
+(``GaussianField``).  One real exponential-Euler integrator
+(``_HeatDriver``) steps every heat flow: two for the dipole's complex
+profile, driven by C cos(beta Phi) and C sin(beta Phi), and one per width
+of the shifted equation (``_shifted_steps``), driven by
 C sin(beta (Phi + v)).  The dipole counterterm is exact, not sampled.
 
 Real fields are stored as ``rfft2`` half-spectra.  All noise comes from
@@ -99,17 +101,20 @@ class TorusLattice:
             self._sigma_k[key] = sk
         return sk
 
-    def _heat_tables(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only exponential-Euler tables (decay, gain) of the heat flow
-        du = (1/2) Laplacian u dt + f dt on the half-spectrum, cached per
-        dt: decay = e^x and gain = dt (e^x - 1) / x with x = -mu dt.  Every
-        driver and field stepped at one dt reads the same two arrays."""
+    def _heat_tables(self, dt: float
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only half-spectrum tables, cached per dt: the exponential-
+        Euler (decay, gain) of the heat flow du = (1/2) Laplacian u dt + f dt,
+        decay = e^x and gain = dt (e^x - 1) / x with x = -mu dt, and the
+        kick sqrt(1 - decay^2) of the unit OU process damped like it."""
         tables = self._heat.get(dt)
         if tables is None:
             x = -self.mu[:, : self.n_rfft] * dt
-            tables = np.exp(x), dt * np.divide(np.expm1(x), x,
-                                               out=np.ones_like(x),
-                                               where=x != 0)
+            decay = np.exp(x)
+            tables = (decay, dt * np.divide(np.expm1(x), x,
+                                            out=np.ones_like(x),
+                                            where=x != 0),
+                      np.sqrt(1.0 - decay**2))
             for t in tables:
                 t.flags.writeable = False
             self._heat[dt] = tables
@@ -173,8 +178,9 @@ def _rfft2_into(x: np.ndarray, out: np.ndarray, tmp: np.ndarray
 def _irfft2_into(h: np.ndarray, out: np.ndarray, tmp: np.ndarray
                  ) -> np.ndarray:
     """``np.fft.irfft2(h, s=out.shape)`` written into the real ``out``, bit
-    for bit, through the complex scratch ``tmp`` shaped like ``h``
-    (``irfft2`` drops ``out=`` in numpy 2.4 and ``irfftn`` allocates)."""
+    for bit, through the complex scratch ``tmp`` shaped like ``h``, which
+    may be ``h`` itself (``irfft2`` drops ``out=`` in numpy 2.4 and
+    ``irfftn`` allocates)."""
     np.fft.ifft(h, axis=0, out=tmp)
     return np.fft.irfft(tmp, n=out.shape[1], axis=1, out=out)
 
@@ -235,56 +241,48 @@ def calibrate_width(lat: TorusLattice, eps_ref: float,
 
 @dataclass
 class GaussianField:
-    """Spectral coefficients of one stationary field realization."""
+    """One stationary field realization, the ``rfft2`` half-spectrum
+    sigma_k z of a unit-variance OU process z damped like the heat flow.
+    Width and shape enter through sigma_k alone: one z serves them all."""
 
     lat: TorusLattice
     eps: float
-    coeffs: np.ndarray          # rfft2 half-spectrum amplitudes
+    z: np.ndarray               # unit-variance half-spectrum, the OU state
     shape: str = GAUSS
     sigma_k: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.sigma_k = self.lat.sigma_k(self.eps, self.shape)
-        # (dt, kick, buffer for kick * white) of the last advance
-        self._kick = None
 
     def real_space(self, out: np.ndarray | None = None,
                    tmp: np.ndarray | None = None) -> np.ndarray:
-        """The real field, ``irfft2`` of ``coeffs`` times n^2, written into
+        """The real field, ``irfft2`` of sigma_k z times n^2, written into
         the real n-by-n ``out`` through the scratch ``tmp`` shaped like
-        ``coeffs``; each is fresh unless given."""
+        ``z``; each is fresh unless given."""
         n = self.lat.n
         if out is None:
             out = np.empty((n, n))
-        _irfft2_into(self.coeffs, out,
-                     np.empty_like(self.coeffs) if tmp is None else tmp)
+        spec = np.multiply(self.sigma_k, self.z,
+                           out=np.empty_like(self.z) if tmp is None else tmp)
+        _irfft2_into(spec, out, spec)
         out *= n**2
         return out
 
     def advance(self, white: np.ndarray, dt: float):
-        """Exact equilibrium-preserving step driven by shared white noise,
-        in place on ``coeffs``; ``white`` is only read.
-
-        The mollifier enters only through sigma_k, so fields of different
-        widths advanced with the same ``white`` share their driving noise.
-        The damping is the lattice's heat decay at ``dt``.
-        """
-        decay, _ = self.lat._heat_tables(dt)
-        if self._kick is None or self._kick[0] != dt:
-            self._kick = (dt, self.sigma_k * np.sqrt(1.0 - decay**2),
-                          np.empty_like(self.coeffs))
-        _, kick, kicked = self._kick
-        np.multiply(decay, self.coeffs, out=self.coeffs)
-        self.coeffs += np.multiply(kick, white, out=kicked)
+        """Exact equilibrium-preserving step of z, driven by the white-noise
+        half-spectrum ``white``, which it overwrites.  The damping is the
+        lattice's heat decay at ``dt``."""
+        decay, _, kick = self.lat._heat_tables(dt)
+        np.multiply(decay, self.z, out=self.z)
+        self.z += np.multiply(kick, white, out=white)
 
 
 def sample_phi(lat: TorusLattice, eps: float, seed: int, sample: int = 0,
                shape: str = GAUSS) -> GaussianField:
-    """Equilibrium sample, deterministic in (seed, sample): sigma_k times
-    the white noise of the Philox slot (seed, sample, 0)."""
+    """Equilibrium sample, deterministic in (seed, sample): z is the white
+    noise of the Philox slot (seed, sample, 0)."""
     rng = step_rng(seed, sample, 0)
-    return GaussianField(lat, eps, lat.sigma_k(eps, shape)
-                         * white_spectral(lat, rng), shape)
+    return GaussianField(lat, eps, white_spectral(lat, rng), shape)
 
 
 def _charges_into(t: np.ndarray, c_eps: float, d: np.ndarray, s: np.ndarray,
@@ -490,7 +488,7 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
     the dyadic separations 2^-5 ... 2^-2.
 
     The estimator is conditional Monte Carlo on the modes |m| <= c =
-    ``condition_modes`` (None: every mode).  Modes above the cutoff are
+    ``condition_modes`` >= 0 (None: every mode).  Modes above the cutoff are
     integrated out exactly (a deterministic Gaussian factor in each
     two-point function) and only the low-pass field is sampled
     (``_chaos_spectra``), so the estimator stays unbiased while the
@@ -506,6 +504,8 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
     if max(shifts) > n / 2:
         raise ValueError(f"shifts above n/2 = {n // 2} cells wrap around "
                          f"the torus")
+    if condition_modes is not None and condition_modes < 0:
+        raise ValueError(f"condition_modes = {condition_modes} is negative")
     beta2 = float(Fraction(beta_sq)) * np.pi
     modes = n if condition_modes is None else condition_modes
     lo = lat.m2 <= modes**2
@@ -563,8 +563,7 @@ class _HeatDriver:
 
     def __init__(self, lat: TorusLattice, dt: float,
                  u_hat: np.ndarray | None = None, scratch=None):
-        self.n = lat.n
-        self.decay, self.gain = lat._heat_tables(dt)
+        self.decay, self.gain, _ = lat._heat_tables(dt)
         shape = self.decay.shape
         self.u_hat = np.zeros(shape, dtype=complex) if u_hat is None else u_hat
         self.f_hat, self._tmp = (np.empty((2,) + shape, dtype=complex)
@@ -576,11 +575,9 @@ class _HeatDriver:
         self.u_hat += np.multiply(self.gain, self.f_hat, out=self._tmp)
         return self.f_hat
 
-    def profile(self, out: np.ndarray | None = None) -> np.ndarray:
+    def profile(self, out: np.ndarray) -> np.ndarray:
         """The real solution, ``irfft2`` of ``u_hat``, written into the real
-        n-by-n ``out`` (fresh unless given)."""
-        if out is None:
-            out = np.empty((self.n, self.n))
+        n-by-n ``out``."""
         return _irfft2_into(self.u_hat, out, self._tmp)
 
 
@@ -684,7 +681,7 @@ def dipole_counterterm(lat: TorusLattice, cfg: DipoleConfig) -> list[float]:
     """
     n, half = lat.n, lat.n_rfft
     beta2 = float(Fraction(cfg.beta_sq)) * np.pi
-    decay, gain = lat._heat_tables(cfg.dt)
+    decay, gain, _ = lat._heat_tables(cfg.dt)
     var = lat.mode_variances(cfg.eps)[:, :half]
     steps = _measured_steps(cfg)
     q = np.ones_like(decay)                         # decay^lag
@@ -831,61 +828,67 @@ class PDEResult:
         return self.snapshots[-1]
 
 
-def _shifted_step(driver: _HeatDriver, scale, z: np.ndarray, beta: float,
-                  c_eps: float, x: np.ndarray, d: np.ndarray):
-    """One step of the shifted equation on ``driver``, where Phi has the
-    ``rfft2`` half-spectrum ``scale * z`` and ``x`` and ``d`` are real
-    n-by-n scratch.
-
-    The reaction is the imaginary part of the positive chaos twisted by v;
-    the charges are exact conjugates, so it is the real field
-    Im(e^{i beta v} C e^{i beta Phi}) = C sin(beta (Phi + v)).  Phi + v is
-    one inverse of the half-spectra summed in the driver's ``f_hat``, free
-    until ``step`` overwrites it.
+def _shifted_steps(lat: TorusLattice, beta_sq, seed: int, widths,
+                   t_end: float, u_hats: np.ndarray):
+    """Steps of lat.dt of the shifted equation at each (width, shape) of
+    ``widths``, from the half-spectra of the stack ``u_hats``, stepped in
+    place; yields (step, n_steps) for the initial state (step 0) and after
+    each step.  Every width's Phi is sigma_k z for the one z of sample 0 of
+    ``seed``.  The reaction Im(e^{i beta v} C e^{i beta Phi}) is the real
+    C sin(beta (Phi + v)), from one inverse of the summed half-spectra.
+    Only beta^2 < 4 pi is accepted.
     """
-    phi_v = np.multiply(scale, z, out=driver.f_hat)
-    phi_v += driver.u_hat
-    _irfft2_into(phi_v, x, driver._tmp)
-    x *= 0.5 * beta
-    _charges_into(x, c_eps, d, x)
-    driver.step(x)
-
-
-def _check_pde_coupling(beta_sq):
     if float(Fraction(beta_sq)) >= 4.0:
         raise ValueError("pde solver requires beta^2 < 4*pi")
+    dt, n = lat.dt, lat.n
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1:
+        raise ValueError(f"t_end = {t_end} rounds to no step of dt = {dt}")
+    beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
+    consts = [renorm_constant(lat, w, beta_sq, sh) for w, sh in widths]
+    # rfft2 of a width's field is n^2 sigma_k z (n^2 scales exactly)
+    scales = [n**2 * lat.sigma_k(w, sh) for w, sh in widths]
+    fld = sample_phi(lat, widths[0][0], seed, shape=widths[0][1])
+    rng = _step_rngs(seed)
+    # every flow steps through one forcing half-spectrum and one scratch
+    spare, tmp = np.empty((2, n, lat.n_rfft), dtype=complex)
+    drivers = [_HeatDriver(lat, dt, u_hat, (spare, tmp)) for u_hat in u_hats]
+    x, d = np.empty((2, n, n))
+    yield 0, n_steps
+    for step in range(1, n_steps + 1):
+        for driver, scale, c_eps in zip(drivers, scales, consts):
+            phi_v = np.multiply(scale, fld.z, out=spare)
+            phi_v += driver.u_hat
+            _irfft2_into(phi_v, x, tmp)
+            x *= 0.5 * beta
+            _charges_into(x, c_eps, d, x)
+            driver.step(x)
+        fld.advance(white_spectral(lat, rng(0, step), spare, x, tmp), dt)
+        yield step, n_steps
 
 
 def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
               t_end: float, v0: np.ndarray | None = None,
               record_every: int | None = None) -> PDEResult:
-    """Exponential-Euler solve of the shifted equation, in steps of lat.dt
-    from the Gaussian-mollified field of sample 0: the drift is half the
-    Laplacian and the reaction the sine of ``_shifted_step``.  Only
-    beta^2 < 4 pi is accepted."""
-    _check_pde_coupling(beta_sq)
-    dt = lat.dt
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1:
-        raise ValueError(f"t_end = {t_end} rounds to no step of dt = {dt}")
-    beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
-    c_eps = renorm_constant(lat, eps, beta_sq)
-    fld = sample_phi(lat, eps, seed)
-    rng = _step_rngs(seed)
-    driver = _HeatDriver(lat, dt, None if v0 is None
-                         else np.fft.rfft2(np.asarray(v0, dtype=float)))
-    record_every = record_every or n_steps
-    times, snaps = [0.0], [driver.profile()]
-    max_imag = 0.0
-    x, d = np.empty((2, lat.n, lat.n))
-    for step in range(n_steps):
-        max_imag = max(max_imag, float(_imag_residues(driver.u_hat)))
-        _shifted_step(driver, lat.n**2, fld.coeffs, beta, c_eps, x, d)
-        fld.advance(white_spectral(lat, rng(0, step + 1), driver.f_hat, x,
-                                   driver._tmp), dt)
-        if (step + 1) % record_every == 0 or step + 1 == n_steps:
-            times.append((step + 1) * dt)
-            snaps.append(driver.profile())
+    """The shifted equation of ``_shifted_steps`` at the Gaussian width
+    eps, from ``v0`` (n-by-n, zero unless given), recorded every
+    ``record_every`` >= 1 steps (None: none but the last) and after the
+    last step.  Only beta^2 < 4 pi is accepted."""
+    n = lat.n
+    v0 = np.zeros((n, n)) if v0 is None else np.asarray(v0, dtype=float)
+    if v0.shape != (n, n):
+        raise ValueError(f"v0 has shape {v0.shape}, not ({n}, {n})")
+    u_hats = np.fft.rfft2(v0)[None]
+    if record_every is not None and record_every < 1:
+        raise ValueError(f"record_every = {record_every} is below 1")
+    times, snaps, max_imag = [], [], 0.0
+    for step, n_steps in _shifted_steps(lat, beta_sq, seed, [(eps, GAUSS)],
+                                        t_end, u_hats):
+        if step < n_steps:              # the residue before each step
+            max_imag = max(max_imag, float(_imag_residues(u_hats[0])))
+        if step % (record_every or n_steps) == 0 or step == n_steps:
+            times.append(step * lat.dt)
+            snaps.append(np.fft.irfft2(u_hats[0], s=(n, n)))
     return PDEResult(times, snaps, max_imag)
 
 
@@ -927,65 +930,42 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     """Cauchy-in-width study with common driving noise across widths, in
     steps of lat.dt.
 
-    For each seed, all widths (plus one quartic mollifier whose width
-    matches the finest variance) share their noise: each width's
-    coefficients are sigma_k z for one unit-variance OU process z.  d is
-    the sup over the last three quarters of the steps of the difference
-    between solutions at consecutive widths, and the swap gap is that of
-    the finest Gaussian and the quartic; a NaN solution reaches the sup.
-    Only beta^2 < 4 pi is accepted.
+    For each seed, ``_shifted_steps`` solves at all widths, plus one
+    quartic mollifier whose width matches the finest variance.  d is the
+    sup over the last three quarters of the steps of the difference between
+    solutions at consecutive widths, and the swap gap is that of the finest
+    Gaussian and the quartic; a NaN solution reaches the sup.  Only
+    beta^2 < 4 pi is accepted.
     """
-    _check_pde_coupling(beta_sq)
-    dt = lat.dt
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1:
-        raise ValueError(f"t_end = {t_end} rounds to no step of dt = {dt}")
     eps_list = sorted(eps_list, reverse=True)
     if len(eps_list) < 2:
         raise ValueError("need at least two widths")
     for a, b in zip(eps_list, eps_list[1:]):
         if abs(a / b - 2.0) > 1e-9:
             raise ValueError("widths must form a dyadic cascade")
-    beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
     swap_eps = calibrate_width(lat, eps_list[-1], QUARTIC)
-    shapes = [GAUSS] * len(eps_list) + [QUARTIC]
-    widths = eps_list + [swap_eps]
-    consts = [renorm_constant(lat, w, beta_sq, sh)
-              for w, sh in zip(widths, shapes)]
+    widths = [(w, GAUSS) for w in eps_list] + [(swap_eps, QUARTIC)]
     # the dyadic neighbours, then the swap pair (finest Gaussian, quartic)
     pairs = [(j, j + 1) for j in range(len(eps_list))]
     n = lat.n
-    start = int(round(0.25 * n_steps))
     seeds = list(seeds)
     sups = np.zeros((len(seeds), len(pairs)))     # per seed, per pair
     max_imag = 0.0
-    # every driver steps through one forcing half-spectrum and one scratch
-    u_hats = np.zeros((len(widths), n, lat.n_rfft), dtype=complex)
-    spare, tmp = np.empty((2, n, lat.n_rfft), dtype=complex)
-    drivers = [_HeatDriver(lat, dt, u_hat, (spare, tmp)) for u_hat in u_hats]
-    # rfft2 of a width's field is n^2 sigma_k z (n^2 scales exactly)
-    scales = [n**2 * lat.sigma_k(w, sh) for w, sh in zip(widths, shapes)]
-    decay, _ = lat._heat_tables(dt)   # the field is damped like the heat flow
-    kick = np.sqrt(1.0 - decay**2)
-    (x, d), dists = np.empty((2, n, n)), np.empty(len(pairs))
-    z = np.empty_like(spare)
+    x, dists = np.empty((n, n)), np.empty(len(pairs))
+    diff = np.empty((n, lat.n_rfft), dtype=complex)
     for sup, seed in zip(sups, seeds):
-        rng = _step_rngs(seed)
-        white_spectral(lat, rng(0, 0), z, x, tmp)
-        u_hats[...] = 0.0
-        for step in range(n_steps):
-            if step >= start:           # sup |v_a - v_b| before the step
+        u_hats = np.zeros((len(widths), n, lat.n_rfft), dtype=complex)
+        for step, n_steps in _shifted_steps(lat, beta_sq, seed, widths, t_end,
+                                            u_hats):
+            if step == n_steps:         # measured before each step
+                break
+            if step >= round(0.25 * n_steps):
                 for k, (a, b) in enumerate(pairs):
-                    _irfft2_into(np.subtract(u_hats[a], u_hats[b], out=spare),
-                                 x, tmp)
+                    _irfft2_into(np.subtract(u_hats[a], u_hats[b], out=diff),
+                                 x, diff)
                     dists[k] = np.abs(x, out=x).max()
                 np.maximum(sup, dists, out=sup)
             max_imag = max(max_imag, *_imag_residues(u_hats).tolist())
-            for driver, scale, c_eps in zip(drivers, scales, consts):
-                _shifted_step(driver, scale, z, beta, c_eps, x, d)
-            white = white_spectral(lat, rng(0, step + 1), spare, x, tmp)
-            np.multiply(decay, z, out=z)
-            z += np.multiply(kick, white, out=white)
     d_vals = list(sups[:, :-1].mean(axis=0))
     ratios = [d_vals[j + 1] / d_vals[j] for j in range(len(d_vals) - 1)]
     errs = (sups[:, :-1].std(axis=0, ddof=1) / np.sqrt(len(seeds))

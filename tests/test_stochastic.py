@@ -119,8 +119,8 @@ class TestRealInputOracle:
         for sample in range(3):
             full = self.full_coeffs(lat, self.EPS, sample)
             fld = sample_phi(lat, self.EPS, self.SEED, sample)
-            assert fld.coeffs.shape == (self.N, self.N // 2 + 1)
-            assert np.allclose(fld.coeffs, full[:, : self.N // 2 + 1],
+            assert fld.z.shape == (self.N, self.N // 2 + 1)
+            assert np.allclose(fld.sigma_k * fld.z, full[:, : self.N // 2 + 1],
                                rtol=0, atol=1e-14)
             ref = np.real(np.fft.ifft2(full)) * self.N**2
             assert np.allclose(fld.real_space(), ref, rtol=0, atol=1e-12)
@@ -312,10 +312,24 @@ class TestConditionedDraw:
                                                     modes):
         # m0 = 32 for c = 8 and 64 for c = 20, so the draw is the full one
         lat, eps = TorusLattice(n), 2.0**-3
-        full = sample_phi(lat, eps, self.SEED, 0).coeffs
+        fld = sample_phi(lat, eps, self.SEED, 0)
+        full = fld.sigma_k * fld.z
         got = self.drawn_tables(monkeypatch, lat, eps, modes)[-1]
         lo = lat.m2[:, : lat.n_rfft] <= modes**2
         assert np.array_equal(got, np.where(lo, full, 0.0))
+
+    def test_negative_cutoff_refused(self):
+        # the cutoff enters squared, so -c would run as c; 0 keeps no mode
+        # and integrates every one exactly
+        lat = TorusLattice(32)
+        for modes in (-2, -3):
+            with pytest.raises(ValueError, match="is negative"):
+                correlation_slopes(lat, self.EPS, Fraction(1), self.SEED,
+                                   n_fields=2, shifts=[4, 8],
+                                   condition_modes=modes)
+        rep = correlation_slopes(lat, self.EPS, Fraction(1), self.SEED,
+                                 n_fields=2, shifts=[4, 8], condition_modes=0)
+        assert np.all(np.isfinite(rep.opposite))
 
     def test_opposite_profile_matches_the_exact_lattice_value(self):
         """The conditioned estimator is unbiased for E[xi_+(0) xi_-(z)] =
@@ -368,8 +382,8 @@ class TestSigmaCache:
 
 
 class TestHeatTables:
-    """One read-only (decay, gain) pair per lattice and dt, shared by every
-    driver and field stepped at that dt."""
+    """One read-only (decay, gain, kick) triple per lattice and dt, shared by
+    every driver and field stepped at that dt."""
 
     LAT_N, DT = 32, 2.0**-8
 
@@ -388,8 +402,8 @@ class TestHeatTables:
         """Each width's own state is its solution; the tables, the forcing
         half-spectrum and the transform scratch are one for all widths."""
         drivers = []
-        step = stochastic._shifted_step
-        monkeypatch.setattr(stochastic, "_shifted_step",
+        step = _HeatDriver.step
+        monkeypatch.setattr(_HeatDriver, "step",
                             lambda driver, *a: drivers.append(driver)
                             or step(driver, *a))
         lat = TorusLattice(self.LAT_N, dt=self.DT)
@@ -400,7 +414,7 @@ class TestHeatTables:
         for d in drivers:
             assert d.decay is first.decay and d.gain is first.gain
             assert d.f_hat is first.f_hat and d._tmp is first._tmp
-        decay, gain = lat._heat_tables(lat.dt)
+        decay, gain, _ = lat._heat_tables(lat.dt)
         assert first.decay is decay and first.gain is gain
         u_hats = list({id(d): d.u_hat for d in drivers}.values())
         assert not any(np.shares_memory(u, v)
@@ -424,11 +438,49 @@ class TestHeatTables:
         dipole_moment(lat, cfg, seed=0)
         (c_drv, s_drv), (_, (_, tmp)) = seen[0]
         assert s_drv.decay is c_drv.decay and s_drv.gain is c_drv.gain
-        decay, gain = lat._heat_tables(cfg.dt)
+        decay, gain, _ = lat._heat_tables(cfg.dt)
         assert c_drv.decay is decay and c_drv.gain is gain
         assert c_drv._tmp is tmp and s_drv._tmp is tmp
         assert not np.shares_memory(c_drv.f_hat, s_drv.f_hat)
         assert not np.shares_memory(c_drv.u_hat, s_drv.u_hat)
+
+
+class TestOneOUPath:
+    """Every time loop steps its field through ``GaussianField.advance``,
+    once per step and trajectory."""
+
+    @staticmethod
+    def count_advances(monkeypatch):
+        calls = []
+        advance = GaussianField.advance
+        monkeypatch.setattr(GaussianField, "advance",
+                            lambda fld, *a: calls.append(fld)
+                            or advance(fld, *a))
+        return calls
+
+    def test_dipole_advances_once_per_step_and_sample(self, monkeypatch):
+        calls = self.count_advances(monkeypatch)
+        lat = TorusLattice(32, dt=2.0**-8)
+        cfg = TestSharedStepperOracle.dipole_cfg()
+        dipole_moment(lat, cfg, seed=0)
+        steps = round((cfg.t_burn + cfg.t_measure) / cfg.dt)
+        assert len(calls) == steps * cfg.n_samples
+
+    def test_solve_pde_advances_once_per_step(self, monkeypatch):
+        calls = self.count_advances(monkeypatch)
+        lat = TorusLattice(32, dt=2.0**-8)
+        solve_pde(lat, 2.0**-3, Fraction(2), 0, t_end=12 * lat.dt)
+        assert len(calls) == 12
+
+    def test_convergence_study_advances_once_per_step_and_seed(
+            self, monkeypatch):
+        # one field per seed serves all four widths
+        calls = self.count_advances(monkeypatch)
+        lat = TorusLattice(32, dt=2.0**-8)
+        convergence_study(lat, Fraction(2), [2.0**-2, 2.0**-3, 2.0**-4],
+                          [0, 1, 2], t_end=10 * lat.dt)
+        assert len(calls) == 10 * 3
+        assert len({id(fld) for fld in calls}) == 3
 
 
 class TestRenormConstant:
@@ -651,10 +703,10 @@ class TestBufferedPrimitives:
     def test_real_space(self, n):
         fld = sample_phi(TorusLattice(n), 2.0**-3, seed=4, sample=1)
         fresh = fld.real_space()
-        assert np.array_equal(fresh, np.fft.irfft2(fld.coeffs, s=(n, n))
-                              * n**2)
+        assert np.array_equal(fresh, np.fft.irfft2(fld.sigma_k * fld.z,
+                                                   s=(n, n)) * n**2)
         out = np.full((n, n), np.nan)
-        assert fld.real_space(out, np.empty_like(fld.coeffs)) is out
+        assert fld.real_space(out, np.empty_like(fld.z)) is out
         assert np.array_equal(out, fresh)
 
     @pytest.mark.parametrize("n", [32, 128])
@@ -663,11 +715,9 @@ class TestBufferedPrimitives:
         drv = _HeatDriver(TorusLattice(n), 2.0**-8)
         drv.u_hat = (rng.standard_normal((n, n // 2 + 1))
                      + 1j * rng.standard_normal((n, n // 2 + 1)))
-        want = np.fft.irfft2(drv.u_hat, s=(n, n))
-        assert np.array_equal(drv.profile(), want)
         out = np.full((n, n), np.nan)
         assert drv.profile(out) is out
-        assert np.array_equal(out, want)
+        assert np.array_equal(out, np.fft.irfft2(drv.u_hat, s=(n, n)))
 
 
 class TestSlotGenerator:
@@ -784,6 +834,21 @@ class TestPDE:
             convergence_study(lat, Fraction(2), [2.0**-2, 2.0**-3], [0],
                               t_end=t_end)
 
+    @pytest.mark.parametrize("shape", [(32, 33), (16, 16), (32,)])
+    def test_initial_state_must_be_n_by_n(self, shape):
+        # a 32-by-33 rfft2 has the half-spectrum shape of a 32-by-32 one
+        lat = TorusLattice(32, dt=2.0**-8)
+        with pytest.raises(ValueError, match=r"not \(32, 32\)"):
+            solve_pde(lat, 2.0**-3, Fraction(2), 0, t_end=lat.dt,
+                      v0=np.zeros(shape))
+
+    @pytest.mark.parametrize("record_every", [0, -3])
+    def test_recording_interval_below_one_refused(self, record_every):
+        lat = TorusLattice(32, dt=2.0**-8)
+        with pytest.raises(ValueError, match="is below 1"):
+            solve_pde(lat, 2.0**-3, Fraction(2), 0, t_end=6 * lat.dt,
+                      record_every=record_every)
+
     def test_convergence_guard_rails(self):
         lat = TorusLattice(32, dt=2.0**-8)
         with pytest.raises(ValueError):
@@ -887,13 +952,15 @@ class TestPDE:
         "swap_gap": 0.002493931256746398,
         "stderrs": [0.001048569254542723, 0.0013224477362779653],
     }
-    # sha256 of each snapshot's bytes, at t = 0, 4 dt, ..., 16 dt
+    # sha256 of each snapshot's bytes, at t = 0, 4 dt, ..., 16 dt, recorded
+    # after the field became sigma_k z of a unit OU process z, which moved
+    # the solution at roundoff
     PDE_PIN = (
         "d142986c6d6bf86aeb86862d990de0cb90f0bb4c2c4818d6ac74cdb111adec1e",
-        "fdf62a78917d5bc79ae43138a57e6b9cc8f4827ac47108c07e9ec593526ca972",
-        "da356614b4eff5cdec911806c31a0df475fee8d5a104f88e12918ae9684694ec",
-        "46c1329bd01f184720ebfbbb5937c195a46ca432062bc7112af592cdc58dcd3b",
-        "9ddf4e019ea690caa1e9633d0c0cbad8b0f724c0d45a6521c39922f35481d2e5",
+        "1a11451f31b8f43be918073c10e3361f37629ca9435231f42b8dc253eacee752",
+        "48af55ee79484f50bf44a214b3f54e2652659b93e1e62a044f34a0df3cf5709a",
+        "ce28c6fe1ff35124ada421bc3ece93c4250f943d7a2e6589926765745b3052b5",
+        "5db590a8a95d361084327c430619e28e075cb41b40a1703851da456aa9a6c371",
     )
 
     @pinned_bits
@@ -913,7 +980,7 @@ class TestPDE:
         v0 = 0.3 * np.sin(2 * np.pi * x)[:, None] * np.cos(4 * np.pi * x)
         res = solve_pde(lat, 2.0**-3, Fraction(2), 3, t_end=16 * lat.dt,
                         v0=v0, record_every=4)
-        assert repr(res.max_imag) == "1.3399043379917235e-18"
+        assert repr(res.max_imag) == "1.7736290635527415e-18"
         assert tuple(hashlib.sha256(snap.tobytes()).hexdigest()
                      for snap in res.snapshots) == self.PDE_PIN
 
@@ -938,6 +1005,24 @@ def _complex_forcing_step(v_hat, phi, beta_sq, c_eps, tables):
     xi_plus = c_eps * np.exp(1j * beta * phi)
     forcing = np.imag(np.exp(1j * beta * v) * xi_plus)
     return decay * v_hat + gain * np.fft.fft2(forcing), v
+
+
+def _ou_fields(lat, seed, widths, n_steps):
+    """Real fields at each (width, shape) of ``widths`` before each of
+    ``n_steps`` steps of lat.dt: sigma_k z on the full spectrum, z the
+    unit-variance OU process of sample 0 of ``seed``, damped like the heat
+    flow and driven by the Philox slots (seed, 0, step)."""
+    n = lat.n
+    decay = np.exp(-lat.mu * lat.dt)
+
+    def white(step):
+        return np.fft.fft2(step_rng(seed, 0, step).standard_normal((n, n))) / n
+
+    z = white(0)
+    for step in range(n_steps):
+        yield [np.real(np.fft.ifft2(np.sqrt(lat.mode_variances(w, sh)) * z))
+               * n**2 for w, sh in widths]
+        z = decay * z + np.sqrt(1 - decay**2) * white(step + 1)
 
 
 def _old_dipole_trajectory(lat, cfg, seed, sample, collect):
@@ -1031,15 +1116,13 @@ class TestSharedStepperOracle:
         res = solve_pde(lat, eps, beta_sq, seed, t_end=16 * lat.dt, v0=v0,
                         record_every=4)
         c_eps = renorm_constant(lat, eps, beta_sq)
-        fld = sample_phi(lat, eps, seed)
         tables = _euler_tables(lat, lat.dt)
         v_hat = np.fft.fft2(v0)
         snaps = [v0]
-        for step in range(16):
-            v_hat, _ = _complex_forcing_step(v_hat, fld.real_space(),
-                                             beta_sq, c_eps, tables)
-            fld.advance(white_spectral(lat, step_rng(seed, 0, step + 1)),
-                        lat.dt)
+        for step, (phi,) in enumerate(_ou_fields(lat, seed, [(eps, GAUSS)],
+                                                 16)):
+            v_hat, _ = _complex_forcing_step(v_hat, phi, beta_sq, c_eps,
+                                             tables)
             if (step + 1) % 4 == 0:
                 snaps.append(np.real(np.fft.ifft2(v_hat)))
         assert res.times == [k * 4 * lat.dt for k in range(5)]
@@ -1060,20 +1143,15 @@ class TestSharedStepperOracle:
         tables = _euler_tables(lat, lat.dt)
         d, gap = 0.0, 0.0
         for seed in seeds:
-            init = white_spectral(lat, step_rng(seed, 0, 0))
-            flds = [GaussianField(lat, w, lat.sigma_k(w, sh) * init, sh)
-                    for w, sh in zip(widths, shapes)]
             v_hats = [np.zeros((32, 32), dtype=complex)] * 3
             d_seed = gap_seed = 0.0
-            for step in range(n_steps):
-                white = white_spectral(lat, step_rng(seed, 0, step + 1))
+            for step, phis in enumerate(_ou_fields(
+                    lat, seed, list(zip(widths, shapes)), n_steps)):
                 vs = []
                 for i in range(3):
                     v_hats[i], v = _complex_forcing_step(
-                        v_hats[i], flds[i].real_space(), beta_sq, consts[i],
-                        tables)
+                        v_hats[i], phis[i], beta_sq, consts[i], tables)
                     vs.append(v)
-                    flds[i].advance(white, lat.dt)
                 if step >= start:
                     d_seed = max(d_seed, np.max(np.abs(vs[0] - vs[1])))
                     gap_seed = max(gap_seed, np.max(np.abs(vs[1] - vs[2])))
@@ -1099,20 +1177,15 @@ class TestSharedStepperOracle:
         pairs = [(0, 1), (1, 2), (2, 3)]
         sups = np.zeros(len(pairs))
         for seed in seeds:
-            init = white_spectral(lat, step_rng(seed, 0, 0))
-            flds = [GaussianField(lat, w, lat.sigma_k(w, sh) * init, sh)
-                    for w, sh in zip(widths, shapes)]
             v_hats = [np.zeros((32, 32), dtype=complex)] * 4
             sup_seed = np.zeros(len(pairs))
-            for step in range(n_steps):
-                white = white_spectral(lat, step_rng(seed, 0, step + 1))
+            for step, phis in enumerate(_ou_fields(
+                    lat, seed, list(zip(widths, shapes)), n_steps)):
                 vs = []
                 for i in range(4):
                     v_hats[i], v = _complex_forcing_step(
-                        v_hats[i], flds[i].real_space(), beta_sq, consts[i],
-                        tables)
+                        v_hats[i], phis[i], beta_sq, consts[i], tables)
                     vs.append(v)
-                    flds[i].advance(white, lat.dt)
                 if step >= start:
                     sup_seed = np.maximum(sup_seed, [
                         np.max(np.abs(vs[a] - vs[b])) for a, b in pairs])
@@ -1163,22 +1236,23 @@ class TestSharedStepperOracle:
         assert abs(rep.mean_complex - np.mean(means)) <= 1e-12 * scale
 
     # repr of as_dict() at 32^2 and seed 2, recorded (numpy 2.4.6, x86-64)
-    # after the chaos sine and cosine moved from libm to the half-angle
-    # tangent of _charges_into, which moved them at roundoff.  PINNED_LIBM
-    # keeps the reprs recorded with libm's sine and cosine, which the
-    # pinned runs still match to rtol 1e-12.
+    # after the field became sigma_k z of a unit OU process z, which moved
+    # it at roundoff, as the move of the chaos sine and cosine from libm to
+    # the half-angle tangent of _charges_into did before.  PINNED_LIBM keeps
+    # the reprs recorded with libm's sine and cosine, which the pinned runs
+    # still match to rtol 1e-12.
     # test_dipole_moment_matches_per_slice_collect covers every other setup.
     PINNED = (
         "{'lambdas': [0.25, 0.1767766952966369, 0.125],"
-        " 'second_moments': [0.014862069392075334, 0.02606816624301524,"
-        " 0.045549380931721756], 'stderrs': [0.002094620754465353,"
-        " 0.0014776597101206607, 0.0012819694246123227],"
-        " 'ablation_moments': [0.35605832472531423, 0.29028222923465,"
-        " 0.22903594634129873], 'slope': -1.6157964358007637,"
-        " 'ablation_slope': 0.6365395418850863, 'n_samples': 2,"
+        " 'second_moments': [0.01486206939207533, 0.026068166243015233,"
+        " 0.045549380931721756], 'stderrs': [0.002094620754465355,"
+        " 0.0014776597101206596, 0.0012819694246123236],"
+        " 'ablation_moments': [0.3560583247253143, 0.29028222923465014,"
+        " 0.22903594634129879], 'slope': -1.6157964358007637,"
+        " 'ablation_slope': 0.6365395418850861, 'n_samples': 2,"
         " 'ablation_gap': 2.25233597768585,"
-        " 'mean_re': -0.010689825264574971,"
-        " 'mean_im': 0.007651638319906805}"
+        " 'mean_re': -0.010689825264574942,"
+        " 'mean_im': 0.007651638319906809}"
     )
     PINNED_LIBM = (
         "{'lambdas': [0.25, 0.1767766952966369, 0.125],"
@@ -1284,7 +1358,9 @@ class TestHalfSpectrumResidue:
         half = self.hermitian_half()
         assert _imag_residues(half) == 0.0
         full = np.fft.ifft2(self.extension(half))
-        assert _rel_close(self.driver(half).profile(), full.real)
+        assert _rel_close(self.driver(half).profile(np.empty((self.N,
+                                                              self.N))),
+                          full.real)
         assert np.max(np.abs(full.imag)) < 1e-15 * np.max(np.abs(full.real))
 
     def test_anti_hermitian_columns_are_measured(self):
