@@ -832,11 +832,11 @@ def _shifted_steps(lat: TorusLattice, beta_sq, seed: int, widths,
                    t_end: float, u_hats: np.ndarray):
     """Steps of lat.dt of the shifted equation at each (width, shape) of
     ``widths``, from the half-spectra of the stack ``u_hats``, stepped in
-    place; yields (step, n_steps) for the initial state (step 0) and after
-    each step.  Every width's Phi is sigma_k z for the one z of sample 0 of
-    ``seed``.  The reaction Im(e^{i beta v} C e^{i beta Phi}) is the real
-    C sin(beta (Phi + v)), from one inverse of the summed half-spectra.
-    Only beta^2 < 4 pi is accepted.
+    place; yields (step, n_steps) after each step.  Every width's Phi is
+    sigma_k z for the one z of sample 0 of ``seed``.  The reaction
+    Im(e^{i beta v} C e^{i beta Phi}) is the real C sin(beta (Phi + v)),
+    from one inverse of the summed half-spectra.  Only beta^2 < 4 pi is
+    accepted.
     """
     if float(Fraction(beta_sq)) >= 4.0:
         raise ValueError("pde solver requires beta^2 < 4*pi")
@@ -854,7 +854,6 @@ def _shifted_steps(lat: TorusLattice, beta_sq, seed: int, widths,
     spare, tmp = np.empty((2, n, lat.n_rfft), dtype=complex)
     drivers = [_HeatDriver(lat, dt, u_hat, (spare, tmp)) for u_hat in u_hats]
     x, d = np.empty((2, n, n))
-    yield 0, n_steps
     for step in range(1, n_steps + 1):
         for driver, scale, c_eps in zip(drivers, scales, consts):
             phi_v = np.multiply(scale, fld.z, out=spare)
@@ -881,11 +880,10 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
     u_hats = np.fft.rfft2(v0)[None]
     if record_every is not None and record_every < 1:
         raise ValueError(f"record_every = {record_every} is below 1")
-    times, snaps, max_imag = [], [], 0.0
+    times, snaps, max_imag = [0.0], [np.fft.irfft2(u_hats[0], s=(n, n))], 0.0
     for step, n_steps in _shifted_steps(lat, beta_sq, seed, [(eps, GAUSS)],
                                         t_end, u_hats):
-        if step < n_steps:              # the residue before each step
-            max_imag = max(max_imag, float(_imag_residues(u_hats[0])))
+        max_imag = max(max_imag, float(_imag_residues(u_hats[0])))
         if step % (record_every or n_steps) == 0 or step == n_steps:
             times.append(step * lat.dt)
             snaps.append(np.fft.irfft2(u_hats[0], s=(n, n)))
@@ -932,10 +930,10 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
 
     For each seed, ``_shifted_steps`` solves at all widths, plus one
     quartic mollifier whose width matches the finest variance.  d is the
-    sup over the last three quarters of the steps of the difference between
-    solutions at consecutive widths, and the swap gap is that of the finest
-    Gaussian and the quartic; a NaN solution reaches the sup.  Only
-    beta^2 < 4 pi is accepted.
+    sup, over the states after the steps of the last three quarters, of the
+    difference between solutions at consecutive widths, and the swap gap
+    is that of the finest Gaussian and the quartic; a NaN solution reaches
+    the sup.  Only beta^2 < 4 pi is accepted.
     """
     eps_list = sorted(eps_list, reverse=True)
     if len(eps_list) < 2:
@@ -957,9 +955,7 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
         u_hats = np.zeros((len(widths), n, lat.n_rfft), dtype=complex)
         for step, n_steps in _shifted_steps(lat, beta_sq, seed, widths, t_end,
                                             u_hats):
-            if step == n_steps:         # measured before each step
-                break
-            if step >= round(0.25 * n_steps):
+            if step > round(0.25 * n_steps):
                 for k, (a, b) in enumerate(pairs):
                     _irfft2_into(np.subtract(u_hats[a], u_hats[b], out=diff),
                                  x, diff)

@@ -349,6 +349,21 @@ class TestSimExitCodes:
         code, out, _ = run_cli(argv, capsys)
         return code, json.loads(out)["results"]
 
+    # one step of the default dt, 2^-10: each verdict must read the state
+    # after it, not only the initial zeros, or it could not fail
+    ONE_STEP = ["--n", "64", "--t-end", repr(2.0**-10)]
+
+    def test_one_step_convergence_reads_the_stepped_state(self, capsys):
+        code, res = self.results(capsys, ["sim", "converge", *self.ONE_STEP,
+                                          "--eps-list", "0.25", "0.125",
+                                          "--seeds", "1"])
+        assert res["d_values"][0] > 0 and res["swap_gap"] > 0
+        assert code == (0 if res["swap_ok"] else 1)
+
+    def test_one_step_pde_reads_the_stepped_residue(self, capsys):
+        code, res = self.results(capsys, ["sim", "pde", *self.ONE_STEP])
+        assert 0 < res["max_imag"] < 1e-12 and code == 0
+
     def test_pde_imaginary_residue(self, capsys, monkeypatch):
         import numpy as np
         from sinegordon import stochastic as st

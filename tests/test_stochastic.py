@@ -931,26 +931,27 @@ class TestPDE:
                                            + (n_steps - start) * pairs)
         assert set(calls) == {(32, 17)}
 
-    # Recorded (numpy 2.4.6, x86-64) after the chaos sine moved from libm
-    # to the half-angle tangent of _charges_into, which moved every output
-    # at roundoff; CONVERGENCE_LIBM keeps the same run's values from the
-    # libm sine, which the pinned run still matches to rtol 1e-12.  Its
-    # max_imag is roundoff itself (7.1e-18 from libm), so it is not kept.
+    # Recorded (numpy 2.4.6, x86-64) once the sup window became the states
+    # after the steps of the last three quarters.  CONVERGENCE_LIBM keeps
+    # the same run's values with the chaos sine taken from libm rather than
+    # from the half-angle tangent of _charges_into, which the pinned run
+    # matches to rtol 1e-12.  Its max_imag is roundoff itself, so it is not
+    # kept.
     CONVERGENCE_PIN = (
         "ConvergenceReport(eps_list=[0.25, 0.125, 0.0625],"
         " swap_eps=0.08702782662877487,"
         " d_values=[np.float64(0.00954089214250985),"
-        " np.float64(0.006526504846438341)],"
-        " ratios=[np.float64(0.6840560346929426)],"
-        " swap_gap=0.002493931256746398, max_imag=5.367043523315856e-18,"
-        " n_seeds=2, stderrs=[0.0010485692545427255, 0.0013224477362779727])"
+        " np.float64(0.006849787391612165)],"
+        " ratios=[np.float64(0.7179399252500347)],"
+        " swap_gap=0.0026036147693460554, max_imag=6.940826197818152e-18,"
+        " n_seeds=2, stderrs=[0.0010485692545427255, 0.0009991651911041488])"
     )
     CONVERGENCE_LIBM = {
         "swap_eps": 0.08702782662877487,
-        "d_values": [0.00954089214250985, 0.00652650484643834],
-        "ratios": [0.6840560346929425],
-        "swap_gap": 0.002493931256746398,
-        "stderrs": [0.001048569254542723, 0.0013224477362779653],
+        "d_values": [0.00954089214250985, 0.006849787391612162],
+        "ratios": [0.7179399252500345],
+        "swap_gap": 0.0026036147693460554,
+        "stderrs": [0.001048569254542723, 0.0009991651911041431],
     }
     # sha256 of each snapshot's bytes, at t = 0, 4 dt, ..., 16 dt, recorded
     # after the field became sigma_k z of a unit OU process z, which moved
@@ -1004,7 +1005,7 @@ def _complex_forcing_step(v_hat, phi, beta_sq, c_eps, tables):
     v = np.real(np.fft.ifft2(v_hat))
     xi_plus = c_eps * np.exp(1j * beta * phi)
     forcing = np.imag(np.exp(1j * beta * v) * xi_plus)
-    return decay * v_hat + gain * np.fft.fft2(forcing), v
+    return decay * v_hat + gain * np.fft.fft2(forcing)
 
 
 def _ou_fields(lat, seed, widths, n_steps):
@@ -1121,8 +1122,7 @@ class TestSharedStepperOracle:
         snaps = [v0]
         for step, (phi,) in enumerate(_ou_fields(lat, seed, [(eps, GAUSS)],
                                                  16)):
-            v_hat, _ = _complex_forcing_step(v_hat, phi, beta_sq, c_eps,
-                                             tables)
+            v_hat = _complex_forcing_step(v_hat, phi, beta_sq, c_eps, tables)
             if (step + 1) % 4 == 0:
                 snaps.append(np.real(np.fft.ifft2(v_hat)))
         assert res.times == [k * 4 * lat.dt for k in range(5)]
@@ -1149,10 +1149,10 @@ class TestSharedStepperOracle:
                     lat, seed, list(zip(widths, shapes)), n_steps)):
                 vs = []
                 for i in range(3):
-                    v_hats[i], v = _complex_forcing_step(
+                    v_hats[i] = _complex_forcing_step(
                         v_hats[i], phis[i], beta_sq, consts[i], tables)
-                    vs.append(v)
-                if step >= start:
+                    vs.append(np.real(np.fft.ifft2(v_hats[i])))
+                if step + 1 > start:        # the states after the step
                     d_seed = max(d_seed, np.max(np.abs(vs[0] - vs[1])))
                     gap_seed = max(gap_seed, np.max(np.abs(vs[1] - vs[2])))
             d += d_seed / len(seeds)
@@ -1183,10 +1183,10 @@ class TestSharedStepperOracle:
                     lat, seed, list(zip(widths, shapes)), n_steps)):
                 vs = []
                 for i in range(4):
-                    v_hats[i], v = _complex_forcing_step(
+                    v_hats[i] = _complex_forcing_step(
                         v_hats[i], phis[i], beta_sq, consts[i], tables)
-                    vs.append(v)
-                if step >= start:
+                    vs.append(np.real(np.fft.ifft2(v_hats[i])))
+                if step + 1 > start:        # the states after the step
                     sup_seed = np.maximum(sup_seed, [
                         np.max(np.abs(vs[a] - vs[b])) for a, b in pairs])
             sups += sup_seed / len(seeds)
