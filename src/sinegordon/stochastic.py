@@ -829,11 +829,13 @@ class PDEResult:
 
 
 def _shifted_steps(lat: TorusLattice, beta_sq, seed: int, widths,
-                   t_end: float, u_hats: np.ndarray):
+                   t_end: float, u_hats: np.ndarray, scratch):
     """Steps of lat.dt of the shifted equation at each (width, shape) of
     ``widths``, from the half-spectra of the stack ``u_hats``, stepped in
-    place; yields (step, n_steps) after each step.  Every width's Phi is
-    sigma_k z for the one z of sample 0 of ``seed``.  The reaction
+    place; yields (step, n_steps) after each step.  ``scratch`` = (two real
+    n-by-n arrays, two half-spectra) is the caller's, overwritten by each
+    step and free between yields.  Every width's Phi is sigma_k z for the
+    one z of sample 0 of ``seed``.  The reaction
     Im(e^{i beta v} C e^{i beta Phi}) is the real C sin(beta (Phi + v)),
     from one inverse of the summed half-spectra.  Only beta^2 < 4 pi is
     accepted.
@@ -851,9 +853,8 @@ def _shifted_steps(lat: TorusLattice, beta_sq, seed: int, widths,
     fld = sample_phi(lat, widths[0][0], seed, shape=widths[0][1])
     rng = _step_rngs(seed)
     # every flow steps through one forcing half-spectrum and one scratch
-    spare, tmp = np.empty((2, n, lat.n_rfft), dtype=complex)
+    (x, d), (spare, tmp) = scratch
     drivers = [_HeatDriver(lat, dt, u_hat, (spare, tmp)) for u_hat in u_hats]
-    x, d = np.empty((2, n, n))
     for step in range(1, n_steps + 1):
         for driver, scale, c_eps in zip(drivers, scales, consts):
             phi_v = np.multiply(scale, fld.z, out=spare)
@@ -880,9 +881,10 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
     u_hats = np.fft.rfft2(v0)[None]
     if record_every is not None and record_every < 1:
         raise ValueError(f"record_every = {record_every} is below 1")
+    scratch = np.empty((2, n, n)), np.empty((2, n, lat.n_rfft), dtype=complex)
     times, snaps, max_imag = [0.0], [np.fft.irfft2(u_hats[0], s=(n, n))], 0.0
     for step, n_steps in _shifted_steps(lat, beta_sq, seed, [(eps, GAUSS)],
-                                        t_end, u_hats):
+                                        t_end, u_hats, scratch):
         max_imag = max(max_imag, float(_imag_residues(u_hats[0])))
         if step % (record_every or n_steps) == 0 or step == n_steps:
             times.append(step * lat.dt)
@@ -935,30 +937,34 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     is that of the finest Gaussian and the quartic; a NaN solution reaches
     the sup.  Only beta^2 < 4 pi is accepted.
     """
-    eps_list = sorted(eps_list, reverse=True)
+    eps_list, seeds = sorted(eps_list, reverse=True), list(seeds)
     if len(eps_list) < 2:
         raise ValueError("need at least two widths")
     for a, b in zip(eps_list, eps_list[1:]):
         if abs(a / b - 2.0) > 1e-9:
             raise ValueError("widths must form a dyadic cascade")
+    if not seeds:
+        raise ValueError("need at least one seed")
     swap_eps = calibrate_width(lat, eps_list[-1], QUARTIC)
     widths = [(w, GAUSS) for w in eps_list] + [(swap_eps, QUARTIC)]
     # the dyadic neighbours, then the swap pair (finest Gaussian, quartic)
     pairs = [(j, j + 1) for j in range(len(eps_list))]
     n = lat.n
-    seeds = list(seeds)
     sups = np.zeros((len(seeds), len(pairs)))     # per seed, per pair
     max_imag = 0.0
-    x, dists = np.empty((n, n)), np.empty(len(pairs))
-    diff = np.empty((n, lat.n_rfft), dtype=complex)
+    # one solution stack and one scratch, allocated once, serve every seed
+    u_hats = np.empty((len(widths), n, lat.n_rfft), dtype=complex)
+    scratch = np.empty((2, n, n)), np.empty((2, n, lat.n_rfft), dtype=complex)
+    (x, _), (spare, tmp) = scratch
+    dists = np.empty(len(pairs))
     for sup, seed in zip(sups, seeds):
-        u_hats = np.zeros((len(widths), n, lat.n_rfft), dtype=complex)
+        u_hats[...] = 0.0
         for step, n_steps in _shifted_steps(lat, beta_sq, seed, widths, t_end,
-                                            u_hats):
+                                            u_hats, scratch):
             if step > round(0.25 * n_steps):
                 for k, (a, b) in enumerate(pairs):
-                    _irfft2_into(np.subtract(u_hats[a], u_hats[b], out=diff),
-                                 x, diff)
+                    _irfft2_into(np.subtract(u_hats[a], u_hats[b], out=spare),
+                                 x, tmp)
                     dists[k] = np.abs(x, out=x).max()
                 np.maximum(sup, dists, out=sup)
             max_imag = max(max_imag, *_imag_residues(u_hats).tolist())

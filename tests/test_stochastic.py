@@ -855,6 +855,9 @@ class TestPDE:
             convergence_study(lat, Fraction(2), [2.0**-3], [0])
         with pytest.raises(ValueError):
             convergence_study(lat, Fraction(2), [2.0**-3, 2.0**-3.5], [0])
+        # the coupling and step checks run with the first seed's loop
+        with pytest.raises(ValueError, match="at least one seed"):
+            convergence_study(lat, Fraction(4), [2.0**-2, 2.0**-3], [])
 
     @pytest.mark.parametrize("beta_sq", [Fraction(4), Fraction(9, 2)])
     def test_coupling_at_or_above_4pi_refused(self, beta_sq):
