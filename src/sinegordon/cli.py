@@ -63,9 +63,6 @@ def _params_from(args) -> ModelParams:
     beta_bar = getattr(args, "beta_bar", None)
     if beta_bar is not None:
         beta_bar = _rational(beta_bar)
-    if beta_bar is None and 0 < beta_sq < 8:
-        # hug the coupling from above so only genuinely divergent trees enter
-        beta_bar = beta_sq / 4 + (2 - beta_sq / 4) / 8
     try:
         return ModelParams.make(beta_sq, beta_bar=beta_bar)
     except SupercriticalError as exc:
@@ -314,6 +311,10 @@ def cmd_sim_pde(args):
 def cmd_sim_converge(args):
     from . import stochastic as st
     _check_counts(args, seeds=1)
+    # the exit code rests on the ratios of successive d, which need 3 widths
+    if args.eps_list is not None and len(args.eps_list) < 3:
+        raise UsageError(f"--eps-list needs at least 3 widths, got "
+                         f"{len(args.eps_list)}")
     params = _params_from(args)
     lat = st.TorusLattice(args.n, dt=args.dt)
     eps_list = args.eps_list or [2.0**-3, 2.0**-4, 2.0**-5]

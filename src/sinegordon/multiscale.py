@@ -143,59 +143,34 @@ def preimage_interval(d: MomentDiagram, target, n: ScaleAssignment,
 # --- cut harvesting ------------------------------------------------------------
 
 
-def bottleneck_scales(d: MomentDiagram, F, n: ScaleAssignment) -> dict:
-    """Widest-path (max-bottleneck) scale between all vertex pairs.
-
-    Edges internal to the forest are treated as infinitely fine links, so
-    contracting a member can only raise connectivity.
-    """
-    INF = float("inf")
-    verts = [0] + d.nodes
-    idx = {v: i for i, v in enumerate(verts)}
-    m = len(verts)
-    W = [[-1] * m for _ in range(m)]
-    for i in range(m):
-        W[i][i] = INF
-    _, internal = _forest_edges(d, F)
-
-    def connect(u, v, w):
-        i, j = idx[u], idx[v]
-        if w > W[i][j]:
-            W[i][j] = w
-            W[j][i] = w
-
-    for ge, val in n.n.items():
-        w = INF if ge in internal else val
-        if ge[0] == BASE:
-            connect(0, ge[1], w)
-        elif ge[0] == KER:
-            connect(ge[1], d.parent[ge[1]], w)
-        else:
-            connect(ge[1], ge[2], w)
-    for k in range(m):
-        Wk = W[k]
-        for i in range(m):
-            wik = W[i][k]
-            if wik == -1:
-                continue
-            Wi = W[i]
-            for j in range(m):
-                cand = wik if wik < Wk[j] else Wk[j]
-                if cand > Wi[j]:
-                    Wi[j] = cand
-    return {(u, v): W[idx[u]][idx[v]] for u in verts for v in verts}
-
-
 def harvest_cuts(d: MomentDiagram, F, n: ScaleAssignment) -> frozenset[int]:
-    """Cut sites where the base point is coarser-connected to the edge's
-    parent than the edge's own bottleneck connection."""
-    B = bottleneck_scales(d, F, n)
-    out = []
-    for e in d.cut_sites():
-        ep = d.parent[e]
-        if B[(0, ep)] > B[(ep, e)]:
-            out.append(e)
-    return frozenset(out)
+    """Cut sites e whose parent p is joined to the base point at a larger
+    scale than p is joined to e.
+
+    Two vertices are joined at their merge scale: adding the generalized
+    edges from the largest scale down, the scale of the edge that first
+    puts them in one component.  That is their bottleneck, the largest s
+    such that the edges of scale >= s connect them.  Edges internal to
+    ``F`` come first, at scale infinity, so contracting a member can only
+    raise a merge scale.
+    """
+    _, internal = _forest_edges(d, F)
+    scales = {ge: float("inf") if ge in internal else s for ge, s in n.n.items()}
+    comp = {v: [v] for v in [0, *d.nodes]}
+    joined = {}
+    for ge in sorted(scales, key=scales.get, reverse=True):
+        kind, a = ge[:2]
+        u, v = (0, a) if kind == BASE else (a, d.parent[a]) if kind == KER else ge[1:]
+        A, B = comp[u], comp[v]
+        if A is B:
+            continue
+        for a in A:
+            for b in B:
+                joined[a, b] = joined[b, a] = scales[ge]
+        A += B
+        comp.update(dict.fromkeys(B, A))
+    return frozenset(e for e in d.cut_sites()
+                     if joined[0, d.parent[e]] > joined[d.parent[e], e])
 
 
 # --- the partition identity -----------------------------------------------------

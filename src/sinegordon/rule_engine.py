@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .tree_core import (
     DecoratedTree,
-    Homogeneity,
     ModelParams,
     deco_weight,
     opp,
@@ -151,24 +150,25 @@ def structural_audit(cat: TreeCatalog) -> AuditReport:
     nodes), and the decoration either vanishes identically or is supported
     on a single node with value (0,1,0) or (0,0,1).  Additionally every
     catalog tree other than the bare noises has homogeneity > -beta_bar.
+    Each check reads the tree's cached counts: a tree has no 0-node when
+    each node is a noise, and since decoration weights are nonnegative
+    integers, a total weight of at most 1 is exactly the decoration rule.
     """
-    bb = cat.params.beta_bar
+    num, den = cat.params.beta_bar.as_integer_ratio()
     violations: list[dict] = []
     checked = 0
     for key, tau in (cat.negative | cat.negative_neutral).items():
         checked += 1
-        labels = [node.label for node in tau.iter_nodes()]
-        if any(l == "0" for l in labels):
+        if tau.n_noises != tau.n_nodes:
             violations.append({"key": key, "reason": "0-labeled node in divergent tree"})
-            continue
-        decos = [node.deco for node in tau.iter_nodes() if deco_weight(node.deco) > 0]
-        if decos and (len(decos) > 1 or decos[0] not in ((0, 1, 0), (0, 0, 1))):
+        elif tau.total_deco_weight > 1:
             violations.append({"key": key, "reason": "decoration not a single unit space index"})
     for key, tau in cat.all.items():
         checked += 1
         if tau.n_nodes == 1 and tau.label != "0" and tau.total_deco_weight == 0:
             continue  # the bare noises saturate the bound
-        if s_homogeneity(tau).at(bb) <= -bb:
+        # |tau|_s <= -beta_bar: 2|K| + decoration weight <= beta_bar (|L| - 1)
+        if den * (2 * tau.n_edges + tau.total_deco_weight) <= num * (tau.n_noises - 1):
             violations.append({"key": key, "reason": "homogeneity at or below -beta_bar"})
     return AuditReport(ok=not violations, checked=checked, violations=violations)
 

@@ -84,10 +84,14 @@ class ModelParams:
 
     @staticmethod
     def make(beta_sq, beta_bar=None) -> "ModelParams":
-        """Build params, defaulting beta_bar to the midpoint of (beta', 2)."""
+        """Build params, defaulting beta_bar to beta' + (2 - beta')/8.
+
+        The default hugs the coupling from above, so that only genuinely
+        divergent trees enter the catalog.
+        """
         beta_sq = Fraction(beta_sq)   # __post_init__ refuses it if supercritical
         if beta_bar is None:
-            beta_bar = (beta_sq / 4 + 2) / 2
+            beta_bar = beta_sq / 4 + (2 - beta_sq / 4) / 8
         return ModelParams(beta_sq, Fraction(beta_bar))
 
     @staticmethod
@@ -150,6 +154,12 @@ class DecoratedTree:
     @cached_property
     def total_deco_weight(self) -> int:
         return deco_weight(self.deco) + sum(c.total_deco_weight for c in self.children)
+
+    @cached_property
+    def _flipped(self) -> "DecoratedTree":
+        flip = {"+": "-", "-": "+", "0": "0"}
+        return DecoratedTree(flip[self.label], self.deco,
+                             tuple(c._flipped for c in self.children))
 
     def iter_nodes(self):
         """Yield all subtrees (as node stand-ins), root first."""
@@ -267,8 +277,9 @@ def symmetry_factor(tau: DecoratedTree) -> int:
 
 
 def opp(tau: DecoratedTree) -> DecoratedTree:
-    """Flip every + label to - and vice versa; 0 labels are unchanged."""
-    flip = {"+": "-", "-": "+", "0": "0"}
-    return DecoratedTree(
-        flip[tau.label], tau.deco, tuple(opp(c) for c in tau.children)
-    )
+    """Flip every + label to - and vice versa; 0 labels are unchanged.
+
+    Each tree builds its flip once, from its children's, so the flips of a
+    catalog whose trees share their subtrees cost one node per tree.
+    """
+    return tau._flipped

@@ -94,6 +94,16 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: need at least two distinct widths\n"
 
+    @pytest.mark.parametrize("widths", [["0.25"], ["0.25", "0.125"]])
+    def test_convergence_needs_a_ratio(self, capsys, widths):
+        # two widths give one d and no ratio, so ratios_ok could not fail
+        code, out, err = run_cli(["sim", "converge", "--n", "32",
+                                  "--eps-list", *widths], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: --eps-list needs at least 3 widths, got "
+                       f"{len(widths)}\n")
+
     def test_one_lambda_slope_is_refused(self, capsys):
         code, out, err = run_cli(["sim", "dipole", "--n", "32", "--eps",
                                   "0.125", "--dt", "0.001953125", "--lambda",
@@ -108,7 +118,7 @@ class TestExitCodes:
          "--lambda", "0.125", "--samples", "1"],
         ["sim", "pde", "--n", "64", "--eps", "0.0625", "--t-end", "0.01"],
         ["sim", "converge", "--n", "64", "--eps-list", "0.25", "0.125",
-         "--seeds", "1"],
+         "0.0625", "--seeds", "1"],
     ], ids=["dipole", "pde", "converge"])
     def test_time_step_must_be_positive_and_finite(self, capsys, argv, dt):
         code, out, err = run_cli([*argv, "--dt", dt], capsys)
@@ -121,7 +131,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["sim", "pde", "--n", "64", "--eps", "0.0625"],
         ["sim", "converge", "--n", "64", "--eps-list", "0.25", "0.125",
-         "--seeds", "1"],
+         "0.0625", "--seeds", "1"],
     ], ids=["pde", "converge"])
     def test_run_without_steps_is_refused(self, capsys, argv, t_end):
         code, out, err = run_cli([*argv, "--t-end", t_end], capsys)
@@ -183,7 +193,7 @@ class TestExitCodes:
         # at 32^2 no quartic width up to 1 has a variance as small as the
         # Gaussian's at eps = 2, so there is no swap pair to compare
         code, out, err = run_cli(["sim", "converge", "--n", "32",
-                                  "--eps-list", "4", "2"], capsys)
+                                  "--eps-list", "8", "4", "2"], capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("error: target variance of eps_ref = 2.0 not")
@@ -196,7 +206,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["sim", "pde", "--n", "32", "--eps", "0.125", "--t-end", "0.0625"],
         ["sim", "converge", "--n", "32", "--seeds", "2", "--t-end", "0.0625",
-         "--eps-list", "0.25", "0.125"],
+         "--eps-list", "0.25", "0.125", "0.0625"],
     ])
     def test_shifted_equation_runs_at_its_default_coupling(self, capsys, argv):
         code, out, err = run_cli(argv, capsys)
@@ -296,13 +306,13 @@ class TestSubcommands:
         code, out, _ = run_cli(
             ["sim", "converge", "--beta2-over-pi", "2", "--n", "32",
              "--dt", repr(dt), "--eps-list", repr(2.0**-2), repr(2.0**-3),
-             "--t-end", repr(16 * dt), "--seeds", "1"], capsys)
+             repr(2.0**-4), "--t-end", repr(16 * dt), "--seeds", "1"], capsys)
         res = json.loads(out)["results"]
         assert set(res) == {"eps_list", "swap_eps", "d_values", "ratios",
                             "ratios_ok", "swap_gap", "swap_ok", "max_imag",
                             "n_seeds"}
-        assert res["eps_list"] == [2.0**-2, 2.0**-3]
-        assert len(res["d_values"]) == 1 and res["ratios"] == []
+        assert res["eps_list"] == [2.0**-2, 2.0**-3, 2.0**-4]
+        assert len(res["d_values"]) == 2 and len(res["ratios"]) == 1
         assert 0 < res["max_imag"] < 1e-12
         assert code == (0 if res["ratios_ok"] and res["swap_ok"] else 1)
 
@@ -356,9 +366,9 @@ class TestSimExitCodes:
     def test_one_step_convergence_reads_the_stepped_state(self, capsys):
         code, res = self.results(capsys, ["sim", "converge", *self.ONE_STEP,
                                           "--eps-list", "0.25", "0.125",
-                                          "--seeds", "1"])
-        assert res["d_values"][0] > 0 and res["swap_gap"] > 0
-        assert code == (0 if res["swap_ok"] else 1)
+                                          "0.0625", "--seeds", "1"])
+        assert min(res["d_values"]) > 0 and res["swap_gap"] > 0
+        assert code == (0 if res["ratios_ok"] and res["swap_ok"] else 1)
 
     def test_one_step_pde_reads_the_stepped_residue(self, capsys):
         code, res = self.results(capsys, ["sim", "pde", *self.ONE_STEP])

@@ -88,8 +88,7 @@ class TestCancellationLedger:
 
 def cli_params(beta_sq: Fraction) -> ModelParams:
     """The params ``sgbench renorm cancel`` builds for ``beta_sq`` (pi units)."""
-    beta_prime = beta_sq / 4
-    return ModelParams.make(beta_sq, beta_prime + (2 - beta_prime) / 8)
+    return ModelParams.make(beta_sq)
 
 
 class TestNegativeCatalog:

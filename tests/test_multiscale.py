@@ -283,3 +283,57 @@ class TestTwoPassOracle:
             assert rep.ok is False
             assert any(f["kind"] == kind for f in rep.failures)
             assert rep == _oracle_organize_and_check(D2, n)
+
+
+# --- the all-pairs widest-path table, kept as an oracle for the harvest ------
+
+
+def _oracle_bottlenecks(d, F, n):
+    """Widest-path (max-bottleneck) scale between all vertex pairs, by
+    Floyd-Warshall.  Edges internal to a member of ``F`` are infinitely
+    wide links; -1 marks a pair with no path."""
+    INF = float("inf")
+    verts = [0] + d.nodes
+    idx = {v: i for i, v in enumerate(verts)}
+    m = len(verts)
+    W = [[INF if i == j else -1 for j in range(m)] for i in range(m)]
+    interior = set().union(*(internal_edges(d, S) for S in F))
+    for ge, val in n.n.items():
+        if ge[0] == ms.BASE:
+            u, v = 0, ge[1]
+        elif ge[0] == ms.KER:
+            u, v = ge[1], d.parent[ge[1]]
+        else:
+            u, v = ge[1], ge[2]
+        i, j = idx[u], idx[v]
+        W[i][j] = W[j][i] = max(W[i][j], INF if ge in interior else val)
+    for k in range(m):
+        for i in range(m):
+            for j in range(m):
+                W[i][j] = max(W[i][j], min(W[i][k], W[k][j]))
+    return {(u, v): W[idx[u]][idx[v]] for u in verts for v in verts}
+
+
+def _oracle_harvest_cuts(d, F, n):
+    B = _oracle_bottlenecks(d, F, n)
+    return frozenset(e for e in d.cut_sites()
+                     if B[0, d.parent[e]] > B[d.parent[e], e])
+
+
+HARVEST_DIAGRAMS = {**ORACLE_DIAGRAMS,
+                    "dipole_p2_5_4": build_diagram(dipole(), 2, P54)}
+
+
+class TestHarvestOracle:
+    # 64 assignments x 33 forests x 5 caps = 10,560 (assignment, forest)
+    # pairs; cap 0 ties every scale, where > and >= part ways
+    @pytest.mark.parametrize("cap", [0, 1, 2, 4, 7])
+    @pytest.mark.parametrize("name", sorted(HARVEST_DIAGRAMS))
+    def test_harvest_matches_widest_paths(self, name, cap):
+        d = HARVEST_DIAGRAMS[name]
+        forests = d.enumerate_forests()
+        rng = random.Random(cap)
+        for _ in range(64):
+            n = ScaleAssignment.random_assignment(d, cap, rng)
+            for F in forests:
+                assert harvest_cuts(d, F, n) == _oracle_harvest_cuts(d, F, n), (F, n.n)

@@ -5,10 +5,12 @@ from itertools import product
 
 import pytest
 
-from sinegordon.tree_core import (DecoratedTree, ModelParams, canonical_key,
-                                  deco_weight, dipole, opp, s_homogeneity)
-from sinegordon.rule_engine import (enumerate_negative_trees, enumerate_trees,
-                                    structural_audit, opp_closure_ok)
+from sinegordon.tree_core import (DecoratedTree, ModelParams, XI_MINUS,
+                                  canonical_key, deco_weight, dipole,
+                                  integrate, opp, s_homogeneity)
+from sinegordon.rule_engine import (AuditReport, enumerate_negative_trees,
+                                    enumerate_trees, structural_audit,
+                                    opp_closure_ok)
 
 
 # the params ``sgbench renorm cancel`` builds for beta^2/pi = 5, 6 and 13/2
@@ -216,3 +218,61 @@ def test_enumerator_builds_each_tree_about_once(monkeypatch):
     cat = enumerate_negative_trees(NEGATIVE_PARAMS[2])
     assert len(cat.all) == 1298
     assert len(built) <= 1.5 * len(cat.all)
+
+
+# --- the per-node structural audit, kept as an oracle for the cached counts --
+
+
+def _oracle_structural_audit(cat):
+    """The structural audit as it was first written: a walk over every node
+    of each divergent tree, and a ``Homogeneity`` per catalog tree."""
+    bb = cat.params.beta_bar
+    violations = []
+    checked = 0
+    for key, tau in (cat.negative | cat.negative_neutral).items():
+        checked += 1
+        if any(node.label == "0" for node in tau.iter_nodes()):
+            violations.append({"key": key, "reason": "0-labeled node in divergent tree"})
+            continue
+        decos = [node.deco for node in tau.iter_nodes() if deco_weight(node.deco) > 0]
+        if decos and (len(decos) > 1 or decos[0] not in ((0, 1, 0), (0, 0, 1))):
+            violations.append({"key": key, "reason": "decoration not a single unit space index"})
+    for key, tau in cat.all.items():
+        checked += 1
+        if tau.n_nodes == 1 and tau.label != "0" and tau.deco == (0, 0, 0):
+            continue
+        if s_homogeneity(tau).at(bb) <= -bb:
+            violations.append({"key": key, "reason": "homogeneity at or below -beta_bar"})
+    return AuditReport(not violations, checked, violations)
+
+
+class TestStructuralAuditOracle:
+    @pytest.mark.parametrize("params", [
+        ModelParams.from_beta_bar(Fraction(5, 4)),
+        ModelParams.from_beta_bar(Fraction(7, 5)), ModelParams.make(5)],
+        ids=["bb 5/4", "bb 7/5", "5"])
+    def test_full_catalogs(self, params):
+        cat = enumerate_trees(params)
+        assert structural_audit(cat) == _oracle_structural_audit(cat)
+
+    @pytest.mark.parametrize("params", NEGATIVE_PARAMS, ids=["5", "6", "13/2"])
+    def test_negative_catalogs(self, params):
+        cat = enumerate_negative_trees(params)
+        assert structural_audit(cat) == _oracle_structural_audit(cat)
+
+    def test_broken_trees(self):
+        # a 0-node (the tree of the cancellation ledger's broken-premise
+        # test), two unit decorations, and single decorations of weight 2
+        cat = enumerate_trees(ModelParams.from_beta_bar(Fraction(6, 5)))
+        bad = [DecoratedTree("+", (0, 0, 0), (integrate(XI_MINUS),)),
+               DecoratedTree("+", (0, 1, 0), (DecoratedTree("-", (0, 0, 1)),)),
+               DecoratedTree("+", (0, 2, 0), (XI_MINUS,)),
+               DecoratedTree("+", (0, 1, 1), (XI_MINUS,)),
+               DecoratedTree("+", (1, 0, 0), (XI_MINUS,))]
+        for tau in bad + [opp(t) for t in bad]:
+            for subset in (cat.all, cat.negative, cat.negative_neutral):
+                subset[tau.key] = tau
+        rep = structural_audit(cat)
+        assert rep == _oracle_structural_audit(cat)
+        assert [v["key"] for v in rep.violations] == \
+            [t.key for t in bad + [opp(t) for t in bad]]
