@@ -18,7 +18,8 @@ Philox generators keyed by (seed, sample, step), so runs are reproducible
 in any order.  ``white_spectral``, ``GaussianField.real_space`` and
 ``_HeatDriver.profile`` write into the buffers they are given, through the
 1-d passes of ``_rfft2_into``/``_irfft2_into`` (bit for bit
-``rfft2``/``irfft2``).  Chaos sines and cosines come from ``_charges_into``.
+``rfft2``/``irfft2``); a full-grid table is inverted by ``_ifft2_real``
+in one complex array.  Chaos sines and cosines come from ``_charges_into``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,13 @@ QUARTIC = "quartic"
 
 @dataclass
 class TorusLattice:
-    """Uniform n-by-n grid on the unit torus with spectral tables."""
+    """Uniform n-by-n grid on the unit torus with spectral tables.
+
+    The lattice stores one full-grid table, the squared integer mode
+    number ``m2``; ``k2`` and ``mu`` are derived from it on each read.  The
+    tables it caches are the half-spectrum ones: ``sigma_k`` per width and
+    shape, and the heat tables per time step.
+    """
 
     n: int
     dt: float = 2.0**-10
@@ -52,12 +59,18 @@ class TorusLattice:
             raise ValueError(
                 f"time step dt = {self.dt} must be positive and finite")
         m = np.fft.fftfreq(self.n) * self.n
-        mx, my = np.meshgrid(m, m, indexing="ij")
-        self.m2 = mx**2 + my**2                  # integer mode number squared
-        self.k2 = (TWO_PI**2) * self.m2          # |2 pi m|^2 per mode
-        self.mu = 0.5 * self.k2                  # half-Laplacian damping
-        self.nonzero = self.k2 > 0
+        self.m2 = np.add.outer(m**2, m**2)      # integer mode number squared
         self.n_rfft = self.n // 2 + 1            # columns of an rfft2 table
+
+    @property
+    def k2(self) -> np.ndarray:
+        """|2 pi m|^2 per mode, a fresh full-grid table."""
+        return (TWO_PI**2) * self.m2
+
+    @property
+    def mu(self) -> np.ndarray:
+        """Half-Laplacian damping per mode, a fresh full-grid table."""
+        return 0.5 * self.k2
 
     def min_eps(self) -> float:
         return 2.0 / self.n
@@ -82,16 +95,18 @@ class TorusLattice:
                 f"eps = {eps} below the resolvable width {self.min_eps()}"
             )
         mm = self.mollifier(eps, shape)
-        out = np.zeros_like(self.k2)
-        nz = self.nonzero
-        out[nz] = mm[nz] ** 2 / self.k2[nz]
-        return out
+        np.square(mm, out=mm)
+        k2 = self.k2
+        # the zero mode is k2's own 0, which the division skips
+        return np.divide(mm, k2, out=k2, where=k2 > 0)
 
     def sigma_k(self, eps: float, shape: str = GAUSS) -> np.ndarray:
-        """Read-only half-spectrum standard deviation per mode.
+        """Read-only half-spectrum standard deviation per mode, the square
+        root of the first ``n_rfft`` columns of ``mode_variances``.
 
         Cached per (eps, shape), so call it only at the widths fields are
-        sampled at; width searches use the uncached ``mode_variances``.
+        sampled at; width searches and the full-grid sums use the uncached
+        ``mode_variances``.
         """
         key = (eps, shape)
         sk = self._sigma_k.get(key)
@@ -185,6 +200,15 @@ def _irfft2_into(h: np.ndarray, out: np.ndarray, tmp: np.ndarray
     return np.fft.irfft(tmp, n=out.shape[1], axis=1, out=out)
 
 
+def _ifft2_real(table: np.ndarray) -> np.ndarray:
+    """``np.real(np.fft.ifft2(table))``, bit for bit, as ifft2's two 1-d
+    passes (axis 1, then axis 0) in place in one complex copy of the n-by-n
+    ``table``, where ``ifft2`` makes a fresh complex array per pass."""
+    c = table.astype(complex)
+    np.fft.ifft(c, axis=1, out=c)
+    return np.fft.ifft(c, axis=0, out=c).real
+
+
 def sigma2(lat: TorusLattice, eps: float, shape: str = GAUSS) -> float:
     """Exact lattice mode sum for the equal-time field variance."""
     return float(np.sum(lat.mode_variances(eps, shape)))
@@ -193,8 +217,7 @@ def sigma2(lat: TorusLattice, eps: float, shape: str = GAUSS) -> float:
 def covariance_table(lat: TorusLattice, eps: float, shape: str = GAUSS
                      ) -> np.ndarray:
     """Exact equal-time two-point function indexed by grid displacement."""
-    sk = lat.mode_variances(eps, shape)
-    return np.real(np.fft.ifft2(sk)) * lat.n**2
+    return _ifft2_real(lat.mode_variances(eps, shape)) * lat.n**2
 
 
 def renorm_constant(lat: TorusLattice, eps: float, beta_sq,
@@ -342,7 +365,10 @@ class ChaosStats:
 
 def chaos_mean(lat: TorusLattice, eps: float, beta_sq, seed: int,
                n_fields: int = 64) -> ChaosStats:
-    """Monte Carlo check of the unit-expectation normalization."""
+    """Monte Carlo check of the unit-expectation normalization, over at
+    least two fields, as one field has no standard error."""
+    if n_fields < 2:
+        raise ValueError(f"n_fields = {n_fields}: need at least two fields")
     c_eps = renorm_constant(lat, eps, beta_sq)
     res, ims = [], []
     for s in range(n_fields):
@@ -397,12 +423,13 @@ def _fold(size: int, n: int) -> np.ndarray:
     return (np.fft.fftfreq(size) * size).astype(int) % n
 
 
-def _chaos_spectra(lat: TorusLattice, eps: float, beta_sq, seed: int,
+def _chaos_spectra(lat: TorusLattice, var: np.ndarray, beta_sq, seed: int,
                    n_fields: int, amp: float, modes: int, want_same: bool):
     """Spectral products of the chaos amp * exp(-i beta Phi), summed over
     fields: returns (M, power, cross) with power = sum |a|^2 and, when
     ``want_same``, cross = sum a(k) a(-k), for a = fft2 of one field's chaos,
-    both as n-by-n tables.
+    both as n-by-n tables.  ``var`` is the field's full-grid
+    ``mode_variances`` table, of which only the low block is read.
 
     Each field has only its modes |m| <= c = ``modes``, drawn from the
     white noise of the Philox slot (seed, sample, 0) on the smallest
@@ -421,7 +448,7 @@ def _chaos_spectra(lat: TorusLattice, eps: float, beta_sq, seed: int,
     small = lat if size0 == n else TorusLattice(size0)
     cols = np.arange(small.n_rfft)
     sk_lo = np.where(small.m2[:, cols] <= modes**2,
-                     lat.sigma_k(eps)[np.ix_(_fold(size0, n), cols)], 0.0)
+                     np.sqrt(var[np.ix_(_fold(size0, n), cols)]), 0.0)
     size = min(n, 1 << (4 * modes + 3).bit_length())
 
     def draw(sample):
@@ -483,9 +510,10 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
     Opposite charges attract (negative exponent), same charges repel, and
     the two power laws are reciprocal, so the product's slope is compatible
     with zero; ``want_same=False`` skips the same-charge fit, whose signal
-    is tiny at strong coupling.  Shifts must lie between 2 eps n and n/2
-    cells, as a larger shell wraps around the torus; by default they are
-    the dyadic separations 2^-5 ... 2^-2.
+    is tiny at strong coupling.  At least two distinct shifts, the points
+    of each fit, must lie between 2 eps n and n/2 cells, as a larger shell
+    wraps around the torus; by default they are the dyadic separations
+    2^-5 ... 2^-2.  At least one field is sampled.
 
     The estimator is conditional Monte Carlo on the modes |m| <= c =
     ``condition_modes`` >= 0 (None: every mode).  Modes above the cutoff are
@@ -504,13 +532,16 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
     if max(shifts) > n / 2:
         raise ValueError(f"shifts above n/2 = {n // 2} cells wrap around "
                          f"the torus")
+    if len(set(shifts)) < 2:
+        raise ValueError("need at least two distinct shifts")
     if condition_modes is not None and condition_modes < 0:
         raise ValueError(f"condition_modes = {condition_modes} is negative")
+    if n_fields < 1:
+        raise ValueError(f"n_fields = {n_fields}: need at least one field")
     beta2 = float(Fraction(beta_sq)) * np.pi
     modes = n if condition_modes is None else condition_modes
     lo = lat.m2 <= modes**2
     sk2 = lat.mode_variances(eps)
-    cov_hi = np.real(np.fft.ifft2(np.where(lo, 0.0, sk2))) * n**2
     amp_lo = np.exp(0.5 * beta2 * float(np.where(lo, sk2, 0.0).sum()))
     # Both correlations are linear in per-field spectral products, so the
     # products are summed over fields, on the coarse grid of _chaos_spectra,
@@ -518,7 +549,9 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
     # translation_correlation(xi, conj xi) inverts |a|^2, and
     # translation_correlation(xi, xi) inverts conj(a(k) a(-k)).
     _, power_opp, cross_same = _chaos_spectra(
-        lat, eps, beta_sq, seed, n_fields, amp_lo, modes, want_same)
+        lat, sk2, beta_sq, seed, n_fields, amp_lo, modes, want_same)
+    # built after the field sum, so that it is not resident during it
+    cov_hi = _ifft2_real(np.where(lo, 0.0, sk2)) * n**2
     scale = n * n * n_fields
     shells = [np.abs(np.sqrt(lat.m2) - c) <= 0.5 for c in shifts]
 
@@ -526,12 +559,12 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
         return [float(np.mean(table[sh])) for sh in shells]
 
     radii = [c / n for c in shifts]
-    opp = profile(np.real(np.fft.ifft2(power_opp)) / scale
+    opp = profile(_ifft2_real(power_opp) / scale
                   * np.exp(beta2 * cov_hi))
     lr = np.log(radii)
     slope_o = float(np.polyfit(lr, np.log(opp), 1)[0])
     if want_same:
-        same = profile(np.real(np.fft.ifft2(np.conj(cross_same))) / scale
+        same = profile(_ifft2_real(np.conj(cross_same)) / scale
                        * np.exp(-beta2 * cov_hi))
         slope_s = float(np.polyfit(lr, np.log(same), 1)[0])
         prod = float(np.polyfit(
@@ -828,35 +861,41 @@ class PDEResult:
         return self.snapshots[-1]
 
 
-def _shifted_steps(lat: TorusLattice, beta_sq, seed: int, widths,
-                   t_end: float, u_hats: np.ndarray, scratch):
-    """Steps of lat.dt of the shifted equation at each (width, shape) of
-    ``widths``, from the half-spectra of the stack ``u_hats``, stepped in
-    place; yields (step, n_steps) after each step.  ``scratch`` = (two real
-    n-by-n arrays, two half-spectra) is the caller's, overwritten by each
-    step and free between yields.  Every width's Phi is sigma_k z for the
-    one z of sample 0 of ``seed``.  The reaction
-    Im(e^{i beta v} C e^{i beta Phi}) is the real C sin(beta (Phi + v)),
-    from one inverse of the summed half-spectra.  Only beta^2 < 4 pi is
-    accepted.
-    """
+def _width_forcings(lat: TorusLattice, beta_sq, widths) -> list:
+    """Per (width, shape) of ``widths``, the pair (C, n^2 sigma_k) that
+    forces that width in ``_shifted_steps``: its renormalization constant,
+    and the rfft2 of its field per unit of z (n^2 scales exactly).  Only
+    beta^2 < 4 pi is accepted."""
     if float(Fraction(beta_sq)) >= 4.0:
         raise ValueError("pde solver requires beta^2 < 4*pi")
-    dt, n = lat.dt, lat.n
+    return [(renorm_constant(lat, w, beta_sq, sh),
+             lat.n**2 * lat.sigma_k(w, sh)) for w, sh in widths]
+
+
+def _shifted_steps(lat: TorusLattice, beta_sq, seed: int, widths, forcings,
+                   t_end: float, u_hats: np.ndarray, scratch):
+    """Steps of lat.dt of the shifted equation at each (width, shape) of
+    ``widths``, forced by its pair of ``forcings`` (``_width_forcings``),
+    from the half-spectra of the stack ``u_hats``, stepped in place; yields
+    (step, n_steps) after each step.  ``scratch`` = (two real n-by-n
+    arrays, two half-spectra) is the caller's, overwritten by each step and
+    free between yields.  Every width's Phi is sigma_k z for the one z of
+    sample 0 of ``seed``.  The reaction Im(e^{i beta v} C e^{i beta Phi})
+    is the real C sin(beta (Phi + v)), from one inverse of the summed
+    half-spectra.
+    """
+    dt = lat.dt
     n_steps = int(round(t_end / dt))
     if n_steps < 1:
         raise ValueError(f"t_end = {t_end} rounds to no step of dt = {dt}")
     beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
-    consts = [renorm_constant(lat, w, beta_sq, sh) for w, sh in widths]
-    # rfft2 of a width's field is n^2 sigma_k z (n^2 scales exactly)
-    scales = [n**2 * lat.sigma_k(w, sh) for w, sh in widths]
     fld = sample_phi(lat, widths[0][0], seed, shape=widths[0][1])
     rng = _step_rngs(seed)
     # every flow steps through one forcing half-spectrum and one scratch
     (x, d), (spare, tmp) = scratch
     drivers = [_HeatDriver(lat, dt, u_hat, (spare, tmp)) for u_hat in u_hats]
     for step in range(1, n_steps + 1):
-        for driver, scale, c_eps in zip(drivers, scales, consts):
+        for driver, (c_eps, scale) in zip(drivers, forcings):
             phi_v = np.multiply(scale, fld.z, out=spare)
             phi_v += driver.u_hat
             _irfft2_into(phi_v, x, tmp)
@@ -881,9 +920,11 @@ def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
     u_hats = np.fft.rfft2(v0)[None]
     if record_every is not None and record_every < 1:
         raise ValueError(f"record_every = {record_every} is below 1")
+    widths = [(eps, GAUSS)]
+    forcings = _width_forcings(lat, beta_sq, widths)
     scratch = np.empty((2, n, n)), np.empty((2, n, lat.n_rfft), dtype=complex)
     times, snaps, max_imag = [0.0], [np.fft.irfft2(u_hats[0], s=(n, n))], 0.0
-    for step, n_steps in _shifted_steps(lat, beta_sq, seed, [(eps, GAUSS)],
+    for step, n_steps in _shifted_steps(lat, beta_sq, seed, widths, forcings,
                                         t_end, u_hats, scratch):
         max_imag = max(max_imag, float(_imag_residues(u_hats[0])))
         if step % (record_every or n_steps) == 0 or step == n_steps:
@@ -947,6 +988,7 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
         raise ValueError("need at least one seed")
     swap_eps = calibrate_width(lat, eps_list[-1], QUARTIC)
     widths = [(w, GAUSS) for w in eps_list] + [(swap_eps, QUARTIC)]
+    forcings = _width_forcings(lat, beta_sq, widths)     # shared by the seeds
     # the dyadic neighbours, then the swap pair (finest Gaussian, quartic)
     pairs = [(j, j + 1) for j in range(len(eps_list))]
     n = lat.n
@@ -959,8 +1001,8 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     dists = np.empty(len(pairs))
     for sup, seed in zip(sups, seeds):
         u_hats[...] = 0.0
-        for step, n_steps in _shifted_steps(lat, beta_sq, seed, widths, t_end,
-                                            u_hats, scratch):
+        for step, n_steps in _shifted_steps(lat, beta_sq, seed, widths,
+                                            forcings, t_end, u_hats, scratch):
             if step > round(0.25 * n_steps):
                 for k, (a, b) in enumerate(pairs):
                     _irfft2_into(np.subtract(u_hats[a], u_hats[b], out=spare),

@@ -21,7 +21,7 @@ from sinegordon.stochastic import (
     renorm_slope, sample_phi, sigma2, solve_pde, step_rng,
     translation_correlation, white_spectral, wick_exponential,
     covariance_table, _HeatDriver, _chaos_spectra, _charges_into,
-    _imag_residues, _irfft2_into, _rfft2_into, _step_rngs,
+    _ifft2_real, _imag_residues, _irfft2_into, _rfft2_into, _step_rngs,
 )
 from sinegordon import stochastic
 
@@ -215,8 +215,8 @@ class TestRealInputOracle:
         # degree-2 field at beta^2 = pi/4: the rule settles on M = 32 < 64
         lat, beta_sq, n_fields, shifts = (TorusLattice(64), Fraction(1, 4),
                                           6, [8, 12, 16])
-        m, _, _ = _chaos_spectra(lat, self.EPS, beta_sq, self.SEED, n_fields,
-                                 1.0, 2, want_same)
+        m, _, _ = _chaos_spectra(lat, lat.mode_variances(self.EPS), beta_sq,
+                                 self.SEED, n_fields, 1.0, 2, want_same)
         assert m == 32
         opp, same = self.per_field_profiles(lat, beta_sq, n_fields, shifts, 2)
         rep = correlation_slopes(lat, self.EPS, beta_sq, self.SEED,
@@ -235,8 +235,9 @@ class TestRealInputOracle:
         monkeypatch.setattr(stochastic, "step_rng", lambda seed, sample, step:
                             ZeroNoise() if sample == 0
                             else rng(seed, sample, step))
-        m, _, _ = _chaos_spectra(TorusLattice(64), self.EPS, Fraction(1, 4),
-                                 self.SEED, 6, 1.0, 2, False)
+        lat = TorusLattice(64)
+        m, _, _ = _chaos_spectra(lat, lat.mode_variances(self.EPS),
+                                 Fraction(1, 4), self.SEED, 6, 1.0, 2, False)
         assert m == 32
 
     def test_criterion_09_grid_is_chosen_by_the_probe(self, monkeypatch):
@@ -244,7 +245,8 @@ class TestRealInputOracle:
         rng = stochastic.step_rng
         monkeypatch.setattr(stochastic, "step_rng",
                             lambda *slot: slots.append(slot) or rng(*slot))
-        m, power, cross = _chaos_spectra(TorusLattice(512), 2.0**-7,
+        lat = TorusLattice(512)
+        m, power, cross = _chaos_spectra(lat, lat.mode_variances(2.0**-7),
                                          Fraction(5), 11, 2, 1.0, 8, False)
         assert m == 256
         assert power.shape == (512, 512) and cross is None
@@ -286,8 +288,8 @@ class TestConditionedDraw:
             return ifft(a, axis=axis)
 
         monkeypatch.setattr(np.fft, "ifft", padded)
-        _chaos_spectra(lat, eps, Fraction(1, 4), self.SEED, 1, 1.0, modes,
-                       False)
+        _chaos_spectra(lat, lat.mode_variances(eps), Fraction(1, 4),
+                       self.SEED, 1, 1.0, modes, False)
         monkeypatch.undo()
         assert tables
         return tables
@@ -351,14 +353,21 @@ class TestConditionedDraw:
         assert np.all(np.abs(rows.mean(axis=0) - ref) <= k * se)
 
 
+def _spy_mode_variances(monkeypatch):
+    """The argument tuples of the TorusLattice.mode_variances calls made
+    from now on, in order."""
+    calls = []
+    orig = TorusLattice.mode_variances
+    monkeypatch.setattr(TorusLattice, "mode_variances",
+                        lambda self, *a, **k: calls.append(a)
+                        or orig(self, *a, **k))
+    return calls
+
+
 class TestSigmaCache:
     def test_sampling_hits_the_cache(self, monkeypatch):
         lat = TorusLattice(32)
-        calls = []
-        orig = TorusLattice.mode_variances
-        monkeypatch.setattr(TorusLattice, "mode_variances",
-                            lambda self, *a, **k: calls.append(a)
-                            or orig(self, *a, **k))
+        calls = _spy_mode_variances(monkeypatch)
         a = sample_phi(lat, 2.0**-3, seed=0, sample=0)
         b = sample_phi(lat, 2.0**-3, seed=0, sample=1)
         assert a.sigma_k is b.sigma_k
@@ -373,12 +382,91 @@ class TestSigmaCache:
         calibrate_width(lat, 2.0**-3, QUARTIC)
         assert list(lat._sigma_k) == [(2.0**-3, GAUSS)]
 
+    def test_convergence_study_tables_each_width_once(self, monkeypatch):
+        # the renormalization constants and forcing tables serve every seed
+        calls = _spy_mode_variances(monkeypatch)
+        counts = []
+        for seeds in ([0], list(range(8))):
+            calls.clear()
+            lat = TorusLattice(32, dt=2.0**-8)
+            convergence_study(lat, Fraction(2), [2.0**-2, 2.0**-3, 2.0**-4],
+                              seeds, t_end=2 * lat.dt)
+            counts.append(len(calls))
+        assert counts[1] <= counts[0]
+
     def test_cached_tables_are_read_only(self):
         lat = TorusLattice(32)
         sk = sample_phi(lat, 2.0**-3, seed=0).sigma_k
         assert not sk.flags.writeable
         with pytest.raises(ValueError):
             sk[0, 1] = 1.0
+
+
+class _StoredTables:
+    """The lattice tables as built before the lattice kept only m2: a
+    meshgrid m2, stored k2, mu and nonzero tables, and the variance table
+    filled through fancy indexing."""
+
+    def __init__(self, n):
+        m = np.fft.fftfreq(n) * n
+        mx, my = np.meshgrid(m, m, indexing="ij")
+        self.m2 = mx**2 + my**2
+        self.k2 = (2.0 * np.pi)**2 * self.m2
+        self.mu = 0.5 * self.k2
+        self.nonzero = self.k2 > 0
+
+    def mollifier(self, eps, shape):
+        x = (eps**2) * self.m2
+        return np.exp(-x) if shape == GAUSS else np.exp(-(x**2))
+
+    def mode_variances(self, eps, shape):
+        mm = self.mollifier(eps, shape)
+        out = np.zeros_like(self.k2)
+        nz = self.nonzero
+        out[nz] = mm[nz] ** 2 / self.k2[nz]
+        return out
+
+
+class TestLatticeTables:
+    """The lattice stores m2 alone and derives the rest bit for bit as the
+    stored tables did; a correlation builds one full-grid variance table."""
+
+    @pytest.mark.parametrize("n", [4, 32, 128, 512])
+    def test_derived_tables_match_the_stored_ones(self, n):
+        lat, old = TorusLattice(n), _StoredTables(n)
+        for name in ("m2", "k2", "mu"):
+            assert getattr(lat, name).tobytes() == \
+                getattr(old, name).tobytes(), name
+        for shape in (GAUSS, QUARTIC):
+            for eps in {2.0 / n, max(2.0 / n, 2.0**-3), 0.7}:
+                var = old.mode_variances(eps, shape)
+                assert lat.mollifier(eps, shape).tobytes() == \
+                    old.mollifier(eps, shape).tobytes()
+                assert lat.mode_variances(eps, shape).tobytes() == \
+                    var.tobytes()
+                assert lat.sigma_k(eps, shape).tobytes() == \
+                    np.sqrt(var[:, : n // 2 + 1]).tobytes()
+                assert covariance_table(lat, eps, shape).tobytes() == \
+                    (np.real(np.fft.ifft2(var)) * n**2).tobytes()
+
+    @pytest.mark.parametrize("n", [4, 32, 512])
+    def test_fresh_lattice_holds_one_full_grid_table(self, n):
+        lat = TorusLattice(n)
+        arrays = [v for v in vars(lat).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1
+        assert arrays[0].shape == (n, n) and arrays[0].dtype == float
+        assert not lat._sigma_k and not lat._heat
+
+    def test_correlation_builds_one_variance_table(self, monkeypatch):
+        # criterion 09's grid: the conditioned draw reads the correlation's
+        # own table, so no sigma_k table is cached
+        calls = _spy_mode_variances(monkeypatch)
+        lat = TorusLattice(512)
+        correlation_slopes(lat, 2.0**-7, Fraction(5), seed=11, n_fields=2,
+                           shifts=[8, 16, 32, 64, 80], want_same=False,
+                           condition_modes=8)
+        assert calls == [(2.0**-7,)]
+        assert not lat._sigma_k
 
 
 class TestHeatTables:
@@ -529,6 +617,22 @@ class TestChaos:
         assert rep.opposite_slope < 0 < rep.same_slope
         assert abs(rep.opposite_slope + rep.same_slope) < 0.15
         assert abs(rep.product_slope) < 0.1
+
+    def test_one_field_refused(self):
+        # one field has no standard error: NaN, and within_3se False
+        with pytest.raises(ValueError, match="at least two fields"):
+            chaos_mean(LAT, 2.0**-4, Fraction(2), seed=0, n_fields=1)
+
+    def test_no_field_refused(self):
+        with pytest.raises(ValueError, match="at least one field"):
+            correlation_slopes(TorusLattice(32), 2.0**-4, Fraction(1),
+                               seed=0, n_fields=0, shifts=[4, 8])
+
+    @pytest.mark.parametrize("shifts", [[8], [8, 8]])
+    def test_fit_through_one_shift_refused(self, shifts):
+        with pytest.raises(ValueError, match="two distinct shifts"):
+            correlation_slopes(LAT, 2.0**-4, Fraction(1), seed=0,
+                               n_fields=2, shifts=shifts)
 
     def test_scale_separation_guard(self):
         with pytest.raises(ValueError):
@@ -683,6 +787,24 @@ class TestTwoPassTransforms:
         tmp = np.empty_like(h)
         assert _irfft2_into(h, out, tmp) is out
         assert np.array_equal(out, np.fft.irfft2(h, s=(n, n)))
+
+
+class TestOneComplexArrayInverse:
+    """``_ifft2_real`` against ``np.real(np.fft.ifft2(.))``, bit for bit,
+    for the real and complex tables it inverts, leaving them unchanged."""
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_ifft2(self, n, dtype):
+        rng = np.random.default_rng(n)
+        table = rng.standard_normal((n, n)).astype(dtype)
+        if dtype is complex:
+            table.imag = rng.standard_normal((n, n))
+        copy = table.copy()
+        got = _ifft2_real(table)
+        assert got.dtype == float
+        assert got.tobytes() == np.real(np.fft.ifft2(table)).tobytes()
+        assert table.tobytes() == copy.tobytes()
 
 
 class TestBufferedPrimitives:
