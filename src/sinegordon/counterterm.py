@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rule_engine import TreeCatalog, opp_closure_ok, structural_audit
-from .tree_core import DecoratedTree, deco_weight, opp, symmetry_factor
+from .tree_core import CHARGE, DecoratedTree, deco_weight, opp, symmetry_factor
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,17 @@ def upsilon(tau: DecoratedTree) -> UpsilonValue:
     """
     if tau.charge != 0:
         raise ValueError("coefficient defined only for neutral trees")
-    nodes = list(tau.iter_nodes())
-    if any(deco_weight(n.deco) > 0 for n in nodes):
+    if tau.total_deco_weight > 0:
         raise ValueError("coefficient defined only for undecorated trees")
-    if any(n.label == "0" for n in nodes):
+    if tau.n_noises != tau.n_nodes:
         raise ValueError("coefficient defined only for all-noise trees")
-    n_nodes = len(nodes)
+    n_nodes = tau.n_nodes
     if (n_nodes - 1) % 2 == 0:
         # a neutral all-noise tree has evenly many nodes
         raise ValueError("neutral all-noise tree must have an even node count")
     sign = 1
-    for node in nodes:
-        q = 1 if node.label == "+" else -1
-        sign *= q ** len(node.children)
+    for node in tau.iter_nodes():
+        sign *= CHARGE[node.label] ** len(node.children)
     # (i*beta)^{-1} = -i/beta folds into c the extra factor i^2 = -1
     c = Fraction(sign, 2**n_nodes)
     return UpsilonValue(-c, n_nodes - 1, 1)

@@ -26,7 +26,7 @@ from functools import wraps
 from itertools import combinations
 from math import ceil
 
-from .tree_core import DecoratedTree, ModelParams, deco_weight, opp
+from .tree_core import CHARGE, DecoratedTree, ModelParams, deco_weight, opp
 
 BASE_POINT = 0
 
@@ -78,13 +78,11 @@ class MomentDiagram:
         init(self, "pairs", list(combinations(self.noises, 2)))
 
     def charge(self, node_set) -> int:
-        return sum({"+": 1, "0": 0, "-": -1}[self.label[u]] for u in node_set)
+        return sum(CHARGE[self.label[u]] for u in node_set)
 
     def pair_sign(self, pair: tuple[int, int]) -> int:
         a, b = pair
-        qa = {"+": 1, "-": -1}[self.label[a]]
-        qb = {"+": 1, "-": -1}[self.label[b]]
-        return qa * qb
+        return CHARGE[self.label[a]] * CHARGE[self.label[b]]
 
     def descendants(self, u: int) -> frozenset[int]:
         out = [u]

@@ -150,7 +150,7 @@ def structural_audit(cat: TreeCatalog) -> AuditReport:
     nodes), and the decoration either vanishes identically or is supported
     on a single node with value (0,1,0) or (0,0,1).  Additionally every
     catalog tree other than the bare noises has homogeneity > -beta_bar.
-    Each check reads the tree's cached counts: a tree has no 0-node when
+    Each check reads the counts a tree is built with: it has no 0-node when
     each node is a noise, and since decoration weights are nonnegative
     integers, a total weight of at most 1 is exactly the decoration rule.
     """

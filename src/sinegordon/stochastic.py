@@ -553,7 +553,8 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
     # built after the field sum, so that it is not resident during it
     cov_hi = _ifft2_real(np.where(lo, 0.0, sk2)) * n**2
     scale = n * n * n_fields
-    shells = [np.abs(np.sqrt(lat.m2) - c) <= 0.5 for c in shifts]
+    radius = np.sqrt(lat.m2)
+    shells = [np.abs(radius - c) <= 0.5 for c in shifts]
 
     def profile(table):
         return [float(np.mean(table[sh])) for sh in shells]

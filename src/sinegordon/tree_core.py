@@ -11,10 +11,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import factorial
 
 LABELS = ("+", "0", "-")
+#: charge of a node with each label, and the label of its charge flip
+CHARGE = {"+": 1, "0": 0, "-": -1}
+FLIP = {"+": "-", "0": "0", "-": "+"}
 
 #: parabolic scaling of one time and two space directions
 SCALING = (2, 1, 1)
@@ -107,59 +109,49 @@ class SupercriticalError(ValueError):
     """Raised for couplings at or beyond beta^2 = 8*pi."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecoratedTree:
     """Immutable decorated rooted tree.
 
     ``children`` are kept sorted by canonical key, so structural equality
-    coincides with equality of isomorphism classes.
+    coincides with equality of isomorphism classes.  The key and the node,
+    noise, charge and decoration counts are set once, at construction, from
+    the children's; they take no part in comparisons.
     """
 
     label: str
     deco: tuple[int, int, int]
     children: tuple["DecoratedTree", ...] = ()
+    key: str = field(init=False, compare=False)
+    n_nodes: int = field(init=False, compare=False)
+    n_noises: int = field(init=False, compare=False)
+    charge: int = field(init=False, compare=False)
+    total_deco_weight: int = field(init=False, compare=False)
+    _flip: DecoratedTree | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
         if self.label not in LABELS:
             raise ValueError(f"bad label {self.label!r}")
         if len(self.deco) != 3 or any(k < 0 for k in self.deco):
             raise ValueError(f"bad decoration {self.deco!r}")
-        object.__setattr__(self, "deco", tuple(int(k) for k in self.deco))
+        deco = tuple(int(k) for k in self.deco)
         kids = tuple(sorted(self.children, key=lambda t: t.key))
-        object.__setattr__(self, "children", kids)
-
-    @cached_property
-    def key(self) -> str:
-        inner = "".join(c.key for c in self.children)
-        return f"({self.label};{self.deco[0]},{self.deco[1]},{self.deco[2]};{inner})"
-
-    @cached_property
-    def n_nodes(self) -> int:
-        return 1 + sum(c.n_nodes for c in self.children)
+        inner = "".join(c.key for c in kids)
+        for name, value in (
+            ("deco", deco),
+            ("children", kids),
+            ("key", f"({self.label};{deco[0]},{deco[1]},{deco[2]};{inner})"),
+            ("n_nodes", 1 + sum(c.n_nodes for c in kids)),
+            ("n_noises", (self.label != "0") + sum(c.n_noises for c in kids)),
+            ("charge", CHARGE[self.label] + sum(c.charge for c in kids)),
+            ("total_deco_weight",
+             deco_weight(deco) + sum(c.total_deco_weight for c in kids)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def n_edges(self) -> int:
         return self.n_nodes - 1
-
-    @cached_property
-    def n_noises(self) -> int:
-        own = 1 if self.label != "0" else 0
-        return own + sum(c.n_noises for c in self.children)
-
-    @cached_property
-    def charge(self) -> int:
-        own = {"+": 1, "0": 0, "-": -1}[self.label]
-        return own + sum(c.charge for c in self.children)
-
-    @cached_property
-    def total_deco_weight(self) -> int:
-        return deco_weight(self.deco) + sum(c.total_deco_weight for c in self.children)
-
-    @cached_property
-    def _flipped(self) -> "DecoratedTree":
-        flip = {"+": "-", "-": "+", "0": "0"}
-        return DecoratedTree(flip[self.label], self.deco,
-                             tuple(c._flipped for c in self.children))
 
     def iter_nodes(self):
         """Yield all subtrees (as node stand-ins), root first."""
@@ -279,7 +271,12 @@ def symmetry_factor(tau: DecoratedTree) -> int:
 def opp(tau: DecoratedTree) -> DecoratedTree:
     """Flip every + label to - and vice versa; 0 labels are unchanged.
 
-    Each tree builds its flip once, from its children's, so the flips of a
-    catalog whose trees share their subtrees cost one node per tree.
+    A tree stores its flip on first use, built from its children's flips,
+    so the flips of a catalog whose trees share their subtrees cost one node
+    per tree.
     """
-    return tau._flipped
+    if tau._flip is None:
+        flip = DecoratedTree(FLIP[tau.label], tau.deco,
+                             tuple(opp(c) for c in tau.children))
+        object.__setattr__(tau, "_flip", flip)
+    return tau._flip

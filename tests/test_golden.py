@@ -4,10 +4,11 @@ The files under ``tests/golden/`` hold the exact stdout of each invocation
 below, exit code included.  The ``power audit`` files were recorded when the
 audits still enumerated every cluster hierarchy, the ``multiscale audit``
 files while the partition audit still rebuilt each cell's admissible cuts in
-a second pass, and the others before the field sampler moved to real-input
-transforms.  The echoed ``config`` lost its ``threads`` entry when the
-ignored ``--threads`` flag was removed; nothing else changed.  Any refactor
-must reproduce them unchanged.
+a second pass, ``renorm_cancel_6`` (10 cancelling pairs, 8 parity-killed
+trees) while trees still computed their counts on first use, and the others
+before the field sampler moved to real-input transforms.  The echoed
+``config`` lost its ``threads`` entry when the ignored ``--threads`` flag was
+removed; nothing else changed.  Any refactor must reproduce them unchanged.
 """
 
 from pathlib import Path
@@ -39,6 +40,7 @@ CASES = {
 COMMANDS = {
     "trees_enum": ["trees", "enum"],
     "renorm_cancel": ["renorm", "cancel"],
+    "renorm_cancel_6": ["renorm", "cancel", "--beta2-over-pi", "6"],
     "diagram_terms_p1": ["diagram", "terms", "--p", "1"],
     "multiscale_audit_p1": ["multiscale", "audit", "--trials", "50"],
     "multiscale_audit_p2": ["multiscale", "audit", "--p", "2", "--trials", "5"],

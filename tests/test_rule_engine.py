@@ -220,7 +220,7 @@ def test_enumerator_builds_each_tree_about_once(monkeypatch):
     assert len(built) <= 1.5 * len(cat.all)
 
 
-# --- the per-node structural audit, kept as an oracle for the cached counts --
+# --- the per-node structural audit, kept as an oracle for the stored counts --
 
 
 def _oracle_structural_audit(cat):

@@ -46,6 +46,28 @@ class TestCanonicalForm:
                 parse_key(bad)
 
 
+class TestEagerFields:
+    """The key and counts a tree is built with, against a recount."""
+
+    @given(trees())
+    def test_fields_match_a_recount_over_the_nodes(self, tau):
+        nodes = list(tau.iter_nodes())
+        labels = [n.label for n in nodes]
+        assert parse_key(tau.key) == tau and parse_key(tau.key).key == tau.key
+        assert tau.n_nodes == len(nodes)
+        assert tau.n_noises == len(nodes) - labels.count("0")
+        assert tau.charge == labels.count("+") - labels.count("-")
+        assert tau.total_deco_weight == sum(
+            2 * n.deco[0] + n.deco[1] + n.deco[2] for n in nodes)
+        assert opp(opp(tau)) == tau
+        # a stored flip takes no part in equality or hashing
+        twin = DecoratedTree(tau.label, tau.deco, tau.children)
+        assert twin == tau and hash(twin) == hash(tau)
+
+    def test_a_tree_has_no_instance_dict(self):
+        assert not hasattr(dipole(), "__dict__")
+
+
 class TestHomogeneity:
     def test_noise_homogeneity(self):
         h = s_homogeneity(noise("+"))
