@@ -39,11 +39,26 @@ from .power_counting import (identity_audit, sign_audit_big_graph,
 
 SCHEMA_VERSION = 1
 
-try:  # metadata is absent when running from a raw source tree
-    from importlib.metadata import version as _pkg_version
-    VERSION = _pkg_version("artifact")
-except Exception:  # pragma: no cover
-    VERSION = "unknown"
+
+class _VersionAction(argparse.Action):
+    """argparse's ``version`` action, looking the package version up only
+    when ``--version`` is given: ``importlib.metadata`` costs every other
+    command its import and a scan of the installed distributions."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS,
+                 default=argparse.SUPPRESS,
+                 help="show program's version number and exit"):
+        super().__init__(option_strings, dest=dest, default=default, nargs=0,
+                         help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from importlib.metadata import PackageNotFoundError, version
+        try:
+            text = version("artifact")
+        except PackageNotFoundError:  # running from a raw source tree
+            text = "unknown"
+        print(f"sgbench {text} (schema {SCHEMA_VERSION})")
+        parser.exit()
 
 
 class UsageError(Exception):
@@ -376,8 +391,7 @@ def build_parser() -> _Parser:
     top = _Parser(prog="sgbench",
                   description="renormalization workbench: combinatorial audits "
                               "and Monte Carlo scaling studies")
-    top.add_argument("--version", action="version",
-                     version=f"sgbench {VERSION} (schema {SCHEMA_VERSION})")
+    top.add_argument("--version", action=_VersionAction)
     groups = top.add_subparsers(dest="group", required=True)
 
     trees = groups.add_parser("trees").add_subparsers(dest="sub", required=True)

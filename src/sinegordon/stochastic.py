@@ -19,7 +19,10 @@ in any order.  ``white_spectral``, ``GaussianField.real_space`` and
 ``_HeatDriver.profile`` write into the buffers they are given, through the
 1-d passes of ``_rfft2_into``/``_irfft2_into`` (bit for bit
 ``rfft2``/``irfft2``); a full-grid table is inverted by ``_ifft2_real``
-in one complex array.  Chaos sines and cosines come from ``_charges_into``.
+in one complex array.  Chaos sines and cosines come from ``_charges_into``,
+and ``wick_exponential`` writes them into the buffers it is given, so
+``_chaos_spectra`` samples every field in buffers allocated once per grid
+size, with ``fft2`` as its two 1-d passes in place.
 """
 
 from __future__ import annotations
@@ -335,12 +338,18 @@ def _charges_into(t: np.ndarray, c_eps: float, d: np.ndarray, s: np.ndarray,
 
 
 def wick_exponential(phi: np.ndarray, beta_sq, c_eps: float,
-                     sign: int = +1) -> np.ndarray:
-    """Unit-expectation chaos field C * exp(+-i beta Phi)."""
+                     sign: int = +1, out: np.ndarray | None = None,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
+    """Unit-expectation chaos field C * exp(+-i beta Phi), written into the
+    complex ``out`` shaped like ``phi`` through ``scratch``, three real
+    arrays shaped like it (the half angles t and the tables d and s of
+    ``_charges_into``); each is fresh unless given, and ``phi`` is not
+    written."""
     beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
-    t = np.multiply(phi, 0.5 * beta)
-    d, s = np.empty((2,) + t.shape)
-    out = np.empty(t.shape, dtype=complex)
+    t, d, s = np.empty((3,) + phi.shape) if scratch is None else scratch
+    np.multiply(phi, 0.5 * beta, out=t)
+    if out is None:
+        out = np.empty(phi.shape, dtype=complex)
     _charges_into(t, c_eps, d, s, out.real)
     if sign < 0:
         np.negative(s, out=out.imag)
@@ -454,14 +463,30 @@ def _chaos_spectra(lat: TorusLattice, var: np.ndarray, beta_sq, seed: int,
     def draw(sample):
         return sk_lo * white_spectral(small, step_rng(seed, sample, 0))
 
-    def spectrum(low, size):
+    def spectra(size):
+        """The map from a field's drawn modes to a = fft2 of its chaos on
+        the M = ``size`` grid, in buffers allocated once for this M: each
+        call overwrites the ``a`` it returns."""
         # M >= M0, so each drawn mode keeps its frequency on the M grid; the
         # table is zero past column len(cols), so the axis-0 pass runs on
         # those columns only: bit for bit irfft2 of the full table.
         tab = np.zeros((size, len(cols)), dtype=complex)
-        tab[_fold(size0, size)] = low
-        phi = np.fft.irfft(np.fft.ifft(tab, axis=0), n=size, axis=1) * size**2
-        return np.fft.fft2(wick_exponential(phi, beta_sq, amp, sign=-1))
+        rows = _fold(size0, size)
+        phi = np.empty((size, size))
+        a = np.empty((size, size), dtype=complex)
+        scratch = np.empty((3, size, size))
+
+        def spectrum(low):
+            tab[rows] = low
+            np.fft.irfft(np.fft.ifft(tab, axis=0), n=size, axis=1, out=phi)
+            np.multiply(phi, size**2, out=phi)
+            wick_exponential(phi, beta_sq, amp, sign=-1, out=a,
+                             scratch=scratch)
+            # fft2 as its two 1-d passes in place, last axis first
+            np.fft.fft(a, axis=1, out=a)
+            return np.fft.fft(a, axis=0, out=a)
+
+        return spectrum
 
     def outer_share(power):
         q = np.abs(np.fft.fftfreq(len(power)) * len(power))
@@ -470,18 +495,25 @@ def _chaos_spectra(lat: TorusLattice, var: np.ndarray, beta_sq, seed: int,
 
     low0, probing = draw(0), True
     while True:
-        power = np.zeros((size, size))
-        cross = np.zeros((size, size), dtype=complex) if want_same else None
-        flip = (-np.arange(size)) % size
+        spectrum = spectra(size)
+        power, sq = np.zeros((size, size)), np.empty((size, size))
+        if want_same:
+            cross = np.zeros((size, size), dtype=complex)
+            rev, mirror = np.empty((2, size, size), dtype=complex)
+            flip = (-np.arange(size)) % size
+        else:
+            cross = None
         for s in range(n_fields):
-            a = spectrum(low0 if s == 0 else draw(s), size)
+            a = spectrum(low0 if s == 0 else draw(s))
             if (not s and probing and size < n
                     and outer_share(np.abs(a)**2) > _BAND_SHARE):
                 break           # field 0 alone says M is too small
-            if want_same:
-                cross += a * a[flip][:, flip]
-            power += a.real**2
-            power += a.imag**2
+            if want_same:       # a(k) a(-k), with a(-k) = a[flip][:, flip]
+                np.take(a, flip, axis=0, out=rev)
+                np.take(rev, flip, axis=1, out=mirror)
+                cross += np.multiply(a, mirror, out=mirror)
+            power += np.square(a.real, out=sq)
+            power += np.square(a.imag, out=sq)
         else:
             probing = False
             if size == n or outer_share(power) <= _BAND_SHARE:

@@ -348,6 +348,17 @@ class TestSubcommands:
         proc = subprocess.run([sys.executable, "-m", "sinegordon.cli",
                                "--version"], capture_output=True, text=True)
         assert proc.returncode == 0
+        assert proc.stdout.startswith("sgbench ")
+        assert proc.stdout.endswith(" (schema 1)\n")
+
+    def test_import_loads_neither_numpy_nor_metadata(self):
+        # numpy loads with the sim commands, the package metadata with
+        # --version: neither is paid by the other commands
+        code = ("import sys, sinegordon.cli; print(sorted({'numpy', "
+                "'importlib.metadata'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"
 
 
 class TestSimExitCodes:

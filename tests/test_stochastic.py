@@ -266,6 +266,37 @@ class TestRealInputOracle:
                            want_same=False, condition_modes=2)
         assert sizes == [16] + [32] * 6
 
+    # repr of each report, recorded before the chaos spectra were sampled
+    # in reused buffers, which left every bit in place
+    SLOPES_PIN = {
+        # probe settles at M = 32 < n = 64
+        True: "{'radii': [0.125, 0.1875, 0.25], 'opposite':"
+              " [1.104572789429396, 1.0533724007458345, 1.0203980006660929],"
+              " 'same': [0.8795350910974659, 0.9231546258462097,"
+              " 0.953656845849283], 'opposite_slope': -0.11453364600999687,"
+              " 'same_slope': 0.11690290316938581,"
+              " 'product_slope': 0.0023692571593888654}",
+        # every mode kept: M = n = 32
+        False: "{'radii': [0.125, 0.25], 'opposite': [2.3635599577270616,"
+               " 1.3739743558155864], 'same': [],"
+               " 'opposite_slope': -0.782606385196705, 'same_slope': nan,"
+               " 'product_slope': nan}",
+    }
+
+    @pinned_bits
+    @pytest.mark.parametrize("want_same", [True, False])
+    def test_correlation_slopes_are_pinned_bit_for_bit(self, want_same):
+        if want_same:
+            rep = correlation_slopes(TorusLattice(64), self.EPS,
+                                     Fraction(1, 4), self.SEED, n_fields=6,
+                                     shifts=[8, 12, 16], want_same=True,
+                                     condition_modes=2)
+        else:
+            rep = correlation_slopes(TorusLattice(32), self.EPS, Fraction(2),
+                                     7, n_fields=3, shifts=[4, 8],
+                                     want_same=False)
+        assert repr(rep.as_dict()) == self.SLOPES_PIN[want_same]
+
 
 class TestConditionedDraw:
     """The fields of _chaos_spectra: only the modes |m| <= c, drawn on a
@@ -840,6 +871,19 @@ class TestBufferedPrimitives:
         out = np.full((n, n), np.nan)
         assert drv.profile(out) is out
         assert np.array_equal(out, np.fft.irfft2(drv.u_hat, s=(n, n)))
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_wick_exponential(self, sign):
+        phi = sample_phi(LAT, 2.0**-4, seed=2).real_space()
+        c = renorm_constant(LAT, 2.0**-4, Fraction(5))
+        fresh = wick_exponential(phi, Fraction(5), c, sign=sign)
+        copy = phi.copy()
+        out = np.full(phi.shape, np.nan, dtype=complex)
+        scratch = np.full((3,) + phi.shape, np.nan)
+        assert wick_exponential(phi, Fraction(5), c, sign=sign, out=out,
+                                scratch=scratch) is out
+        assert np.array_equal(out, fresh)
+        assert phi.tobytes() == copy.tobytes()
 
 
 class TestSlotGenerator:
