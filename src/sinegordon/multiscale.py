@@ -19,6 +19,16 @@ collection leaves the forests whose kernel edges it avoids; those forests
 group by their safe projection, and each group is a forest interval M whose
 minimum is the projection.  The cut belongs to M's admissible collections,
 which the harvested cuts of M's maximum then tile into intervals of cuts.
+
+Everything the audit reads that does not depend on the scale assignment is
+built on first use and kept in the diagram's memo.  Per diagram, that is
+the partition frame: the forests and cut sites, each forest's kernel
+edges, the set of all (forest, cut) pairs, and each cut collection with
+the forests that avoid it.  Per forest, it is the edge table above and the
+endpoints of the generalized edges, split into the forest's interior,
+which the harvest merges first at scale infinity, and the rest, which it
+sorts by scale.  A trial pays only for the projections, their grouping and
+interval checks, the harvests and the tiling.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 
 from .moment_diagrams import MomentDiagram, derived_edge_sets
 
@@ -143,6 +154,26 @@ def preimage_interval(d: MomentDiagram, target, n: ScaleAssignment,
 # --- cut harvesting ------------------------------------------------------------
 
 
+def _harvest_edges(d: MomentDiagram, F) -> tuple[list, list]:
+    """(u, v, infinity) for each generalized edge interior to ``F`` and
+    (edge, u, v) for the others, where u and v are the edge's endpoints,
+    each list in ``generalized_edges`` order."""
+    key = ("harvest edges", frozenset(F))
+    if key in d._memo:
+        return d._memo[key]
+    _, interior = _forest_edges(d, F)
+    inner, rest = [], []
+    for ge in generalized_edges(d):
+        kind, a = ge[:2]
+        u, v = (0, a) if kind == BASE else (a, d.parent[a]) if kind == KER else ge[1:]
+        if ge in interior:
+            inner.append((u, v, float("inf")))
+        else:
+            rest.append((ge, u, v))
+    d._memo[key] = table = (inner, rest)
+    return table
+
+
 def harvest_cuts(d: MomentDiagram, F, n: ScaleAssignment) -> frozenset[int]:
     """Cut sites e whose parent p is joined to the base point at a larger
     scale than p is joined to e.
@@ -154,19 +185,19 @@ def harvest_cuts(d: MomentDiagram, F, n: ScaleAssignment) -> frozenset[int]:
     ``F`` come first, at scale infinity, so contracting a member can only
     raise a merge scale.
     """
-    _, internal = _forest_edges(d, F)
-    scales = {ge: float("inf") if ge in internal else s for ge, s in n.n.items()}
+    inner, rest = _harvest_edges(d, F)
+    scale = n.n.__getitem__
+    outer = sorted(((u, v, scale(ge)) for ge, u, v in rest),
+                   key=itemgetter(2), reverse=True)
     comp = {v: [v] for v in [0, *d.nodes]}
     joined = {}
-    for ge in sorted(scales, key=scales.get, reverse=True):
-        kind, a = ge[:2]
-        u, v = (0, a) if kind == BASE else (a, d.parent[a]) if kind == KER else ge[1:]
+    for u, v, s in inner + outer:
         A, B = comp[u], comp[v]
         if A is B:
             continue
         for a in A:
             for b in B:
-                joined[a, b] = joined[b, a] = scales[ge]
+                joined[a, b] = joined[b, a] = s
         A += B
         comp.update(dict.fromkeys(B, A))
     return frozenset(e for e in d.cut_sites()
@@ -193,6 +224,29 @@ def _subsets(items) -> list[frozenset]:
             for c in combinations(items, r)]
 
 
+def _kernel_edges(d: MomentDiagram, F) -> frozenset[int]:
+    """The kernel edges inside the members of ``F``."""
+    return frozenset().union(*map(d.K, F))
+
+
+def _partition_frame(d: MomentDiagram) -> tuple:
+    """The scale-free frame of the partition audit: the forests, the cut
+    sites, each forest's kernel edges, the set of all (forest, cut) pairs,
+    and each cut collection with the forests that avoid it."""
+    key = "partition frame"
+    if key in d._memo:
+        return d._memo[key]
+    forests = d.enumerate_forests()
+    sites = frozenset(d.cut_sites())
+    kernel = {F: _kernel_edges(d, F) for F in forests}
+    # a set, not a list: its order is the order of the coverage failures
+    all_pairs = {(F, cut) for F in forests for cut in _subsets(sites - kernel[F])}
+    cuts = [(cut, [F for F in forests if not kernel[F] & cut])
+            for cut in _subsets(sites)]
+    d._memo[key] = frame = (forests, sites, kernel, all_pairs, cuts)
+    return frame
+
+
 def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
     """Verify that the (interval-of-forests, interval-of-cuts) cells exactly
     partition all (forest, cut) pairs, and that harvested cuts are
@@ -207,11 +261,8 @@ def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
     kernel edges of M's maximum, because every member of M avoids the cut,
     so the cut misses the kernel edges of their union.
     """
-    forests = [frozenset(F) for F in d.enumerate_forests()]
-    sites = frozenset(d.cut_sites())
+    forests, sites, kernel, all_pairs, cuts = _partition_frame(d)
     proj = {F: safe_projection(d, F, n) for F in forests}
-    kernel = {F: frozenset().union(*map(d.K, F)) for F in forests}
-    all_pairs = {(F, cut) for F in forests for cut in _subsets(sites - kernel[F])}
 
     failures: list[dict] = []
     interval_checks = 0
@@ -219,8 +270,7 @@ def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
 
     # forest interval M -> (its bounds, its admissible cut collections)
     cells: dict[frozenset, tuple[ForestInterval, set]] = {}
-    for cut in _subsets(sites):
-        avail = [F for F in forests if not kernel[F] & cut]
+    for cut, avail in cuts:
         for img in {proj[F] for F in avail}:
             pre = [F for F in avail if proj[F] == img]
             try:
@@ -237,10 +287,12 @@ def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
                     "kind": "min", "cut": sorted(cut),
                     "detail": "projection image is not the interval minimum",
                 })
-    coverage: dict[tuple, int] = {pair: 0 for pair in all_pairs}
+    coverage: dict[tuple, int] = dict.fromkeys(all_pairs, 0)
     n_cells = 0
     for M, (interval, admissible) in cells.items():
-        K_b = frozenset().union(*map(d.K, interval.upper))
+        K_b = kernel.get(interval.upper)
+        if K_b is None:  # the join of a group is a forest unless the audit fails
+            K_b = _kernel_edges(d, interval.upper)
         harv = harvest_cuts(d, interval.upper, n) - K_b
         # compatibility: harvested non-forest edges toggle freely
         for cut in admissible | {c ^ frozenset([e]) for c in admissible for e in harv}:
@@ -252,8 +304,9 @@ def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
                         "kind": "compatibility", "edge": e, "cut": sorted(cut),
                     })
         # the harvested intervals must tile the admissible collections
+        flips = _subsets(harv)
         for seed in _subsets(sites - K_b - harv):
-            block = [seed | x for x in _subsets(harv)]
+            block = [seed | x for x in flips]
             inside = [c in admissible for c in block]
             if any(inside) and not all(inside):
                 failures.append({

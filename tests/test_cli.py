@@ -59,6 +59,7 @@ class TestExitCodes:
         (["sim", "field", "--samples", "1"], "got 1"),
         (["sim", "dipole", "--samples", "0"], "got 0"),
         (["power", "audit", "--context", "inner"], "--forest"),
+        (["multiscale", "audit", "--trials", "0"], "got 0"),
     ])
     def test_bad_ids_and_counts_are_usage_errors(self, capsys, argv, named):
         code, out, err = run_cli(argv, capsys)
@@ -230,6 +231,103 @@ class TestExitCodes:
             main(["--version"])
         assert exc.value.code in (0, None)
         assert "sgbench" in capsys.readouterr().out
+
+
+# Each group's help and its refusal of an unknown subcommand, recorded
+# while build_parser still built every group's subcommands up front.
+GROUP_HELP = {
+    "trees": ("""\
+usage: sgbench trees [-h] {enum,classify} ...
+
+positional arguments:
+  {enum,classify}
+
+options:
+  -h, --help       show this help message and exit
+""", "'enum', 'classify'"),
+    "renorm": ("""\
+usage: sgbench renorm [-h] {cancel} ...
+
+positional arguments:
+  {cancel}
+
+options:
+  -h, --help  show this help message and exit
+""", "'cancel'"),
+    "diagram": ("""\
+usage: sgbench diagram [-h] {terms,audit} ...
+
+positional arguments:
+  {terms,audit}
+
+options:
+  -h, --help     show this help message and exit
+""", "'terms', 'audit'"),
+    "multiscale": ("""\
+usage: sgbench multiscale [-h] {audit} ...
+
+positional arguments:
+  {audit}
+
+options:
+  -h, --help  show this help message and exit
+""", "'audit'"),
+    "power": ("""\
+usage: sgbench power [-h] {audit} ...
+
+positional arguments:
+  {audit}
+
+options:
+  -h, --help  show this help message and exit
+""", "'audit'"),
+    "sim": ("""\
+usage: sgbench sim [-h] {field,dipole,pde,converge} ...
+
+positional arguments:
+  {field,dipole,pde,converge}
+
+options:
+  -h, --help            show this help message and exit
+""", "'field', 'dipole', 'pde', 'converge'"),
+}
+
+
+class TestGroupParsers:
+    """A group's subcommands are built when the command line enters it."""
+
+    @pytest.mark.parametrize("group", sorted(GROUP_HELP))
+    def test_group_help_and_unknown_subcommand(self, group, capsys,
+                                               monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")   # argparse wraps to the terminal
+        help_text, choices = GROUP_HELP[group]
+        assert run_cli([group, "--help"], capsys) == (0, help_text, "")
+        assert run_cli([group, "bogus"], capsys) == (
+            2, "", f"error: argument sub: invalid choice: 'bogus' "
+                   f"(choose from {choices})\n")
+
+    def test_power_audit_builds_only_its_group(self, capsys, monkeypatch):
+        from sinegordon import cli
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        code, _, _ = run_cli(["power", "audit", "--forest", "1,2"], capsys)
+        assert code == 0
+        # the top parser, the six groups and power's one subcommand, where
+        # building every group's subcommands took 18
+        assert len(built) == 1 + len(GROUP_HELP) + 1
+
+    def test_a_parser_serves_repeated_calls(self):
+        parser = build_parser()
+        for _ in range(2):
+            args = parser.parse_args(["sim", "pde"])
+            assert (args.group, args.sub, args.beta2_over_pi) == \
+                ("sim", "pde", "2")
 
 
 class TestDeterminism:

@@ -74,6 +74,23 @@ class TestPartitionIdentity:
             assert rep.ok, rep.failures
             assert rep.n_pairs == 9
 
+    def test_scale_free_frame_is_built_once(self, monkeypatch):
+        # which kernel edges lie inside a forest depends on no scale: once
+        # the diagram's first-use tables exist, an audit asks for none
+        d = build_diagram(dipole(), 1, P54)
+        calls = []
+        K = type(d).K
+        monkeypatch.setattr(type(d), "K",
+                            lambda self, S: calls.append(S) or K(self, S))
+        rng = random.Random(4)
+        trials = [ScaleAssignment.random_assignment(d, 4, rng)
+                  for _ in range(20)]
+        first = [organize_and_check(d, n) for n in trials]
+        built = len(calls)
+        assert built > 0
+        assert [organize_and_check(d, n) for n in trials] == first
+        assert len(calls) == built
+
     def test_harvest_cuts_subset_of_cut_sites(self):
         rng = random.Random(3)
         sites = set(D2.cut_sites())
@@ -247,7 +264,11 @@ ORACLE_DIAGRAMS = {
     "dipole_5_4": D2,
     "dipole_7_5": build_diagram(dipole(), 1, ModelParams.from_beta_bar(Fraction(7, 5))),
     "tau4_5_4": build_diagram(TAU4, 1, P54),
+    # 16 forests and 4 cut sites: cuts leave different sets of forests
+    "dipole_p2_5_4": build_diagram(dipole(), 2, P54),
 }
+# assignments per cap; the p = 2 oracle is the slow one
+ORACLE_TRIALS = {"dipole_p2_5_4": 4}
 
 
 class TestTwoPassOracle:
@@ -257,7 +278,7 @@ class TestTwoPassOracle:
         d = ORACLE_DIAGRAMS[name]
         forests = d.enumerate_forests()
         rng = random.Random(cap)
-        for _ in range(12):
+        for _ in range(ORACLE_TRIALS.get(name, 12)):
             n = ScaleAssignment.random_assignment(d, cap, rng)
             for F in forests:
                 assert safe_projection(d, F, n) == _oracle_safe_projection(d, F, n)
@@ -320,17 +341,13 @@ def _oracle_harvest_cuts(d, F, n):
                      if B[0, d.parent[e]] > B[d.parent[e], e])
 
 
-HARVEST_DIAGRAMS = {**ORACLE_DIAGRAMS,
-                    "dipole_p2_5_4": build_diagram(dipole(), 2, P54)}
-
-
 class TestHarvestOracle:
     # 64 assignments x 33 forests x 5 caps = 10,560 (assignment, forest)
     # pairs; cap 0 ties every scale, where > and >= part ways
     @pytest.mark.parametrize("cap", [0, 1, 2, 4, 7])
-    @pytest.mark.parametrize("name", sorted(HARVEST_DIAGRAMS))
+    @pytest.mark.parametrize("name", sorted(ORACLE_DIAGRAMS))
     def test_harvest_matches_widest_paths(self, name, cap):
-        d = HARVEST_DIAGRAMS[name]
+        d = ORACLE_DIAGRAMS[name]
         forests = d.enumerate_forests()
         rng = random.Random(cap)
         for _ in range(64):
