@@ -32,10 +32,19 @@ BASE_POINT = 0
 
 
 def _memoized(method):
-    """Keep each result of a diagram method in the diagram's memo, keyed on
-    the method's name and arguments."""
+    """Keep each result of a diagram method, or of a function of a diagram,
+    in the diagram's memo, keyed on the name and the arguments.  Collection
+    arguments (a forest, a member) are frozen into sets, in the key and in
+    the call, so every form of one set shares an entry; the result must not
+    depend on their order.  Only this function reads or writes the memo."""
     @wraps(method)
     def cached(self, *args):
+        try:
+            return self._memo[(method.__name__, *args)]
+        except (KeyError, TypeError):  # not built yet, or not frozen yet
+            pass
+        args = [frozenset(a) if isinstance(a, (set, tuple, list)) else a
+                for a in args]
         key = (method.__name__, *args)
         if key not in self._memo:
             self._memo[key] = method(self, *args)
@@ -263,14 +272,11 @@ class EdgeSetBundle:
     pairs_partial: tuple[tuple[int, int], ...]  # pairs of X straddling C
 
 
+@_memoized
 def derived_edge_sets(d: MomentDiagram, F, S=None) -> EdgeSetBundle:
     """Edge sets of the member ``S`` of the forest ``F``, or of the whole
     diagram when ``S`` is None.  One set of formulas serves both; built
     once per (diagram, F, S)."""
-    F, S = frozenset(F), None if S is None else frozenset(S)
-    key = ("derived_edge_sets", F, S)
-    if key in d._memo:
-        return d._memo[key]
     X = frozenset(d.nodes) if S is None else S
     C = frozenset(_maximal([T for T in F if T <= X and T != S]))
 
@@ -281,14 +287,12 @@ def derived_edge_sets(d: MomentDiagram, F, S=None) -> EdgeSetBundle:
     K_F, L_F = K_X - union(d.K), d.L(X) - union(d.L)
     # the member of C holding each noise of X, None outside C
     owner = {u: T for T in C for u in d.L(T)} | dict.fromkeys(L_F)
-    bundle = EdgeSetBundle(
+    return EdgeSetBundle(
         C, X - union(d.N_tilde), L_F, K_F, K_F - K_down_C, K_X & K_down_C,
         d.K_down(X),
         tuple((a, b) for a, b in d.pairs if a in L_F and b in L_F),
         tuple((a, b) for a, b in d.pairs
               if a in owner and b in owner and owner[a] != owner[b]))
-    d._memo[key] = bundle
-    return bundle
 
 
 def _maximal(trees) -> list[frozenset[int]]:

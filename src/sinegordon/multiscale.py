@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
 
-from .moment_diagrams import MomentDiagram, derived_edge_sets
+from .moment_diagrams import MomentDiagram, _memoized, derived_edge_sets
 
 BASE = "base"
 KER = "ker"
@@ -70,15 +70,12 @@ class ScaleAssignment:
 # --- the scale-free edge table of a forest ------------------------------------
 
 
+@_memoized
 def _forest_edges(d: MomentDiagram, F) -> tuple[list, frozenset]:
     """(S, internal, external) per member S of ``F``: the external edges
     are the base edges of S's nodes, the kernel edges entering S and the
     pair edges with one end in S, within the smallest enclosing member.
     Also the forest's interior: the kernel and pair edges inside a member."""
-    F = frozenset(F)
-    key = ("forest edges", F)
-    if key in d._memo:
-        return d._memo[key]
 
     def interior(S):
         LS = d.L(S)
@@ -96,8 +93,7 @@ def _forest_edges(d: MomentDiagram, F) -> tuple[list, frozenset]:
             external &= interior(min(above, key=len))
         internal = [(KER, e) for e in own.K_F] + [(PAIR, *ab) for ab in own.pairs_F]
         rows.append((S, internal, list(external)))
-    d._memo[key] = table = (rows, frozenset().union(*map(interior, F)))
-    return table
+    return rows, frozenset().union(*map(interior, F))
 
 
 def safe_projection(d: MomentDiagram, F, n: ScaleAssignment) -> frozenset[frozenset[int]]:
@@ -154,13 +150,11 @@ def preimage_interval(d: MomentDiagram, target, n: ScaleAssignment,
 # --- cut harvesting ------------------------------------------------------------
 
 
+@_memoized
 def _harvest_edges(d: MomentDiagram, F) -> tuple[list, list]:
     """(u, v, infinity) for each generalized edge interior to ``F`` and
     (edge, u, v) for the others, where u and v are the edge's endpoints,
     each list in ``generalized_edges`` order."""
-    key = ("harvest edges", frozenset(F))
-    if key in d._memo:
-        return d._memo[key]
     _, interior = _forest_edges(d, F)
     inner, rest = [], []
     for ge in generalized_edges(d):
@@ -170,8 +164,7 @@ def _harvest_edges(d: MomentDiagram, F) -> tuple[list, list]:
             inner.append((u, v, float("inf")))
         else:
             rest.append((ge, u, v))
-    d._memo[key] = table = (inner, rest)
-    return table
+    return inner, rest
 
 
 def harvest_cuts(d: MomentDiagram, F, n: ScaleAssignment) -> frozenset[int]:
@@ -229,13 +222,11 @@ def _kernel_edges(d: MomentDiagram, F) -> frozenset[int]:
     return frozenset().union(*map(d.K, F))
 
 
+@_memoized
 def _partition_frame(d: MomentDiagram) -> tuple:
     """The scale-free frame of the partition audit: the forests, the cut
     sites, each forest's kernel edges, the set of all (forest, cut) pairs,
     and each cut collection with the forests that avoid it."""
-    key = "partition frame"
-    if key in d._memo:
-        return d._memo[key]
     forests = d.enumerate_forests()
     sites = frozenset(d.cut_sites())
     kernel = {F: _kernel_edges(d, F) for F in forests}
@@ -243,8 +234,7 @@ def _partition_frame(d: MomentDiagram) -> tuple:
     all_pairs = {(F, cut) for F in forests for cut in _subsets(sites - kernel[F])}
     cuts = [(cut, [F for F in forests if not kernel[F] & cut])
             for cut in _subsets(sites)]
-    d._memo[key] = frame = (forests, sites, kernel, all_pairs, cuts)
-    return frame
+    return forests, sites, kernel, all_pairs, cuts
 
 
 def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:

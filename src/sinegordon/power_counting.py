@@ -10,6 +10,11 @@ lies in the cluster, whatever the hierarchy, and the non-root clusters of
 all hierarchies are exactly the vertex subsets of size 2 to n - 1.  So the
 cluster audits and the order read vertex subsets, and the summability
 probes recurse over subsets and their set partitions, never hierarchies.
+
+The weight the sign audits check on a node set is an integer count (kernel
+edges, decorations, cut exponents, integration volume) plus one coupling
+term: beta_bar (q^2 - N) for N noises of net charge q, or beta_bar N for
+the noises left outside the macroscopic cluster.
 """
 
 from __future__ import annotations
@@ -271,26 +276,10 @@ def _contracted(d: MomentDiagram, b: EdgeSetBundle, s_cut=frozenset()):
     return qhat, terms
 
 
-def set_s_hom(d: MomentDiagram, M) -> Fraction:
-    """Scaled size of a node set: decoration weight minus one coupling unit
-    per noise."""
-    bb = d.params.beta_bar
-    total = Fraction(0)
-    for u in M:
-        if u == BASE_POINT:
-            continue
-        total += deco_weight(d.deco[u])
-        if d.label[u] != "0":
-            total -= bb
-    return total
-
-
-def set_sg_hom(d: MomentDiagram, M) -> Fraction:
-    """Charge-corrected scaled size of a node set."""
-    bb = d.params.beta_bar
-    noises = [u for u in M if u != BASE_POINT and d.label[u] != "0"]
-    q = d.charge(noises)
-    return set_s_hom(d, M) + bb * q * q
+def _charge_term(d: MomentDiagram, nodes) -> Fraction:
+    """beta_bar (q^2 - N) for the N noises, of net charge q, among ``nodes``."""
+    q = d.charge(nodes)
+    return d.params.beta_bar * (q * q - len(d.L(nodes)))
 
 
 def sg_total_homogeneity(d: MomentDiagram, forest, s_cut=(), d_cut=()
@@ -301,11 +290,14 @@ def sg_total_homogeneity(d: MomentDiagram, forest, s_cut=(), d_cut=()
     Contracted forest members become single vertices; the combination
     collects the decoration, contracted-member, kernel-edge, noise-pair and
     recentered-edge groups.  ``s_cut`` are cut edges entering a contracted
-    member, ``d_cut`` the remaining cut edges.
+    member, ``d_cut`` the remaining cut edges.  An ``s_cut`` edge inside a
+    member is refused: only kernel edges outside the forest are cut.
     """
     top = derived_edge_sets(d, forest)
-    s_cut = frozenset(s_cut)
-    d_cut = frozenset(d_cut)
+    s_cut, d_cut = frozenset(s_cut), frozenset(d_cut)
+    if s_cut - top.K_F:
+        raise ValueError(f"s_cut edges {sorted(s_cut - top.K_F)} are not "
+                         f"kernel edges outside the forest's members")
     qhat, terms = _contracted(d, top, s_cut)
     for u in d.nodes:
         w = deco_weight(d.deco[u])
@@ -364,59 +356,41 @@ def reexpanded(setup: HomogeneitySetup, cluster: frozenset, d: MomentDiagram
 
 def inner_sigma_tilde(d: MomentDiagram, S, M) -> Fraction:
     """Cluster-sum weight of a node set inside one member: kernel gain minus
-    charge-corrected size minus integration volume."""
+    decoration weight, integration volume and the charge term."""
     K_in = sum(1 for e in d.K(S) if e in M and d.parent[e] in M)
-    return (2 * K_in - set_sg_hom(d, M)
-            - (len(M) - 1) * SCALING_DIM)
+    return (2 * K_in - sum(deco_weight(d.deco[u]) for u in M)
+            - (len(M) - 1) * SCALING_DIM - _charge_term(d, M))
 
 
 def big_graph_sigma_tilde(d: MomentDiagram, s_cut, d_cut, M) -> Fraction:
     """Cluster-sum weight of a node set of the full diagram (the set may
     contain the base point)."""
-    s_cut = frozenset(s_cut)
-    d_cut = frozenset(d_cut)
-    M = frozenset(M)
+    s_cut, d_cut, M = frozenset(s_cut), frozenset(d_cut), frozenset(M)
     nodes = M - {BASE_POINT}
-    K_in = sum(1 for e in d.kernel_edges
-               if e not in s_cut and e in M and d.parent[e] in M)
-    bb = d.params.beta_bar
-    noises = [u for u in nodes if d.label[u] != "0"]
-    q = d.charge(noises)
-    sg = -bb * len(noises) + bb * q * q
-    val = (-(len(M) - 1) * SCALING_DIM + 2 * K_in - sg)
+    val = (2 * sum(1 for e in d.kernel_edges
+                   if e not in s_cut and e in M and d.parent[e] in M)
+           - (len(M) - 1) * SCALING_DIM)
     if BASE_POINT in M:
-        deco = sum(deco_weight(d.deco[u]) for u in nodes)
-        val -= deco
-        for e in d_cut:
-            if e not in M and d.parent[e] in M:
-                val -= d.gamma(e)
-        for e in s_cut:
-            if e in M:
-                val += 2 + (d.gamma(e) - 1) * (0 if d.parent[e] in M else 1)
-    return val
+        val -= sum(deco_weight(d.deco[u]) for u in nodes)
+        val -= sum(d.gamma(e) for e in d_cut if e not in M and d.parent[e] in M)
+        val += sum(2 + (0 if d.parent[e] in M else d.gamma(e) - 1)
+                   for e in s_cut if e in M)
+    return val - _charge_term(d, nodes)
 
 
 def large_scale_sigma_tilde(d: MomentDiagram, s_cut, d_cut, M) -> Fraction:
     """Decay weight of a node set left outside the macroscopic cluster."""
-    s_cut = frozenset(s_cut)
-    d_cut = frozenset(d_cut)
-    M = frozenset(M)
-    bb = d.params.beta_bar
-    K_touch = sum(1 for e in d.kernel_edges
+    s_cut, d_cut, M = frozenset(s_cut), frozenset(d_cut), frozenset(M)
+    val = 2 * sum(1 for e in d.kernel_edges
                   if e not in s_cut and (e in M or d.parent[e] in M))
-    noises = [u for u in M if d.label[u] != "0"]
-    val = Fraction(2 * K_touch) + bb * len(noises)
-    for e in d_cut:
-        if e in M and d.parent[e] not in M:
-            val += d.gamma(e)
+    val += sum(d.gamma(e) for e in d_cut if e in M and d.parent[e] not in M)
     for e in s_cut:
         if e in M:
             val += 2
-        if d.parent[e] in M and e not in M:
+        elif d.parent[e] in M:
             val -= d.gamma(e) - 1
-    val -= sum(deco_weight(d.deco[u]) for u in M)
-    val -= len(M) * SCALING_DIM
-    return val
+    val -= sum(deco_weight(d.deco[u]) for u in M) + len(M) * SCALING_DIM
+    return val + d.params.beta_bar * len(d.L(M))
 
 
 # --- audits ----------------------------------------------------------------------
@@ -459,6 +433,19 @@ def divergent_cluster_exclusions(d: MomentDiagram, forest, qhat) -> frozenset:
                      for T in _uncontracted_divergent(d, forest))
 
 
+def _tally(report: ClusterAuditReport, M, margin: Fraction, violation):
+    """Count one checked set and keep the least margin; a margin that is not
+    positive fails the audit and records ``violation()``, which is built
+    only then."""
+    report.checked += 1
+    if report.min_margin is None or margin < report.min_margin:
+        report.min_margin = margin
+        report.argmin = sorted(M)
+    if margin <= 0:
+        report.ok = False
+        report.violations.append(violation())
+
+
 def subdivergence_audit(sigma: TotalHomogeneity, vertices, excluded=()
                         ) -> ClusterAuditReport:
     """Check that no cluster of vertices accumulates enough weight to beat
@@ -474,19 +461,10 @@ def subdivergence_audit(sigma: TotalHomogeneity, vertices, excluded=()
     report = ClusterAuditReport(True, "subdivergence", 0)
     for a in _clusters(vertices):
         total = sigma.nested(a, vertices)  # before the filter: it checks markers
-        if a in excluded:
-            continue
-        bound = (len(a) - 1) * SCALING_DIM
-        margin = bound - total
-        report.checked += 1
-        if report.min_margin is None or margin < report.min_margin:
-            report.min_margin = margin
-            report.argmin = sorted(a)
-        if margin <= 0:
-            report.ok = False
-            report.violations.append(
-                {"cluster": sorted(a), "total": str(total), "bound": bound}
-            )
+        if a not in excluded:
+            bound = (len(a) - 1) * SCALING_DIM
+            _tally(report, a, bound - total, lambda: {
+                "cluster": sorted(a), "total": str(total), "bound": bound})
     return report
 
 
@@ -507,7 +485,8 @@ def _sign_audit(context: str, setup: HomogeneitySetup, d: MomentDiagram,
     for a in sorted(_clusters(setup.vertices), key=sorted):
         M = reexpanded(setup, a, d)
         if M not in excluded:
-            _tally(report, M, value(M), want_negative=True)
+            val = value(M)
+            _tally(report, M, -val, lambda: {"set": sorted(M), "value": str(val)})
     return report
 
 
@@ -540,19 +519,8 @@ def sign_audit_large_scale(d: MomentDiagram, forest, s_cut=(), d_cut=()
     report = ClusterAuditReport(True, "large-scale", 0)
     for M in sorted(fam, key=sorted):
         val = large_scale_sigma_tilde(d, s_cut, d_cut, M)
-        _tally(report, M, val, want_negative=False)
+        _tally(report, M, val, lambda: {"set": sorted(M), "value": str(val)})
     return report
-
-
-def _tally(report: ClusterAuditReport, M, val: Fraction, want_negative: bool):
-    margin = -val if want_negative else val
-    report.checked += 1
-    if report.min_margin is None or margin < report.min_margin:
-        report.min_margin = margin
-        report.argmin = sorted(M)
-    if margin <= 0:
-        report.ok = False
-        report.violations.append({"set": sorted(M), "value": str(val)})
 
 
 def identity_audit(d: MomentDiagram, S, forest) -> ClusterAuditReport:

@@ -68,6 +68,16 @@ class TestExitCodes:
         flag = argv[2]
         assert err.startswith(f"error: {flag}") and named in err
 
+    @pytest.mark.parametrize("context", ["big-graph", "large-scale"])
+    def test_cut_inside_a_forest_member_is_refused(self, capsys, context):
+        # edge 2 lies inside the member {1, 2}; the library refuses it
+        code, out, err = run_cli(["power", "audit", "--forest", "1,2",
+                                  "--cuts", "2", "--context", context], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: s_cut edges [2] are not kernel edges outside "
+                       "the forest's members\n")
+
     @pytest.mark.parametrize("argv", [
         ["sim", "pde", "--samples", "4"],
         ["sim", "pde", "--out-csv", "pde.csv"],

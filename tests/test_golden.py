@@ -2,11 +2,13 @@
 
 The files under ``tests/golden/`` hold the exact stdout of each invocation
 below, exit code included.  The ``power audit`` files were recorded when the
-audits still enumerated every cluster hierarchy, the ``multiscale audit``
-files while the partition audit still rebuilt each cell's admissible cuts in
-a second pass, ``renorm_cancel_6`` (10 cancelling pairs, 8 parity-killed
-trees) while trees still computed their counts on first use, and the others
-before the field sampler moved to real-input transforms.  The echoed
+audits still enumerated every cluster hierarchy, except the ``cuts`` ones,
+recorded while each cluster weight was still summed term by term in
+``Fraction``s.  The ``multiscale audit`` files were recorded while the
+partition audit still rebuilt each cell's admissible cuts in a second pass,
+``renorm_cancel_6`` (10 cancelling pairs, 8 parity-killed trees) while trees
+still computed their counts on first use, and the others before the field
+sampler moved to real-input transforms.  The echoed
 ``config`` lost its ``threads`` entry when the ignored ``--threads`` flag was
 removed; nothing else changed.  Any refactor must reproduce them unchanged.
 """
@@ -18,6 +20,11 @@ import pytest
 from sinegordon.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# TAU4 with its first copy's root and one leaf contracted, and the two
+# other edges into that member recentered (the ``s_cut`` branch)
+CUTS_34 = ["--tree", "(-;0,0,0;(+;0,0,0;)(+;0,0,0;)(-;0,0,0;))",
+           "--forest", "1,2", "--cuts", "3,4", "--beta-bar", "7/4"]
 
 # name -> (extra argv after "power audit", expected exit code)
 CASES = {
@@ -34,6 +41,15 @@ CASES = {
                                 "--context", "big-graph"], 0),
     "p2_large_scale_forest_12": (["--p", "2", "--forest", "1,2",
                                   "--context", "large-scale"], 1),
+    "cuts_34_big_graph_forest_12": ([*CUTS_34, "--context", "big-graph"], 0),
+    "cuts_34_large_scale_forest_12": ([*CUTS_34, "--context", "large-scale"], 1),
+    "p2_cuts_34_large_scale_forest_12": ([*CUTS_34, "--context", "large-scale",
+                                          "--p", "2"], 1),
+    # TAU6's edge 2 has gamma = 3, so its (gamma - 1) term is not 0
+    "cuts_2_tau6_big_graph_forest_16": ([
+        "--tree", "(-;0,0,0;(+;0,0,0;)(+;0,0,0;(-;0,0,0;)(+;0,0,0;)(-;0,0,0;)))",
+        "--forest", "1,6", "--cuts", "2", "--beta-bar", "5/4",
+        "--context", "big-graph"], 1),
 }
 
 # name -> full argv of the other fast commands, each exiting 0

@@ -1,8 +1,10 @@
 """Diagram construction, divergences, gamma bookkeeping, the edge sets,
 the memo, and the term inventory."""
 
+import ast
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from sinegordon.moment_diagrams import (BASE_POINT, build_diagram,
                                         moment_terms, multilinearity_audit)
 
 P54 = ModelParams.from_beta_bar(Fraction(5, 4))
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sinegordon"
 
 # worked six-noise example: a negative root carrying one bare noise and a
 # positive node that itself carries three noises
@@ -225,6 +228,29 @@ class TestMemo:
     def test_memo_is_empty_after_build(self):
         assert build_diagram(TAU6, 1, P54)._memo == {}
         assert single_copy_diagram(dipole(), P54)._memo == {}
+
+    @pytest.mark.parametrize("table", ["_forest_edges", "_harvest_edges"])
+    def test_every_form_of_a_forest_shares_one_entry(self, table):
+        d = build_diagram(TAU4, 1, P54)
+        F = max(d.enumerate_forests(), key=len)
+        build = getattr(ms, table)
+        first = build(d, set(F))
+        size = len(d._memo)
+        assert build(d, F) is first and build(d, tuple(F)) is first
+        assert len(d._memo) == size
+
+    def test_only_the_decorator_touches_the_memo(self):
+        # every other reader or writer would have to know the key format
+        touching = set()
+        for path in sorted(PACKAGE.glob("*.py")):
+            for stmt in ast.parse(path.read_text()).body:
+                # a method counts as itself, a statement of the module too
+                for top in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+                    if any(isinstance(node, ast.Attribute) and node.attr == "_memo"
+                           for node in ast.walk(top)):
+                        name = getattr(top, "name", type(top).__name__)
+                        touching.add(f"{path.stem}.{name}")
+        assert touching == {"moment_diagrams._memoized"}
 
     def test_projection_reuses_the_edge_table(self, monkeypatch):
         d = build_diagram(TAU4, 1, P54)

@@ -1,5 +1,6 @@
 """Coalescence hierarchies, cluster sums, sign audits, summability."""
 
+import hashlib
 from fractions import Fraction as F
 from functools import lru_cache
 from itertools import combinations
@@ -244,6 +245,15 @@ class TestNineVertexDiagrams:
 
 
 class TestSignAudits:
+    def test_cut_inside_a_member_is_refused(self):
+        # its marker {0, 2} would lie outside the vertex set {0, 1, 3, 4}
+        d = build_diagram(dipole(), 1, ModelParams.from_beta_bar(F(5, 4)))
+        forest = (frozenset({1, 2}),)
+        with pytest.raises(ValueError, match=r"s_cut edges \[2\]"):
+            sg_total_homogeneity(d, forest, s_cut=(2,))
+        setup = sg_total_homogeneity(d, forest, s_cut=(4,))
+        assert setup.vertices == {BASE_POINT, 1, 3, 4}
+
     def test_big_graph_and_large_scale(self):
         for bb in [F(5, 4), F(7, 5)]:
             d = build_diagram(dipole(), 1, ModelParams.from_beta_bar(bb))
@@ -264,6 +274,47 @@ class TestSignAudits:
         S6 = frozenset(range(1, 7))
         r6 = sign_audit_inner(d6, S6, (S6, frozenset({2, 4})))
         assert r6.ok and r6.checked > 0
+
+
+# Diagrams of the cluster-weight digest: the multiscale oracle diagrams, TAU6,
+# whose edge into its inner vertex has gamma = 3, so (gamma - 1) is not 0,
+# and a dipole with a decorated leaf.
+WEIGHT_DIAGRAMS = [
+    build_diagram(dipole(), 1, ModelParams.from_beta_bar(F(5, 4))),
+    build_diagram(dipole(), 1, ModelParams.from_beta_bar(F(7, 5))),
+    build_diagram(TAU4, 1, ModelParams.from_beta_bar(F(5, 4))),
+    build_diagram(dipole(), 2, ModelParams.from_beta_bar(F(5, 4))),
+    build_diagram(TAU6, 1, ModelParams.from_beta_bar(F(5, 4))),
+    build_diagram(DecoratedTree("+", (0, 0, 0),
+                                (DecoratedTree("-", (0, 1, 0)),)),
+                  1, ModelParams.from_beta_bar(F(7, 5))),
+]
+
+
+class TestWeightDigest:
+    """Both cluster weights of the full diagram on every node set, with the
+    kernel edges split between ``s_cut`` and ``d_cut`` both ways; the
+    digest was recorded while each weight was still summed term by term."""
+
+    DIGEST = (27912, "4077b009bdfc0bf7ca783e9683ca3556"
+                     "7341dae2454db0c9dadaac0baf74fe52")
+
+    def test_digest_is_unchanged(self):
+        rows = []
+        for d in WEIGHT_DIAGRAMS:
+            edges = d.kernel_edges
+            vs = [BASE_POINT, *d.nodes]
+            for s_cut, d_cut in [(edges[::2], edges[1::2]),
+                                 (edges[1::2], edges[::2])]:
+                assert s_cut and d_cut
+                for k in range(1, len(vs) + 1):
+                    for M in combinations(vs, k):
+                        rows.append(str(big_graph_sigma_tilde(d, s_cut, d_cut, M)))
+                        if BASE_POINT not in M:
+                            rows.append(str(large_scale_sigma_tilde(
+                                d, s_cut, d_cut, M)))
+        digest = hashlib.sha256(" ".join(rows).encode()).hexdigest()
+        assert (len(rows), digest) == self.DIGEST
 
 
 class TestIdentity:
