@@ -17,8 +17,8 @@ Modules:
 - ``power_counting``: total homogeneities, cluster-sum evaluators, the
   subdivergence, sign, identity and order audits over vertex subsets, and
   summability probes that recurse over subsets and their set partitions;
-  no audit enumerates coalescence trees, whose enumeration the oracle tests
-  still use.
+  coalescence hierarchies are enumerated only as children maps, for the
+  oracle tests.
 - ``stochastic``: spectral sampling of the log-correlated field, its
   unit-expectation chaos exponentials, renormalization-constant scaling,
   dipole moment estimation, and the additive-decomposition PDE solver, all

@@ -254,6 +254,8 @@ def cmd_power_audit(args):
         if not forest:
             raise UsageError(f"--context {args.context}: requires --forest, "
                              f"whose first member is the audited subtree")
+        if s_cut:
+            raise UsageError(f"--cuts: --context {args.context} cuts no edges")
         audit = sign_audit_inner if args.context == "inner" else identity_audit
         rep = audit(d, forest[0], forest)
     elif args.context == "big-graph":

@@ -1,15 +1,17 @@
-"""Coalescence trees, cluster homogeneities, subdivergence audits, and
-summability probes.
+"""Total homogeneities, cluster weights, the subdivergence, sign,
+identity and order audits, and summability probes.
 
-A coalescence tree organizes a set of integration variables hierarchically
+A coalescence tree, or hierarchy, organizes a set of integration variables
 by the dyadic scale at which they cluster together.  A total homogeneity is
-a formal linear combination of cluster markers; evaluated on a coalescence
-tree it assigns an exact rational weight to every internal node.  The
+a formal linear combination of cluster markers; on a hierarchy each
+coefficient lands on the smallest cluster containing its marker.  The
 weight nested inside a cluster is the sum of the coefficients whose marker
 lies in the cluster, whatever the hierarchy, and the non-root clusters of
 all hierarchies are exactly the vertex subsets of size 2 to n - 1.  So the
 cluster audits and the order read vertex subsets, and the summability
 probes recurse over subsets and their set partitions, never hierarchies.
+The library enumerates hierarchies only as children maps
+(``all_coalescence_trees``), for the oracle tests of those recursions.
 
 The weight the sign audits check on a node set is an integer count (kernel
 edges, decorations, cut exponents, integration volume) plus one coupling
@@ -27,9 +29,6 @@ from .moment_diagrams import (BASE_POINT, EdgeSetBundle, MomentDiagram,
                               derived_edge_sets)
 from .tree_core import SCALING_DIM, deco_weight
 
-#: combinatorial constant in the annular-window condition
-ANNULUS_CONSTANT = 2
-
 #: hard cap on exhaustive coalescence-tree enumeration
 MAX_EXHAUSTIVE_VERTICES = 8
 
@@ -37,62 +36,7 @@ MAX_EXHAUSTIVE_VERTICES = 8
 MAX_CLUSTER_VERTICES = 17
 
 
-# --- coalescence trees ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoalescenceTree:
-    """Rooted cluster hierarchy over a vertex set.
-
-    Internal nodes are identified with their vertex subsets (clusters);
-    every internal node has at least two children which partition it, and
-    singleton children are leaves.  Optional integer labels record the
-    coalescence scale of each cluster and must strictly increase away from
-    the root.
-    """
-
-    vertices: frozenset
-    children: tuple  # tuple of (cluster, tuple-of-child-clusters) pairs
-    labels: tuple | None = None  # tuple of (cluster, int) pairs
-
-    def __post_init__(self):
-        cmap = dict(self.children)
-        root = frozenset(self.vertices)
-        if root not in cmap:
-            raise ValueError("children map must contain the full vertex set")
-        for a, kids in cmap.items():
-            if len(kids) < 2:
-                raise ValueError("internal cluster with fewer than two children")
-            u = frozenset().union(*kids)
-            if u != a or sum(len(k) for k in kids) != len(a):
-                raise ValueError("children must partition their cluster")
-        if self.labels is not None:
-            lmap = dict(self.labels)
-            for a, kids in cmap.items():
-                for k in kids:
-                    if k in cmap and lmap[k] <= lmap[a]:
-                        raise ValueError("labels must strictly increase away from root")
-
-    @property
-    def root(self) -> frozenset:
-        return frozenset(self.vertices)
-
-    @property
-    def internal(self) -> list[frozenset]:
-        return [a for a, _ in self.children]
-
-    def label(self, a: frozenset) -> int:
-        return dict(self.labels)[a]
-
-    def up(self, marker: frozenset) -> frozenset:
-        """Smallest internal cluster containing every vertex of the marker."""
-        best = None
-        for a in self.internal:
-            if marker <= a and (best is None or len(a) < len(best)):
-                best = a
-        if best is None:
-            raise ValueError(f"marker {sorted(marker)} not within the vertex set")
-        return best
+# --- hierarchies and vertex subsets --------------------------------------------
 
 
 def _set_partitions(seq: list):
@@ -132,8 +76,15 @@ def _children_maps(vs: frozenset, memo: dict) -> list[tuple]:
     return out
 
 
-def all_coalescence_trees(vertices) -> list[CoalescenceTree]:
-    """Exhaustive enumeration of cluster hierarchies on a small vertex set."""
+def all_coalescence_trees(vertices) -> list[tuple]:
+    """Exhaustive enumeration of cluster hierarchies on a small vertex set.
+
+    Each hierarchy is its children map: a tuple of (cluster, children)
+    pairs, one per cluster of at least two vertices, the vertex set first.
+    The children of a cluster are frozensets, at least two, that partition
+    it; a singleton child is a leaf, and every other child is a cluster of
+    the same map.
+    """
     vs = frozenset(vertices)
     if len(vs) < 2:
         raise ValueError("need at least two vertices")
@@ -141,7 +92,7 @@ def all_coalescence_trees(vertices) -> list[CoalescenceTree]:
         raise ValueError(
             f"refusing exhaustive enumeration beyond {MAX_EXHAUSTIVE_VERTICES} vertices"
         )
-    return [CoalescenceTree(vs, cm) for cm in _children_maps(vs, {})]
+    return _children_maps(vs, {})
 
 
 def _subset_vertices(vertices) -> list:
@@ -184,39 +135,6 @@ def _components(vertices, links) -> list[frozenset]:
     return [frozenset(g) for g in groups.values()]
 
 
-def coalesce(vertices, edges) -> CoalescenceTree:
-    """Cluster hierarchy determined by dyadic edge scales.
-
-    ``edges`` is an iterable of (u, v, scale) triples (a multigraph; repeats
-    allowed).  Clusters at level r are the connected components of the graph
-    using edges of scale >= r; each multi-vertex component is recorded with
-    the largest level at which it survives.  The full vertex set must be a
-    single component at level 0.
-    """
-    vs = sorted(frozenset(vertices))
-    edges = list(edges)
-    max_scale = max((s for _, _, s in edges), default=0)
-
-    clusters: dict[frozenset, int] = {}
-    for r in range(max_scale + 2):
-        comps = _components(vs, ((u, v) for u, v, s in edges if s >= r))
-        if r == 0 and len(comps) != 1:
-            raise ValueError("graph must be connected at scale zero")
-        for c in comps:
-            if len(c) >= 2:
-                clusters[c] = r
-
-    children = []
-    for a in clusters:
-        inner = [b for b in clusters if b < a]
-        maximal = [b for b in inner if not any(b < c for c in inner)]
-        covered = frozenset().union(*maximal) if maximal else frozenset()
-        kids = tuple(maximal) + tuple(frozenset([v]) for v in a - covered)
-        children.append((a, kids))
-    labels = tuple(clusters.items())
-    return CoalescenceTree(frozenset(vs), tuple(children), labels)
-
-
 # --- total homogeneities --------------------------------------------------------
 
 
@@ -229,12 +147,6 @@ class TotalHomogeneity:
     """
 
     terms: tuple  # of (Fraction, frozenset)
-
-    def evaluate(self, tree: CoalescenceTree) -> dict[frozenset, Fraction]:
-        vals = {a: Fraction(0) for a in tree.internal}
-        for coeff, marker in self.terms:
-            vals[tree.up(marker)] += coeff
-        return vals
 
     def nested(self, a: frozenset, vertices: frozenset) -> Fraction:
         """Weight of the cluster ``a`` and everything nested in it, on any
@@ -624,30 +536,3 @@ def summability_probe(sigma: TotalHomogeneity, vertices, alpha: Fraction,
     spread = (max(final) - min(final)) / max(final)
     return SummabilityReport(Fraction(alpha), values, normalized, spread,
                              spread <= tol)
-
-
-# --- bounded-cardinality cells ----------------------------------------------------
-
-
-def triangle_cell_count(vertices, edges, tree: CoalescenceTree) -> int:
-    """Count scale assignments reproducing a given labeled hierarchy within
-    the annular window around each edge's cluster label."""
-    if tree.labels is None:
-        raise ValueError("labeled hierarchy required")
-    n_v = len(frozenset(vertices))
-    width = 2 * ANNULUS_CONSTANT * n_v
-    ranges = []
-    for u, v, _ in edges:
-        s = tree.label(tree.up(frozenset([u, v])))
-        ranges.append(range(max(0, s - width + 1), s + width))
-    count = 0
-    for combo in product(*ranges):
-        n_edges = [(u, v, s) for (u, v, _), s in zip(edges, combo)]
-        try:
-            t2 = coalesce(vertices, n_edges)
-        except ValueError:
-            continue
-        if dict(t2.children) == dict(tree.children) and \
-                dict(t2.labels) == dict(tree.labels):
-            count += 1
-    return count

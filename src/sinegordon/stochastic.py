@@ -792,6 +792,8 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
     if not 0 < cfg.dt < np.inf:
         raise ValueError(
             f"time step dt = {cfg.dt} must be positive and finite")
+    if cfg.dt != lat.dt:
+        raise ValueError(f"time step dt = {cfg.dt} is not the lattice's {lat.dt}")
     if len(set(cfg.lambdas)) < 2:
         raise ValueError("need at least two distinct lambdas")
     if min(cfg.lambdas) * lat.n < 4:

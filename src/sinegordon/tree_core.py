@@ -173,11 +173,6 @@ def noise(sign: str) -> DecoratedTree:
     return XI_PLUS if sign == "+" else XI_MINUS
 
 
-def monomial(k: tuple[int, int, int]) -> DecoratedTree:
-    """Single 0-labeled node carrying the decoration ``k``."""
-    return DecoratedTree("0", tuple(k))
-
-
 def dipole(root_sign: str = "-") -> DecoratedTree:
     """Two-noise tree: a ``root_sign`` noise times the kernel of the other."""
     other = "+" if root_sign == "-" else "-"

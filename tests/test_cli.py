@@ -60,6 +60,10 @@ class TestExitCodes:
         (["sim", "dipole", "--samples", "0"], "got 0"),
         (["power", "audit", "--context", "inner"], "--forest"),
         (["multiscale", "audit", "--trials", "0"], "got 0"),
+        (["power", "audit", "--cuts", "2", "--forest", "1,2",
+          "--context", "inner"], "--context inner"),
+        (["power", "audit", "--cuts", "4", "--forest", "1,2",
+          "--context", "identity"], "--context identity"),
     ])
     def test_bad_ids_and_counts_are_usage_errors(self, capsys, argv, named):
         code, out, err = run_cli(argv, capsys)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sinegordon.tree_core import (DecoratedTree, ModelParams, XI_PLUS,
-                                  XI_MINUS, dipole, monomial, opp,
+                                  XI_MINUS, dipole, opp,
                                   tree_product, integrate)
 from sinegordon.rule_engine import enumerate_negative_trees, enumerate_trees
 from sinegordon.counterterm import UpsilonValue, upsilon, cancellation_report
@@ -31,7 +31,7 @@ class TestUpsilon:
         with pytest.raises(ValueError):
             upsilon(deco)
         with pytest.raises(ValueError):
-            upsilon(monomial((0, 0, 0)))
+            upsilon(DecoratedTree("0", (0, 0, 0)))
 
     def test_addition_requires_matching_degree(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import hashlib
 from fractions import Fraction as F
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import floor
 
 import pytest
@@ -12,13 +12,13 @@ from hypothesis import given, settings, strategies as st
 from sinegordon.tree_core import SCALING_DIM, DecoratedTree, ModelParams, dipole
 from sinegordon.moment_diagrams import BASE_POINT, build_diagram
 from sinegordon.power_counting import (
-    ANNULUS_CONSTANT, MAX_CLUSTER_VERTICES, TotalHomogeneity, _k_components,
-    all_coalescence_trees, big_graph_sigma_tilde, coalesce,
+    MAX_CLUSTER_VERTICES, TotalHomogeneity, _components, _k_components,
+    all_coalescence_trees, big_graph_sigma_tilde,
     divergent_cluster_exclusions, identity_audit, inner_sigma_tilde,
     inner_total_homogeneity, large_scale_sigma_tilde, order_audit,
     reexpanded, sg_total_homogeneity, sign_audit_big_graph,
     sign_audit_inner, sign_audit_large_scale, subdivergence_audit,
-    summability_probe, triangle_cell_count,
+    summability_probe,
 )
 
 Xp = DecoratedTree("+", (0, 0, 0))
@@ -28,6 +28,76 @@ TAU6 = DecoratedTree("-", (0, 0, 0), (Xp,
                                       DecoratedTree("+", (0, 0, 0),
                                                     (Xm, Xp, Xm))))
 
+# A hierarchy is a children map, as ``all_coalescence_trees`` returns it: a
+# tuple of (cluster, children) pairs, the vertex set first.
+
+
+def _up(tree, marker):
+    """The smallest cluster of the hierarchy ``tree`` holding ``marker``."""
+    return min((a for a, _ in tree if marker <= a), key=len)
+
+
+def _evaluate(sigma, tree):
+    """Each coefficient of ``sigma`` put on the smallest cluster of ``tree``
+    that holds its marker: the weight of every cluster."""
+    vals = {a: F(0) for a, _ in tree}
+    for coeff, marker in sigma.terms:
+        vals[_up(tree, marker)] += coeff
+    return vals
+
+
+def coalesce(vertices, edges):
+    """(hierarchy, labels) determined by dyadic edge scales.
+
+    ``edges`` is an iterable of (u, v, scale) triples (a multigraph; repeats
+    allowed).  Clusters at level r are the connected components of the graph
+    using edges of scale >= r; each multi-vertex component is labelled with
+    the largest level at which it survives.  The full vertex set must be a
+    single component at level 0.
+    """
+    vs = sorted(frozenset(vertices))
+    edges = list(edges)
+    max_scale = max((s for _, _, s in edges), default=0)
+    labels = {}
+    for r in range(max_scale + 2):
+        comps = _components(vs, ((u, v) for u, v, s in edges if s >= r))
+        if r == 0 and len(comps) != 1:
+            raise ValueError("graph must be connected at scale zero")
+        for c in comps:
+            if len(c) >= 2:
+                labels[c] = r
+    tree = []
+    for a in labels:
+        inner = [b for b in labels if b < a]
+        maximal = [b for b in inner if not any(b < c for c in inner)]
+        covered = frozenset().union(*maximal)
+        tree.append((a, tuple(maximal)
+                     + tuple(frozenset([v]) for v in a - covered)))
+    return tuple(tree), labels
+
+
+#: combinatorial constant in the annular-window condition
+ANNULUS_CONSTANT = 2
+
+
+def triangle_cell_count(vertices, edges, tree, labels):
+    """Count scale assignments reproducing the labelled hierarchy ``tree``
+    within the annular window around each edge's cluster label."""
+    width = 2 * ANNULUS_CONSTANT * len(frozenset(vertices))
+    ranges = []
+    for u, v, _ in edges:
+        s = labels[_up(tree, frozenset([u, v]))]
+        ranges.append(range(max(0, s - width + 1), s + width))
+    count = 0
+    for combo in product(*ranges):
+        try:
+            got, got_labels = coalesce(
+                vertices, [(u, v, s) for (u, v, _), s in zip(edges, combo)])
+        except ValueError:
+            continue
+        count += dict(got) == dict(tree) and got_labels == labels
+    return count
+
 
 class TestCoalescence:
     def test_hierarchy_counts(self):
@@ -35,19 +105,32 @@ class TestCoalescence:
         for n, expect in [(2, 1), (3, 4), (4, 26), (5, 236)]:
             assert len(all_coalescence_trees(range(n))) == expect
 
+    def test_children_maps_are_hierarchies(self):
+        for n in range(2, 6):
+            for tree in all_coalescence_trees(range(n)):
+                cmap = dict(tree)
+                assert tree[0][0] == frozenset(range(n))
+                assert len(cmap) == len(tree)
+                for a, kids in tree:
+                    assert len(kids) >= 2
+                    assert frozenset().union(*kids) == a
+                    assert sum(len(k) for k in kids) == len(a)
+                    assert all(k in cmap for k in kids if len(k) > 1)
+
     def test_coalesce_path(self):
-        t = coalesce(["v0", "v1", "v2"], [("v0", "v1", 3), ("v1", "v2", 7)])
-        assert dict(t.labels) == {frozenset(["v0", "v1", "v2"]): 3,
-                                  frozenset(["v1", "v2"]): 7}
+        _, labels = coalesce(["v0", "v1", "v2"],
+                             [("v0", "v1", 3), ("v1", "v2", 7)])
+        assert labels == {frozenset(["v0", "v1", "v2"]): 3,
+                          frozenset(["v1", "v2"]): 7}
 
     def test_coalesce_flat(self):
-        t = coalesce([0, 1, 2], [(0, 1, 0), (1, 2, 0)])
-        assert t.internal == [frozenset([0, 1, 2])]
+        tree, _ = coalesce([0, 1, 2], [(0, 1, 0), (1, 2, 0)])
+        assert [a for a, _ in tree] == [frozenset([0, 1, 2])]
 
     def test_coalesce_triangle_drops_slack_edge(self):
-        t = coalesce(["a", "b", "c"],
-                     [("a", "b", 5), ("b", "c", 5), ("c", "a", 9)])
-        assert dict(t.labels) == {frozenset("abc"): 5, frozenset("ac"): 9}
+        _, labels = coalesce(["a", "b", "c"],
+                             [("a", "b", 5), ("b", "c", 5), ("c", "a", 9)])
+        assert labels == {frozenset("abc"): 5, frozenset("ac"): 9}
 
 
 class TestOrderAndSubdivergence:
@@ -87,14 +170,12 @@ class TestOrderAndSubdivergence:
 def _hierarchy_clusters(vertices):
     """(hierarchy, non-root cluster) pairs over all hierarchies."""
     for tree in all_coalescence_trees(vertices):
-        for a in tree.internal:
-            if a != tree.root:
-                yield tree, a
+        for a, _ in tree[1:]:
+            yield tree, a
 
 
 def _hierarchy_nested(sigma, tree, a):
-    vals = sigma.evaluate(tree)
-    return sum(vals[b] for b in tree.internal if b <= a)
+    return sum(v for b, v in _evaluate(sigma, tree).items() if b <= a)
 
 
 def _verdict(margins):
@@ -201,7 +282,7 @@ class TestSubsetOracle:
             [inner_total_homogeneity(d6, S6, (S6,))]
         for setup in setups:
             n = len(setup.vertices)
-            orders = {sum(setup.sigma.evaluate(t).values()) - (n - 1) * SCALING_DIM
+            orders = {sum(_evaluate(setup.sigma, t).values()) - (n - 1) * SCALING_DIM
                       for t in all_coalescence_trees(setup.vertices)}
             assert orders == {order_audit(setup.sigma, setup.vertices)[1]}
 
@@ -366,20 +447,19 @@ class TestSummability:
         verts = [0, 1, 2, 3]
         edges = [(0, 1, None), (1, 2, None), (2, 3, None)]
         base = [(0, 1, 8), (1, 2, 5), (2, 3, 10)]
-        tree = coalesce(verts, base)
-        c1 = triangle_cell_count(verts, edges, tree)
+        c1 = triangle_cell_count(verts, edges, *coalesce(verts, base))
         shifted = coalesce(verts, [(u, v, s + 3) for u, v, s in base])
-        c2 = triangle_cell_count(verts, edges, shifted)
+        c2 = triangle_cell_count(verts, edges, *shifted)
         assert c1 == c2 <= (4 * ANNULUS_CONSTANT * 4) ** 3
 
 
 def _tree_sum(sigma, tree, lo, hi, root_hi=None):
     """Scale sum of one hierarchy over strictly increasing labelings, root
     label in [lo, root_hi], all labels <= hi, label by label."""
-    vals = sigma.evaluate(tree)
-    cmap = dict(tree.children)
-    weights = {a: float(vals[a]) - SCALING_DIM * (len(cmap[a]) - 1)
-               for a in tree.internal}
+    vals = _evaluate(sigma, tree)
+    cmap = dict(tree)
+    weights = {a: float(vals[a]) - SCALING_DIM * (len(kids) - 1)
+               for a, kids in tree}
 
     @lru_cache(maxsize=None)
     def g(a, lmin):
@@ -395,8 +475,8 @@ def _tree_sum(sigma, tree, lo, hi, root_hi=None):
     top = root_hi if root_hi is not None else hi
     total = 0.0
     for l in range(lo, min(top, hi) + 1):
-        prod = 2.0 ** (weights[tree.root] * l)
-        for b in cmap[tree.root]:
+        prod = 2.0 ** (weights[tree[0][0]] * l)
+        for b in tree[0][1]:
             if b in weights:
                 prod *= g(b, l + 1)
         total += prod

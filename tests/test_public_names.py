@@ -8,9 +8,14 @@ unused.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sinegordon"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sinegordon"
+TRACER = ROOT / "perfbench" / "tracer.py"
+SUBDIVERGENCE = ("the paper's subdivergence condition, checked against all "
+                 "hierarchies; no CLI context runs it")
 
 # "module.name" -> why it stands without a caller in src/
 ALLOWED = {
@@ -18,22 +23,17 @@ ALLOWED = {
     "multiscale.preimage_interval":
         "acceptance criterion 05; benchmark tracer layer",
     "power_counting.all_coalescence_trees":
-        "benchmark tracer layer; test oracle of the cluster audits",
-    "power_counting.divergent_cluster_exclusions":
-        "test oracle: the exclusions subdivergence_audit is checked with",
+        "benchmark tracer layer; the hierarchies of the cluster-audit oracles",
+    "power_counting.divergent_cluster_exclusions": SUBDIVERGENCE,
     "power_counting.order_audit": "acceptance criterion 07",
-    "power_counting.subdivergence_audit":
-        "test oracle: subdivergence freedom against the hierarchies",
+    "power_counting.subdivergence_audit": SUBDIVERGENCE,
     "power_counting.summability_probe": "acceptance criterion 07",
-    "power_counting.triangle_cell_count":
-        "test oracle: scale invariance of the annular cells",
     "stochastic.correlation_slopes":
         "acceptance criterion 09; benchmark tracer layer",
     "stochastic.covariance_table":
         "test oracle: sampled covariance and criterion 09's exact profile",
     "stochastic.translation_correlation":
         "benchmark tracer layer; test oracle of the dipole counterterm",
-    "tree_core.monomial": "test oracle: polynomial trees",
 }
 
 
@@ -91,3 +91,21 @@ def test_the_scan_sees_an_unused_function():
         "VALUE = called()\n"))
     found = set(unreferenced(sources)) - set(ALLOWED)
     assert found == {"extra.orphan", "extra.recursive", "extra.VALUE"}
+
+
+def _tracer_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.LAYERS
+
+
+def test_tracer_reasons_name_tracer_layers():
+    # the module-level package callables the tracer wraps, as "module.name"
+    layers = {f"{module.removeprefix('sinegordon.')}.{path}"
+              for _, module, path, _ in _tracer_layers()
+              if module.startswith("sinegordon.") and "." not in path}
+    named = {name for name, why in ALLOWED.items() if "benchmark tracer" in why}
+    assert named <= layers
+    # a traced callable with no caller in src/ says that it is traced
+    assert layers & set(unreferenced(package_sources())) <= named

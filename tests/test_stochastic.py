@@ -955,14 +955,22 @@ class TestDipolePieces:
     @pytest.mark.parametrize("dt", [0.0, -2.0**-8, float("nan"),
                                     float("inf")])
     def test_time_step_must_be_positive_and_finite(self, dt):
-        # the lattice refuses it, and so does the dipole, which steps by
-        # cfg.dt rather than lat.dt
+        # the lattice refuses it, and so does the dipole, before it compares
+        # cfg.dt with lat.dt
         with pytest.raises(ValueError, match="must be positive and finite"):
             TorusLattice(32, dt=dt)
         from sinegordon.stochastic import dipole_moment
         cfg = DipoleConfig(eps=2.0**-4, dt=dt, n_samples=1)
         with pytest.raises(ValueError, match="must be positive and finite"):
             dipole_moment(TorusLattice(32, dt=2.0**-8), cfg, seed=0)
+
+    def test_time_step_must_be_the_lattice_step(self):
+        # the dipole steps by cfg.dt, so a lattice built for another step
+        # would be stepped silently at a step the caller did not give it
+        from sinegordon.stochastic import dipole_moment
+        cfg = DipoleConfig(eps=2.0**-4, dt=2.0**-8, n_samples=1)
+        with pytest.raises(ValueError, match="is not the lattice's"):
+            dipole_moment(TorusLattice(32, dt=2.0**-9), cfg, seed=0)
 
     def test_lambda_floor_enforced(self):
         lat = TorusLattice(32, dt=2.0**-8)

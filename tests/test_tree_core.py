@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from sinegordon.tree_core import (
     DecoratedTree, Homogeneity, ModelParams, SupercriticalError,
-    XI_PLUS, XI_MINUS, canonical_key, dipole, integrate, monomial, noise,
+    XI_PLUS, XI_MINUS, canonical_key, dipole, integrate, noise,
     opp, parse_key, s_homogeneity, sg_homogeneity, symmetry_factor,
     tree_product,
 )
@@ -85,9 +85,9 @@ class TestHomogeneity:
         assert (diff.const, diff.bcoeff) == (0, 4)
 
     def test_decoration_weight_is_parabolic(self):
-        h = s_homogeneity(monomial((1, 0, 0)))
+        h = s_homogeneity(DecoratedTree("0", (1, 0, 0)))
         assert h.const == 2 and h.bcoeff == 0
-        assert s_homogeneity(monomial((0, 1, 1))).const == 2
+        assert s_homogeneity(DecoratedTree("0", (0, 1, 1))).const == 2
 
     @given(trees())
     def test_opp_preserves_homogeneity_and_charge_flip(self, tau):
