@@ -10,16 +10,10 @@ Subcommand groups::
     sim         field | dipole | pde | converge    Monte Carlo studies
 
 Exit codes: 0 success, 1 audit/criterion failure, 2 usage or domain error,
-3 internal error.  All
-rational parameters are passed as exact strings ("5", "503/300"); floats are
-reserved for lattice and tolerance knobs.  Every emitted file embeds a schema
-version plus the fully resolved configuration, and identical (config, seed)
-pairs produce byte-identical output.
-
-``build_parser`` adds the six groups but not their subcommands: a group's
-subcommand parsers are built when the command line enters that group, so a
-command pays for its own group's parsers only.  Help and error texts are
-unchanged by this, as a group's parsers exist before it parses anything.
+3 internal error.  All rational parameters are passed as exact strings
+("5", "503/300"); floats are reserved for lattice and tolerance knobs.  Every
+emitted file embeds a schema version plus the fully resolved configuration,
+and identical (config, seed) pairs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -469,7 +463,8 @@ _GROUPS = {"trees": _trees, "renorm": _renorm, "diagram": _diagram,
 class _Groups(argparse._SubParsersAction):
     """The subcommand groups.  A group's subcommands are built when the
     command line enters that group, so a command pays for its own parsers
-    only."""
+    only; help and error texts are unchanged, as a group's parsers exist
+    before it parses anything."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         group = self._name_parser_map[values[0]]  # argparse checked the name

@@ -22,7 +22,9 @@ in any order.  ``white_spectral``, ``GaussianField.real_space`` and
 in one complex array.  Chaos sines and cosines come from ``_charges_into``,
 and ``wick_exponential`` writes them into the buffers it is given, so
 ``_chaos_spectra`` samples every field in buffers allocated once per grid
-size, with ``fft2`` as its two 1-d passes in place.
+size, with ``fft2`` as its two 1-d passes in place.  Each experiment
+checks its validity window, lazy rules (name, holds, message), through
+``_refuse`` before it does any work.
 """
 
 from __future__ import annotations
@@ -36,6 +38,13 @@ TWO_PI = 2.0 * np.pi
 
 GAUSS = "gauss"
 QUARTIC = "quartic"
+
+
+def _refuse(window):
+    """Raise a ValueError with the first failing rule's message."""
+    for _, holds, message in window:
+        if not holds:
+            raise ValueError(message)
 
 
 @dataclass
@@ -372,12 +381,16 @@ class ChaosStats:
                 and abs(self.mean_im) <= 3 * self.se_im)
 
 
+def _chaos_mean_window(n_fields):
+    # one field has no standard error
+    yield ("fields", n_fields >= 2,
+           f"n_fields = {n_fields}: need at least two fields")
+
+
 def chaos_mean(lat: TorusLattice, eps: float, beta_sq, seed: int,
                n_fields: int = 64) -> ChaosStats:
-    """Monte Carlo check of the unit-expectation normalization, over at
-    least two fields, as one field has no standard error."""
-    if n_fields < 2:
-        raise ValueError(f"n_fields = {n_fields}: need at least two fields")
+    """Monte Carlo check of the unit-expectation normalization."""
+    _refuse(_chaos_mean_window(n_fields))
     c_eps = renorm_constant(lat, eps, beta_sq)
     res, ims = [], []
     for s in range(n_fields):
@@ -532,6 +545,21 @@ def _chaos_spectra(lat: TorusLattice, var: np.ndarray, beta_sq, seed: int,
     return size, power, cross
 
 
+def _correlation_slopes_window(lat, eps, shifts, n_fields, condition_modes):
+    yield ("separation", not min(shifts) < 2 * eps * lat.n,
+           "insufficient scale separation for the fit window")
+    # a larger shell wraps around the torus
+    yield ("wrap", max(shifts) <= lat.n / 2,
+           f"shifts above n/2 = {lat.n // 2} cells wrap around the torus")
+    # the shifts are the points of each fit
+    yield "shifts", len(set(shifts)) >= 2, "need at least two distinct shifts"
+    # the cutoff enters squared, so -c would run as c
+    yield ("condition_modes", condition_modes is None or condition_modes >= 0,
+           f"condition_modes = {condition_modes} is negative")
+    yield ("fields", n_fields >= 1,
+           f"n_fields = {n_fields}: need at least one field")
+
+
 def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
                        n_fields: int = 64, shifts=None, want_same: bool = True,
                        condition_modes: int | None = None
@@ -542,10 +570,8 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
     Opposite charges attract (negative exponent), same charges repel, and
     the two power laws are reciprocal, so the product's slope is compatible
     with zero; ``want_same=False`` skips the same-charge fit, whose signal
-    is tiny at strong coupling.  At least two distinct shifts, the points
-    of each fit, must lie between 2 eps n and n/2 cells, as a larger shell
-    wraps around the torus; by default they are the dyadic separations
-    2^-5 ... 2^-2.  At least one field is sampled.
+    is tiny at strong coupling.  The shifts, in cells, are by default the
+    dyadic separations 2^-5 ... 2^-2.
 
     The estimator is conditional Monte Carlo on the modes |m| <= c =
     ``condition_modes`` >= 0 (None: every mode).  Modes above the cutoff are
@@ -559,17 +585,8 @@ def correlation_slopes(lat: TorusLattice, eps: float, beta_sq, seed: int,
     n = lat.n
     if shifts is None:
         shifts = dyadic_shifts(lat, 2.0**-5, 2.0**-2)
-    if min(shifts) < 2 * eps * n:
-        raise ValueError("insufficient scale separation for the fit window")
-    if max(shifts) > n / 2:
-        raise ValueError(f"shifts above n/2 = {n // 2} cells wrap around "
-                         f"the torus")
-    if len(set(shifts)) < 2:
-        raise ValueError("need at least two distinct shifts")
-    if condition_modes is not None and condition_modes < 0:
-        raise ValueError(f"condition_modes = {condition_modes} is negative")
-    if n_fields < 1:
-        raise ValueError(f"n_fields = {n_fields}: need at least one field")
+    _refuse(_correlation_slopes_window(lat, eps, shifts, n_fields,
+                                       condition_modes))
     beta2 = float(Fraction(beta_sq)) * np.pi
     modes = n if condition_modes is None else condition_modes
     lo = lat.m2 <= modes**2
@@ -735,6 +752,10 @@ def _measured_steps(cfg: DipoleConfig) -> np.ndarray:
     return n_burn + np.arange(round(cfg.t_measure / cfg.dt))
 
 
+def _block_lengths(cfg: DipoleConfig) -> list[int]:
+    return [max(1, int(round(lam**2 / (4.0 * cfg.dt)))) for lam in cfg.lambdas]
+
+
 def dipole_counterterm(lat: TorusLattice, cfg: DipoleConfig) -> list[float]:
     """Exact counterterm kappa_lambda for each lambda in ``cfg.lambdas``.
 
@@ -768,6 +789,28 @@ def dipole_counterterm(lat: TorusLattice, cfg: DipoleConfig) -> list[float]:
                                 s=(n, n))[0, 0]) / n**2 for lam in cfg.lambdas]
 
 
+def _dipole_moment_window(lat, cfg):
+    beta2 = float(Fraction(cfg.beta_sq)) * np.pi
+    yield ("coupling", 4 * np.pi < beta2 < 16 * np.pi / 3,
+           "dipole scaling window requires beta^2 in (4pi, 16pi/3)")
+    yield ("dt", 0 < cfg.dt < np.inf,
+           f"time step dt = {cfg.dt} must be positive and finite")
+    yield ("lattice_dt", cfg.dt == lat.dt,
+           f"time step dt = {cfg.dt} is not the lattice's {lat.dt}")
+    yield ("lambdas", len(set(cfg.lambdas)) >= 2,
+           "need at least two distinct lambdas")
+    yield ("lambda_floor", not min(cfg.lambdas) * lat.n < 4,
+           "smallest lambda is below 4 grid cells")
+    # one time block has no standard error
+    n_slices = len(_measured_steps(cfg))
+    for lam, w in zip(cfg.lambdas, _block_lengths(cfg)):
+        yield ("blocks", n_slices // w >= 2,
+               f"lambda = {lam}: t_measure holds {n_slices} measured slices, "
+               f"fewer than 2 time blocks of {w}")
+    yield ("samples", cfg.n_samples >= 1,
+           f"n_samples = {cfg.n_samples}: need at least one sample")
+
+
 def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
                   ) -> DipoleReport:
     """Second moment of the renormalized dipole observable across scales.
@@ -783,29 +826,10 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
     The steps must resolve the chaos decorrelation time: with dt much
     larger than eps^2 the time-Riemann sum picks up a same-cell term of
     size ~C_eps^2 that masquerades as extra small-scale mass and steepens
-    the fitted slope.  Every lambda's time window must fit at least twice
-    into t_measure, or its standard error is undefined.
+    the fitted slope.
     """
-    beta2 = float(Fraction(cfg.beta_sq)) * np.pi
-    if not (4 * np.pi < beta2 < 16 * np.pi / 3):
-        raise ValueError("dipole scaling window requires beta^2 in (4pi, 16pi/3)")
-    if not 0 < cfg.dt < np.inf:
-        raise ValueError(
-            f"time step dt = {cfg.dt} must be positive and finite")
-    if cfg.dt != lat.dt:
-        raise ValueError(f"time step dt = {cfg.dt} is not the lattice's {lat.dt}")
-    if len(set(cfg.lambdas)) < 2:
-        raise ValueError("need at least two distinct lambdas")
-    if min(cfg.lambdas) * lat.n < 4:
-        raise ValueError("smallest lambda is below 4 grid cells")
-    lambdas = list(cfg.lambdas)
-    windows = [max(1, int(round(lam**2 / (4.0 * cfg.dt)))) for lam in lambdas]
-    n_slices = len(_measured_steps(cfg))
-    for lam, w in zip(lambdas, windows):
-        if n_slices // w < 2:
-            raise ValueError(
-                f"lambda = {lam}: t_measure holds {n_slices} measured slices, "
-                f"fewer than 2 time blocks of {w}")
+    _refuse(_dipole_moment_window(lat, cfg))
+    lambdas, windows = list(cfg.lambdas), _block_lengths(cfg)
     kappas = dipole_counterterm(lat, cfg)
     n = lat.n
     # complex, as each product with a half-spectrum would cast them anyway
@@ -899,10 +923,7 @@ class PDEResult:
 def _width_forcings(lat: TorusLattice, beta_sq, widths) -> list:
     """Per (width, shape) of ``widths``, the pair (C, n^2 sigma_k) that
     forces that width in ``_shifted_steps``: its renormalization constant,
-    and the rfft2 of its field per unit of z (n^2 scales exactly).  Only
-    beta^2 < 4 pi is accepted."""
-    if float(Fraction(beta_sq)) >= 4.0:
-        raise ValueError("pde solver requires beta^2 < 4*pi")
+    and the rfft2 of its field per unit of z (n^2 scales exactly)."""
     return [(renorm_constant(lat, w, beta_sq, sh),
              lat.n**2 * lat.sigma_k(w, sh)) for w, sh in widths]
 
@@ -921,8 +942,6 @@ def _shifted_steps(lat: TorusLattice, beta_sq, seed: int, widths, forcings,
     """
     dt = lat.dt
     n_steps = int(round(t_end / dt))
-    if n_steps < 1:
-        raise ValueError(f"t_end = {t_end} rounds to no step of dt = {dt}")
     beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
     fld = sample_phi(lat, widths[0][0], seed, shape=widths[0][1])
     rng = _step_rngs(seed)
@@ -941,20 +960,33 @@ def _shifted_steps(lat: TorusLattice, beta_sq, seed: int, widths, forcings,
         yield step, n_steps
 
 
+def _shifted_window(lat, beta_sq, t_end):
+    # below 4 pi the Da Prato-Debussche expansion closes at first order
+    yield ("coupling", float(Fraction(beta_sq)) < 4.0,
+           "pde solver requires beta^2 < 4*pi")
+    yield ("steps", not t_end / lat.dt <= 0.5,     # round(x) >= 1 iff x > 1/2
+           f"t_end = {t_end} rounds to no step of dt = {lat.dt}")
+
+
+def _solve_pde_window(lat, beta_sq, t_end, v0, record_every):
+    yield ("v0_shape", v0.shape == (lat.n, lat.n),
+           f"v0 has shape {v0.shape}, not ({lat.n}, {lat.n})")
+    yield ("record_every", record_every is None or record_every >= 1,
+           f"record_every = {record_every} is below 1")
+    yield from _shifted_window(lat, beta_sq, t_end)
+
+
 def solve_pde(lat: TorusLattice, eps: float, beta_sq, seed: int,
               t_end: float, v0: np.ndarray | None = None,
               record_every: int | None = None) -> PDEResult:
     """The shifted equation of ``_shifted_steps`` at the Gaussian width
     eps, from ``v0`` (n-by-n, zero unless given), recorded every
     ``record_every`` >= 1 steps (None: none but the last) and after the
-    last step.  Only beta^2 < 4 pi is accepted."""
+    last step."""
     n = lat.n
     v0 = np.zeros((n, n)) if v0 is None else np.asarray(v0, dtype=float)
-    if v0.shape != (n, n):
-        raise ValueError(f"v0 has shape {v0.shape}, not ({n}, {n})")
+    _refuse(_solve_pde_window(lat, beta_sq, t_end, v0, record_every))
     u_hats = np.fft.rfft2(v0)[None]
-    if record_every is not None and record_every < 1:
-        raise ValueError(f"record_every = {record_every} is below 1")
     widths = [(eps, GAUSS)]
     forcings = _width_forcings(lat, beta_sq, widths)
     scratch = np.empty((2, n, n)), np.empty((2, n, lat.n_rfft), dtype=complex)
@@ -981,7 +1013,7 @@ class ConvergenceReport:
 
     @property
     def ratios_ok(self) -> bool:
-        return all(r <= 0.85 for r in self.ratios)
+        return bool(self.ratios) and all(r <= 0.85 for r in self.ratios)
 
     @property
     def swap_ok(self) -> bool:
@@ -1001,6 +1033,15 @@ class ConvergenceReport:
         }
 
 
+def _convergence_study_window(lat, beta_sq, eps_list, seeds, t_end):
+    yield "widths", len(eps_list) >= 2, "need at least two widths"
+    yield ("cascade", not any(abs(a / b - 2.0) > 1e-9
+                              for a, b in zip(eps_list, eps_list[1:])),
+           "widths must form a dyadic cascade")
+    yield "seeds", len(seeds) >= 1, "need at least one seed"
+    yield from _shifted_window(lat, beta_sq, t_end)
+
+
 def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
                       t_end: float = 0.25) -> ConvergenceReport:
     """Cauchy-in-width study with common driving noise across widths, in
@@ -1011,16 +1052,10 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     sup, over the states after the steps of the last three quarters, of the
     difference between solutions at consecutive widths, and the swap gap
     is that of the finest Gaussian and the quartic; a NaN solution reaches
-    the sup.  Only beta^2 < 4 pi is accepted.
+    the sup.
     """
     eps_list, seeds = sorted(eps_list, reverse=True), list(seeds)
-    if len(eps_list) < 2:
-        raise ValueError("need at least two widths")
-    for a, b in zip(eps_list, eps_list[1:]):
-        if abs(a / b - 2.0) > 1e-9:
-            raise ValueError("widths must form a dyadic cascade")
-    if not seeds:
-        raise ValueError("need at least one seed")
+    _refuse(_convergence_study_window(lat, beta_sq, eps_list, seeds, t_end))
     swap_eps = calibrate_width(lat, eps_list[-1], QUARTIC)
     widths = [(w, GAUSS) for w in eps_list] + [(swap_eps, QUARTIC)]
     forcings = _width_forcings(lat, beta_sq, widths)     # shared by the seeds

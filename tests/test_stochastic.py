@@ -18,7 +18,7 @@ from sinegordon.stochastic import (
     GAUSS, QUARTIC, GaussianField, TorusLattice, bump_spectral,
     calibrate_width, chaos_mean, convergence_study, correlation_slopes,
     dipole_counterterm, dipole_moment, DipoleConfig, renorm_constant,
-    renorm_slope, sample_phi, sigma2, solve_pde, step_rng,
+    renorm_slope, sample_phi, sigma2, solve_pde, step_rng, ConvergenceReport,
     translation_correlation, white_spectral, wick_exponential,
     covariance_table, _HeatDriver, _chaos_spectra, _charges_into,
     _ifft2_real, _imag_residues, _irfft2_into, _rfft2_into, _step_rngs,
@@ -665,11 +665,6 @@ class TestChaos:
             correlation_slopes(LAT, 2.0**-4, Fraction(1), seed=0,
                                n_fields=2, shifts=shifts)
 
-    def test_scale_separation_guard(self):
-        with pytest.raises(ValueError):
-            correlation_slopes(LAT, 2.0**-3, Fraction(1), seed=0,
-                               shifts=[2, 4])
-
     @pytest.mark.parametrize("largest", [20, 24])
     def test_shifts_beyond_half_the_torus_are_refused(self, largest):
         # on 32^2 a radius-20 shell is 16 corner cells, a radius-24 one empty
@@ -923,11 +918,13 @@ class TestDipolePieces:
         assert 0 < kappas[1] < kappas[2] < kappas[3]
 
     def test_coupling_window_enforced(self):
+        # lambdas of at least 4 cells, so that only the coupling is refused
         lat = TorusLattice(32, dt=2.0**-8)
         from sinegordon.stochastic import dipole_moment
         for bad in (Fraction(3), Fraction(6)):
-            cfg = DipoleConfig(beta_sq=bad, eps=2.0**-4, dt=2.0**-8)
-            with pytest.raises(ValueError):
+            cfg = DipoleConfig(beta_sq=bad, eps=2.0**-4, dt=2.0**-8,
+                               lambdas=(2.0**-2, 2.0**-3))
+            with pytest.raises(ValueError, match="dipole scaling window"):
                 dipole_moment(lat, cfg, seed=0)
 
     def test_too_few_time_blocks_refused(self):
@@ -973,11 +970,20 @@ class TestDipolePieces:
             dipole_moment(TorusLattice(32, dt=2.0**-9), cfg, seed=0)
 
     def test_lambda_floor_enforced(self):
+        # two distinct lambdas, so that only the 1-cell one is refused
         lat = TorusLattice(32, dt=2.0**-8)
         from sinegordon.stochastic import dipole_moment
-        cfg = DipoleConfig(eps=2.0**-4, dt=2.0**-8, lambdas=(2.0**-5,))
-        with pytest.raises(ValueError):
+        cfg = DipoleConfig(eps=2.0**-4, dt=2.0**-8,
+                           lambdas=(2.0**-2, 2.0**-5))
+        with pytest.raises(ValueError, match="below 4 grid cells"):
             dipole_moment(lat, cfg, seed=0)
+
+    def test_no_sample_refused(self):
+        # no sample has no time block, so every moment would divide by zero
+        cfg = DipoleConfig(eps=2.0**-4, dt=2.0**-8,
+                           lambdas=(2.0**-2, 2.0**-3), n_samples=0)
+        with pytest.raises(ValueError, match="need at least one sample"):
+            dipole_moment(TorusLattice(32, dt=2.0**-8), cfg, seed=0)
 
 
 class TestPDE:
@@ -1025,11 +1031,11 @@ class TestPDE:
 
     def test_convergence_guard_rails(self):
         lat = TorusLattice(32, dt=2.0**-8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least two widths"):
             convergence_study(lat, Fraction(2), [2.0**-3], [0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dyadic cascade"):
             convergence_study(lat, Fraction(2), [2.0**-3, 2.0**-3.5], [0])
-        # the coupling and step checks run with the first seed's loop
+        # the seeds rule comes before the coupling and step rules
         with pytest.raises(ValueError, match="at least one seed"):
             convergence_study(lat, Fraction(4), [2.0**-2, 2.0**-3], [])
 
@@ -1040,6 +1046,34 @@ class TestPDE:
             solve_pde(lat, 0.25, beta_sq, seed=0, t_end=lat.dt)
         with pytest.raises(ValueError, match=r"beta\^2 < 4\*pi"):
             convergence_study(lat, beta_sq, [0.5, 0.25], [0], t_end=lat.dt)
+
+    def test_coupling_refused_before_the_swap_width(self):
+        # no quartic width matches eps = 2 at 32^2, but the coupling is
+        # checked first
+        lat = TorusLattice(32, dt=2.0**-8)
+        with pytest.raises(ValueError, match=r"beta\^2 < 4\*pi"):
+            convergence_study(lat, Fraction(4), [4.0, 2.0], [0], t_end=lat.dt)
+
+    def test_run_without_steps_refused_before_any_work(self, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("the run started before its refusal")
+
+        monkeypatch.setattr(TorusLattice, "mode_variances", work)
+        lat = TorusLattice(32, dt=2.0**-8)
+        with pytest.raises(ValueError, match="rounds to no step"):
+            solve_pde(lat, 2.0**-3, Fraction(2), seed=0, t_end=0.0)
+        with pytest.raises(ValueError, match="rounds to no step"):
+            convergence_study(lat, Fraction(2), [2.0**-2, 2.0**-3], [0],
+                              t_end=0.0)
+
+    def test_ratios_ok_needs_a_ratio(self):
+        # two widths give one d and no ratio: nothing has passed
+        rep = ConvergenceReport([0.25, 0.125], 0.1, [0.01], [], 0.0, 0.0, 1)
+        assert not rep.ratios_ok
+        rep.ratios = [0.5]
+        assert rep.ratios_ok
+        rep.ratios = [0.5, 0.9]
+        assert not rep.ratios_ok
 
     def test_quartic_width_calibration(self):
         lat = TorusLattice(64)
