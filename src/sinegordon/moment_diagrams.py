@@ -62,7 +62,6 @@ class MomentDiagram:
     parent: dict[int, int | None]
     label: dict[int, str]
     deco: dict[int, tuple[int, int, int]]
-    copy_of: dict[int, int]
     roots: list[int]
     children: dict[int, list[int]] = field(init=False)
     # basic node/edge sets, built once; kernel edges are named by their child
@@ -210,15 +209,14 @@ class MomentDiagram:
         return tuple(e for e in self.kernel_edges if self.gamma(e) > 0)
 
 
-def _add_copy(diagram_state, tau: DecoratedTree, copy_idx: int):
-    parent, label, deco, copy_of = diagram_state
+def _add_copy(diagram_state, tau: DecoratedTree):
+    parent, label, deco = diagram_state
 
     def rec(t: DecoratedTree, par: int | None) -> int:
         nid = len(parent) + 1
         parent[nid] = par
         label[nid] = t.label
         deco[nid] = t.deco
-        copy_of[nid] = copy_idx
         for c in t.children:
             rec(c, nid)
         return nid
@@ -231,13 +229,8 @@ def build_diagram(tau: DecoratedTree, p: int, params: ModelParams) -> MomentDiag
     if p < 1:
         raise ValueError("p must be positive")
     parent: dict[int, int | None] = {}
-    state = (parent, {}, {}, {})
-    roots = []
-    for j in range(p):
-        roots.append(_add_copy(state, tau, j + 1))
-    flipped = opp(tau)
-    for j in range(p):
-        roots.append(_add_copy(state, flipped, p + j + 1))
+    state = (parent, {}, {})
+    roots = [_add_copy(state, t) for t in [tau] * p + [opp(tau)] * p]
     d = MomentDiagram(params, tau, 2 * p, *state, roots=roots)
     if d.charge(d.noises) != 0:
         raise AssertionError("copy construction must be globally neutral")
@@ -247,8 +240,8 @@ def build_diagram(tau: DecoratedTree, p: int, params: ModelParams) -> MomentDiag
 def single_copy_diagram(tau: DecoratedTree, params: ModelParams) -> MomentDiagram:
     """One labeled copy of ``tau`` plus base point (model-evaluation view)."""
     parent: dict[int, int | None] = {}
-    state = (parent, {}, {}, {})
-    root = _add_copy(state, tau, 1)
+    state = (parent, {}, {})
+    root = _add_copy(state, tau)
     return MomentDiagram(params, tau, 1, *state, roots=[root])
 
 

@@ -102,6 +102,8 @@ class TorusLattice:
 
     def mode_variances(self, eps: float, shape: str = GAUSS) -> np.ndarray:
         """Equal-time variance per Fourier mode (zero mode dropped)."""
+        if not -np.inf < eps < np.inf:
+            raise ValueError(f"eps = {eps} is not a finite width")
         if eps < self.min_eps():
             raise ValueError(
                 f"eps = {eps} below the resolvable width {self.min_eps()}"
@@ -636,12 +638,12 @@ class _HeatDriver:
     """Exponential-Euler integrator of du = (1/2) Laplacian u dt + f dt.
 
     u and f are real; the half-spectrum ``u_hat`` (zero unless given) is
-    the driver's only own state, and ``step`` updates it in place and
-    returns the forcing's half-spectrum ``f_hat``.  ``step`` and
-    ``profile`` transform through ``_tmp``.  ``scratch`` is the pair
-    (``f_hat``, ``_tmp``), fresh unless given: drivers stepped one after
-    another may share both, and ``f_hat`` is then overwritten by the next
-    step of any of them.
+    the driver's only own state, and ``step`` updates it in place, leaving
+    the forcing's half-spectrum in ``f_hat``.  ``step`` and ``profile``
+    transform through ``_tmp``.  ``scratch`` is the pair (``f_hat``,
+    ``_tmp``), fresh unless given: drivers stepped one after another may
+    share both, and ``f_hat`` is then overwritten by the next step of any
+    of them.
     """
 
     def __init__(self, lat: TorusLattice, dt: float,
@@ -652,11 +654,10 @@ class _HeatDriver:
         self.f_hat, self._tmp = (np.empty((2,) + shape, dtype=complex)
                                  if scratch is None else scratch)
 
-    def step(self, forcing: np.ndarray) -> np.ndarray:
+    def step(self, forcing: np.ndarray) -> None:
         _rfft2_into(forcing, self.f_hat, self._tmp)
         self.u_hat *= self.decay
         self.u_hat += np.multiply(self.gain, self.f_hat, out=self._tmp)
-        return self.f_hat
 
     def profile(self, out: np.ndarray) -> np.ndarray:
         """The real solution, ``irfft2`` of ``u_hat``, written into the real
@@ -716,15 +717,16 @@ class DipoleReport:
 def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
                        sample: int, collect, drivers, scratch):
     """Run one stationary trajectory up to its last measured slice,
-    invoking ``collect(drivers, forcings, f_hats)`` on each slice of
-    ``_measured_steps``: the two real drivers of u = u_c + i u_s, their
-    forcings (c, s) = C (cos, sin)(beta Phi), the components of xi_plus,
-    and the half-spectra of (c, s).
+    invoking ``collect(m, drivers, forcings)`` on each slice of
+    ``_measured_steps``: its index m = 0, 1, ... among them, the two real
+    drivers of u = u_c + i u_s, whose ``f_hat`` holds the half-spectrum of
+    their forcing, and the forcings (c, s) = C (cos, sin)(beta Phi), the
+    components of xi_plus.
 
     ``drivers`` (reset here) and ``scratch`` = (four real n-by-n arrays,
     two half-spectra) are the caller's, and each step overwrites them.  Only
     differences of the profile enter the estimator, so its undamped mean is
-    projected out after each step; f_hats keep their zero modes.
+    projected out after each step; the ``f_hat`` keep their zero modes.
     """
     beta = np.sqrt(float(Fraction(cfg.beta_sq)) * np.pi)
     c_eps = renorm_constant(lat, cfg.eps, cfg.beta_sq)
@@ -738,12 +740,13 @@ def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
         fld.real_space(x, tmp)
         x *= 0.5 * beta
         _charges_into(x, c_eps, d, s, c)
-        f_hats = drivers[0].step(c), drivers[1].step(s)
+        drivers[0].step(c)
+        drivers[1].step(s)
         drivers[0].u_hat[0, 0] = drivers[1].u_hat[0, 0] = 0.0
         fld.advance(white_spectral(lat, rng(sample, step + 1), white, x, tmp),
                     cfg.dt)
         if step >= steps[0]:
-            collect(drivers, (c, s), f_hats)
+            collect(step - steps[0], drivers, (c, s))
 
 
 def _measured_steps(cfg: DipoleConfig) -> np.ndarray:
@@ -838,14 +841,13 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
 
     sq_blocks = [[] for _ in lambdas]     # renormalized |.|^2 per time block
     ab_blocks = [[] for _ in lambdas]     # ablated |.|^2 per time block
-    mean_acc = 0j            # sum of mean(ren) over the first lambda's blocks
+    means = []               # mean(ren) per time block of the first lambda
     # Per lambda, the open time block sums the half-spectra of (Re, Im) of
     # xi_- u = (c u_c + s u_s) + i (c u_s - s u_c), inverted once when it
     # closes, and (Re, Im) of the products (psi * xi_-) u, where psi * xi_-
     # = conj(psi * xi_plus) = p_c - i p_s because psi is real and even.
     g_sums = np.empty((len(lambdas), 2, n, lat.n_rfft), dtype=complex)
     local_sums = np.empty((len(lambdas), 2, n, n))
-    counts = [0] * len(lambdas)
     # collect's work arrays; its half-spectrum and scratch are the
     # trajectory's white noise and scratch, free while it runs
     u_c, u_s, a, b, p_c, p_s = np.empty((6, n, n))
@@ -858,42 +860,43 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
         yield np.subtract(np.multiply(p, u_s, out=a),
                           np.multiply(q, u_c, out=b), out=a)
 
-    def collect(drivers, forcings, f_hats):
-        nonlocal mean_acc
+    def collect(m, drivers, forcings):
+        """Add measured slice m of a trajectory to each lambda's open time
+        block, and close the blocks it ends.  lambda_i's blocks are the
+        slices [j w_i, (j + 1) w_i), so the block a trajectory leaves open
+        at its end is dropped: slice 0 of the next one opens a new block."""
+        for i, w in enumerate(windows):
+            if m % w == 0:
+                g_sums[i] = local_sums[i] = 0.0
         for driver, u in zip(drivers, (u_c, u_s)):
             driver.profile(u)
         for k, part in enumerate(parts(*forcings)):
             g_sums[:, k] += _rfft2_into(part, spec, tmp)
-        for i, ph in enumerate(psi_hats):
-            for f, p in zip(f_hats, (p_c, p_s)):
-                _irfft2_into(np.multiply(ph, f, out=spec), p, tmp)
+        for i, (ph, w) in enumerate(zip(psi_hats, windows)):
+            for driver, p in zip(drivers, (p_c, p_s)):
+                _irfft2_into(np.multiply(ph, driver.f_hat, out=spec), p, tmp)
             for k, part in enumerate(parts(p_c, p_s)):
                 local_sums[i, k] += part
-            counts[i] += 1
-            if counts[i] == windows[i]:
+            if (m + 1) % w == 0:
                 re, im = p_c, p_s         # free until the next slice
                 for g, loc, out in zip(g_sums[i], local_sums[i], (re, im)):
                     _irfft2_into(np.multiply(ph, g, out=spec), out, tmp)
                     out -= loc
-                    out /= windows[i]
+                    out /= w
                 ren = np.subtract(re, kappas[i], out=a)
                 if i == 0:
-                    mean_acc += complex(np.mean(ren), np.mean(im))
+                    means.append(complex(np.mean(ren), np.mean(im)))
                 im2 = np.square(im, out=b)
                 sq_blocks[i].append(float(np.mean(
                     np.add(np.square(ren, out=a), im2, out=a))))
                 ab_blocks[i].append(float(np.mean(
                     np.add(np.square(re, out=a), im2, out=a))))
-                g_sums[i] = local_sums[i] = 0.0
-                counts[i] = 0
 
     scratch = np.empty((4, n, n)), (spec, tmp)
     # collect reads both forcing half-spectra, so each driver keeps its own
     drivers = tuple(_HeatDriver(lat, cfg.dt, scratch=(f_hat, tmp))
                     for f_hat in f_hats)
     for sample in range(cfg.n_samples):
-        g_sums[:] = local_sums[:] = 0.0      # drop the blocks left open
-        counts[:] = [0] * len(lambdas)
         _dipole_trajectory(lat, cfg, seed, sample, collect, drivers, scratch)
 
     moments = [float(np.mean(v)) for v in sq_blocks]
@@ -903,7 +906,7 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
     slope = float(np.polyfit(ll, np.log(moments), 1)[0])
     ab_slope = float(np.polyfit(ll, np.log(ab_moments), 1)[0])
     return DipoleReport(lambdas, moments, errs, ab_moments, slope, ab_slope,
-                        mean_acc / len(sq_blocks[0]), cfg.n_samples)
+                        sum(means, 0j) / len(means), cfg.n_samples)
 
 
 # --- the shifted equation ----------------------------------------------------
@@ -964,6 +967,7 @@ def _shifted_window(lat, beta_sq, t_end):
     # below 4 pi the Da Prato-Debussche expansion closes at first order
     yield ("coupling", float(Fraction(beta_sq)) < 4.0,
            "pde solver requires beta^2 < 4*pi")
+    yield "t_end", -np.inf < t_end < np.inf, f"t_end = {t_end} is not finite"
     yield ("steps", not t_end / lat.dt <= 0.5,     # round(x) >= 1 iff x > 1/2
            f"t_end = {t_end} rounds to no step of dt = {lat.dt}")
 

@@ -155,6 +155,26 @@ class TestExitCodes:
         assert err == (f"error: t_end = {float(t_end)} rounds to no step of "
                        f"dt = {2.0**-10}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["sim", "pde", "--n", "64", "--t-end", "inf"],
+        ["sim", "pde", "--n", "64", "--t-end", "nan"],
+        ["sim", "converge", "--n", "64", "--eps-list", "0.25", "0.125",
+         "0.0625", "--seeds", "1", "--t-end", "inf"],
+    ], ids=["pde-inf", "pde-nan", "converge-inf"])
+    def test_non_finite_run_time_is_refused(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: t_end = {float(argv[-1])} is not finite\n"
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_width_is_refused(self, capsys, eps):
+        code, out, err = run_cli(["sim", "field", "--n", "32", "--eps", eps,
+                                  "--samples", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: eps = {float(eps)} is not a finite width\n"
+
     def test_cutoff_is_read_by_trees(self, capsys):
         code, out, _ = run_cli(["trees", "enum", "--mu", "7/4"], capsys)
         assert code == 0

@@ -38,8 +38,19 @@ pinned_bits = pytest.mark.skipif(
 class TestField:
     def test_min_width_is_nyquist(self):
         assert LAT.min_eps() == 2.0 / 64
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="below the resolvable width"):
             LAT.mode_variances(1.0 / 64)
+
+    def test_nan_width_is_refused_before_any_sampling(self, monkeypatch):
+        # NaN passes the window's separation rule and every comparison
+        def sample(*args, **kwargs):
+            raise AssertionError("sampled at a NaN width")
+
+        monkeypatch.setattr(stochastic, "_chaos_spectra", sample)
+        with pytest.raises(ValueError,
+                           match="^eps = nan is not a finite width$"):
+            correlation_slopes(TorusLattice(32), np.nan, Fraction(1), 0,
+                               n_fields=2, shifts=[4, 8])
 
     def test_empirical_variance_matches_mode_sum(self):
         eps = 2.0**-4
@@ -562,6 +573,28 @@ class TestHeatTables:
         assert c_drv._tmp is tmp and s_drv._tmp is tmp
         assert not np.shares_memory(c_drv.f_hat, s_drv.f_hat)
         assert not np.shares_memory(c_drv.u_hat, s_drv.u_hat)
+
+    def test_collect_gets_each_measured_slice_index_in_order(
+            self, monkeypatch):
+        """Every trajectory hands ``collect`` the index m = 0, 1, ... of
+        each of its measured slices, the only position the time blocks
+        read."""
+        seen = []
+        trajectory = stochastic._dipole_trajectory
+
+        def spy(lat, cfg, seed, sample, collect, drivers, scratch):
+            ms = []
+            seen.append(ms)
+            return trajectory(lat, cfg, seed, sample,
+                              lambda m, *a: ms.append(m) or collect(m, *a),
+                              drivers, scratch)
+
+        monkeypatch.setattr(stochastic, "_dipole_trajectory", spy)
+        lat = TorusLattice(self.LAT_N, dt=self.DT)
+        cfg = TestSharedStepperOracle.dipole_cfg()
+        dipole_moment(lat, cfg, seed=0)
+        n_slices = len(stochastic._measured_steps(cfg))
+        assert seen == [list(range(n_slices))] * cfg.n_samples
 
 
 class TestOneOUPath:

@@ -82,6 +82,7 @@ EXPERIMENTS = {
 
 BELOW_4 = Fraction(3999999, 1000000)
 HALF_STEP = 2.0**-9           # t_end / dt = 1/2 rounds to no step
+HUGE = 2.0**1000              # finite, and t_end / dt stays finite
 
 #: (experiment, rule, changes that break only that rule, changes just
 #: inside its bound, the refusal's exact message)
@@ -133,6 +134,10 @@ RULES = [
      dict(record_every=1), "record_every = 0 is below 1"),
     ("solve_pde", "coupling", dict(beta_sq=Fraction(4)),
      dict(beta_sq=BELOW_4), "pde solver requires beta^2 < 4*pi"),
+    ("solve_pde", "t_end", dict(t_end=np.inf), dict(t_end=HUGE),
+     "t_end = inf is not finite"),
+    ("solve_pde", "t_end", dict(t_end=np.nan), dict(t_end=HUGE),
+     "t_end = nan is not finite"),
     ("solve_pde", "steps", dict(t_end=HALF_STEP),
      dict(t_end=np.nextafter(HALF_STEP, 1.0)),
      f"t_end = {HALF_STEP} rounds to no step of dt = 0.00390625"),
@@ -146,6 +151,8 @@ RULES = [
      "need at least one seed"),
     ("convergence_study", "coupling", dict(beta_sq=Fraction(4)),
      dict(beta_sq=BELOW_4), "pde solver requires beta^2 < 4*pi"),
+    ("convergence_study", "t_end", dict(t_end=-np.inf), dict(t_end=HUGE),
+     "t_end = -inf is not finite"),
     ("convergence_study", "steps", dict(t_end=HALF_STEP),
      dict(t_end=np.nextafter(HALF_STEP, 1.0)),
      f"t_end = {HALF_STEP} rounds to no step of dt = 0.00390625"),
