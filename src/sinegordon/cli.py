@@ -9,10 +9,12 @@ Subcommand groups::
     power       audit                   cluster power-counting audits
     sim         field | dipole | pde | converge    Monte Carlo studies
 
-Exit codes: 0 success, 1 audit/criterion failure, 2 usage or domain error,
-3 internal error.  All rational parameters are passed as exact strings
-("5", "503/300"); floats are reserved for lattice and tolerance knobs.  Every
-emitted file embeds a schema version plus the fully resolved configuration,
+Each ``cmd_*`` handler returns ``(results, ok)``; ``main`` alone writes the
+report, to stdout or ``--out``, and maps ``ok`` to the exit code: 0 success,
+1 audit/criterion failure, 2 usage or domain error (an unwritable output file
+included), 3 internal error.  All rational parameters are passed as exact
+strings ("5", "503/300"); floats are reserved for lattice and tolerance knobs.
+Every report embeds a schema version plus the fully resolved configuration,
 and identical (config, seed) pairs produce byte-identical output.
 """
 
@@ -26,6 +28,7 @@ import random
 import sys
 from fractions import Fraction
 
+from . import __version__
 from .tree_core import (ModelParams, SupercriticalError, dipole,
                         canonical_key, parse_key)
 from .rule_engine import enumerate_negative_trees, enumerate_trees
@@ -37,27 +40,6 @@ from .power_counting import (identity_audit, sign_audit_big_graph,
                              sign_audit_inner, sign_audit_large_scale)
 
 SCHEMA_VERSION = 1
-
-
-class _VersionAction(argparse.Action):
-    """argparse's ``version`` action, looking the package version up only
-    when ``--version`` is given: ``importlib.metadata`` costs every other
-    command its import and a scan of the installed distributions."""
-
-    def __init__(self, option_strings, dest=argparse.SUPPRESS,
-                 default=argparse.SUPPRESS,
-                 help="show program's version number and exit"):
-        super().__init__(option_strings, dest=dest, default=default, nargs=0,
-                         help=help)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        from importlib.metadata import PackageNotFoundError, version
-        try:
-            text = version("artifact")
-        except PackageNotFoundError:  # running from a raw source tree
-            text = "unknown"
-        print(f"sgbench {text} (schema {SCHEMA_VERSION})")
-        parser.exit()
 
 
 class UsageError(Exception):
@@ -77,18 +59,7 @@ def _params_from(args) -> ModelParams:
     beta_bar = getattr(args, "beta_bar", None)
     if beta_bar is not None:
         beta_bar = _rational(beta_bar)
-    try:
-        return ModelParams.make(beta_sq, beta_bar=beta_bar)
-    except SupercriticalError as exc:
-        raise UsageError(f"supercritical: {exc}") from exc
-
-
-def _payload(args, results) -> dict:
-    config = {k: (str(v) if isinstance(v, Fraction) else v)
-              for k, v in sorted(vars(args).items())
-              if k != "func" and v is not None}
-    return {"schema_version": SCHEMA_VERSION, "config": config,
-            "results": results}
+    return ModelParams.make(beta_sq, beta_bar=beta_bar)
 
 
 def _check_counts(args, **lows):
@@ -99,24 +70,37 @@ def _check_counts(args, **lows):
             raise UsageError(f"--{dest} must be >= {low}, got {value}")
 
 
-def _emit(args, payload: dict):
-    text = json.dumps(payload, sort_keys=True, indent=2,
-                      default=str) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(flag: str, path: str, text: str):
+    """Write ``text`` to ``path``: an unwritable ``flag`` is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"{flag}: {exc.strerror}: {path}") from exc
+
+
+def _emit(args, results):
+    """Write the report of ``results`` to ``--out``, else to stdout."""
+    config = {k: (str(v) if isinstance(v, Fraction) else v)
+              for k, v in sorted(vars(args).items())
+              if k != "func" and v is not None}
+    text = json.dumps({"schema_version": SCHEMA_VERSION, "config": config,
+                       "results": results},
+                      sort_keys=True, indent=2, default=str) + "\n"
+    if args.out:
+        _write("--out", args.out, text)
     else:
         sys.stdout.write(text)
 
 
-def _emit_csv(path: str, rows: list[tuple]):
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["scale", "estimate", "stderr"])
-    for row in rows:
-        w.writerow([repr(float(v)) for v in row])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+def _write_csv(args, rows):
+    """Write (scale, estimate, stderr) ``rows`` to ``--out-csv``, if given."""
+    if args.out_csv:
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["scale", "estimate", "stderr"])
+        w.writerows([repr(float(v)) for v in row] for row in rows)
+        _write("--out-csv", args.out_csv, buf.getvalue())
 
 
 # --- combinatorial subcommands -------------------------------------------------
@@ -129,63 +113,54 @@ def _catalog(args):
 
 
 def cmd_trees_enum(args):
-    cat = _catalog(args)
-    _emit(args, _payload(args, {"catalog": cat.export()}))
-    return 0
+    return {"catalog": _catalog(args).export()}, True
 
 
 def cmd_trees_classify(args):
     cat = _catalog(args)   # classifies the catalog too
-    _emit(args, _payload(args, {
+    return {
         "total": len(cat.all),
         "negative": sorted(cat.negative),
         "negative_neutral": sorted(cat.negative_neutral),
-    }))
-    return 0
+    }, True
 
 
 def cmd_renorm_cancel(args):
-    cat = enumerate_negative_trees(_params_from(args))
-    ledger = cancellation_report(cat)
-    _emit(args, _payload(args, ledger.export()))
-    return 0 if ledger.ok else 1
+    ledger = cancellation_report(enumerate_negative_trees(_params_from(args)))
+    return ledger.export(), ledger.ok
 
 
-def _diagram_from(args):
-    params = _params_from(args)
+def _diagram_from(args, params):
     tau = dipole() if args.tree == "dipole" else parse_key(args.tree)
-    return build_diagram(tau, args.p, params), tau
+    return build_diagram(tau, args.p, params)
 
 
 def cmd_diagram_terms(args):
-    d, tau = _diagram_from(args)
+    d = _diagram_from(args, _params_from(args))
     terms = moment_terms(d)
-    _emit(args, _payload(args, {
-        "tree": canonical_key(tau),
+    return {
+        "tree": canonical_key(d.tau),
         "n_terms": len(terms),
         "terms": [t.as_dict() for t in terms],
-    }))
-    return 0
+    }, True
 
 
 def cmd_diagram_audit(args):
-    d, tau = _diagram_from(args)
-    terms = moment_terms(d)
-    rep = multilinearity_audit(d, terms)
-    _emit(args, _payload(args, {
-        "tree": canonical_key(tau),
+    d = _diagram_from(args, _params_from(args))
+    rep = multilinearity_audit(d, moment_terms(d))
+    return {
+        "tree": canonical_key(d.tau),
         "n_terms": rep.n_terms,
         "n_pairs": rep.n_pairs,
         "ok": rep.ok,
         "failures": rep.failures,
-    }))
-    return 0 if rep.ok else 1
+    }, rep.ok
 
 
 def cmd_multiscale_audit(args):
     # a run of no trials checks nothing, so its verdict could not fail
     _check_counts(args, ncap=0, trials=1)
-    d, tau = _diagram_from(args)
+    d = _diagram_from(args, _params_from(args))
     rng = random.Random(args.seed)
     failures = []
     interval_checks = 0
@@ -199,20 +174,19 @@ def cmd_multiscale_audit(args):
             failures.append({"assignment": {str(k): v
                                             for k, v in assignment.n.items()},
                              "failures": rep.failures})
-    _emit(args, _payload(args, {
-        "tree": canonical_key(tau),
+    return {
+        "tree": canonical_key(d.tau),
         "trials": args.trials,
         "failures": failures,
         "interval_checks": interval_checks,
         "partition_checks": partition_checks,
-    }))
-    return 0 if not failures else 1
+    }, not failures
 
 
-def _ids(flag: str, text: str, allowed, what: str) -> list[int]:
+def _ids(flag: str, text: str | None, allowed, what: str) -> list[int]:
     """The comma-separated ids of ``text``; each must be in ``allowed``."""
     out = []
-    for x in filter(None, text.split(",")):
+    for x in filter(None, (text or "").split(",")):
         try:
             u = int(x)
         except ValueError:
@@ -234,16 +208,10 @@ def _parse_forest(text: str | None, d):
     return forest
 
 
-def _parse_cut(text: str | None, d):
-    return tuple(_ids("--cuts", text or "", d.kernel_edges, "a kernel edge"))
-
-
 def cmd_power_audit(args):
-    params = ModelParams.from_beta_bar(_rational(args.beta_bar))
-    tau = dipole() if args.tree == "dipole" else parse_key(args.tree)
-    d = build_diagram(tau, args.p, params)
+    d = _diagram_from(args, ModelParams.from_beta_bar(_rational(args.beta_bar)))
     forest = _parse_forest(args.forest, d)
-    s_cut = _parse_cut(args.cuts, d)
+    s_cut = tuple(_ids("--cuts", args.cuts, d.kernel_edges, "a kernel edge"))
     if args.context in ("inner", "identity"):
         if not forest:
             raise UsageError(f"--context {args.context}: requires --forest, "
@@ -258,8 +226,7 @@ def cmd_power_audit(args):
         rep = sign_audit_large_scale(d, forest, s_cut)
     out = rep.as_dict()
     out["margins"] = {"min": out.pop("min_margin"), "argmin": out.pop("argmin")}
-    _emit(args, _payload(args, out))
-    return 0 if rep.ok else 1
+    return out, rep.ok
 
 
 # --- simulation subcommands ------------------------------------------------------
@@ -276,7 +243,8 @@ def cmd_sim_field(args):
     consts = [st.renorm_constant(lat, e, params.beta_sq) for e in eps_list]
     stats = st.chaos_mean(lat, args.eps, params.beta_sq, args.seed,
                           n_fields=args.samples)
-    results = {
+    _write_csv(args, zip(eps_list, consts, [0.0] * len(consts)))
+    return {
         "renorm_slope": slope,
         "target_slope": float(-float(params.beta_sq) / 4.0),
         "eps_list": eps_list,
@@ -285,11 +253,7 @@ def cmd_sim_field(args):
         "chaos_mean_im": stats.mean_im,
         "chaos_within_3se": stats.within_3se,
         "n_fields": stats.n_fields,
-    }
-    if args.out_csv:
-        _emit_csv(args.out_csv, list(zip(eps_list, consts, [0.0] * len(consts))))
-    _emit(args, _payload(args, results))
-    return 0
+    }, True
 
 
 def cmd_sim_dipole(args):
@@ -301,12 +265,9 @@ def cmd_sim_dipole(args):
                           lambdas=tuple(args.lam or st.DipoleConfig.lambdas),
                           dt=args.dt, n_samples=args.samples)
     rep = st.dipole_moment(lat, cfg, args.seed)
-    if args.out_csv:
-        _emit_csv(args.out_csv, list(zip(rep.lambdas, rep.second_moments,
-                                         rep.stderrs)))
-    _emit(args, _payload(args, rep.as_dict()))
+    _write_csv(args, zip(rep.lambdas, rep.second_moments, rep.stderrs))
     # criterion 10: slope -1 +- 0.3, and the counterterm moves it by >= 0.2
-    return 0 if (-1.3 <= rep.slope <= -0.7 and rep.ablation_gap >= 0.2) else 1
+    return rep.as_dict(), -1.3 <= rep.slope <= -0.7 and rep.ablation_gap >= 0.2
 
 
 def cmd_sim_pde(args):
@@ -314,15 +275,13 @@ def cmd_sim_pde(args):
     params = _params_from(args)
     lat = st.TorusLattice(args.n, dt=args.dt)
     res = st.solve_pde(lat, args.eps, params.beta_sq, args.seed, args.t_end)
-    final = res.final
-    _emit(args, _payload(args, {
+    return {
         "times": [float(t) for t in res.times],
         "max_imag": res.max_imag,
-        "final_min": float(final.min()),
-        "final_max": float(final.max()),
-        "final_mean": float(final.mean()),
-    }))
-    return 0 if res.max_imag < 1e-10 else 1     # the solution stays real
+        "final_min": float(res.final.min()),
+        "final_max": float(res.final.max()),
+        "final_mean": float(res.final.mean()),
+    }, res.max_imag < 1e-10     # the solution stays real
 
 
 def cmd_sim_converge(args):
@@ -338,13 +297,9 @@ def cmd_sim_converge(args):
     seeds = list(range(args.seed, args.seed + args.seeds))
     rep = st.convergence_study(lat, params.beta_sq, eps_list, seeds,
                                t_end=args.t_end)
-    if args.out_csv:
-        rows = list(zip(rep.eps_list[1:], rep.d_values, rep.stderrs))
-        _emit_csv(args.out_csv, rows)
-    _emit(args, _payload(args, rep.as_dict()))
+    _write_csv(args, zip(rep.eps_list[1:], rep.d_values, rep.stderrs))
     # criterion 11: ratios <= 0.85, the swap gap, and a real solution
-    ok = rep.ratios_ok and rep.swap_ok and rep.max_imag < 1e-10
-    return 0 if ok else 1
+    return rep.as_dict(), rep.ratios_ok and rep.swap_ok and rep.max_imag < 1e-10
 
 
 # --- argument plumbing ------------------------------------------------------------
@@ -477,25 +432,28 @@ def build_parser() -> _Parser:
     top = _Parser(prog="sgbench",
                   description="renormalization workbench: combinatorial audits "
                               "and Monte Carlo scaling studies")
-    top.add_argument("--version", action=_VersionAction)
+    top.add_argument("--version", action="version",
+                     version=f"sgbench {__version__} (schema {SCHEMA_VERSION})")
     groups = top.add_subparsers(dest="group", required=True, action=_Groups)
     for name in _GROUPS:
         groups.add_parser(name)
     return top
 
 
+def _run(args) -> int:
+    """Run the parsed command, write its report and return its exit code."""
+    results, ok = args.func(args)
+    _emit(args, results)
+    return 0 if ok else 1
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _run(build_parser().parse_args(argv))
     except SupercriticalError as exc:
         print(f"error: supercritical: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # the library refuses the configuration
+    except (UsageError, ValueError) as exc:  # ValueError: a library refusal
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, JSON schema, reproducibility."""
 
 import argparse
+import ast
+import inspect
 import json
 import subprocess
 import sys
@@ -260,11 +262,33 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("internal error: KeyError")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["trees", "enum"], "--out"),
+        (["sim", "field", "--n", "16", "--eps", "0.125", "--samples", "2",
+          "--eps-list", "0.25", "0.125"], "--out-csv"),
+    ], ids=["out", "out-csv"])
+    @pytest.mark.parametrize("in_missing_dir", [True, False],
+                             ids=["missing-dir", "directory"])
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, argv,
+                                                flag, in_missing_dir):
+        path = tmp_path / "missing" / "x" if in_missing_dir else tmp_path
+        code, out, err = run_cli([*argv, flag, str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag}: ") and str(path) in err
+
     def test_version(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--version"])
-        assert exc.value.code in (0, None)
-        assert "sgbench" in capsys.readouterr().out
+        from sinegordon import __version__
+        assert run_cli(["--version"], capsys) == (
+            0, f"sgbench {__version__} (schema 1)\n", "")
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")   # Python 3.11 on
+        from pathlib import Path
+
+        from sinegordon import __version__
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        with pyproject.open("rb") as fh:
+            assert tomllib.load(fh)["project"]["version"] == __version__
 
 
 # Each group's help and its refusal of an unknown subcommand, recorded
@@ -608,6 +632,7 @@ def _stub_sim(monkeypatch):
 def test_every_sim_flag_is_read(sub, monkeypatch, capsys):
     """Each option of a sim subcommand is read by its command at the
     defaults: a flag that changes nothing is not declared."""
+    from sinegordon import cli
     reads = set()
 
     class Recording(argparse.Namespace):
@@ -617,9 +642,27 @@ def test_every_sim_flag_is_read(sub, monkeypatch, capsys):
 
     _stub_sim(monkeypatch)
     args = build_parser().parse_args(["sim", sub], namespace=Recording())
-    func = args.func
     dests = set(vars(args)) - {"group", "sub", "func"}
     reads.clear()
-    func(args)
+    cli._run(args)   # the dispatch main runs, which writes the report too
     capsys.readouterr()
     assert dests - reads == set()
+
+
+def test_only_the_dispatch_writes_reports():
+    """No handler writes its own report: each returns ``(results, ok)``, and
+    ``_run``, the dispatch ``main`` runs, is the only caller of ``_emit``."""
+    from sinegordon import cli
+    module = ast.parse(inspect.getsource(cli))
+    emitters = set()
+    for fn in ast.walk(module):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+        if "_emit" in names:
+            emitters.add(fn.name)
+        if fn.name.startswith("cmd_"):
+            assert not names & {"_emit", "print"}, fn.name
+            assert not any(isinstance(n, ast.Attribute) and n.attr == "stdout"
+                           for n in ast.walk(fn)), fn.name
+    assert emitters == {"_run"}

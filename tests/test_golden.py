@@ -10,7 +10,9 @@ partition audit still rebuilt each cell's admissible cuts in a second pass,
 still computed their counts on first use, and the others before the field
 sampler moved to real-input transforms.  The echoed
 ``config`` lost its ``threads`` entry when the ignored ``--threads`` flag was
-removed; nothing else changed.  Any refactor must reproduce them unchanged.
+removed; nothing else changed.  ``trees_classify`` and the two
+``diagram_audit`` files were recorded while every subcommand handler still
+wrote its own report.  Any refactor must reproduce them unchanged.
 """
 
 from pathlib import Path
@@ -55,9 +57,12 @@ CASES = {
 # name -> full argv of the other fast commands, each exiting 0
 COMMANDS = {
     "trees_enum": ["trees", "enum"],
+    "trees_classify": ["trees", "classify"],
     "renorm_cancel": ["renorm", "cancel"],
     "renorm_cancel_6": ["renorm", "cancel", "--beta2-over-pi", "6"],
     "diagram_terms_p1": ["diagram", "terms", "--p", "1"],
+    "diagram_audit_p1": ["diagram", "audit"],
+    "diagram_audit_p2": ["diagram", "audit", "--p", "2"],
     "multiscale_audit_p1": ["multiscale", "audit", "--trials", "50"],
     "multiscale_audit_p2": ["multiscale", "audit", "--p", "2", "--trials", "5"],
 }
