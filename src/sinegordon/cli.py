@@ -24,9 +24,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from . import __version__
 from .tree_core import (ModelParams, SupercriticalError, dipole,
@@ -34,7 +36,7 @@ from .tree_core import (ModelParams, SupercriticalError, dipole,
 from .rule_engine import enumerate_negative_trees, enumerate_trees
 from .counterterm import cancellation_report
 from .moment_diagrams import (build_diagram, moment_terms,
-                              multilinearity_audit)
+                              multilinearity_audit, uncut_terms)
 from .multiscale import ScaleAssignment, organize_and_check
 from .power_counting import (identity_audit, sign_audit_big_graph,
                              sign_audit_inner, sign_audit_large_scale)
@@ -77,6 +79,17 @@ def _write(flag: str, path: str, text: str):
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"{flag}: {exc.strerror}: {path}") from exc
+
+
+def _check_writable(flag: str, path: str):
+    """Refuse ``path`` as ``_write`` would, and leave it as it was."""
+    new = not os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise UsageError(f"{flag}: {exc.strerror}: {path}") from exc
+    if new:
+        os.remove(path)
 
 
 def _emit(args, results):
@@ -147,10 +160,11 @@ def cmd_diagram_terms(args):
 
 def cmd_diagram_audit(args):
     d = _diagram_from(args, _params_from(args))
-    rep = multilinearity_audit(d, moment_terms(d))
+    terms, n_terms = uncut_terms(d)
+    rep = multilinearity_audit(d, terms)
     return {
         "tree": canonical_key(d.tau),
-        "n_terms": rep.n_terms,
+        "n_terms": n_terms,
         "n_pairs": rep.n_pairs,
         "ok": rep.ok,
         "failures": rep.failures,
@@ -205,6 +219,10 @@ def _parse_forest(text: str | None, d):
     for T in forest:
         if sum(d.parent[u] not in T for u in T) != 1:
             raise UsageError(f"--forest: {sorted(T)} is not a connected subtree")
+    for S, T in combinations(forest, 2):
+        if S & T and not (S <= T or T <= S):
+            raise UsageError(f"--forest: {sorted(S)} and {sorted(T)} overlap "
+                             f"without nesting")
     return forest
 
 
@@ -441,7 +459,13 @@ def build_parser() -> _Parser:
 
 
 def _run(args) -> int:
-    """Run the parsed command, write its report and return its exit code."""
+    """Run the parsed command, write its report and return its exit code.
+    Each output path given is checked first, so that an unwritable one is
+    refused before any work is done."""
+    for flag, path in (("--out", args.out),
+                       ("--out-csv", getattr(args, "out_csv", None))):
+        if path:
+            _check_writable(flag, path)
     results, ok = args.func(args)
     _emit(args, results)
     return 0 if ok else 1

@@ -79,7 +79,6 @@ class CancellationLedger:
     pairs: list[dict] = field(default_factory=list)
     parity_killed: list[dict] = field(default_factory=list)
     failures: list[dict] = field(default_factory=list)
-    covered: int = 0
 
     @property
     def verdict(self) -> str:
@@ -129,7 +128,6 @@ def cancellation_report(cat: TreeCatalog) -> CancellationLedger:
             # the structural audit left exactly one unit decoration
             deco = next(n.deco for n in tau.iter_nodes() if deco_weight(n.deco) > 0)
             ledger.parity_killed.append({"key": key, "deco": list(deco)})
-            ledger.covered += 1
             continue
         tau_opp = opp(tau)
         key_opp = tau_opp.key
@@ -150,6 +148,5 @@ def cancellation_report(cat: TreeCatalog) -> CancellationLedger:
             ledger.failures.append({**entry, "reason": "pair sum nonzero"})
         else:
             ledger.pairs.append(entry)
-            ledger.covered += 2
         seen.add(key_opp)
     return ledger

@@ -10,6 +10,12 @@ nesting level of the recursion that owns each factor; the multilinearity
 audit checks that every noise pair contributes exactly one interaction
 factor per term.
 
+Checking one uncut term per forest is exact.  A term's cut only turns the
+kernel factors of its cut edges from ``ker`` into ``rker``; the interaction
+factors, their levels and signs come from the forest's edge sets alone.
+So every cut of a forest counts each noise pair as its uncut term does, and
+the CLI audit checks the uncut terms and counts the others.
+
 A diagram is frozen, and nothing it determines depends on a scale
 assignment.  So its divergent subtrees, its forests, the gamma exponents
 and cut sites, and the edge sets of every (forest, member) are computed on
@@ -340,13 +346,23 @@ def moment_terms(d: MomentDiagram) -> list[MomentTerm]:
     also carries the test functions and the polynomial factors, and each
     member a collapse-operator site.
     """
+    return [_term(d, G, frozenset(cut)) for G, free in _free_sites(d)
+            for r in range(len(free) + 1) for cut in combinations(free, r)]
+
+
+def _free_sites(d: MomentDiagram) -> list[tuple[frozenset, list[int]]]:
+    """Each forest with its free cut sites, those outside all its members."""
     sites = set(d.cut_sites())
-    terms = []
-    for G in d.enumerate_forests():
-        free = sorted(sites - frozenset().union(*map(d.K, G)))
-        terms += [_term(d, G, frozenset(cut))
-                  for r in range(len(free) + 1) for cut in combinations(free, r)]
-    return terms
+    return [(G, sorted(sites - frozenset().union(*map(d.K, G))))
+            for G in d.enumerate_forests()]
+
+
+def uncut_terms(d: MomentDiagram) -> tuple[list[MomentTerm], int]:
+    """The uncut term of each forest, and the number of terms of
+    :func:`moment_terms`: every cut of a forest has the same interactions."""
+    forests = _free_sites(d)
+    return ([_term(d, G, frozenset()) for G, _ in forests],
+            sum(2 ** len(free) for _, free in forests))
 
 
 def _term(d: MomentDiagram, G, cut: frozenset[int]) -> MomentTerm:

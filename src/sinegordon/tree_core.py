@@ -49,9 +49,6 @@ class Homogeneity:
     def of(const, bcoeff=0) -> "Homogeneity":
         return Homogeneity(Fraction(const), Fraction(bcoeff))
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.const}{self.bcoeff:+}*bb"
-
 
 @dataclass(frozen=True)
 class ModelParams:

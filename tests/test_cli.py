@@ -66,6 +66,9 @@ class TestExitCodes:
           "--context", "inner"], "--context inner"),
         (["power", "audit", "--cuts", "4", "--forest", "1,2",
           "--context", "identity"], "--context identity"),
+        # both divergent subtrees of TAU4, overlapping without nesting
+        (["power", "audit", "--forest", "1,2;1,3", "--tree",
+          "(-;0,0,0;(+;0,0,0;)(+;0,0,0;)(-;0,0,0;))"], "[1, 2] and [1, 3]"),
     ])
     def test_bad_ids_and_counts_are_usage_errors(self, capsys, argv, named):
         code, out, err = run_cli(argv, capsys)
@@ -275,6 +278,32 @@ class TestExitCodes:
         code, out, err = run_cli([*argv, flag, str(path)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {flag}: ") and str(path) in err
+
+    def test_unwritable_output_is_refused_before_the_run(self, capsys,
+                                                         tmp_path, monkeypatch):
+        from sinegordon import stochastic
+
+        def study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(stochastic, "convergence_study", study)
+        csv_path, json_path = tmp_path / "ok.csv", tmp_path / "missing" / "x.json"
+        code, out, err = run_cli([
+            "sim", "converge", "--n", "32", "--t-end", "0.0625", "--eps-list",
+            "0.25", "0.125", "0.0625", "--seeds", "2",
+            "--out-csv", str(csv_path), "--out", str(json_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --out: ") and str(json_path) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_check_leaves_the_paths_as_they_were(self, capsys,
+                                                        tmp_path):
+        old, new = tmp_path / "old.json", tmp_path / "new.csv"
+        old.write_text("kept")
+        code, _, err = run_cli(["sim", "converge", "--eps-list", "0.25", "0.125",
+                                "--out", str(old), "--out-csv", str(new)], capsys)
+        assert code == 2 and err.startswith("error: --eps-list")
+        assert old.read_text() == "kept" and not new.exists()
 
     def test_version(self, capsys):
         from sinegordon import __version__

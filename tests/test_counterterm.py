@@ -47,7 +47,9 @@ class TestCancellationLedger:
         ledger = cancellation_report(cat)
         assert ledger.ok
         assert ledger.verdict == "counterterm vanishes"
-        assert ledger.covered == len(cat.negative_neutral)
+        # each neutral tree is paired with its flip or parity-killed
+        assert 2 * len(ledger.pairs) + len(ledger.parity_killed) == \
+            len(cat.negative_neutral)
 
     def test_dipole_pair_recorded(self):
         cat = enumerate_trees(ModelParams.from_beta_bar(Fraction(6, 5)))
@@ -118,7 +120,8 @@ class TestNegativeCatalog:
         assert (len(neg.all), len(neg.negative_neutral), len(ledger.pairs),
                 len(ledger.parity_killed)) == (n_neg, n_neutral, n_pairs,
                                                n_parity)
-        assert ledger.covered == n_neutral
+        assert 2 * len(ledger.pairs) + len(ledger.parity_killed) == \
+            n_neutral
         # the dipole and the four-noise chain, signs fixed by the orientations
         upsilons = {e["key"]: (e["upsilon"]["c"], e["upsilon_opp"]["c"])
                     for e in ledger.pairs}

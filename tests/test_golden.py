@@ -12,7 +12,9 @@ sampler moved to real-input transforms.  The echoed
 ``config`` lost its ``threads`` entry when the ignored ``--threads`` flag was
 removed; nothing else changed.  ``trees_classify`` and the two
 ``diagram_audit`` files were recorded while every subcommand handler still
-wrote its own report.  Any refactor must reproduce them unchanged.
+wrote its own report, and the two ``diagram_audit_tau4`` files while the
+audit still built and checked every (forest, cut) term.  Any refactor must
+reproduce them unchanged.
 """
 
 from pathlib import Path
@@ -23,10 +25,12 @@ from sinegordon.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
+TAU4 = "(-;0,0,0;(+;0,0,0;)(+;0,0,0;)(-;0,0,0;))"
+
 # TAU4 with its first copy's root and one leaf contracted, and the two
 # other edges into that member recentered (the ``s_cut`` branch)
-CUTS_34 = ["--tree", "(-;0,0,0;(+;0,0,0;)(+;0,0,0;)(-;0,0,0;))",
-           "--forest", "1,2", "--cuts", "3,4", "--beta-bar", "7/4"]
+CUTS_34 = ["--tree", TAU4, "--forest", "1,2", "--cuts", "3,4",
+           "--beta-bar", "7/4"]
 
 # name -> (extra argv after "power audit", expected exit code)
 CASES = {
@@ -63,6 +67,10 @@ COMMANDS = {
     "diagram_terms_p1": ["diagram", "terms", "--p", "1"],
     "diagram_audit_p1": ["diagram", "audit"],
     "diagram_audit_p2": ["diagram", "audit", "--p", "2"],
+    # 65,536 and 130,321 (forest, cut) terms
+    "diagram_audit_tau4_p2": ["diagram", "audit", "--tree", TAU4, "--p", "2"],
+    "diagram_audit_tau4_p2_b6": ["diagram", "audit", "--tree", TAU4,
+                                 "--p", "2", "--beta2-over-pi", "6"],
     "multiscale_audit_p1": ["multiscale", "audit", "--trials", "50"],
     "multiscale_audit_p2": ["multiscale", "audit", "--p", "2", "--trials", "5"],
 }

@@ -12,7 +12,8 @@ from sinegordon.tree_core import DecoratedTree, ModelParams, XI_PLUS, XI_MINUS, 
 from sinegordon import multiscale as ms
 from sinegordon.moment_diagrams import (BASE_POINT, build_diagram,
                                         single_copy_diagram, derived_edge_sets,
-                                        moment_terms, multilinearity_audit)
+                                        moment_terms, multilinearity_audit,
+                                        uncut_terms)
 
 P54 = ModelParams.from_beta_bar(Fraction(5, 4))
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sinegordon"
@@ -286,6 +287,23 @@ class TestMomentTerms:
             d = build_diagram(dipole(), p, P54)
             rep = multilinearity_audit(d, moment_terms(d))
             assert rep.ok, rep.failures
+
+    @pytest.mark.parametrize("name", DIAGRAMS)
+    def test_uncut_terms_stand_for_every_cut(self, name):
+        # the audit checks one uncut term per forest: every cut of the
+        # forest must carry the same interactions, and the count must agree
+        d = diagram(name)
+        uncut, n_terms = uncut_terms(d)
+        assert [t.forest for t in uncut] == list(d.enumerate_forests())
+        assert all(t.cut == frozenset() for t in uncut)
+        interactions = {t.forest: [f for f in t.inventory
+                                   if f.kind == "interaction"] for t in uncut}
+        terms = moment_terms(d)
+        assert n_terms == len(terms)
+        assert len({t.cut for t in terms}) > 1
+        for term in terms:
+            assert [f for f in term.inventory if f.kind == "interaction"] \
+                == interactions[term.forest], term.as_dict()
 
     def test_term_export_schema(self):
         d = build_diagram(dipole(), 1, P54)
