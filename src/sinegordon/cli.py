@@ -219,6 +219,8 @@ def _parse_forest(text: str | None, d):
     for T in forest:
         if sum(d.parent[u] not in T for u in T) != 1:
             raise UsageError(f"--forest: {sorted(T)} is not a connected subtree")
+        if T not in d.divergent_subtrees():
+            raise UsageError(f"--forest: {sorted(T)} is not a divergent subtree")
     for S, T in combinations(forest, 2):
         if S & T and not (S <= T or T <= S):
             raise UsageError(f"--forest: {sorted(S)} and {sorted(T)} overlap "

@@ -405,7 +405,6 @@ def _term(d: MomentDiagram, G, cut: frozenset[int]) -> MomentTerm:
 @dataclass
 class MultilinearityReport:
     ok: bool
-    n_terms: int
     n_pairs: int
     failures: list[dict]
 
@@ -428,4 +427,4 @@ def multilinearity_audit(d: MomentDiagram, terms: list[MomentTerm]) -> Multiline
                     "pair": list(pair),
                     "count": cnt,
                 })
-    return MultilinearityReport(not failures, len(terms), len(all_pairs), failures)
+    return MultilinearityReport(not failures, len(all_pairs), failures)

@@ -11,8 +11,9 @@ to the interior of the enclosing forest member.  A member is safe when the
 internal scale does not exceed the external one.  Which edges are internal
 or external depends only on the diagram and the forest, so each forest's
 edge table is built once, from the one edge-set model of
-``derived_edge_sets``, and kept in the diagram's memo; a projection is then
-a min/max of scales over the table.
+``derived_edge_sets``, and kept in the diagram's memo.  Its rows hold edge
+indices, positions in the diagram's one memoized edge order; a projection
+is then a min/max over a list of scales.
 
 The partition identity splits the (forest, cut) pairs into cells.  A cut
 collection leaves the forests whose kernel edges it avoids; those forests
@@ -22,13 +23,20 @@ which the harvested cuts of M's maximum then tile into intervals of cuts.
 
 Everything the audit reads that does not depend on the scale assignment is
 built on first use and kept in the diagram's memo.  Per diagram, that is
-the partition frame: the forests and cut sites, each forest's kernel
-edges, the set of all (forest, cut) pairs, and each cut collection with
-the forests that avoid it.  Per forest, it is the edge table above and the
-endpoints of the generalized edges, split into the forest's interior,
-which the harvest merges first at scale infinity, and the rest, which it
-sorts by scale.  A trial pays only for the projections, their grouping and
-interval checks, the harvests and the tiling.
+the edge order, the partition frame (the forests and cut sites, each
+forest's kernel edges, the set of all (forest, cut) pairs, and each cut
+collection with the forests that avoid it) and the subsets of each set of
+cut sites the tiling reads.  Per forest, it is the edge table above and the
+harvest's table: the components of the base point and the nodes once the
+forest's interior is merged at scale infinity, the other edges by index,
+and the vertex pairs each cut site is decided on.
+
+An assignment is immutable.  For the one diagram it was last used with, it
+keeps its scales as a vector in the edge order, read once from its mapping,
+and the safe projection of each forest it was asked about.  A trial pays
+for reading that vector, one projection per forest, the grouping and
+interval checks, one harvest per cell (a sort of the non-interior edges by
+scale and the merging until every decisive pair is joined) and the tiling.
 """
 
 from __future__ import annotations
@@ -36,13 +44,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import itemgetter
+from types import MappingProxyType
+from typing import Mapping
 
 from .moment_diagrams import MomentDiagram, _memoized, derived_edge_sets
 
 BASE = "base"
 KER = "ker"
 PAIR = "pair"
+INF = float("inf")
 
 
 def generalized_edges(d: MomentDiagram) -> list[tuple]:
@@ -53,9 +63,24 @@ def generalized_edges(d: MomentDiagram) -> list[tuple]:
     return out
 
 
-@dataclass
+@_memoized
+def _edge_index(d: MomentDiagram) -> dict[tuple, int]:
+    """Each generalized edge's position in ``generalized_edges`` order."""
+    return {ge: i for i, ge in enumerate(generalized_edges(d))}
+
+
+@dataclass(frozen=True)
 class ScaleAssignment:
-    n: dict[tuple, int]
+    """A scale per generalized edge, read-only.  It keeps, for the one
+    diagram it was last used with, its scales as a vector in
+    ``_edge_index`` order and each forest's safe projection."""
+
+    n: Mapping[tuple, int]
+    _last: list = field(default_factory=list, init=False, repr=False,
+                        compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", MappingProxyType(dict(self.n)))
 
     @staticmethod
     def random_assignment(d: MomentDiagram, n_cap: int, rng: random.Random
@@ -66,22 +91,32 @@ class ScaleAssignment:
     def constant(d: MomentDiagram, value: int) -> "ScaleAssignment":
         return ScaleAssignment({ge: value for ge in generalized_edges(d)})
 
+    def _on(self, d: MomentDiagram) -> tuple[list[int], dict]:
+        """The scale vector of ``d`` and the projection memo, both rebuilt
+        when ``d`` is not the diagram this assignment was last used with."""
+        last = self._last
+        if not last or last[0] is not d:
+            last[:] = d, list(map(self.n.__getitem__, _edge_index(d))), {}
+        return last[1], last[2]
+
 
 # --- the scale-free edge table of a forest ------------------------------------
 
 
 @_memoized
 def _forest_edges(d: MomentDiagram, F) -> tuple[list, frozenset]:
-    """(S, internal, external) per member S of ``F``: the external edges
-    are the base edges of S's nodes, the kernel edges entering S and the
-    pair edges with one end in S, within the smallest enclosing member.
-    Also the forest's interior: the kernel and pair edges inside a member."""
+    """(S, internal, external) per member S of ``F``, as edge indices: the
+    external edges are the base edges of S's nodes, the kernel edges
+    entering S and the pair edges with one end in S, within the smallest
+    enclosing member.  Also the forest's interior: the kernel and pair
+    edges inside a member."""
 
     def interior(S):
         LS = d.L(S)
         return ({(KER, e) for e in d.K(S)}
                 | {(PAIR, a, b) for a, b in d.pairs if a in LS and b in LS})
 
+    index = _edge_index(d)
     rows = []
     for S in F:
         own = derived_edge_sets(d, F, S)
@@ -92,18 +127,27 @@ def _forest_edges(d: MomentDiagram, F) -> tuple[list, frozenset]:
         if above:
             external &= interior(min(above, key=len))
         internal = [(KER, e) for e in own.K_F] + [(PAIR, *ab) for ab in own.pairs_F]
-        rows.append((S, internal, list(external)))
+        rows.append((S, [index[ge] for ge in internal],
+                     [index[ge] for ge in external]))
     return rows, frozenset().union(*map(interior, F))
 
 
 def safe_projection(d: MomentDiagram, F, n: ScaleAssignment) -> frozenset[frozenset[int]]:
-    """Members whose internal scale does not exceed their external scale."""
-    scale = n.n.__getitem__
-    members, _ = _forest_edges(d, F)
-    return frozenset(
-        S for S, internal, external in members
-        if min(map(scale, internal), default=float("inf"))
-        <= max(map(scale, external), default=float("-inf")))
+    """Members whose internal scale does not exceed their external scale,
+    computed once per forest and kept on ``n``."""
+    scales, memo = n._on(d)
+    try:
+        out = memo.get(F)
+    except TypeError:  # not frozen yet
+        out = None
+    if out is None:
+        F = frozenset(F)
+        members, _ = _forest_edges(d, F)
+        out = memo[F] = frozenset([
+            S for S, internal, external in members
+            if min([scales[i] for i in internal], default=INF)
+            <= max([scales[i] for i in external], default=-INF)])
+    return out
 
 
 # --- interval preimages -------------------------------------------------------
@@ -121,15 +165,16 @@ class ForestInterval:
         return [F for F in universe if F in self]
 
 
-def _interval(target, pre, universe) -> ForestInterval:
-    """The interval [meet, join] of the forests ``pre``; raises unless its
-    members in ``universe`` are exactly ``pre``."""
-    interval = ForestInterval(frozenset.intersection(*pre), frozenset.union(*pre))
-    if {F for F in universe if F in interval} != set(pre):
+def _bounds(target, pre, universe) -> tuple[frozenset, frozenset]:
+    """The meet and join of the forests ``pre``, which are every entry of
+    ``universe`` that projects to ``target``; raises unless no other entry
+    of ``universe`` lies between them."""
+    lower, upper = frozenset.intersection(*pre), frozenset.union(*pre)
+    if len([F for F in universe if lower <= F <= upper]) != len(pre):
         raise AssertionError(
             f"safe-projection preimage of {sorted(map(sorted, target))} is not an interval"
         )
-    return interval
+    return lower, upper
 
 
 def preimage_interval(d: MomentDiagram, target, n: ScaleAssignment,
@@ -144,27 +189,39 @@ def preimage_interval(d: MomentDiagram, target, n: ScaleAssignment,
     forests = [frozenset(F) for F in forests]
     target = frozenset(target)
     pre = [F for F in forests if safe_projection(d, F, n) == target]
-    return _interval(target, pre, forests) if pre else None
+    return ForestInterval(*_bounds(target, pre, forests)) if pre else None
 
 
 # --- cut harvesting ------------------------------------------------------------
 
 
 @_memoized
-def _harvest_edges(d: MomentDiagram, F) -> tuple[list, list]:
-    """(u, v, infinity) for each generalized edge interior to ``F`` and
-    (edge, u, v) for the others, where u and v are the edge's endpoints,
-    each list in ``generalized_edges`` order."""
+def _harvest_edges(d: MomentDiagram, F) -> tuple:
+    """The scale-free part of a harvest of ``F``, with the base point and
+    the nodes numbered 0, 1, ... in that order: each vertex's component
+    label once ``F``'s interior edges are merged, the other generalized
+    edges as (index, u, v), each cut site e with its pairs (0, p) and
+    (p, e), p its parent, the pairs the interior leaves apart, and the
+    others, joined at scale infinity."""
     _, interior = _forest_edges(d, F)
-    inner, rest = [], []
-    for ge in generalized_edges(d):
+    pos = {v: k for k, v in enumerate([0, *d.nodes])}
+    label = list(pos.values())
+    rest = []
+    for ge, i in _edge_index(d).items():
         kind, a = ge[:2]
         u, v = (0, a) if kind == BASE else (a, d.parent[a]) if kind == KER else ge[1:]
+        u, v = pos[u], pos[v]
         if ge in interior:
-            inner.append((u, v, float("inf")))
+            lu, lv = label[u], label[v]
+            label = [lu if x == lv else x for x in label]
         else:
-            rest.append((ge, u, v))
-    return inner, rest
+            rest.append((i, u, v))
+    cuts = [(e, (0, pos[d.parent[e]]), (pos[d.parent[e]], pos[e]))
+            for e in d.cut_sites()]
+    pairs = list(dict.fromkeys(q for _, *qs in cuts for q in qs))
+    apart = [(u, v) for u, v in pairs if label[u] != label[v]]
+    joined = {(u, v): INF for u, v in pairs if label[u] == label[v]}
+    return label, rest, cuts, apart, joined
 
 
 def harvest_cuts(d: MomentDiagram, F, n: ScaleAssignment) -> frozenset[int]:
@@ -176,25 +233,28 @@ def harvest_cuts(d: MomentDiagram, F, n: ScaleAssignment) -> frozenset[int]:
     puts them in one component.  That is their bottleneck, the largest s
     such that the edges of scale >= s connect them.  Edges internal to
     ``F`` come first, at scale infinity, so contracting a member can only
-    raise a merge scale.
+    raise a merge scale; the forest's table holds them merged.  Only the
+    pairs (0, p) and (p, e) are followed, and the merging stops once all
+    of them are joined.
     """
-    inner, rest = _harvest_edges(d, F)
-    scale = n.n.__getitem__
-    outer = sorted(((u, v, scale(ge)) for ge, u, v in rest),
-                   key=itemgetter(2), reverse=True)
-    comp = {v: [v] for v in [0, *d.nodes]}
-    joined = {}
-    for u, v, s in inner + outer:
-        A, B = comp[u], comp[v]
-        if A is B:
+    label, rest, cuts, apart, joined = _harvest_edges(d, F)
+    scales, _ = n._on(d)
+    joined = dict(joined)
+    for s, u, v in sorted([(scales[i], u, v) for i, u, v in rest], reverse=True):
+        lu, lv = label[u], label[v]
+        if lu == lv:
             continue
-        for a in A:
-            for b in B:
-                joined[a, b] = joined[b, a] = s
-        A += B
-        comp.update(dict.fromkeys(B, A))
-    return frozenset(e for e in d.cut_sites()
-                     if joined[0, d.parent[e]] > joined[d.parent[e], e])
+        label = [lu if x == lv else x for x in label]
+        left = []
+        for q in apart:
+            if label[q[0]] == label[q[1]]:
+                joined[q] = s
+            else:
+                left.append(q)
+        if not left:
+            break
+        apart = left
+    return frozenset(e for e, up, down in cuts if joined[up] > joined[down])
 
 
 # --- the partition identity -----------------------------------------------------
@@ -210,11 +270,13 @@ class PartitionReport:
     failures: list[dict] = field(default_factory=list)
 
 
-def _subsets(items) -> list[frozenset]:
-    """All subsets of ``items``, by size and then lexicographically."""
-    items = sorted(items)
-    return [frozenset(c) for r in range(len(items) + 1)
-            for c in combinations(items, r)]
+@_memoized
+def _subsets(d: MomentDiagram, sites) -> tuple[frozenset, ...]:
+    """All subsets of the cut sites ``sites`` of ``d``, by size and then
+    lexicographically."""
+    items = sorted(sites)
+    return tuple(frozenset(c) for r in range(len(items) + 1)
+                 for c in combinations(items, r))
 
 
 def _kernel_edges(d: MomentDiagram, F) -> frozenset[int]:
@@ -231,9 +293,9 @@ def _partition_frame(d: MomentDiagram) -> tuple:
     sites = frozenset(d.cut_sites())
     kernel = {F: _kernel_edges(d, F) for F in forests}
     # a set, not a list: its order is the order of the coverage failures
-    all_pairs = {(F, cut) for F in forests for cut in _subsets(sites - kernel[F])}
+    all_pairs = {(F, cut) for F in forests for cut in _subsets(d, sites - kernel[F])}
     cuts = [(cut, [F for F in forests if not kernel[F] & cut])
-            for cut in _subsets(sites)]
+            for cut in _subsets(d, sites)]
     return forests, sites, kernel, all_pairs, cuts
 
 
@@ -258,19 +320,19 @@ def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
     interval_checks = 0
     compat_checks = 0
 
-    # forest interval M -> (its bounds, its admissible cut collections)
-    cells: dict[frozenset, tuple[ForestInterval, set]] = {}
+    # forest interval M -> (its maximum, its admissible cut collections)
+    cells: dict[frozenset, tuple[frozenset, set]] = {}
     for cut, avail in cuts:
         for img in {proj[F] for F in avail}:
             pre = [F for F in avail if proj[F] == img]
             try:
-                interval = _interval(img, pre, avail)
+                lower, upper = _bounds(img, pre, avail)
             except AssertionError as exc:
                 failures.append({"kind": "interval", "cut": sorted(cut), "err": str(exc)})
                 continue
             interval_checks += 1
-            admissible = cells.setdefault(frozenset(pre), (interval, set()))[1]
-            if img == interval.lower:
+            admissible = cells.setdefault(frozenset(pre), (upper, set()))[1]
+            if img == lower:
                 admissible.add(cut)
             else:
                 failures.append({
@@ -279,11 +341,11 @@ def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
                 })
     coverage: dict[tuple, int] = dict.fromkeys(all_pairs, 0)
     n_cells = 0
-    for M, (interval, admissible) in cells.items():
-        K_b = kernel.get(interval.upper)
+    for M, (upper, admissible) in cells.items():
+        K_b = kernel.get(upper)
         if K_b is None:  # the join of a group is a forest unless the audit fails
-            K_b = _kernel_edges(d, interval.upper)
-        harv = harvest_cuts(d, interval.upper, n) - K_b
+            K_b = _kernel_edges(d, upper)
+        harv = harvest_cuts(d, upper, n) - K_b
         # compatibility: harvested non-forest edges toggle freely
         for cut in admissible | {c ^ frozenset([e]) for c in admissible for e in harv}:
             for e in harv:
@@ -294,8 +356,8 @@ def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
                         "kind": "compatibility", "edge": e, "cut": sorted(cut),
                     })
         # the harvested intervals must tile the admissible collections
-        flips = _subsets(harv)
-        for seed in _subsets(sites - K_b - harv):
+        flips = _subsets(d, harv)
+        for seed in _subsets(d, sites - K_b - harv):
             block = [seed | x for x in flips]
             inside = [c in admissible for c in block]
             if any(inside) and not all(inside):

@@ -69,6 +69,12 @@ class TestExitCodes:
         # both divergent subtrees of TAU4, overlapping without nesting
         (["power", "audit", "--forest", "1,2;1,3", "--tree",
           "(-;0,0,0;(+;0,0,0;)(+;0,0,0;)(-;0,0,0;))"], "[1, 2] and [1, 3]"),
+        # the dipole's charged root alone: a connected subtree, not divergent
+        (["power", "audit", "--forest", "1"], "[1] is not a divergent subtree"),
+        # TAU4's first copy is divergent only from beta_bar = 7/4 on
+        (["power", "audit", "--forest", "1,2;1,2,3,4", "--tree",
+          "(-;0,0,0;(+;0,0,0;)(+;0,0,0;)(-;0,0,0;))"],
+         "[1, 2, 3, 4] is not a divergent subtree"),
     ])
     def test_bad_ids_and_counts_are_usage_errors(self, capsys, argv, named):
         code, out, err = run_cli(argv, capsys)

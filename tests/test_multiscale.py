@@ -1,8 +1,11 @@
 """Safe projections, interval preimages, and the partition identity."""
 
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -354,3 +357,144 @@ class TestHarvestOracle:
             n = ScaleAssignment.random_assignment(d, cap, rng)
             for F in forests:
                 assert harvest_cuts(d, F, n) == _oracle_harvest_cuts(d, F, n), (F, n.n)
+
+
+# --- the dict-keyed projection and harvest, kept as references --------------
+#
+# Before the edge-index tables, a projection and a harvest read each scale
+# from the assignment's mapping by its generalized-edge key.  These are
+# those bodies, with their two tables built per call.
+
+
+def _dict_forest_edges(d, F):
+    def interior(S):
+        LS = d.L(S)
+        return ({(ms.KER, e) for e in d.K(S)}
+                | {(ms.PAIR, a, b) for a, b in d.pairs if a in LS and b in LS})
+
+    rows = []
+    for S in F:
+        own = derived_edge_sets(d, F, S)
+        LS = d.L(S)
+        external = ({(ms.BASE, u) for u in S} | {(ms.KER, e) for e in own.K_down}
+                    | {(ms.PAIR, a, b) for a, b in d.pairs if (a in LS) != (b in LS)})
+        above = [T for T in F if S < T]
+        if above:
+            external &= interior(min(above, key=len))
+        internal = [(ms.KER, e) for e in own.K_F] + [(ms.PAIR, *ab) for ab in own.pairs_F]
+        rows.append((S, internal, list(external)))
+    return rows, frozenset().union(*map(interior, F))
+
+
+def _dict_safe_projection(d, F, n):
+    scale = n.n.__getitem__
+    members, _ = _dict_forest_edges(d, F)
+    return frozenset(
+        S for S, internal, external in members
+        if min(map(scale, internal), default=float("inf"))
+        <= max(map(scale, external), default=float("-inf")))
+
+
+def _dict_harvest_edges(d, F):
+    _, interior = _dict_forest_edges(d, F)
+    inner, rest = [], []
+    for ge in generalized_edges(d):
+        kind, a = ge[:2]
+        u, v = (0, a) if kind == ms.BASE else (a, d.parent[a]) if kind == ms.KER else ge[1:]
+        if ge in interior:
+            inner.append((u, v, float("inf")))
+        else:
+            rest.append((ge, u, v))
+    return inner, rest
+
+
+def _dict_harvest_cuts(d, F, n):
+    inner, rest = _dict_harvest_edges(d, F)
+    scale = n.n.__getitem__
+    outer = sorted(((u, v, scale(ge)) for ge, u, v in rest),
+                   key=itemgetter(2), reverse=True)
+    comp = {v: [v] for v in [0, *d.nodes]}
+    joined = {}
+    for u, v, s in inner + outer:
+        A, B = comp[u], comp[v]
+        if A is B:
+            continue
+        for a in A:
+            for b in B:
+                joined[a, b] = joined[b, a] = s
+        A += B
+        comp.update(dict.fromkeys(B, A))
+    return frozenset(e for e in d.cut_sites()
+                     if joined[0, d.parent[e]] > joined[d.parent[e], e])
+
+
+D_P2 = ORACLE_DIAGRAMS["dipole_p2_5_4"]
+D_TAU4 = ORACLE_DIAGRAMS["tau4_5_4"]
+# 350 assignments x 2 caps x 3 diagrams = 2,100 assignments
+REFERENCE_TRIALS = 350
+
+
+class TestDictReference:
+    @pytest.mark.parametrize("cap", [4, 12])
+    @pytest.mark.parametrize("name", ["dipole_5_4", "dipole_p2_5_4", "tau4_5_4"])
+    def test_tables_match_the_dict_bodies(self, name, cap):
+        d = ORACLE_DIAGRAMS[name]
+        forests = list(d.enumerate_forests())
+        rng = random.Random(cap)
+        for _ in range(REFERENCE_TRIALS):
+            n = ScaleAssignment.random_assignment(d, cap, rng)
+            want = {F: (_dict_safe_projection(d, F, n), _dict_harvest_cuts(d, F, n))
+                    for F in forests}
+            # the second order reads every projection from the memo
+            for order in (forests, forests[::-1]):
+                for F in order:
+                    got = safe_projection(d, F, n), harvest_cuts(d, F, n)
+                    assert got == want[F], (F, dict(n.n))
+
+
+class TestAssignmentMemo:
+    def test_assignment_is_read_only(self):
+        edge = generalized_edges(D2)[0]
+        values = dict.fromkeys(generalized_edges(D2), 1)
+        n = ScaleAssignment(values)
+        with pytest.raises(TypeError):
+            n.n[edge] = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            n.n = {}
+        values[edge] = 3  # the caller's dict is copied
+        assert n.n[edge] == 1
+        assert n == ScaleAssignment.constant(D2, 1)
+
+    def test_one_assignment_serves_two_diagrams(self):
+        # TAU4 has every generalized edge of the two-pair dipole, and the
+        # kernel edges 3 and 7 more, in another order.  {{1, 2}} is a forest
+        # of both; in TAU4 the kernel edge 3 enters {1, 2} as well
+        assert set(generalized_edges(D_P2)) < set(generalized_edges(D_TAU4))
+        F = frozenset({frozenset({1, 2})})
+        values = dict.fromkeys(generalized_edges(D_TAU4), 0)
+        values.update({(ms.KER, 2): 2, (ms.PAIR, 1, 2): 2, (ms.KER, 3): 3})
+        n = ScaleAssignment(values)
+        for d, img in [(D_P2, frozenset()), (D_TAU4, F)] * 2:
+            assert safe_projection(d, F, n) == img
+            assert harvest_cuts(d, F, n) == _dict_harvest_cuts(d, F, n)
+        assert _dict_safe_projection(D_P2, F, n) == frozenset()
+        assert _dict_safe_projection(D_TAU4, F, n) == F
+
+    def test_each_projection_is_computed_once(self, monkeypatch):
+        # organize_and_check, then criterion 05's images and preimages:
+        # the projection of each forest is computed from its table once
+        forests = D2.enumerate_forests()
+        rng = random.Random(6)
+        organize_and_check(D2, ScaleAssignment.random_assignment(D2, 4, rng))
+        built = []
+        table = ms._forest_edges
+        monkeypatch.setattr(ms, "_forest_edges",
+                            lambda d, F: built.append(frozenset(F)) or table(d, F))
+        for _ in range(20):
+            n = ScaleAssignment.random_assignment(D2, 4, rng)
+            built.clear()
+            organize_and_check(D2, n)
+            images = {safe_projection(D2, F, n) for F in forests}
+            for img in images:
+                preimage_interval(D2, img, n, forests)
+            assert Counter(built) == Counter(forests)
