@@ -216,9 +216,7 @@ def _parse_forest(text: str | None, d):
                    for grp in (text or "").split(";") if grp)
     if len(set(forest)) != len(forest):
         raise UsageError(f"--forest: a member is repeated in {text!r}")
-    for T in forest:
-        if sum(d.parent[u] not in T for u in T) != 1:
-            raise UsageError(f"--forest: {sorted(T)} is not a connected subtree")
+    for T in forest:  # a divergent subtree is connected
         if T not in d.divergent_subtrees():
             raise UsageError(f"--forest: {sorted(T)} is not a divergent subtree")
     for S, T in combinations(forest, 2):
@@ -462,12 +460,14 @@ def build_parser() -> _Parser:
 
 def _run(args) -> int:
     """Run the parsed command, write its report and return its exit code.
-    Each output path given is checked first, so that an unwritable one is
-    refused before any work is done."""
-    for flag, path in (("--out", args.out),
-                       ("--out-csv", getattr(args, "out_csv", None))):
+    Each output path given is checked first, so that an unwritable one, or
+    one given to both --out and --out-csv, is refused before any work."""
+    out, out_csv = args.out, getattr(args, "out_csv", None)
+    for flag, path in (("--out", out), ("--out-csv", out_csv)):
         if path:
             _check_writable(flag, path)
+    if out and out_csv and os.path.realpath(out) == os.path.realpath(out_csv):
+        raise UsageError(f"--out-csv: the same file as --out: {out_csv}")
     results, ok = args.func(args)
     _emit(args, results)
     return 0 if ok else 1

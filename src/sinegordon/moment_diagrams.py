@@ -17,11 +17,11 @@ So every cut of a forest counts each noise pair as its uncut term does, and
 the CLI audit checks the uncut terms and counts the others.
 
 A diagram is frozen, and nothing it determines depends on a scale
-assignment.  So its divergent subtrees, its forests, the gamma exponents
-and cut sites, and the edge sets of every (forest, member) are computed on
-first use and kept in the diagram's memo.  One edge-set model serves the
-members of a forest and the whole diagram alike: the diagram is treated
-as the region that holds every node.
+assignment.  So its divergent subtrees, forests, gamma exponents, cut
+sites and each forest's free sites, and the edge sets of every (forest,
+member) are computed on first use and kept in the diagram's memo.  One
+edge-set model serves the members of a forest and the whole diagram
+alike: the diagram is treated as the region that holds every node.
 """
 
 from __future__ import annotations
@@ -214,6 +214,12 @@ class MomentDiagram:
     def cut_sites(self) -> tuple[int, ...]:
         return tuple(e for e in self.kernel_edges if self.gamma(e) > 0)
 
+    @_memoized
+    def free_sites(self, F) -> frozenset[int]:
+        """The cut sites outside every member of ``F``: those a term of the
+        forest ``F`` may cut."""
+        return frozenset(self.cut_sites()).difference(*map(self.K, F))
+
 
 def _add_copy(diagram_state, tau: DecoratedTree):
     parent, label, deco = diagram_state
@@ -351,10 +357,8 @@ def moment_terms(d: MomentDiagram) -> list[MomentTerm]:
 
 
 def _free_sites(d: MomentDiagram) -> list[tuple[frozenset, list[int]]]:
-    """Each forest with its free cut sites, those outside all its members."""
-    sites = set(d.cut_sites())
-    return [(G, sorted(sites - frozenset().union(*map(d.K, G))))
-            for G in d.enumerate_forests()]
+    """Each forest with its free cut sites, in order."""
+    return [(G, sorted(d.free_sites(G))) for G in d.enumerate_forests()]
 
 
 def uncut_terms(d: MomentDiagram) -> tuple[list[MomentTerm], int]:

@@ -16,27 +16,29 @@ indices, positions in the diagram's one memoized edge order; a projection
 is then a min/max over a list of scales.
 
 The partition identity splits the (forest, cut) pairs into cells.  A cut
-collection leaves the forests whose kernel edges it avoids; those forests
-group by their safe projection, and each group is a forest interval M whose
-minimum is the projection.  The cut belongs to M's admissible collections,
-which the harvested cuts of M's maximum then tile into intervals of cuts.
+collection is available to the forests that leave all its sites free
+(``MomentDiagram.free_sites``); those forests group by their safe
+projection, and each group is a forest interval M whose minimum is the
+projection.  The cut belongs to M's admissible collections, which the
+harvested cuts of M's maximum then tile into intervals of cuts.
 
 Everything the audit reads that does not depend on the scale assignment is
 built on first use and kept in the diagram's memo.  Per diagram, that is
-the edge order, the partition frame (the forests and cut sites, each
-forest's kernel edges, the set of all (forest, cut) pairs, and each cut
-collection with the forests that avoid it) and the subsets of each set of
-cut sites the tiling reads.  Per forest, it is the edge table above and the
-harvest's table: the components of the base point and the nodes once the
-forest's interior is merged at scale infinity, the other edges by index,
-and the vertex pairs each cut site is decided on.
+the edge order, the partition frame (the forests, the set of all (forest,
+cut) pairs, and each cut collection with the forests it is available to)
+and the subsets of each set of cut sites the tiling reads.  Per forest, it
+is the edge table above, its free sites, and the harvest's table: the
+contraction, which labels the base point and each node by the member that
+contains it, the edges between labels by index, and the vertex pairs each
+cut site is decided on.
 
 An assignment is immutable.  For the one diagram it was last used with, it
 keeps its scales as a vector in the edge order, read once from its mapping,
 and the safe projection of each forest it was asked about.  A trial pays
 for reading that vector, one projection per forest, the grouping and
-interval checks, one harvest per cell (a sort of the non-interior edges by
-scale and the merging until every decisive pair is joined) and the tiling.
+interval checks, one harvest per cell (a sort of the edges between labels
+by scale and the merging until every decisive pair is joined) and the
+tiling.
 """
 
 from __future__ import annotations
@@ -104,12 +106,11 @@ class ScaleAssignment:
 
 
 @_memoized
-def _forest_edges(d: MomentDiagram, F) -> tuple[list, frozenset]:
+def _forest_edges(d: MomentDiagram, F) -> list[tuple]:
     """(S, internal, external) per member S of ``F``, as edge indices: the
     external edges are the base edges of S's nodes, the kernel edges
     entering S and the pair edges with one end in S, within the smallest
-    enclosing member.  Also the forest's interior: the kernel and pair
-    edges inside a member."""
+    enclosing member."""
 
     def interior(S):
         LS = d.L(S)
@@ -129,7 +130,7 @@ def _forest_edges(d: MomentDiagram, F) -> tuple[list, frozenset]:
         internal = [(KER, e) for e in own.K_F] + [(PAIR, *ab) for ab in own.pairs_F]
         rows.append((S, [index[ge] for ge in internal],
                      [index[ge] for ge in external]))
-    return rows, frozenset().union(*map(interior, F))
+    return rows
 
 
 def safe_projection(d: MomentDiagram, F, n: ScaleAssignment) -> frozenset[frozenset[int]]:
@@ -142,9 +143,8 @@ def safe_projection(d: MomentDiagram, F, n: ScaleAssignment) -> frozenset[frozen
         out = None
     if out is None:
         F = frozenset(F)
-        members, _ = _forest_edges(d, F)
         out = memo[F] = frozenset([
-            S for S, internal, external in members
+            S for S, internal, external in _forest_edges(d, F)
             if min([scales[i] for i in internal], default=INF)
             <= max([scales[i] for i in external], default=-INF)])
     return out
@@ -186,7 +186,7 @@ def preimage_interval(d: MomentDiagram, target, n: ScaleAssignment,
     """
     if forests is None:
         forests = d.enumerate_forests()
-    forests = [frozenset(F) for F in forests]
+    forests = [F if isinstance(F, frozenset) else frozenset(F) for F in forests]
     target = frozenset(target)
     pre = [F for F in forests if safe_projection(d, F, n) == target]
     return ForestInterval(*_bounds(target, pre, forests)) if pre else None
@@ -199,23 +199,22 @@ def preimage_interval(d: MomentDiagram, target, n: ScaleAssignment,
 def _harvest_edges(d: MomentDiagram, F) -> tuple:
     """The scale-free part of a harvest of ``F``, with the base point and
     the nodes numbered 0, 1, ... in that order: each vertex's component
-    label once ``F``'s interior edges are merged, the other generalized
-    edges as (index, u, v), each cut site e with its pairs (0, p) and
-    (p, e), p its parent, the pairs the interior leaves apart, and the
-    others, joined at scale infinity."""
-    _, interior = _forest_edges(d, F)
+    label once each member of ``F`` is contracted (members that overlap
+    merge into one), the generalized edges between components as
+    (index, u, v), each cut site e with its pairs (0, p) and (p, e), p its
+    parent, the pairs the contraction leaves apart, and the others, joined
+    at scale infinity."""
     pos = {v: k for k, v in enumerate([0, *d.nodes])}
     label = list(pos.values())
+    for S in F:
+        merged = {label[pos[u]] for u in S}
+        label = [min(merged) if x in merged else x for x in label]
     rest = []
     for ge, i in _edge_index(d).items():
         kind, a = ge[:2]
         u, v = (0, a) if kind == BASE else (a, d.parent[a]) if kind == KER else ge[1:]
-        u, v = pos[u], pos[v]
-        if ge in interior:
-            lu, lv = label[u], label[v]
-            label = [lu if x == lv else x for x in label]
-        else:
-            rest.append((i, u, v))
+        if label[pos[u]] != label[pos[v]]:
+            rest.append((i, pos[u], pos[v]))
     cuts = [(e, (0, pos[d.parent[e]]), (pos[d.parent[e]], pos[e]))
             for e in d.cut_sites()]
     pairs = list(dict.fromkeys(q for _, *qs in cuts for q in qs))
@@ -233,9 +232,9 @@ def harvest_cuts(d: MomentDiagram, F, n: ScaleAssignment) -> frozenset[int]:
     puts them in one component.  That is their bottleneck, the largest s
     such that the edges of scale >= s connect them.  Edges internal to
     ``F`` come first, at scale infinity, so contracting a member can only
-    raise a merge scale; the forest's table holds them merged.  Only the
-    pairs (0, p) and (p, e) are followed, and the merging stops once all
-    of them are joined.
+    raise a merge scale; the forest's table holds each member contracted.
+    Only the pairs (0, p) and (p, e) are followed, and the merging stops
+    once all of them are joined.
     """
     label, rest, cuts, apart, joined = _harvest_edges(d, F)
     scales, _ = n._on(d)
@@ -279,24 +278,17 @@ def _subsets(d: MomentDiagram, sites) -> tuple[frozenset, ...]:
                  for c in combinations(items, r))
 
 
-def _kernel_edges(d: MomentDiagram, F) -> frozenset[int]:
-    """The kernel edges inside the members of ``F``."""
-    return frozenset().union(*map(d.K, F))
-
-
 @_memoized
 def _partition_frame(d: MomentDiagram) -> tuple:
-    """The scale-free frame of the partition audit: the forests, the cut
-    sites, each forest's kernel edges, the set of all (forest, cut) pairs,
-    and each cut collection with the forests that avoid it."""
+    """The scale-free frame of the partition audit: the forests, the set of
+    all (forest, cut) pairs, and each cut collection with the forests that
+    leave all of its sites free."""
     forests = d.enumerate_forests()
-    sites = frozenset(d.cut_sites())
-    kernel = {F: _kernel_edges(d, F) for F in forests}
     # a set, not a list: its order is the order of the coverage failures
-    all_pairs = {(F, cut) for F in forests for cut in _subsets(d, sites - kernel[F])}
-    cuts = [(cut, [F for F in forests if not kernel[F] & cut])
-            for cut in _subsets(d, sites)]
-    return forests, sites, kernel, all_pairs, cuts
+    all_pairs = {(F, cut) for F in forests for cut in _subsets(d, d.free_sites(F))}
+    cuts = [(cut, [F for F in forests if cut <= d.free_sites(F)])
+            for cut in _subsets(d, d.cut_sites())]
+    return forests, all_pairs, cuts
 
 
 def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
@@ -305,15 +297,15 @@ def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
     compatible with cell membership.
 
     One pass over the cut collections builds the cells.  For each cut, the
-    forests avoiding it are grouped by safe projection; each group must be
-    an interval M, and the cut is admissible for M when the group's
-    projection is M's minimum.  That is the definition of admissibility:
-    the forests that avoid the cut and project to M's minimum are exactly
-    M.  The cut needs no separate restriction to the sites outside the
-    kernel edges of M's maximum, because every member of M avoids the cut,
-    so the cut misses the kernel edges of their union.
+    forests that leave its sites free are grouped by safe projection; each
+    group must be an interval M, and the cut is admissible for M when the
+    group's projection is M's minimum.  That is the definition of
+    admissibility: the forests that leave the cut free and project to M's
+    minimum are exactly M.  The cut needs no separate restriction to the
+    free sites of M's maximum, because every forest of M leaves the cut
+    free, so their union does too.
     """
-    forests, sites, kernel, all_pairs, cuts = _partition_frame(d)
+    forests, all_pairs, cuts = _partition_frame(d)
     proj = {F: safe_projection(d, F, n) for F in forests}
 
     failures: list[dict] = []
@@ -342,10 +334,8 @@ def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
     coverage: dict[tuple, int] = dict.fromkeys(all_pairs, 0)
     n_cells = 0
     for M, (upper, admissible) in cells.items():
-        K_b = kernel.get(upper)
-        if K_b is None:  # the join of a group is a forest unless the audit fails
-            K_b = _kernel_edges(d, upper)
-        harv = harvest_cuts(d, upper, n) - K_b
+        free = d.free_sites(upper)
+        harv = harvest_cuts(d, upper, n) & free
         # compatibility: harvested non-forest edges toggle freely
         for cut in admissible | {c ^ frozenset([e]) for c in admissible for e in harv}:
             for e in harv:
@@ -357,7 +347,7 @@ def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
                     })
         # the harvested intervals must tile the admissible collections
         flips = _subsets(d, harv)
-        for seed in _subsets(d, sites - K_b - harv):
+        for seed in _subsets(d, free - harv):
             block = [seed | x for x in flips]
             inside = [c in admissible for c in block]
             if any(inside) and not all(inside):

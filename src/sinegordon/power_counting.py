@@ -168,7 +168,6 @@ class HomogeneitySetup:
     sigma: TotalHomogeneity
     vertices: frozenset
     qhat: dict            # diagram node (or base point) -> quotient vertex
-    members: list         # contracted subtrees (maximal forest members)
     pinned: frozenset     # vertices that stay at macroscopic separation
 
 
@@ -203,13 +202,14 @@ def sg_total_homogeneity(d: MomentDiagram, forest, s_cut=(), d_cut=()
     collects the decoration, contracted-member, kernel-edge, noise-pair and
     recentered-edge groups.  ``s_cut`` are cut edges entering a contracted
     member, ``d_cut`` the remaining cut edges.  An ``s_cut`` edge inside a
-    member is refused: only kernel edges outside the forest are cut.
+    member is refused: only the forest's free sites are cut, and every
+    kernel edge is a cut site, as gamma(e) >= |desc(e)| (2 - beta_bar) > 0.
     """
     top = derived_edge_sets(d, forest)
     s_cut, d_cut = frozenset(s_cut), frozenset(d_cut)
-    if s_cut - top.K_F:
-        raise ValueError(f"s_cut edges {sorted(s_cut - top.K_F)} are not "
-                         f"kernel edges outside the forest's members")
+    if inside := s_cut - d.free_sites(forest):
+        raise ValueError(f"s_cut edges {sorted(inside)} are not kernel edges "
+                         f"outside the forest's members")
     qhat, terms = _contracted(d, top, s_cut)
     for u in d.nodes:
         w = deco_weight(d.deco[u])
@@ -226,8 +226,7 @@ def sg_total_homogeneity(d: MomentDiagram, forest, s_cut=(), d_cut=()
         terms.append((Fraction(2), frozenset([e, BASE_POINT])))
     pinned = frozenset([BASE_POINT]) | frozenset(qhat[r] for r in d.roots)
     return HomogeneitySetup(TotalHomogeneity(tuple(terms)),
-                            frozenset([BASE_POINT]) | top.N_F, qhat,
-                            list(top.C), pinned)
+                            frozenset([BASE_POINT]) | top.N_F, qhat, pinned)
 
 
 def collapse_order(d: MomentDiagram, S, in_d_cut: bool = False) -> int:
@@ -249,18 +248,13 @@ def inner_total_homogeneity(d: MomentDiagram, S, forest, in_d_cut: bool = False
     vertices = frozenset(qhat[u] for u in S)
     terms.append((Fraction(-collapse_order(d, S, in_d_cut)), vertices))
     return HomogeneitySetup(TotalHomogeneity(tuple(terms)), vertices, qhat,
-                            list(b.C), frozenset([d.subtree_root(S)]))
+                            frozenset([d.subtree_root(S)]))
 
 
-def reexpanded(setup: HomogeneitySetup, cluster: frozenset, d: MomentDiagram
-               ) -> frozenset:
-    """Replace every contracted-member root in the cluster by the member's
-    full node set."""
-    out = set(cluster)
-    for T in setup.members:
-        if d.subtree_root(T) in cluster:
-            out |= T
-    return frozenset(out)
+def reexpanded(setup: HomogeneitySetup, cluster: frozenset) -> frozenset:
+    """The preimage of the cluster under the quotient map: every
+    contracted-member root is replaced by the member's full node set."""
+    return frozenset(u for u, x in setup.qhat.items() if x in cluster)
 
 
 # --- cluster-sum evaluators ------------------------------------------------------
@@ -395,7 +389,7 @@ def _sign_audit(context: str, setup: HomogeneitySetup, d: MomentDiagram,
     excluded = _uncontracted_divergent(d, forest)
     report = ClusterAuditReport(True, context, 0)
     for a in sorted(_clusters(setup.vertices), key=sorted):
-        M = reexpanded(setup, a, d)
+        M = reexpanded(setup, a)
         if M not in excluded:
             val = value(M)
             _tally(report, M, -val, lambda: {"set": sorted(M), "value": str(val)})
@@ -427,7 +421,7 @@ def sign_audit_large_scale(d: MomentDiagram, forest, s_cut=(), d_cut=()
     setup = sg_total_homogeneity(d, forest, s_cut, d_cut)
     all_nodes = frozenset([BASE_POINT]) | frozenset(d.nodes)
     fam = {comp for a in _clusters(setup.vertices) if setup.pinned <= a
-           for comp in _k_components(d, all_nodes - reexpanded(setup, a, d))}
+           for comp in _k_components(d, all_nodes - reexpanded(setup, a))}
     report = ClusterAuditReport(True, "large-scale", 0)
     for M in sorted(fam, key=sorted):
         val = large_scale_sigma_tilde(d, s_cut, d_cut, M)
@@ -442,7 +436,7 @@ def identity_audit(d: MomentDiagram, S, forest) -> ClusterAuditReport:
     report = ClusterAuditReport(True, "identity", 0)
     for a in _clusters(setup.vertices):
         lhs = setup.sigma.nested(a, setup.vertices) - (len(a) - 1) * SCALING_DIM
-        rhs = inner_sigma_tilde(d, S, reexpanded(setup, a, d))
+        rhs = inner_sigma_tilde(d, S, reexpanded(setup, a))
         report.checked += 1
         if lhs != rhs:
             report.ok = False

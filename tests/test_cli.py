@@ -75,6 +75,8 @@ class TestExitCodes:
         (["power", "audit", "--forest", "1,2;1,2,3,4", "--tree",
           "(-;0,0,0;(+;0,0,0;)(+;0,0,0;)(-;0,0,0;))"],
          "[1, 2, 3, 4] is not a divergent subtree"),
+        # the two copy roots: neutral, but not connected
+        (["power", "audit", "--forest", "1,3"], "[1, 3] is not a divergent subtree"),
     ])
     def test_bad_ids_and_counts_are_usage_errors(self, capsys, argv, named):
         code, out, err = run_cli(argv, capsys)
@@ -310,6 +312,24 @@ class TestExitCodes:
                                 "--out", str(old), "--out-csv", str(new)], capsys)
         assert code == 2 and err.startswith("error: --eps-list")
         assert old.read_text() == "kept" and not new.exists()
+
+    @pytest.mark.parametrize("sub", ["field", "dipole", "converge"])
+    def test_one_file_for_both_outputs_is_refused_before_the_run(
+            self, capsys, tmp_path, monkeypatch, sub):
+        from sinegordon import stochastic
+
+        def study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        for name in ("chaos_mean", "dipole_moment", "convergence_study"):
+            monkeypatch.setattr(stochastic, name, study)
+        (tmp_path / "sub").mkdir()
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(["sim", sub, "--out", str(out), "--out-csv",
+                                     str(tmp_path / "sub" / ".." / "x")], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: --out-csv: the same file as --out")
+        assert not out.exists()
 
     def test_version(self, capsys):
         from sinegordon import __version__

@@ -102,6 +102,17 @@ class TestEdgeSets:
         assert b.K_F <= set(d.kernel_edges)
         assert b.K_ring | b.K_partial | b.K_down <= set(d.kernel_edges)
 
+    @pytest.mark.parametrize("name", DIAGRAMS)
+    def test_free_sites_are_the_kernel_edges_outside_the_members(self, name):
+        # every kernel edge is a cut site at these couplings, so the sites
+        # a forest leaves free are exactly the kernel edges of none of its
+        # members, which the big-graph audit's refusal of a cut relies on
+        d = diagram(name)
+        assert d.cut_sites() == tuple(d.kernel_edges)
+        for F in d.enumerate_forests():
+            assert d.free_sites(F) == derived_edge_sets(d, F).K_F, sorted(map(sorted, F))
+            assert d.free_sites(set(F)) is d.free_sites(F)
+
     # TAU6 is left out for time: its 17,424 inventories take seconds alone
     @pytest.mark.parametrize("name", [n for n in DIAGRAMS if n != "tau6-1-7/4"])
     def test_each_kernel_edge_once_per_inventory(self, name):

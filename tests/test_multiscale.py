@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sinegordon import multiscale as ms
-from sinegordon.tree_core import DecoratedTree, ModelParams, XI_MINUS, XI_PLUS, dipole
+from sinegordon.tree_core import (DecoratedTree, ModelParams, XI_MINUS, XI_PLUS,
+                                   dipole, parse_key)
 from sinegordon.moment_diagrams import build_diagram, derived_edge_sets
 from sinegordon.multiscale import (ScaleAssignment, safe_projection,
                                    preimage_interval, harvest_cuts,
@@ -344,16 +345,27 @@ def _oracle_harvest_cuts(d, F, n):
                      if B[0, d.parent[e]] > B[d.parent[e], e])
 
 
+# A chain of four nodes: 64 of its 100 forests nest a member in one with
+# another root, where a contraction that split the enclosing member at the
+# nested one would change the harvest.  In TAU4 nested members share a root.
+CHAIN = parse_key("(-;0,0,0;(+;0,0,0;(-;0,0,0;(+;0,0,0;))))")
+HARVEST_DIAGRAMS = dict(ORACLE_DIAGRAMS, chain_8_5=build_diagram(
+    CHAIN, 1, ModelParams.from_beta_bar(Fraction(8, 5))))
+# assignments per cap; the chain's oracle is the slow one
+HARVEST_TRIALS = {"chain_8_5": 8}
+
+
 class TestHarvestOracle:
     # 64 assignments x 33 forests x 5 caps = 10,560 (assignment, forest)
-    # pairs; cap 0 ties every scale, where > and >= part ways
+    # pairs on the oracle diagrams, and 8 x 100 x 5 = 4,000 on the chain;
+    # cap 0 ties every scale, where > and >= part ways
     @pytest.mark.parametrize("cap", [0, 1, 2, 4, 7])
-    @pytest.mark.parametrize("name", sorted(ORACLE_DIAGRAMS))
+    @pytest.mark.parametrize("name", sorted(HARVEST_DIAGRAMS))
     def test_harvest_matches_widest_paths(self, name, cap):
-        d = ORACLE_DIAGRAMS[name]
+        d = HARVEST_DIAGRAMS[name]
         forests = d.enumerate_forests()
         rng = random.Random(cap)
-        for _ in range(64):
+        for _ in range(HARVEST_TRIALS.get(name, 64)):
             n = ScaleAssignment.random_assignment(d, cap, rng)
             for F in forests:
                 assert harvest_cuts(d, F, n) == _oracle_harvest_cuts(d, F, n), (F, n.n)
@@ -450,6 +462,25 @@ class TestDictReference:
                 for F in order:
                     got = safe_projection(d, F, n), harvest_cuts(d, F, n)
                     assert got == want[F], (F, dict(n.n))
+
+
+class TestNonForestJoin:
+    def test_overlapping_members_merge_as_their_interior_edges_did(self):
+        # a group's join is a forest unless the audit fails.  TAU4's members
+        # {1, 2} and {1, 3} overlap at the root without nesting, and the
+        # dict bodies, which merge the interior edges one by one, are the
+        # reference for such a join
+        J = frozenset([frozenset({1, 2}), frozenset({1, 3})])
+        assert J not in D_TAU4.enumerate_forests()
+        verts = [0, *D_TAU4.nodes]
+        label = ms._harvest_edges(D_TAU4, J)[0]
+        parts = {frozenset(v for v, x in zip(verts, label) if x == y) for y in label}
+        assert parts == {frozenset({1, 2, 3})} | {
+            frozenset([v]) for v in verts if v not in {1, 2, 3}}
+        rng = random.Random(7)
+        for _ in range(100):
+            n = ScaleAssignment.random_assignment(D_TAU4, 4, rng)
+            assert harvest_cuts(D_TAU4, J, n) == _dict_harvest_cuts(D_TAU4, J, n)
 
 
 class TestAssignmentMemo:

@@ -236,7 +236,7 @@ class TestSubsetOracle:
             exact = all(
                 _hierarchy_nested(setup.sigma, tree, a)
                 - (len(a) - 1) * SCALING_DIM
-                == inner_sigma_tilde(d, S, reexpanded(setup, a, d))
+                == inner_sigma_tilde(d, S, reexpanded(setup, a))
                 for tree, a in _hierarchy_clusters(setup.vertices))
             rep = identity_audit(d, S, forest)
             n = len(setup.vertices)
@@ -246,7 +246,7 @@ class TestSubsetOracle:
         for d, forest, S, setup in _small_setups():
             skip = {T for T in d.divergent_subtrees() if T not in forest}
             cut = d.cut_sites()
-            family = {a: reexpanded(setup, a, d)
+            family = {a: reexpanded(setup, a)
                       for _, a in _hierarchy_clusters(setup.vertices)}
             if S is not None:
                 margins = [-inner_sigma_tilde(d, S, M)

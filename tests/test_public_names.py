@@ -1,5 +1,7 @@
-"""Every public module-level name of the package has a caller in ``src/``,
-or a stated reason to stand without one.
+"""Every module-level name of the package has a caller in ``src/``, or a
+stated reason to stand without one.  Private names are scanned too, so a
+helper left without callers is found; only dunders, which Python itself
+reads, are not.
 
 A name counts as called when any other module-level statement of the
 package refers to it: by name, as an attribute, or in an import.  Its own
@@ -61,15 +63,16 @@ def _referenced(node) -> set[str]:
 
 
 def unreferenced(sources: dict[str, str]) -> list[str]:
-    """"module.name" of each public module-level name of ``sources``
-    (module -> source) that no other module-level statement refers to."""
+    """"module.name" of each module-level name of ``sources`` (module ->
+    source), dunders aside, that no other module-level statement refers
+    to."""
     stmts = [(mod, node) for mod, src in sources.items()
              for node in ast.parse(src).body]
     refs = [_referenced(node) for _, node in stmts]
     return sorted(
         f"{mod}.{name}" for i, (mod, node) in enumerate(stmts)
         for name in _defined(node)
-        if not name.startswith("_")
+        if not name.startswith("__")
         and not any(name in r for j, r in enumerate(refs) if j != i))
 
 
@@ -88,9 +91,12 @@ def test_the_scan_sees_an_unused_function():
         "def orphan():\n    return 1\n\n\n"
         "def recursive(k):\n    return recursive(k - 1) if k else 0\n\n\n"
         "def called():\n    return 2\n\n\n"
-        "VALUE = called()\n"))
+        "def _helper():\n    return 3\n\n\n"
+        "VALUE = called()\n"
+        "__dunder__ = 4\n"))
     found = set(unreferenced(sources)) - set(ALLOWED)
-    assert found == {"extra.orphan", "extra.recursive", "extra.VALUE"}
+    assert found == {"extra.orphan", "extra.recursive", "extra.VALUE",
+                     "extra._helper"}
 
 
 def _tracer_layers():
