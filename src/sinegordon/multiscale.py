@@ -186,7 +186,7 @@ def preimage_interval(d: MomentDiagram, target, n: ScaleAssignment,
     """
     if forests is None:
         forests = d.enumerate_forests()
-    forests = [F if isinstance(F, frozenset) else frozenset(F) for F in forests]
+    forests = [frozenset(F) for F in forests]
     target = frozenset(target)
     pre = [F for F in forests if safe_projection(d, F, n) == target]
     return ForestInterval(*_bounds(target, pre, forests)) if pre else None
