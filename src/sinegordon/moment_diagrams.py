@@ -18,10 +18,11 @@ the CLI audit checks the uncut terms and counts the others.
 
 A diagram is frozen, and nothing it determines depends on a scale
 assignment.  So its divergent subtrees, forests, gamma exponents, cut
-sites and each forest's free sites, and the edge sets of every (forest,
-member) are computed on first use and kept in the diagram's memo.  One
-edge-set model serves the members of a forest and the whole diagram
-alike: the diagram is treated as the region that holds every node.
+sites, each forest's free sites and contraction, and the edge sets of
+every (forest, member) are computed on first use and kept in the
+diagram's memo.  One edge-set model serves the members of a forest and
+the whole diagram alike: the diagram is treated as the region that holds
+every node.
 """
 
 from __future__ import annotations
@@ -129,9 +130,6 @@ class MomentDiagram:
     def L(self, S) -> frozenset[int]:
         return frozenset(u for u in S if self.label[u] != "0")
 
-    def N_tilde(self, S: frozenset[int]) -> frozenset[int]:
-        return S - {self.subtree_root(S)}
-
     def bare_s_hom(self, S) -> Fraction:
         """Homogeneity of S with decorations zeroed: 2|K(S)| - bb*|L(S)|."""
         return 2 * len(self.K(S)) - self.params.beta_bar * len(self.L(S))
@@ -220,6 +218,18 @@ class MomentDiagram:
         forest ``F`` may cut."""
         return frozenset(self.cut_sites()).difference(*map(self.K, F))
 
+    @_memoized
+    def contraction(self, F) -> tuple[int, ...]:
+        """The vertex each vertex becomes once the members of ``F`` are
+        contracted, indexed by vertex (0 the base point, then the nodes):
+        the smallest of its component, so overlapping members merge.  Nodes
+        are numbered in preorder, so a member's smallest node is its root."""
+        label = list(range(len(self.nodes) + 1))
+        for S in F:
+            merged = {label[u] for u in S}
+            label = [min(merged) if x in merged else x for x in label]
+        return tuple(label)
+
 
 def _add_copy(diagram_state, tau: DecoratedTree):
     parent, label, deco = diagram_state
@@ -267,7 +277,7 @@ class EdgeSetBundle:
     itself, and the sets below are X's own, less those of C."""
 
     C: frozenset[frozenset[int]]
-    N_F: frozenset[int]               # X's nodes, C's members cut to roots
+    N_F: frozenset[int]               # X's image under C's contraction
     L_F: frozenset[int]               # noises outside C
     K_F: frozenset[int]               # kernel edges of X not within C
     K_ring: frozenset[int]            # kernel edges not shadowed by C
@@ -293,8 +303,8 @@ def derived_edge_sets(d: MomentDiagram, F, S=None) -> EdgeSetBundle:
     # the member of C holding each noise of X, None outside C
     owner = {u: T for T in C for u in d.L(T)} | dict.fromkeys(L_F)
     return EdgeSetBundle(
-        C, X - union(d.N_tilde), L_F, K_F, K_F - K_down_C, K_X & K_down_C,
-        d.K_down(X),
+        C, frozenset(map(d.contraction(C).__getitem__, X)), L_F, K_F,
+        K_F - K_down_C, K_X & K_down_C, d.K_down(X),
         tuple((a, b) for a, b in d.pairs if a in L_F and b in L_F),
         tuple((a, b) for a, b in d.pairs
               if a in owner and b in owner and owner[a] != owner[b]))

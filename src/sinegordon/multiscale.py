@@ -28,8 +28,8 @@ the edge order, the partition frame (the forests, the set of all (forest,
 cut) pairs, and each cut collection with the forests it is available to)
 and the subsets of each set of cut sites the tiling reads.  Per forest, it
 is the edge table above, its free sites, and the harvest's table: the
-contraction, which labels the base point and each node by the member that
-contains it, the edges between labels by index, and the vertex pairs each
+forest's one contraction (``MomentDiagram.contraction``), the edges
+between the vertices it leaves apart by index, and the vertex pairs each
 cut site is decided on.
 
 An assignment is immutable.  For the one diagram it was last used with, it
@@ -197,26 +197,20 @@ def preimage_interval(d: MomentDiagram, target, n: ScaleAssignment,
 
 @_memoized
 def _harvest_edges(d: MomentDiagram, F) -> tuple:
-    """The scale-free part of a harvest of ``F``, with the base point and
-    the nodes numbered 0, 1, ... in that order: each vertex's component
-    label once each member of ``F`` is contracted (members that overlap
-    merge into one), the generalized edges between components as
-    (index, u, v), each cut site e with its pairs (0, p) and (p, e), p its
-    parent, the pairs the contraction leaves apart, and the others, joined
-    at scale infinity."""
-    pos = {v: k for k, v in enumerate([0, *d.nodes])}
-    label = list(pos.values())
-    for S in F:
-        merged = {label[pos[u]] for u in S}
-        label = [min(merged) if x in merged else x for x in label]
+    """The scale-free part of a harvest of ``F``, on the vertices of
+    ``MomentDiagram.contraction``: each vertex's label, the vertex it
+    becomes once the members of ``F`` are contracted, the generalized edges
+    between labels as (index, u, v), each cut site e with its pairs (0, p)
+    and (p, e), p its parent, the pairs the contraction leaves apart, and
+    the others, joined at scale infinity."""
+    label = d.contraction(F)
     rest = []
     for ge, i in _edge_index(d).items():
         kind, a = ge[:2]
         u, v = (0, a) if kind == BASE else (a, d.parent[a]) if kind == KER else ge[1:]
-        if label[pos[u]] != label[pos[v]]:
-            rest.append((i, pos[u], pos[v]))
-    cuts = [(e, (0, pos[d.parent[e]]), (pos[d.parent[e]], pos[e]))
-            for e in d.cut_sites()]
+        if label[u] != label[v]:
+            rest.append((i, u, v))
+    cuts = [(e, (0, d.parent[e]), (d.parent[e], e)) for e in d.cut_sites()]
     pairs = list(dict.fromkeys(q for _, *qs in cuts for q in qs))
     apart = [(u, v) for u, v in pairs if label[u] != label[v]]
     joined = {(u, v): INF for u, v in pairs if label[u] == label[v]}

@@ -167,19 +167,18 @@ class HomogeneitySetup:
 
     sigma: TotalHomogeneity
     vertices: frozenset
-    qhat: dict            # diagram node (or base point) -> quotient vertex
+    qhat: tuple           # MomentDiagram.contraction: vertex -> quotient vertex
     pinned: frozenset     # vertices that stay at macroscopic separation
 
 
 def _contracted(d: MomentDiagram, b: EdgeSetBundle, s_cut=frozenset()):
     """The quotient map that contracts each member of ``b.C`` to its root,
-    and on it the contracted-member, kernel-edge and noise-pair terms of the
-    edge sets ``b``, leaving out the kernel edges in ``s_cut``."""
-    qhat = {BASE_POINT: BASE_POINT} | {u: u for u in d.nodes}
-    for T in b.C:
-        qhat |= dict.fromkeys(T, d.subtree_root(T))
+    its smallest node, and on it the contracted-member, kernel-edge and
+    noise-pair terms of the edge sets ``b``, leaving out the kernel edges
+    in ``s_cut``."""
+    qhat = d.contraction(b.C)
     bb = d.params.beta_bar
-    terms = [(-d.bare_s_hom(T), frozenset([qhat[d.subtree_root(T)]])) for T in b.C]
+    terms = [(-d.bare_s_hom(T), frozenset([min(T)])) for T in b.C]
     terms += [(Fraction(2), frozenset([qhat[d.parent[e]], qhat[e]]))
               for e in sorted(b.K_F - s_cut)]
     terms += [(Fraction(-2 * d.pair_sign((u, v))) * bb, frozenset([qhat[u], qhat[v]]))
@@ -245,7 +244,7 @@ def inner_total_homogeneity(d: MomentDiagram, S, forest, in_d_cut: bool = False
     """
     b = derived_edge_sets(d, forest, S)
     qhat, terms = _contracted(d, b)
-    vertices = frozenset(qhat[u] for u in S)
+    vertices = b.N_F
     terms.append((Fraction(-collapse_order(d, S, in_d_cut)), vertices))
     return HomogeneitySetup(TotalHomogeneity(tuple(terms)), vertices, qhat,
                             frozenset([d.subtree_root(S)]))
@@ -254,7 +253,7 @@ def inner_total_homogeneity(d: MomentDiagram, S, forest, in_d_cut: bool = False
 def reexpanded(setup: HomogeneitySetup, cluster: frozenset) -> frozenset:
     """The preimage of the cluster under the quotient map: every
     contracted-member root is replaced by the member's full node set."""
-    return frozenset(u for u, x in setup.qhat.items() if x in cluster)
+    return frozenset(u for u, x in enumerate(setup.qhat) if x in cluster)
 
 
 # --- cluster-sum evaluators ------------------------------------------------------
@@ -263,8 +262,7 @@ def reexpanded(setup: HomogeneitySetup, cluster: frozenset) -> frozenset:
 def inner_sigma_tilde(d: MomentDiagram, S, M) -> Fraction:
     """Cluster-sum weight of a node set inside one member: kernel gain minus
     decoration weight, integration volume and the charge term."""
-    K_in = sum(1 for e in d.K(S) if e in M and d.parent[e] in M)
-    return (2 * K_in - sum(deco_weight(d.deco[u]) for u in M)
+    return (2 * len(d.K(S & M)) - sum(deco_weight(d.deco[u]) for u in M)
             - (len(M) - 1) * SCALING_DIM - _charge_term(d, M))
 
 
@@ -273,9 +271,7 @@ def big_graph_sigma_tilde(d: MomentDiagram, s_cut, d_cut, M) -> Fraction:
     contain the base point)."""
     s_cut, d_cut, M = frozenset(s_cut), frozenset(d_cut), frozenset(M)
     nodes = M - {BASE_POINT}
-    val = (2 * sum(1 for e in d.kernel_edges
-                   if e not in s_cut and e in M and d.parent[e] in M)
-           - (len(M) - 1) * SCALING_DIM)
+    val = 2 * len(d.K(nodes) - s_cut) - (len(M) - 1) * SCALING_DIM
     if BASE_POINT in M:
         val -= sum(deco_weight(d.deco[u]) for u in nodes)
         val -= sum(d.gamma(e) for e in d_cut if e not in M and d.parent[e] in M)
@@ -410,8 +406,7 @@ def sign_audit_big_graph(d: MomentDiagram, forest, s_cut=(), d_cut=()
 
 def _k_components(d: MomentDiagram, M: frozenset) -> list[frozenset]:
     M = frozenset(M) - {BASE_POINT}
-    return _components(M, ((e, d.parent[e]) for e in d.kernel_edges
-                           if e in M and d.parent[e] in M))
+    return _components(M, ((e, d.parent[e]) for e in d.K(M)))
 
 
 def sign_audit_large_scale(d: MomentDiagram, forest, s_cut=(), d_cut=()

@@ -135,6 +135,11 @@ def _maximal(trees):
     return [T for T in trees if not any(T < U for U in trees)]
 
 
+def _n_tilde(d, T):
+    """T less its root: the nodes that contracting T removes."""
+    return T - {d.subtree_root(T)}
+
+
 def _member_of(node, trees):
     for T in trees:
         if node in T:
@@ -147,7 +152,7 @@ def _oracle_edge_sets(d, F, S=None):
     if S is None:
         node_set = frozenset(d.nodes)
         C = _maximal(F)
-        ntf = node_set - frozenset().union(*[d.N_tilde(T) for T in F]) if F else node_set
+        ntf = node_set - frozenset().union(*[_n_tilde(d, T) for T in F]) if F else node_set
         n_f = ntf
         l_removed = frozenset().union(*[d.L(T) for T in F]) if F else frozenset()
         l_f = d.L(node_set) - l_removed
@@ -171,7 +176,7 @@ def _oracle_edge_sets(d, F, S=None):
 
     C = _maximal([T for T in F if T < S])
     rho = d.subtree_root(S)
-    ntf = d.N_tilde(S) - (frozenset().union(*[d.N_tilde(T) for T in C]) if C else frozenset())
+    ntf = _n_tilde(d, S) - (frozenset().union(*[_n_tilde(d, T) for T in C]) if C else frozenset())
     n_f = ntf | {rho}
     l_f = d.L(S) - (frozenset().union(*[d.L(T) for T in C]) if C else frozenset())
     k_s = d.K(S)

@@ -1,12 +1,13 @@
-"""Every module-level name of the package has a caller in ``src/``, or a
-stated reason to stand without one.  Private names are scanned too, so a
-helper left without callers is found; only dunders, which Python itself
-reads, are not.
+"""Every module-level name of the package, and every method and property
+of its classes, has a caller in ``src/``, or a stated reason to stand
+without one.  Private names are scanned too, so a helper left without
+callers is found; only dunders, which Python itself reads, are not.
 
-A name counts as called when any other module-level statement of the
-package refers to it: by name, as an attribute, or in an import.  Its own
-definition does not count, so a function that only calls itself is
-unused.
+A name counts as called when another statement of the package refers to
+it: by name, as an attribute, or in an import.  Its own definition does
+not count, so a function that only calls itself is unused.  A method's
+siblings count, as each statement of a class body is scanned on its own;
+a class's own body does not count for the class.
 """
 
 import ast
@@ -21,7 +22,13 @@ SUBDIVERGENCE = ("the paper's subdivergence condition, checked against all "
 
 # "module.name" -> why it stands without a caller in src/
 ALLOWED = {
+    "cli._Parser.error": "argparse calls it on a usage error",
     "moment_diagrams.single_copy_diagram": "acceptance criterion 04",
+    "multiscale.ForestInterval.members":
+        "acceptance criterion 05 and the benchmark's audit workload count "
+        "the forests of each preimage",
+    "multiscale.ScaleAssignment.constant":
+        "tests and the benchmark's own test give every edge one scale",
     "multiscale.preimage_interval":
         "acceptance criterion 05; benchmark tracer layer",
     "power_counting.all_coalescence_trees":
@@ -36,6 +43,9 @@ ALLOWED = {
         "test oracle: sampled covariance and criterion 09's exact profile",
     "stochastic.translation_correlation":
         "benchmark tracer layer; test oracle of the dipole counterterm",
+    "tree_core.Homogeneity.at":
+        "the catalog tests evaluate homogeneities at a beta_bar",
+    "tree_core.Homogeneity.of": "the test of the exact linear arithmetic",
 }
 
 
@@ -50,9 +60,9 @@ def _defined(node) -> list[str]:
     return []
 
 
-def _referenced(node) -> set[str]:
+def _referenced(*nodes) -> set[str]:
     out = set()
-    for sub in ast.walk(node):
+    for sub in (s for node in nodes for s in ast.walk(node)):
         if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
@@ -62,18 +72,44 @@ def _referenced(node) -> set[str]:
     return out
 
 
+def _units(sources: dict[str, str]) -> list[tuple]:
+    """(keys, defined, refs) per module-level statement and per statement
+    of a module-level class body; a class's own unit holds only its
+    decorators and bases.  ``keys`` name the statement and the
+    module-level statement it lies in, ``refs`` is what it refers to, and
+    ``defined`` maps each name it defines to its "module.name" or
+    "module.Class.method" and the key of the statements whose references
+    do not count for it."""
+    out = []
+    for mod, src in sources.items():
+        for i, node in enumerate(ast.parse(src).body):
+            top = (mod, i)
+            names = {n: (f"{mod}.{n}", top) for n in _defined(node)}
+            if not isinstance(node, ast.ClassDef):
+                out.append(({top}, names, _referenced(node)))
+                continue
+            out.append(({top}, names, _referenced(
+                *node.decorator_list, *node.bases, *node.keywords)))
+            for k, sub in enumerate(node.body):
+                own = (mod, i, k)
+                method = isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                names = ({sub.name: (f"{mod}.{node.name}.{sub.name}", own)}
+                         if method else {})
+                out.append(({top, own}, names, _referenced(sub)))
+    return out
+
+
 def unreferenced(sources: dict[str, str]) -> list[str]:
-    """"module.name" of each module-level name of ``sources`` (module ->
-    source), dunders aside, that no other module-level statement refers
-    to."""
-    stmts = [(mod, node) for mod, src in sources.items()
-             for node in ast.parse(src).body]
-    refs = [_referenced(node) for _, node in stmts]
+    """The qualified name of each module-level name and each method of
+    ``sources`` (module -> source), dunders aside, that no other statement
+    refers to: for a module-level name, no statement outside its own; for
+    a method, no statement but its own definition."""
+    units = _units(sources)
     return sorted(
-        f"{mod}.{name}" for i, (mod, node) in enumerate(stmts)
-        for name in _defined(node)
+        qual for _, defined, _ in units
+        for name, (qual, own) in defined.items()
         if not name.startswith("__")
-        and not any(name in r for j, r in enumerate(refs) if j != i))
+        and not any(name in refs for keys, _, refs in units if own not in keys))
 
 
 def package_sources() -> dict[str, str]:
@@ -93,10 +129,20 @@ def test_the_scan_sees_an_unused_function():
         "def called():\n    return 2\n\n\n"
         "def _helper():\n    return 3\n\n\n"
         "VALUE = called()\n"
-        "__dunder__ = 4\n"))
+        "__dunder__ = 4\n\n\n"
+        "class Lonely:\n"
+        "    def unused(self):\n        return Lonely()\n\n"
+        "    def sibling(self):\n        return 5\n\n"
+        "    def caller(self):\n        return self.sibling()\n\n"
+        "    def loop(self):\n        return self.loop()\n\n"
+        "    @property\n"
+        "    def prop(self):\n        return 6\n\n"
+        "    def __repr__(self):\n        return ''\n"))
     found = set(unreferenced(sources)) - set(ALLOWED)
     assert found == {"extra.orphan", "extra.recursive", "extra.VALUE",
-                     "extra._helper"}
+                     "extra._helper", "extra.Lonely", "extra.Lonely.unused",
+                     "extra.Lonely.caller", "extra.Lonely.loop",
+                     "extra.Lonely.prop"}
 
 
 def _tracer_layers():
