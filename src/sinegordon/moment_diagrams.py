@@ -119,7 +119,7 @@ class MomentDiagram:
 
     def K(self, S: frozenset[int]) -> frozenset[int]:
         """Kernel edges with both endpoints in S (edge = child id)."""
-        return frozenset(u for u in S if self.parent[u] is not None and self.parent[u] in S)
+        return frozenset(u for u in S if self.parent[u] in S)
 
     def K_down(self, S: frozenset[int]) -> frozenset[int]:
         """Edges entering S from outside: child outside, parent inside."""

@@ -34,17 +34,23 @@ cut site is decided on.
 
 An assignment is immutable.  For the one diagram it was last used with, it
 keeps its scales as a vector in the edge order, read once from its mapping,
-and the safe projection of each forest it was asked about.  A trial pays
-for reading that vector, one projection per forest, the grouping and
-interval checks, one harvest per cell (a sort of the edges between labels
-by scale and the merging until every decisive pair is joined) and the
-tiling.
+and the safe projection of each forest it was asked about.
+
+The audit reads the scales only through comparisons, so its verdict
+depends only on a trial's signature: each forest's safe projection and
+each cell's harvest.  A trial pays for reading the scale vector, one
+projection per forest, one harvest per cell (a sort of the edges between
+labels by scale and the merging until every decisive pair is joined) and
+two memo lookups.  The grouping and interval checks are paid once per
+distinct set of projections, and the compatibility checks, the tiling
+and the coverage check once per signature, both in the diagram's memo.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from types import MappingProxyType
 from typing import Mapping
@@ -285,10 +291,12 @@ def _partition_frame(d: MomentDiagram) -> tuple:
     return forests, all_pairs, cuts
 
 
-def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
-    """Verify that the (interval-of-forests, interval-of-cuts) cells exactly
-    partition all (forest, cut) pairs, and that harvested cuts are
-    compatible with cell membership.
+@_memoized
+def _cells(d: MomentDiagram, projections) -> tuple:
+    """The cells of the partition audit under the safe projections
+    ``projections``, a set of (forest, projection) pairs: each forest
+    interval M with its maximum and its admissible cut collections, the
+    interval and min failures, and the number of interval checks.
 
     One pass over the cut collections builds the cells.  For each cut, the
     forests that leave its sites free are grouped by safe projection; each
@@ -299,16 +307,12 @@ def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
     free sites of M's maximum, because every forest of M leaves the cut
     free, so their union does too.
     """
-    forests, all_pairs, cuts = _partition_frame(d)
-    proj = {F: safe_projection(d, F, n) for F in forests}
-
+    proj = dict(projections)
     failures: list[dict] = []
     interval_checks = 0
-    compat_checks = 0
-
     # forest interval M -> (its maximum, its admissible cut collections)
     cells: dict[frozenset, tuple[frozenset, set]] = {}
-    for cut, avail in cuts:
+    for cut, avail in _partition_frame(d)[2]:
         for img in {proj[F] for F in avail}:
             pre = [F for F in avail if proj[F] == img]
             try:
@@ -325,11 +329,24 @@ def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
                     "kind": "min", "cut": sorted(cut),
                     "detail": "projection image is not the interval minimum",
                 })
+    return cells, failures, interval_checks
+
+
+@_memoized
+def _verdict(d: MomentDiagram, projections, harvests) -> PartitionReport:
+    """The partition audit's report under the safe projections
+    ``projections`` when each cell M's maximum harvests the free cut sites
+    of ``harvests``, a set of (M, harvest) pairs."""
+    _, all_pairs, _ = _partition_frame(d)
+    cells, failures, interval_checks = _cells(d, projections)
+    failures = list(failures)
+    harvest = dict(harvests)
+    compat_checks = 0
     coverage: dict[tuple, int] = dict.fromkeys(all_pairs, 0)
     n_cells = 0
     for M, (upper, admissible) in cells.items():
         free = d.free_sites(upper)
-        harv = harvest_cuts(d, upper, n) & free
+        harv = harvest[M]
         # compatibility: harvested non-forest edges toggle freely
         for cut in admissible | {c ^ frozenset([e]) for c in admissible for e in harv}:
             for e in harv:
@@ -367,3 +384,23 @@ def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
             })
     return PartitionReport(not failures, len(all_pairs), n_cells,
                            interval_checks, compat_checks, failures)
+
+
+def organize_and_check(d: MomentDiagram, n: ScaleAssignment) -> PartitionReport:
+    """Verify that the (interval-of-forests, interval-of-cuts) cells exactly
+    partition all (forest, cut) pairs, and that harvested cuts are
+    compatible with cell membership.
+
+    The audit reads the scales only through each forest's safe projection
+    and each cell's harvest, its signature.  A trial computes those and
+    looks up the verdict, which ``_cells`` and ``_verdict`` build once per
+    signature in the diagram's memo.  The report is a copy, so a caller
+    that edits it leaves the memo as it was.
+    """
+    forests, _, _ = _partition_frame(d)
+    projections = frozenset([(F, safe_projection(d, F, n)) for F in forests])
+    harvests = frozenset([
+        (M, harvest_cuts(d, upper, n) & d.free_sites(upper))
+        for M, (upper, _) in _cells(d, projections)[0].items()])
+    report = _verdict(d, projections, harvests)
+    return replace(report, failures=deepcopy(report.failures))

@@ -228,15 +228,14 @@ def sg_total_homogeneity(d: MomentDiagram, forest, s_cut=(), d_cut=()
                             frozenset([BASE_POINT]) | top.N_F, qhat, pinned)
 
 
-def collapse_order(d: MomentDiagram, S, in_d_cut: bool = False) -> int:
+def collapse_order(d: MomentDiagram, S) -> int:
     """Number of collapse-operator subtractions bought by the member ``S``."""
     from math import floor
 
-    return floor(-d.bare_sg_hom(S)) + (1 if in_d_cut else 0)
+    return floor(-d.bare_sg_hom(S))
 
 
-def inner_total_homogeneity(d: MomentDiagram, S, forest, in_d_cut: bool = False
-                            ) -> HomogeneitySetup:
+def inner_total_homogeneity(d: MomentDiagram, S, forest) -> HomogeneitySetup:
     """Total homogeneity of the integrand localized to one forest member.
 
     Vertices are the nodes of ``S`` with nested members contracted to their
@@ -245,7 +244,7 @@ def inner_total_homogeneity(d: MomentDiagram, S, forest, in_d_cut: bool = False
     b = derived_edge_sets(d, forest, S)
     qhat, terms = _contracted(d, b)
     vertices = b.N_F
-    terms.append((Fraction(-collapse_order(d, S, in_d_cut)), vertices))
+    terms.append((Fraction(-collapse_order(d, S)), vertices))
     return HomogeneitySetup(TotalHomogeneity(tuple(terms)), vertices, qhat,
                             frozenset([d.subtree_root(S)]))
 

@@ -310,6 +310,62 @@ class TestTwoPassOracle:
             assert rep == _oracle_organize_and_check(D2, n)
 
 
+class TestSignatureMemo:
+    # the audit reads the scales only through each forest's projection and
+    # each cell's harvest, so its verdict is kept per (projections, harvests)
+
+    def test_a_known_signature_groups_nothing(self, monkeypatch):
+        d = build_diagram(dipole(), 1, P54)
+        rng = random.Random(8)
+        trials = [ScaleAssignment.random_assignment(d, 4, rng)
+                  for _ in range(20)]
+        first = [organize_and_check(d, n) for n in trials]
+        calls = []
+        bounds = ms._bounds
+        monkeypatch.setattr(ms, "_bounds",
+                            lambda *args: calls.append(args) or bounds(*args))
+        assert [organize_and_check(d, n) for n in trials] == first
+        assert calls == []
+
+    def test_a_report_is_the_callers_own(self, monkeypatch):
+        # every forest projecting to the largest fails the audit, so the
+        # report has failures to edit
+        d = build_diagram(dipole(), 1, P54)
+        largest = max(d.enumerate_forests(), key=len)
+        monkeypatch.setattr(ms, "safe_projection", lambda d, F, n: largest)
+        n = ScaleAssignment.constant(d, 2)
+        rep = organize_and_check(d, n)
+        assert rep.failures
+        rep.failures[0]["cut"].append(-1)
+        rep.failures.clear()
+        assert organize_and_check(d, n) == _oracle_organize_and_check(d, n)
+
+    def test_harvests_are_part_of_the_key(self, monkeypatch):
+        d = build_diagram(dipole(), 1, P54)
+        rng = random.Random(9)
+        trials = [ScaleAssignment.random_assignment(d, 4, rng)
+                  for _ in range(20)]
+        harvest = ms.harvest_cuts
+        seen = []
+
+        def recorded(d, F, n):
+            seen.append(harvest(d, F, n) & d.free_sites(F))
+            return harvest(d, F, n)
+
+        monkeypatch.setattr(ms, "harvest_cuts", recorded)
+        true, harvested = [], []
+        for n in trials:
+            seen.clear()
+            true.append(organize_and_check(d, n))
+            harvested.append(any(seen))
+        assert any(harvested)
+        monkeypatch.setattr(ms, "harvest_cuts", lambda d, F, n: frozenset())
+        for n, rep, nonempty in zip(trials, true, harvested):
+            got = organize_and_check(d, n)
+            assert got == _oracle_organize_and_check(d, n)
+            assert (got != rep) == nonempty
+
+
 # --- the all-pairs widest-path table, kept as an oracle for the harvest ------
 
 

@@ -414,12 +414,11 @@ class TestIdentity:
         for bb, tau, S in [(F(5, 4), dipole(), frozenset({1, 2})),
                            (F(7, 4), TAU6, frozenset(range(1, 7)))]:
             d = build_diagram(tau, 1, ModelParams.from_beta_bar(bb))
-            for in_d in (False, True):
-                setup = inner_total_homogeneity(d, S, (S,), in_d_cut=in_d)
-                ok, alpha = order_audit(setup.sigma, setup.vertices)
-                hom = d.bare_s_hom(S)
-                assert ok
-                assert alpha == -floor(-hom) - hom - (1 if in_d else 0)
+            setup = inner_total_homogeneity(d, S, (S,))
+            ok, alpha = order_audit(setup.sigma, setup.vertices)
+            hom = d.bare_s_hom(S)
+            assert ok
+            assert alpha == -floor(-hom) - hom
 
 
 class TestSummability:

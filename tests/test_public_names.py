@@ -60,11 +60,34 @@ def _defined(node) -> list[str]:
     return []
 
 
-def _referenced(*nodes) -> set[str]:
+def _bound(subs) -> set[str]:
+    """The names the nodes ``subs`` bind: parameters, assigned names,
+    exception names and nested definitions."""
     out = set()
-    for sub in (s for node in nodes for s in ast.walk(node)):
-        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+    for sub in subs:
+        if isinstance(sub, ast.arg):
+            out.add(sub.arg)
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
             out.add(sub.id)
+        elif isinstance(sub, ast.ExceptHandler) and sub.name:
+            out.add(sub.name)
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            out.add(sub.name)
+    return out
+
+
+def _referenced(*nodes) -> set[str]:
+    """The names the statements ``nodes`` refer to and do not bind
+    themselves: a parameter or a local read by its own statement is no
+    reference to a name defined elsewhere."""
+    subs = [s for node in nodes for s in ast.walk(node)]
+    bound = _bound(s for s in subs if s not in nodes)
+    out = set()
+    for sub in subs:
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            if sub.id not in bound:
+                out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
         elif isinstance(sub, ast.alias):
@@ -128,13 +151,18 @@ def test_the_scan_sees_an_unused_function():
         "def recursive(k):\n    return recursive(k - 1) if k else 0\n\n\n"
         "def called():\n    return 2\n\n\n"
         "def _helper():\n    return 3\n\n\n"
-        "VALUE = called()\n"
+        # a parameter and a local named like the methods below
+        "def wrap(method):\n    return method\n\n\n"
+        "def tally():\n    count = 0\n    return count\n\n\n"
+        "VALUE = called(), wrap(0), tally()\n"
         "__dunder__ = 4\n\n\n"
         "class Lonely:\n"
         "    def unused(self):\n        return Lonely()\n\n"
         "    def sibling(self):\n        return 5\n\n"
         "    def caller(self):\n        return self.sibling()\n\n"
         "    def loop(self):\n        return self.loop()\n\n"
+        "    def method(self):\n        return 7\n\n"
+        "    def count(self):\n        return 8\n\n"
         "    @property\n"
         "    def prop(self):\n        return 6\n\n"
         "    def __repr__(self):\n        return ''\n"))
@@ -142,7 +170,8 @@ def test_the_scan_sees_an_unused_function():
     assert found == {"extra.orphan", "extra.recursive", "extra.VALUE",
                      "extra._helper", "extra.Lonely", "extra.Lonely.unused",
                      "extra.Lonely.caller", "extra.Lonely.loop",
-                     "extra.Lonely.prop"}
+                     "extra.Lonely.prop", "extra.Lonely.method",
+                     "extra.Lonely.count"}
 
 
 def _tracer_layers():
