@@ -257,6 +257,9 @@ def cmd_sim_field(args):
     lat = st.TorusLattice(args.n)     # no time stepping: dt is never read
     eps_list = args.eps_list or [2.0**-k for k in range(3, 8)
                                  if 2.0**-k >= lat.min_eps()]
+    if args.eps_list is None and len(eps_list) < 2:
+        raise UsageError(f"--n {args.n} resolves fewer than two default "
+                         "widths 2^-3 ... 2^-7 (eps >= 2/n): give --eps-list")
     slope = st.renorm_slope(lat, eps_list, params.beta_sq)
     consts = [st.renorm_constant(lat, e, params.beta_sq) for e in eps_list]
     stats = st.chaos_mean(lat, args.eps, params.beta_sq, args.seed,

@@ -8,9 +8,9 @@ equal-time variance table is exact and the renormalization constant from
 the same table gives the chaos unit expectation exactly in distribution.
 A field is sigma_k z for one unit-variance OU process z
 (``GaussianField``).  One real exponential-Euler integrator
-(``_HeatDriver``) steps every heat flow: two for the dipole's complex
-profile, driven by C cos(beta Phi) and C sin(beta Phi), and one per width
-of the shifted equation (``_shifted_steps``), driven by
+(``_HeatDriver``) steps every heat flow: one stacked real pair for the
+dipole's complex profile, driven by C (cos, sin)(beta Phi), and one per
+width of the shifted equation (``_shifted_steps``), driven by
 C sin(beta (Phi + v)).  The dipole counterterm is exact, not sampled.
 
 Real fields are stored as ``rfft2`` half-spectra.  All noise comes from
@@ -18,13 +18,13 @@ Philox generators keyed by (seed, sample, step), so runs are reproducible
 in any order.  ``white_spectral``, ``GaussianField.real_space`` and
 ``_HeatDriver.profile`` write into the buffers they are given, through the
 1-d passes of ``_rfft2_into``/``_irfft2_into`` (bit for bit
-``rfft2``/``irfft2``); a full-grid table is inverted by ``_ifft2_real``
-in one complex array.  Chaos sines and cosines come from ``_charges_into``,
-and ``wick_exponential`` writes them into the buffers it is given, so
-``_chaos_spectra`` samples every field in buffers allocated once per grid
-size, with ``fft2`` as its two 1-d passes in place.  Each experiment
-checks its validity window, lazy rules (name, holds, message), through
-``_refuse`` before it does any work.
+``rfft2``/``irfft2``, slice by slice on a stack); a full-grid table is
+inverted by ``_ifft2_real`` in one complex array.  Chaos sines and cosines
+come from ``_charges_into``, and ``wick_exponential`` writes them into the
+buffers it is given, so ``_chaos_spectra`` samples every field in buffers
+allocated once per grid size, with ``fft2`` as its two 1-d passes in
+place.  Each experiment checks its validity window, lazy rules (name,
+holds, message), through ``_refuse`` before it does any work.
 """
 
 from __future__ import annotations
@@ -197,21 +197,21 @@ def white_spectral(lat: TorusLattice, rng: np.random.Generator,
 
 def _rfft2_into(x: np.ndarray, out: np.ndarray, tmp: np.ndarray
                 ) -> np.ndarray:
-    """``np.fft.rfft2(x)`` written into ``out``, bit for bit, through the
-    scratch ``tmp`` (both complex, shaped like the half-spectrum): rfft2 is
-    these two passes, and neither allocates once given ``out``."""
-    np.fft.rfft(x, axis=1, out=tmp)
-    return np.fft.fft(tmp, axis=0, out=out)
+    """``np.fft.rfft2(x)`` over the last two axes, bit for bit, written into
+    ``out`` through the scratch ``tmp`` (both complex half-spectra): rfft2
+    is these two passes, and neither allocates once given ``out``."""
+    np.fft.rfft(x, axis=-1, out=tmp)
+    return np.fft.fft(tmp, axis=-2, out=out)
 
 
 def _irfft2_into(h: np.ndarray, out: np.ndarray, tmp: np.ndarray
                  ) -> np.ndarray:
-    """``np.fft.irfft2(h, s=out.shape)`` written into the real ``out``, bit
-    for bit, through the complex scratch ``tmp`` shaped like ``h``, which
-    may be ``h`` itself (``irfft2`` drops ``out=`` in numpy 2.4 and
+    """``np.fft.irfft2(h, s=out.shape[-2:])`` written into the real ``out``,
+    bit for bit, through the complex scratch ``tmp`` shaped like ``h``,
+    which may be ``h`` itself (``irfft2`` drops ``out=`` in numpy 2.4 and
     ``irfftn`` allocates)."""
-    np.fft.ifft(h, axis=0, out=tmp)
-    return np.fft.irfft(tmp, n=out.shape[1], axis=1, out=out)
+    np.fft.ifft(h, axis=-2, out=tmp)
+    return np.fft.irfft(tmp, n=out.shape[-1], axis=-1, out=out)
 
 
 def _ifft2_real(table: np.ndarray) -> np.ndarray:
@@ -637,19 +637,19 @@ def bump_spectral(lat: TorusLattice, lam: float) -> np.ndarray:
 class _HeatDriver:
     """Exponential-Euler integrator of du = (1/2) Laplacian u dt + f dt.
 
-    u and f are real; the half-spectrum ``u_hat`` (zero unless given) is
-    the driver's only own state, and ``step`` updates it in place, leaving
-    the forcing's half-spectrum in ``f_hat``.  ``step`` and ``profile``
-    transform through ``_tmp``.  ``scratch`` is the pair (``f_hat``,
-    ``_tmp``), fresh unless given: drivers stepped one after another may
-    share both, and ``f_hat`` is then overwritten by the next step of any
-    of them.
+    u and f are real, or stacks of real fields; the half-spectrum ``u_hat``
+    (zero unless given) is the driver's only own state, and ``step``
+    updates it in place, leaving the forcing's half-spectrum in ``f_hat``.
+    ``step`` and ``profile`` transform through ``_tmp``, free between
+    steps.  ``scratch`` is the pair (``f_hat``, ``_tmp``), shaped like
+    ``u_hat`` and fresh unless given: drivers stepped in turn may share
+    both, and the next step of any of them then overwrites ``f_hat``.
     """
 
     def __init__(self, lat: TorusLattice, dt: float,
                  u_hat: np.ndarray | None = None, scratch=None):
         self.decay, self.gain, _ = lat._heat_tables(dt)
-        shape = self.decay.shape
+        shape = self.decay.shape if u_hat is None else u_hat.shape
         self.u_hat = np.zeros(shape, dtype=complex) if u_hat is None else u_hat
         self.f_hat, self._tmp = (np.empty((2,) + shape, dtype=complex)
                                  if scratch is None else scratch)
@@ -661,7 +661,7 @@ class _HeatDriver:
 
     def profile(self, out: np.ndarray) -> np.ndarray:
         """The real solution, ``irfft2`` of ``u_hat``, written into the real
-        n-by-n ``out``."""
+        ``out``, n by n or a stack of them like ``u_hat``."""
         return _irfft2_into(self.u_hat, out, self._tmp)
 
 
@@ -715,38 +715,37 @@ class DipoleReport:
 
 
 def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
-                       sample: int, collect, drivers, scratch):
+                       sample: int, collect, flow, scratch):
     """Run one stationary trajectory up to its last measured slice,
-    invoking ``collect(m, drivers, forcings)`` on each slice of
-    ``_measured_steps``: its index m = 0, 1, ... among them, the two real
-    drivers of u = u_c + i u_s, whose ``f_hat`` holds the half-spectrum of
-    their forcing, and the forcings (c, s) = C (cos, sin)(beta Phi), the
-    components of xi_plus.
+    invoking ``collect(m, flow, forcing)`` on each slice of
+    ``_measured_steps``: its index m = 0, 1, ... among them, the one real
+    flow of the stacked pair (u_c, u_s), u = u_c + i u_s, whose ``f_hat``
+    holds the half-spectra of its forcing, and that forcing, the stacked
+    components (c, s) = C (cos, sin)(beta Phi) of xi_plus.
 
-    ``drivers`` (reset here) and ``scratch`` = (four real n-by-n arrays,
-    two half-spectra) are the caller's, and each step overwrites them.  Only
-    differences of the profile enter the estimator, so its undamped mean is
-    projected out after each step; the ``f_hat`` keep their zero modes.
+    ``flow`` (reset here) and ``scratch`` = ((two real n-by-n arrays and a
+    stacked pair of them), two half-spectra, such as the halves of the
+    flow's free ``_tmp``) are the caller's, and each step overwrites them.
+    Only differences of the profile enter the estimator, so its undamped
+    mean is projected out after each step; ``f_hat`` keeps its zero modes.
     """
     beta = np.sqrt(float(Fraction(cfg.beta_sq)) * np.pi)
     c_eps = renorm_constant(lat, cfg.eps, cfg.beta_sq)
     fld = sample_phi(lat, cfg.eps, seed, sample)
     rng = _step_rngs(seed)
-    (x, c, s, d), (white, tmp) = scratch
-    for driver in drivers:
-        driver.u_hat[...] = 0.0
+    (x, d, forcing), (white, tmp) = scratch
+    flow.u_hat[...] = 0.0
     steps = _measured_steps(cfg)
     for step in range(steps[-1] + 1):
         fld.real_space(x, tmp)
         x *= 0.5 * beta
-        _charges_into(x, c_eps, d, s, c)
-        drivers[0].step(c)
-        drivers[1].step(s)
-        drivers[0].u_hat[0, 0] = drivers[1].u_hat[0, 0] = 0.0
+        _charges_into(x, c_eps, d, forcing[1], forcing[0])
+        flow.step(forcing)
+        flow.u_hat[:, 0, 0] = 0.0
         fld.advance(white_spectral(lat, rng(sample, step + 1), white, x, tmp),
                     cfg.dt)
         if step >= steps[0]:
-            collect(step - steps[0], drivers, (c, s))
+            collect(step - steps[0], flow, forcing)
 
 
 def _measured_steps(cfg: DipoleConfig) -> np.ndarray:
@@ -845,13 +844,12 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
     # Per lambda, the open time block sums the half-spectra of (Re, Im) of
     # xi_- u = (c u_c + s u_s) + i (c u_s - s u_c), inverted once when it
     # closes, and (Re, Im) of the products (psi * xi_-) u, where psi * xi_-
-    # = conj(psi * xi_plus) = p_c - i p_s because psi is real and even.
+    # = conj(psi * xi_plus) = p[0] - i p[1] because psi is real and even.
     g_sums = np.empty((len(lambdas), 2, n, lat.n_rfft), dtype=complex)
     local_sums = np.empty((len(lambdas), 2, n, n))
-    # collect's work arrays; its half-spectrum and scratch are the
-    # trajectory's white noise and scratch, free while it runs
-    u_c, u_s, a, b, p_c, p_s = np.empty((6, n, n))
-    spec, tmp, *f_hats = np.empty((4, n, lat.n_rfft), dtype=complex)
+    # collect's profile pair, psi-filtered forcing pair and two products
+    u, p, (a, b) = np.empty((3, 2, n, n))
+    u_c, u_s = u
 
     def parts(p, q):
         """(Re, Im) of (p - i q) u in turn, each in the buffer ``a``."""
@@ -860,26 +858,25 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
         yield np.subtract(np.multiply(p, u_s, out=a),
                           np.multiply(q, u_c, out=b), out=a)
 
-    def collect(m, drivers, forcings):
+    def collect(m, flow, forcing):
         """Add measured slice m of a trajectory to each lambda's open time
         block, and close the blocks it ends.  lambda_i's blocks are the
         slices [j w_i, (j + 1) w_i), so the block a trajectory leaves open
         at its end is dropped: slice 0 of the next one opens a new block."""
+        spec, tmp = work = flow._tmp       # free between steps
         for i, w in enumerate(windows):
             if m % w == 0:
                 g_sums[i] = local_sums[i] = 0.0
-        for driver, u in zip(drivers, (u_c, u_s)):
-            driver.profile(u)
-        for k, part in enumerate(parts(*forcings)):
+        flow.profile(u)
+        for k, part in enumerate(parts(*forcing)):
             g_sums[:, k] += _rfft2_into(part, spec, tmp)
         for i, (ph, w) in enumerate(zip(psi_hats, windows)):
-            for driver, p in zip(drivers, (p_c, p_s)):
-                _irfft2_into(np.multiply(ph, driver.f_hat, out=spec), p, tmp)
-            for k, part in enumerate(parts(p_c, p_s)):
+            _irfft2_into(np.multiply(ph, flow.f_hat, out=work), p, work)
+            for k, part in enumerate(parts(*p)):
                 local_sums[i, k] += part
             if (m + 1) % w == 0:
-                re, im = p_c, p_s         # free until the next slice
-                for g, loc, out in zip(g_sums[i], local_sums[i], (re, im)):
+                re, im = p                # free until the next slice
+                for g, loc, out in zip(g_sums[i], local_sums[i], p):
                     _irfft2_into(np.multiply(ph, g, out=spec), out, tmp)
                     out -= loc
                     out /= w
@@ -892,12 +889,10 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
                 ab_blocks[i].append(float(np.mean(
                     np.add(np.square(re, out=a), im2, out=a))))
 
-    scratch = np.empty((4, n, n)), (spec, tmp)
-    # collect reads both forcing half-spectra, so each driver keeps its own
-    drivers = tuple(_HeatDriver(lat, cfg.dt, scratch=(f_hat, tmp))
-                    for f_hat in f_hats)
+    flow = _HeatDriver(lat, cfg.dt, np.zeros_like(g_sums[0]))   # (u_c, u_s)
+    scratch = (*np.empty((2, n, n)), np.empty((2, n, n))), flow._tmp
     for sample in range(cfg.n_samples):
-        _dipole_trajectory(lat, cfg, seed, sample, collect, drivers, scratch)
+        _dipole_trajectory(lat, cfg, seed, sample, collect, flow, scratch)
 
     moments = [float(np.mean(v)) for v in sq_blocks]
     errs = [float(np.std(v, ddof=1) / np.sqrt(len(v))) for v in sq_blocks]

@@ -71,10 +71,11 @@ class ModelParams:
     def __post_init__(self):
         object.__setattr__(self, "beta_sq", Fraction(self.beta_sq))
         object.__setattr__(self, "beta_bar", Fraction(self.beta_bar))
-        if not (0 < self.beta_sq < 8):
+        if not self.beta_sq > 0:
+            raise ValueError(f"beta^2/pi = {self.beta_sq} must be positive")
+        if not self.beta_sq < 8:
             raise SupercriticalError(
-                f"beta^2/pi = {self.beta_sq} outside the subcritical range (0, 8)"
-            )
+                f"beta^2/pi = {self.beta_sq} is not below the critical 8")
         if not (self.beta_prime < self.beta_bar < 2):
             raise ValueError(
                 f"beta_bar = {self.beta_bar} not in (beta', 2) = "
@@ -88,7 +89,7 @@ class ModelParams:
         The default hugs the coupling from above, so that only genuinely
         divergent trees enter the catalog.
         """
-        beta_sq = Fraction(beta_sq)   # __post_init__ refuses it if supercritical
+        beta_sq = Fraction(beta_sq)   # __post_init__ refuses it outside (0, 8)
         if beta_bar is None:
             beta_bar = beta_sq / 4 + (2 - beta_sq / 4) / 8
         return ModelParams(beta_sq, Fraction(beta_bar))

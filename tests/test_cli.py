@@ -38,6 +38,16 @@ class TestExitCodes:
         assert code == 2
         assert "supercritical" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["trees", "enum", "--beta2-over-pi", "0"],
+        ["renorm", "cancel", "--beta2-over-pi", "-1"],
+    ])
+    def test_nonpositive_coupling_is_not_supercritical(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: beta^2/pi = {argv[-1]} must be positive\n"
+
     def test_bad_rational(self, capsys):
         code, _, err = run_cli(["trees", "enum", "--beta2-over-pi", "abc"], capsys)
         assert code == 2
@@ -121,6 +131,16 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == "error: need at least two distinct widths\n"
+
+    @pytest.mark.parametrize("n", ["8", "16"])
+    def test_too_few_default_widths_are_refused(self, capsys, n):
+        # 2/n leaves fewer than two of the default widths 2^-3 ... 2^-7
+        code, out, err = run_cli(["sim", "field", "--n", n, "--eps", "0.25",
+                                  "--samples", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --n {n} resolves ")
+        assert "--eps-list" in err
 
     @pytest.mark.parametrize("widths", [["0.25"], ["0.25", "0.125"]])
     def test_convergence_needs_a_ratio(self, capsys, widths):

@@ -550,29 +550,55 @@ class TestHeatTables:
         assert not any(np.shares_memory(u, v)
                        for i, u in enumerate(u_hats) for v in u_hats[i + 1:])
 
-    def test_dipole_drivers_share_tables_and_scratch(self, monkeypatch):
-        """Both dipole drivers read one table pair and step through the
-        trajectory's scratch, but keep their own forcing spectra, which
-        ``collect`` reads together."""
-        seen = []
+    def test_dipole_steps_one_stacked_flow(self, monkeypatch):
+        """Each dipole trajectory steps one driver, the stacked pair
+        (u_c, u_s) forced by the stacked pair (c, s).  It reads the
+        lattice's cached tables, and its scratch is the trajectory's and
+        the one every transform of ``collect`` goes through."""
+        seen, stepped, collect_scratch, in_collect = [], set(), [], []
         trajectory = stochastic._dipole_trajectory
+        step = _HeatDriver.step
 
-        def spy(lat, cfg, seed, sample, collect, drivers, scratch):
-            seen.append((drivers, scratch))
-            return trajectory(lat, cfg, seed, sample, collect, drivers,
-                              scratch)
+        def spy(lat, cfg, seed, sample, collect, flow, scratch):
+            seen.append((flow, scratch))
+
+            def spied(*args):
+                in_collect.append(True)
+                collect(*args)
+                in_collect.pop()
+
+            return trajectory(lat, cfg, seed, sample, spied, flow, scratch)
+
+        def watched(transform):
+            def run(x, out, tmp):
+                if in_collect:
+                    collect_scratch.append(tmp)
+                return transform(x, out, tmp)
+            return run
 
         monkeypatch.setattr(stochastic, "_dipole_trajectory", spy)
+        monkeypatch.setattr(_HeatDriver, "step",
+                            lambda driver, *a: stepped.add(id(driver))
+                            or step(driver, *a))
+        for name in ("_rfft2_into", "_irfft2_into"):
+            monkeypatch.setattr(stochastic, name,
+                                watched(getattr(stochastic, name)))
         lat = TorusLattice(self.LAT_N, dt=self.DT)
         cfg = TestSharedStepperOracle.dipole_cfg()
         dipole_moment(lat, cfg, seed=0)
-        (c_drv, s_drv), (_, (_, tmp)) = seen[0]
-        assert s_drv.decay is c_drv.decay and s_drv.gain is c_drv.gain
+        flow, (_, halves) = seen[0]
+        assert isinstance(flow, _HeatDriver)
+        assert len(seen) == cfg.n_samples
+        assert all(f is flow for f, _ in seen)
+        assert stepped == {id(flow)}
+        stack = (2, self.LAT_N, self.LAT_N // 2 + 1)
+        assert flow.u_hat.shape == flow.f_hat.shape == stack
         decay, gain, _ = lat._heat_tables(cfg.dt)
-        assert c_drv.decay is decay and c_drv.gain is gain
-        assert c_drv._tmp is tmp and s_drv._tmp is tmp
-        assert not np.shares_memory(c_drv.f_hat, s_drv.f_hat)
-        assert not np.shares_memory(c_drv.u_hat, s_drv.u_hat)
+        assert flow.decay is decay and flow.gain is gain
+        assert all(np.shares_memory(h, flow._tmp) for h in halves)
+        assert collect_scratch
+        assert all(np.shares_memory(tmp, flow._tmp)
+                   for tmp in collect_scratch)
 
     def test_collect_gets_each_measured_slice_index_in_order(
             self, monkeypatch):
@@ -582,12 +608,12 @@ class TestHeatTables:
         seen = []
         trajectory = stochastic._dipole_trajectory
 
-        def spy(lat, cfg, seed, sample, collect, drivers, scratch):
+        def spy(lat, cfg, seed, sample, collect, flow, scratch):
             ms = []
             seen.append(ms)
             return trajectory(lat, cfg, seed, sample,
                               lambda m, *a: ms.append(m) or collect(m, *a),
-                              drivers, scratch)
+                              flow, scratch)
 
         monkeypatch.setattr(stochastic, "_dipole_trajectory", spy)
         lat = TorusLattice(self.LAT_N, dt=self.DT)
@@ -846,6 +872,26 @@ class TestTwoPassTransforms:
         tmp = np.empty_like(h)
         assert _irfft2_into(h, out, tmp) is out
         assert np.array_equal(out, np.fft.irfft2(h, s=(n, n)))
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_stacks_transform_slice_by_slice(self, n):
+        """Each slice of a (2, n, .) stack transforms exactly as numpy's
+        2-d transform of that slice, also with the input as its own
+        scratch: the dipole's stacked flow relies on it."""
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((2, n, n))
+        h = (rng.standard_normal((2, n, n // 2 + 1))
+             + 1j * rng.standard_normal((2, n, n // 2 + 1)))
+        spec = np.full(h.shape, np.nan, dtype=complex)
+        assert _rfft2_into(x, spec, np.empty_like(spec)) is spec
+        back, again = np.full((2, 2, n, n), np.nan)
+        assert _irfft2_into(h, back, np.empty_like(h)) is back
+        own = h.copy()
+        assert _irfft2_into(own, again, own) is again
+        for k in range(2):
+            assert spec[k].tobytes() == np.fft.rfft2(x[k]).tobytes()
+            ref = np.fft.irfft2(h[k], s=(n, n)).tobytes()
+            assert back[k].tobytes() == ref and again[k].tobytes() == ref
 
 
 class TestOneComplexArrayInverse:

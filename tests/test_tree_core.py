@@ -120,6 +120,15 @@ class TestModelParams:
         with pytest.raises(SupercriticalError):
             ModelParams.make(Fraction(8))
 
+    @pytest.mark.parametrize("beta_sq", [Fraction(0), Fraction(-1)])
+    def test_nonpositive_coupling_is_not_supercritical(self, beta_sq):
+        with pytest.raises(ValueError, match="must be positive") as info:
+            ModelParams(beta_sq, Fraction(1))
+        assert not isinstance(info.value, SupercriticalError)
+        with pytest.raises(ValueError, match="must be positive") as info:
+            ModelParams.make(beta_sq)
+        assert not isinstance(info.value, SupercriticalError)
+
     def test_interval_constraints(self):
         # the cutoff's window (beta_bar, 2) is the enumerator's: see
         # test_rule_engine.TestCutoff
