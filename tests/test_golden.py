@@ -13,8 +13,10 @@ sampler moved to real-input transforms.  The echoed
 removed; nothing else changed.  ``trees_classify`` and the two
 ``diagram_audit`` files were recorded while every subcommand handler still
 wrote its own report, and the two ``diagram_audit_tau4`` files while the
-audit still built and checked every (forest, cut) term.  Any refactor must
-reproduce them unchanged.
+audit still built and checked every (forest, cut) term.  The three
+``tau4_large_scale`` files were recorded while the large-scale audit still
+split the complement of every cluster into kernel components.  Any refactor
+must reproduce them unchanged.
 """
 
 from pathlib import Path
@@ -51,6 +53,16 @@ CASES = {
     "cuts_34_large_scale_forest_12": ([*CUTS_34, "--context", "large-scale"], 1),
     "p2_cuts_34_large_scale_forest_12": ([*CUTS_34, "--context", "large-scale",
                                           "--p", "2"], 1),
+    # TAU4 with whole copies contracted, and uncontracted at p = 2: their
+    # violation lists pin the order of the large-scale family
+    "tau4_large_scale_forest_1234": (["--tree", TAU4, "--beta-bar", "7/4",
+                                      "--forest", "1,2,3,4",
+                                      "--context", "large-scale"], 1),
+    "p2_tau4_large_scale_forest_1234": (["--tree", TAU4, "--beta-bar", "7/4",
+                                         "--forest", "1,2,3,4", "--p", "2",
+                                         "--context", "large-scale"], 1),
+    "p2_tau4_large_scale_5_4": (["--tree", TAU4, "--beta-bar", "5/4",
+                                 "--p", "2", "--context", "large-scale"], 1),
     # TAU6's edge 2 has gamma = 3, so its (gamma - 1) term is not 0
     "cuts_2_tau6_big_graph_forest_16": ([
         "--tree", "(-;0,0,0;(+;0,0,0;)(+;0,0,0;(-;0,0,0;)(+;0,0,0;)(-;0,0,0;)))",
