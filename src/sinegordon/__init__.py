@@ -9,13 +9,14 @@ Modules:
   cutoff, classification of divergent (negative) and neutral trees.
 - ``counterterm``: coefficient factors attached to divergent trees and the
   exact certificate that all renormalization constants cancel.
-- ``moment_diagrams``: multi-copy diagrams, divergent subtrees, forests,
-  cut sets, derived edge-set calculus, and the symbolic moment-term
-  inventory with its multilinearity audit.
+- ``moment_diagrams``: multi-copy diagrams, their connected node sets,
+  divergent subtrees, forests, cut sets, derived edge-set calculus, and
+  the symbolic moment-term inventory with its multilinearity audit.
 - ``multiscale``: dyadic scale assignments, safe-forest projections,
   interval preimages, cut harvesting, and the forest/cut partition identity.
 - ``power_counting``: total homogeneities, cluster-sum evaluators, the
-  subdivergence, sign, identity and order audits over vertex subsets, and
+  subdivergence, sign, identity and order audits over vertex subsets, the
+  large-scale audit over the diagram's connected node sets, and
   summability probes that recurse over subsets and their set partitions;
   coalescence hierarchies are enumerated only as children maps, for the
   oracle tests.
@@ -23,7 +24,7 @@ Modules:
   unit-expectation chaos exponentials, renormalization-constant scaling,
   dipole moment estimation, and the additive-decomposition PDE solver, all
   heat flows stepped by one real half-spectrum integrator (the dipole's
-  complex profile as two real flows).
+  complex profile as one stacked pair of real flows).
 - ``cli``: a single command-line entry point exposing all workflows.
 """
 

@@ -17,12 +17,12 @@ So every cut of a forest counts each noise pair as its uncut term does, and
 the CLI audit checks the uncut terms and counts the others.
 
 A diagram is frozen, and nothing it determines depends on a scale
-assignment.  So its divergent subtrees, forests, gamma exponents, cut
-sites, each forest's free sites and contraction, and the edge sets of
-every (forest, member) are computed on first use and kept in the
-diagram's memo.  One edge-set model serves the members of a forest and
-the whole diagram alike: the diagram is treated as the region that holds
-every node.
+assignment.  So its connected node sets, divergent subtrees, forests,
+gamma exponents, cut sites, each forest's free sites and contraction, and
+the edge sets of every (forest, member) are computed on first use and kept
+in the diagram's memo.  One edge-set model serves the members of a forest
+and the whole diagram alike: the diagram is treated as the region that
+holds every node.
 """
 
 from __future__ import annotations
@@ -141,14 +141,18 @@ class MomentDiagram:
     # --- divergences ------------------------------------------------------
 
     @_memoized
+    def connected_sets(self) -> tuple[frozenset[int], ...]:
+        """Every connected node set (a subtree of one copy), once, by size
+        and then by sorted members."""
+        return tuple(sorted((S for root in self.nodes
+                             for S in self._connected_sets_at(root)),
+                            key=lambda S: (len(S), sorted(S))))
+
+    @_memoized
     def divergent_subtrees(self) -> tuple[frozenset[int], ...]:
         """All neutral connected subtrees with negative bare homogeneity."""
-        out = []
-        for root in self.nodes:
-            for S in self._connected_sets_at(root):
-                if self.charge(S) == 0 and self.bare_s_hom(S) < 0:
-                    out.append(S)
-        return tuple(sorted(out, key=lambda S: (len(S), sorted(S))))
+        return tuple(S for S in self.connected_sets()
+                     if self.charge(S) == 0 and self.bare_s_hom(S) < 0)
 
     def _connected_sets_at(self, root: int):
         """Connected subtree node sets whose subtree root is ``root``."""

@@ -12,6 +12,10 @@ cluster audits and the order read vertex subsets, and the summability
 probes recurse over subsets and their set partitions, never hierarchies.
 The library enumerates hierarchies only as children maps
 (``all_coalescence_trees``), for the oracle tests of those recursions.
+The large-scale audit reads no subsets either: what a cluster of the
+pinned vertices leaves out splits into connected node sets of the
+diagram, so it checks the diagram's connected node sets that the forest's
+contraction keeps whole and that hold no pinned vertex.
 
 The weight the sign audits check on a node set is an integer count (kernel
 edges, decorations, cut exponents, integration volume) plus one coupling
@@ -34,6 +38,9 @@ MAX_EXHAUSTIVE_VERTICES = 8
 
 #: hard cap on the passes over all 2^n vertex subsets (audits, probes)
 MAX_CLUSTER_VERTICES = 17
+
+#: largest relative spread of the rescaled scale sums that counts as stable
+SUMMABILITY_SPREAD = 0.05
 
 
 # --- hierarchies and vertex subsets --------------------------------------------
@@ -112,27 +119,6 @@ def _clusters(vertices) -> list[frozenset]:
     members: exactly the non-root clusters of the hierarchies on the set."""
     vs = _subset_vertices(vertices)
     return [frozenset(c) for k in range(2, len(vs)) for c in combinations(vs, k)]
-
-
-def _components(vertices, links) -> list[frozenset]:
-    """Connected components of ``vertices`` joined by the (u, v) pairs
-    ``links``, in the order of their first vertex in ``vertices``."""
-    par = {v: v for v in vertices}
-
-    def find(x):
-        while par[x] != x:
-            par[x] = par[par[x]]
-            x = par[x]
-        return x
-
-    for u, v in links:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            par[ru] = rv
-    groups: dict = {}
-    for v in vertices:
-        groups.setdefault(find(v), []).append(v)
-    return [frozenset(g) for g in groups.values()]
 
 
 # --- total homogeneities --------------------------------------------------------
@@ -403,19 +389,22 @@ def sign_audit_big_graph(d: MomentDiagram, forest, s_cut=(), d_cut=()
                        lambda M: big_graph_sigma_tilde(d, s_cut, d_cut, M))
 
 
-def _k_components(d: MomentDiagram, M: frozenset) -> list[frozenset]:
-    M = frozenset(M) - {BASE_POINT}
-    return _components(M, ((e, d.parent[e]) for e in d.K(M)))
-
-
 def sign_audit_large_scale(d: MomentDiagram, forest, s_cut=(), d_cut=()
                            ) -> ClusterAuditReport:
     """Everything left outside the cluster of the pinned vertices must carry
-    strictly positive decay."""
+    strictly positive decay.
+
+    The sets checked are the kernel components of what each cluster holding
+    the pinned vertices leaves out.  They are exactly the connected node
+    sets that hold no pinned vertex and that the forest's contraction keeps
+    whole, for such a set is all that the cluster of the quotient vertices
+    outside its image leaves out.
+    """
     setup = sg_total_homogeneity(d, forest, s_cut, d_cut)
-    all_nodes = frozenset([BASE_POINT]) | frozenset(d.nodes)
-    fam = {comp for a in _clusters(setup.vertices) if setup.pinned <= a
-           for comp in _k_components(d, all_nodes - reexpanded(setup, a))}
+    _subset_vertices(setup.vertices)  # the cap of the other cluster audits
+    fam = [M for M in d.connected_sets()
+           if setup.pinned.isdisjoint(image := {setup.qhat[u] for u in M})
+           and reexpanded(setup, image) == M]
     report = ClusterAuditReport(True, "large-scale", 0)
     for M in sorted(fam, key=sorted):
         val = large_scale_sigma_tilde(d, s_cut, d_cut, M)
@@ -451,16 +440,6 @@ class SummabilityReport:
     spread: float         # (max - min) / max over the final-cap column
     converged: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha": str(self.alpha),
-            "values": {f"r={r},cap={c}": v for (r, c), v in self.values.items()},
-            "normalized": {f"r={r},cap={c}": v
-                           for (r, c), v in self.normalized.items()},
-            "spread": self.spread,
-            "converged": self.converged,
-        }
-
 
 def _root_sums(nested: list, cap: int) -> list[float]:
     """Entry l: the scale sum over the hierarchies on the full vertex set
@@ -493,16 +472,17 @@ def _root_sums(nested: list, cap: int) -> list[float]:
 
 
 def summability_probe(sigma: TotalHomogeneity, vertices, alpha: Fraction,
-                      r_values, caps, tol: float = 0.05) -> SummabilityReport:
+                      r_values, caps) -> SummabilityReport:
     """Numerically verify the geometric decay of the scale sums over all
     hierarchies with strictly increasing labels up to the cap.
 
     For negative order the sums keep the labelings whose coarsest scale
     exceeds r, for positive order those whose coarsest scale is at most r.
     Each raw sum, rescaled by 2^(-alpha*r), must be stable in r and in the
-    cap.  Fewer than two distinct r values or caps, a negative r, or for
-    negative order a cap not above every r is refused: a sum would be
-    empty or a value compared only with itself.
+    cap, to a relative spread of at most ``SUMMABILITY_SPREAD``.  Fewer
+    than two distinct r values or caps, a negative r, or for negative order
+    a cap not above every r is refused: a sum would be empty or a value
+    compared only with itself.
     """
     vs = _subset_vertices(vertices)
     r_values, caps = list(r_values), list(caps)
@@ -523,4 +503,4 @@ def summability_probe(sigma: TotalHomogeneity, vertices, alpha: Fraction,
         [normalized[(min(r_values), c)] for c in caps]
     spread = (max(final) - min(final)) / max(final)
     return SummabilityReport(Fraction(alpha), values, normalized, spread,
-                             spread <= tol)
+                             spread <= SUMMABILITY_SPREAD)

@@ -9,10 +9,11 @@ from math import floor
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sinegordon.rule_engine import enumerate_negative_trees
 from sinegordon.tree_core import SCALING_DIM, DecoratedTree, ModelParams, dipole
 from sinegordon.moment_diagrams import BASE_POINT, build_diagram
 from sinegordon.power_counting import (
-    MAX_CLUSTER_VERTICES, TotalHomogeneity, _components, _k_components,
+    MAX_CLUSTER_VERTICES, ClusterAuditReport, TotalHomogeneity,
     all_coalescence_trees, big_graph_sigma_tilde,
     divergent_cluster_exclusions, identity_audit, inner_sigma_tilde,
     inner_total_homogeneity, large_scale_sigma_tilde, order_audit,
@@ -44,6 +45,34 @@ def _evaluate(sigma, tree):
     for coeff, marker in sigma.terms:
         vals[_up(tree, marker)] += coeff
     return vals
+
+
+def _components(vertices, links) -> list[frozenset]:
+    """Connected components of ``vertices`` joined by the (u, v) pairs
+    ``links``, by union-find, in the order of their first vertex in
+    ``vertices``."""
+    par = {v: v for v in vertices}
+
+    def find(x):
+        while par[x] != x:
+            par[x] = par[par[x]]
+            x = par[x]
+        return x
+
+    for u, v in links:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            par[ru] = rv
+    groups: dict = {}
+    for v in vertices:
+        groups.setdefault(find(v), []).append(v)
+    return [frozenset(g) for g in groups.values()]
+
+
+def _k_components(d, M) -> list[frozenset]:
+    """The components of the nodes of ``M`` joined by their kernel edges."""
+    M = frozenset(M) - {BASE_POINT}
+    return _components(M, ((e, d.parent[e]) for e in d.K(M)))
 
 
 def coalesce(vertices, edges):
@@ -269,6 +298,15 @@ class TestSubsetOracle:
         with pytest.raises(ValueError, match="refusing cluster audits"):
             subdivergence_audit(TotalHomogeneity(()),
                                 range(MAX_CLUSTER_VERTICES + 1))
+        # the large-scale audit reads no subsets, yet keeps the same cap: the
+        # p = 4 dipole has 17 vertices, the p = 5 one 21
+        for p, ok in [(4, True), (5, False)]:
+            d = build_diagram(dipole(), p, ModelParams.from_beta_bar(F(5, 4)))
+            if ok:
+                assert sign_audit_large_scale(d, ()).checked > 0
+            else:
+                with pytest.raises(ValueError, match="refusing cluster audits"):
+                    sign_audit_large_scale(d, ())
         # refused before the 2^18 nested weights are built
         with pytest.raises(ValueError, match="refusing cluster audits"):
             summability_probe(TotalHomogeneity(()),
@@ -396,6 +434,49 @@ class TestWeightDigest:
                                 d, s_cut, d_cut, M)))
         digest = hashlib.sha256(" ".join(rows).encode()).hexdigest()
         assert (len(rows), digest) == self.DIGEST
+
+
+def _large_scale_by_complements(d, forest, d_cut):
+    """The large-scale audit's report the long way: every cluster of the
+    quotient vertices that holds the pinned ones, and the kernel components
+    of what each leaves out, each set once, in sorted order."""
+    setup = sg_total_homogeneity(d, forest, d_cut=d_cut)
+    vs = sorted(setup.vertices)
+    rest = frozenset([BASE_POINT]) | frozenset(d.nodes)
+    family = {comp for k in range(2, len(vs)) for a in combinations(vs, k)
+              if setup.pinned <= frozenset(a)
+              for comp in _k_components(d, rest - reexpanded(setup, a))}
+    rows = [(sorted(M), large_scale_sigma_tilde(d, (), d_cut, M))
+            for M in sorted(family, key=sorted)]
+    least = min((v for _, v in rows), default=None)
+    return ClusterAuditReport(
+        all(v > 0 for _, v in rows), "large-scale", len(rows),
+        [{"set": M, "value": str(v)} for M, v in rows if v <= 0], least,
+        next((M for M, v in rows if v == least), None))
+
+
+class TestLargeScaleFamily:
+    """The large-scale audit reads the diagram's connected node sets; the
+    complements of the clusters of the pinned vertices, split into kernel
+    components, are the oracle."""
+
+    def test_reports_match_cluster_complements(self):
+        p85 = ModelParams.from_beta_bar(F(8, 5))
+        hand = [*WEIGHT_DIAGRAMS,
+                *(build_diagram(tau, p, ModelParams.from_beta_bar(bb))
+                  for tau, p, bb, *_ in TestNineVertexDiagrams.CASES),
+                build_diagram(TAU4, 1, ModelParams.from_beta_bar(F(7, 4)))]
+        catalog = [build_diagram(tau, 1, p85)
+                   for tau in enumerate_negative_trees(p85).negative.values()]
+        verdicts = set()
+        for d in hand + catalog:
+            for forest in d.enumerate_forests():
+                for d_cut in [(), d.cut_sites()]:
+                    rep = sign_audit_large_scale(d, forest, d_cut=d_cut)
+                    assert rep == _large_scale_by_complements(d, forest, d_cut)
+                    verdicts.add((rep.ok, rep.checked > 0))
+        # both verdicts on nonempty families, and forests that leave none
+        assert verdicts == {(True, True), (False, True), (True, False)}
 
 
 class TestIdentity:
