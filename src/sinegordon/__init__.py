@@ -15,11 +15,12 @@ Modules:
 - ``multiscale``: dyadic scale assignments, safe-forest projections,
   interval preimages, cut harvesting, and the forest/cut partition identity.
 - ``power_counting``: total homogeneities, cluster-sum evaluators, the
-  subdivergence, sign, identity and order audits over vertex subsets, the
-  large-scale audit over the diagram's connected node sets, and
-  summability probes that recurse over subsets and their set partitions;
-  coalescence hierarchies are enumerated only as children maps, for the
-  oracle tests.
+  subdivergence, identity and order audits over vertex subsets, the
+  big-graph and inner sign audits over the subsets of a forest's quotient
+  and the large-scale one over connected node sets, none of them with a
+  total homogeneity and the last with no vertex cap, and summability
+  probes that recurse over subsets and their set partitions; coalescence
+  hierarchies are enumerated only as children maps, for the oracle tests.
 - ``stochastic``: spectral sampling of the log-correlated field, its
   unit-expectation chaos exponentials, renormalization-constant scaling,
   dipole moment estimation, and the additive-decomposition PDE solver, all

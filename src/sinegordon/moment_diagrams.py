@@ -111,12 +111,6 @@ class MomentDiagram:
 
     # --- subtree helpers -------------------------------------------------
 
-    def subtree_root(self, S: frozenset[int]) -> int:
-        roots = [u for u in S if self.parent[u] not in S]
-        if len(roots) != 1:
-            raise ValueError("node set is not a connected subtree")
-        return roots[0]
-
     def K(self, S: frozenset[int]) -> frozenset[int]:
         """Kernel edges with both endpoints in S (edge = child id)."""
         return frozenset(u for u in S if self.parent[u] in S)

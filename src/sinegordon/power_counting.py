@@ -12,22 +12,26 @@ cluster audits and the order read vertex subsets, and the summability
 probes recurse over subsets and their set partitions, never hierarchies.
 The library enumerates hierarchies only as children maps
 (``all_coalescence_trees``), for the oracle tests of those recursions.
-The large-scale audit reads no subsets either: what a cluster of the
-pinned vertices leaves out splits into connected node sets of the
-diagram, so it checks the diagram's connected node sets that the forest's
-contraction keeps whole and that hold no pinned vertex.
 
-The weight the sign audits check on a node set is an integer count (kernel
-edges, decorations, cut exponents, integration volume) plus one coupling
-term: beta_bar (q^2 - N) for N noises of net charge q, or beta_bar N for
-the noises left outside the macroscopic cluster.
+The sign audits build no total homogeneity.  The big-graph and inner
+audits check a weight on the node set each cluster re-expands to, so they
+read only the region's vertices and the forest's contraction, both
+memoized by the diagram.  The weight is an integer count (kernel edges,
+decorations, cut exponents, integration volume) plus one coupling term:
+beta_bar (q^2 - N) for N noises of net charge q, or beta_bar N for the
+noises left outside the macroscopic cluster.  The large-scale audit passes
+over no subsets, so it caps no vertex count: what a cluster of the pinned
+vertices leaves out splits into connected node sets, so it checks the
+diagram's connected node sets that the forest's contraction keeps whole
+and that hold no pinned vertex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
+from math import floor
 
 from .moment_diagrams import (BASE_POINT, EdgeSetBundle, MomentDiagram,
                               derived_edge_sets)
@@ -149,27 +153,39 @@ class TotalHomogeneity:
 
 @dataclass
 class HomogeneitySetup:
-    """A total homogeneity together with its vertex set and bookkeeping."""
+    """A total homogeneity together with its vertex set."""
 
     sigma: TotalHomogeneity
     vertices: frozenset
-    qhat: tuple           # MomentDiagram.contraction: vertex -> quotient vertex
-    pinned: frozenset     # vertices that stay at macroscopic separation
 
 
-def _contracted(d: MomentDiagram, b: EdgeSetBundle, s_cut=frozenset()):
-    """The quotient map that contracts each member of ``b.C`` to its root,
-    its smallest node, and on it the contracted-member, kernel-edge and
-    noise-pair terms of the edge sets ``b``, leaving out the kernel edges
-    in ``s_cut``."""
-    qhat = d.contraction(b.C)
+def _quotient(d: MomentDiagram, forest, S=None) -> tuple[frozenset, tuple]:
+    """The vertices of the member ``S``, or of the whole diagram and the
+    base point, once the forest's members within it are contracted to
+    their roots, and the contraction map onto them."""
+    b = derived_edge_sets(d, forest, S)
+    return (b.N_F if S is not None else b.N_F | {BASE_POINT},
+            d.contraction(b.C))
+
+
+def _contracted(d: MomentDiagram, b: EdgeSetBundle, qhat, s_cut=frozenset()):
+    """The contracted-member, kernel-edge and noise-pair terms of the edge
+    sets ``b`` on the quotient ``qhat`` (each member of ``b.C`` at its
+    root, its smallest node), less the kernel edges in ``s_cut``."""
     bb = d.params.beta_bar
     terms = [(-d.bare_s_hom(T), frozenset([min(T)])) for T in b.C]
     terms += [(Fraction(2), frozenset([qhat[d.parent[e]], qhat[e]]))
               for e in sorted(b.K_F - s_cut)]
     terms += [(Fraction(-2 * d.pair_sign((u, v))) * bb, frozenset([qhat[u], qhat[v]]))
               for u, v in b.pairs_F + b.pairs_partial]
-    return qhat, terms
+    return terms
+
+
+def _refuse_member_cuts(d: MomentDiagram, forest, s_cut):
+    """Refuse the ``s_cut`` edges inside a member of the forest."""
+    if inside := frozenset(s_cut) - d.free_sites(forest):
+        raise ValueError(f"s_cut edges {sorted(inside)} are not kernel edges "
+                         f"outside the forest's members")
 
 
 def _charge_term(d: MomentDiagram, nodes) -> Fraction:
@@ -190,12 +206,10 @@ def sg_total_homogeneity(d: MomentDiagram, forest, s_cut=(), d_cut=()
     member is refused: only the forest's free sites are cut, and every
     kernel edge is a cut site, as gamma(e) >= |desc(e)| (2 - beta_bar) > 0.
     """
-    top = derived_edge_sets(d, forest)
+    _refuse_member_cuts(d, forest, s_cut)
     s_cut, d_cut = frozenset(s_cut), frozenset(d_cut)
-    if inside := s_cut - d.free_sites(forest):
-        raise ValueError(f"s_cut edges {sorted(inside)} are not kernel edges "
-                         f"outside the forest's members")
-    qhat, terms = _contracted(d, top, s_cut)
+    vertices, qhat = _quotient(d, forest)
+    terms = _contracted(d, derived_edge_sets(d, forest), qhat, s_cut)
     for u in d.nodes:
         w = deco_weight(d.deco[u])
         if w:
@@ -209,36 +223,27 @@ def sg_total_homogeneity(d: MomentDiagram, forest, s_cut=(), d_cut=()
         terms.append((Fraction(g - 1), frozenset([e, BASE_POINT])))
         terms.append((Fraction(-(g - 1)), frozenset([BASE_POINT, qhat[d.parent[e]]])))
         terms.append((Fraction(2), frozenset([e, BASE_POINT])))
-    pinned = frozenset([BASE_POINT]) | frozenset(qhat[r] for r in d.roots)
-    return HomogeneitySetup(TotalHomogeneity(tuple(terms)),
-                            frozenset([BASE_POINT]) | top.N_F, qhat, pinned)
+    return HomogeneitySetup(TotalHomogeneity(tuple(terms)), vertices)
 
 
 def collapse_order(d: MomentDiagram, S) -> int:
     """Number of collapse-operator subtractions bought by the member ``S``."""
-    from math import floor
-
     return floor(-d.bare_sg_hom(S))
 
 
 def inner_total_homogeneity(d: MomentDiagram, S, forest) -> HomogeneitySetup:
-    """Total homogeneity of the integrand localized to one forest member.
-
-    Vertices are the nodes of ``S`` with nested members contracted to their
-    roots; the root of ``S`` is the pinned vertex.
-    """
-    b = derived_edge_sets(d, forest, S)
-    qhat, terms = _contracted(d, b)
-    vertices = b.N_F
+    """Total homogeneity of the integrand localized to the forest member
+    ``S``, on the nodes of ``S`` with nested members contracted."""
+    vertices, qhat = _quotient(d, forest, S)
+    terms = _contracted(d, derived_edge_sets(d, forest, S), qhat)
     terms.append((Fraction(-collapse_order(d, S)), vertices))
-    return HomogeneitySetup(TotalHomogeneity(tuple(terms)), vertices, qhat,
-                            frozenset([d.subtree_root(S)]))
+    return HomogeneitySetup(TotalHomogeneity(tuple(terms)), vertices)
 
 
-def reexpanded(setup: HomogeneitySetup, cluster: frozenset) -> frozenset:
-    """The preimage of the cluster under the quotient map: every
+def reexpanded(qhat: tuple, cluster) -> frozenset:
+    """The preimage of the cluster under the quotient map ``qhat``: every
     contracted-member root is replaced by the member's full node set."""
-    return frozenset(u for u, x in enumerate(setup.qhat) if x in cluster)
+    return frozenset(u for u, x in enumerate(qhat) if x in cluster)
 
 
 # --- cluster-sum evaluators ------------------------------------------------------
@@ -293,14 +298,9 @@ class ClusterAuditReport:
     argmin: list | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "context": self.context,
-            "checked": self.checked,
-            "violations": self.violations,
-            "min_margin": None if self.min_margin is None else str(self.min_margin),
-            "argmin": self.argmin,
-        }
+        out = asdict(self)
+        out["min_margin"] = None if self.min_margin is None else str(self.min_margin)
+        return out
 
 
 def _uncontracted_divergent(d: MomentDiagram, forest) -> frozenset:
@@ -363,14 +363,16 @@ def order_audit(sigma: TotalHomogeneity, vertices) -> tuple[bool, Fraction]:
     return True, sigma.nested(vs, vs) - (len(vs) - 1) * SCALING_DIM
 
 
-def _sign_audit(context: str, setup: HomogeneitySetup, d: MomentDiagram,
-                forest, value) -> ClusterAuditReport:
-    """Every re-expanded cluster, other than an uncontracted divergent
-    subtree, must have a strictly negative ``value``."""
+def _sign_audit(context: str, d: MomentDiagram, forest, S, value
+                ) -> ClusterAuditReport:
+    """Every re-expanded cluster of the region ``S`` (see ``_quotient``),
+    other than an uncontracted divergent subtree, must have a strictly
+    negative ``value``."""
+    vertices, qhat = _quotient(d, forest, S)
     excluded = _uncontracted_divergent(d, forest)
     report = ClusterAuditReport(True, context, 0)
-    for a in sorted(_clusters(setup.vertices), key=sorted):
-        M = reexpanded(setup, a)
+    for a in sorted(_clusters(vertices), key=sorted):
+        M = reexpanded(qhat, a)
         if M not in excluded:
             val = value(M)
             _tally(report, M, -val, lambda: {"set": sorted(M), "value": str(val)})
@@ -378,21 +380,21 @@ def _sign_audit(context: str, setup: HomogeneitySetup, d: MomentDiagram,
 
 
 def sign_audit_inner(d: MomentDiagram, S, forest) -> ClusterAuditReport:
-    return _sign_audit("inner", inner_total_homogeneity(d, S, forest), d,
-                       forest, lambda M: inner_sigma_tilde(d, S, M))
+    return _sign_audit("inner", d, forest, S,
+                       lambda M: inner_sigma_tilde(d, S, M))
 
 
 def sign_audit_big_graph(d: MomentDiagram, forest, s_cut=(), d_cut=()
                          ) -> ClusterAuditReport:
-    return _sign_audit("big-graph", sg_total_homogeneity(d, forest, s_cut, d_cut),
-                       d, forest,
+    _refuse_member_cuts(d, forest, s_cut)
+    return _sign_audit("big-graph", d, forest, None,
                        lambda M: big_graph_sigma_tilde(d, s_cut, d_cut, M))
 
 
 def sign_audit_large_scale(d: MomentDiagram, forest, s_cut=(), d_cut=()
                            ) -> ClusterAuditReport:
-    """Everything left outside the cluster of the pinned vertices must carry
-    strictly positive decay.
+    """Everything left outside the cluster of the pinned vertices (the base
+    point and the copy roots) must carry strictly positive decay.
 
     The sets checked are the kernel components of what each cluster holding
     the pinned vertices leaves out.  They are exactly the connected node
@@ -400,11 +402,12 @@ def sign_audit_large_scale(d: MomentDiagram, forest, s_cut=(), d_cut=()
     whole, for such a set is all that the cluster of the quotient vertices
     outside its image leaves out.
     """
-    setup = sg_total_homogeneity(d, forest, s_cut, d_cut)
-    _subset_vertices(setup.vertices)  # the cap of the other cluster audits
+    _refuse_member_cuts(d, forest, s_cut)
+    _, qhat = _quotient(d, forest)
+    pinned = {BASE_POINT} | {qhat[r] for r in d.roots}
     fam = [M for M in d.connected_sets()
-           if setup.pinned.isdisjoint(image := {setup.qhat[u] for u in M})
-           and reexpanded(setup, image) == M]
+           if pinned.isdisjoint(image := {qhat[u] for u in M})
+           and reexpanded(qhat, image) == M]
     report = ClusterAuditReport(True, "large-scale", 0)
     for M in sorted(fam, key=sorted):
         val = large_scale_sigma_tilde(d, s_cut, d_cut, M)
@@ -415,11 +418,12 @@ def sign_audit_large_scale(d: MomentDiagram, forest, s_cut=(), d_cut=()
 def identity_audit(d: MomentDiagram, S, forest) -> ClusterAuditReport:
     """The nested cluster-weight sum must equal the re-expanded set weight,
     exactly, for every proper cluster of at least two vertices."""
-    setup = inner_total_homogeneity(d, S, forest)
+    vertices, qhat = _quotient(d, forest, S)
+    sigma = inner_total_homogeneity(d, S, forest).sigma
     report = ClusterAuditReport(True, "identity", 0)
-    for a in _clusters(setup.vertices):
-        lhs = setup.sigma.nested(a, setup.vertices) - (len(a) - 1) * SCALING_DIM
-        rhs = inner_sigma_tilde(d, S, reexpanded(setup, a))
+    for a in _clusters(vertices):
+        lhs = sigma.nested(a, vertices) - (len(a) - 1) * SCALING_DIM
+        rhs = inner_sigma_tilde(d, S, reexpanded(qhat, a))
         report.checked += 1
         if lhs != rhs:
             report.ok = False

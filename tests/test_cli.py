@@ -522,6 +522,39 @@ class TestSubcommands:
         res = json.loads(out)["results"]
         assert res["margins"]["min"] == "3/2"
 
+    def test_power_audit_large_scale_has_no_vertex_cap(self, capsys):
+        # the p = 5 dipole has 21 vertices: the large-scale audit exits by
+        # its verdict, the big-graph audit refuses the subset pass
+        code, out, _ = run_cli(["power", "audit", "--context", "large-scale",
+                                "--p", "5"], capsys)
+        res = json.loads(out)["results"]
+        assert (code, res["ok"], res["checked"]) == (1, False, 10)
+        code, out, err = run_cli(["power", "audit", "--context", "big-graph",
+                                  "--p", "5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: refusing cluster audits beyond 17 vertices\n"
+
+    def test_power_audit_builds_no_total_homogeneity(self, capsys, monkeypatch):
+        from sinegordon import power_counting
+        base = ["power", "audit", "--context"]
+        argvs = [base + ["inner", "--forest", "1,2;3,4"],
+                 base + ["inner", "--p", "2", "--forest", "3,4"],
+                 base + ["big-graph", "--forest", "1,2;3,4"],
+                 base + ["big-graph", "--forest", "1,2", "--cuts", "4"],
+                 base + ["big-graph", "--p", "2", "--cuts", "2,4,6,8"],
+                 base + ["large-scale", "--forest", "1,2"],
+                 base + ["large-scale", "--forest", "1,2", "--cuts", "4"],
+                 base + ["large-scale", "--p", "2", "--cuts", "2,4,6,8"]]
+        want = [run_cli(argv, capsys) for argv in argvs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sign audit built a total homogeneity")
+
+        for name in ["sg_total_homogeneity", "inner_total_homogeneity"]:
+            monkeypatch.setattr(power_counting, name, refuse)
+        assert [run_cli(argv, capsys) for argv in argvs] == want
+        assert all(code in (0, 1) for code, _, _ in want)
+
     def test_csv_emission(self, tmp_path, capsys):
         csv_path = tmp_path / "field.csv"
         code, _, _ = run_cli(["sim", "field", "--n", "64", "--seed", "1",

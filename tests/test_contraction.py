@@ -18,7 +18,8 @@ def _overwrite_contraction(d, C):
     """The cluster audits' former quotient map on the members ``C``."""
     qhat = {BASE_POINT: BASE_POINT} | {u: u for u in d.nodes}
     for T in C:
-        qhat |= dict.fromkeys(T, d.subtree_root(T))
+        (root,) = (u for u in T if d.parent[u] not in T)
+        qhat |= dict.fromkeys(T, root)
     return qhat
 
 
@@ -94,7 +95,7 @@ def test_nodes_are_preorder_so_a_member_root_is_its_smallest_node():
     for d in [*map(_test_diagram, TEST_DIAGRAMS), *_catalog_diagrams()]:
         assert d.nodes == list(range(1, len(d.nodes) + 1))
         for T in d.divergent_subtrees():
-            assert d.subtree_root(T) == min(T)
+            assert [u for u in T if d.parent[u] not in T] == [min(T)]
 
 
 @pytest.mark.parametrize("name, join, merged", [

@@ -135,9 +135,16 @@ def _maximal(trees):
     return [T for T in trees if not any(T < U for U in trees)]
 
 
+def _root(d, T):
+    """The one node of the connected node set ``T`` whose parent lies
+    outside it."""
+    (root,) = (u for u in T if d.parent[u] not in T)
+    return root
+
+
 def _n_tilde(d, T):
     """T less its root: the nodes that contracting T removes."""
-    return T - {d.subtree_root(T)}
+    return T - {_root(d, T)}
 
 
 def _member_of(node, trees):
@@ -175,7 +182,7 @@ def _oracle_edge_sets(d, F, S=None):
                     pairs_partial=pairs_partial)
 
     C = _maximal([T for T in F if T < S])
-    rho = d.subtree_root(S)
+    rho = _root(d, S)
     ntf = _n_tilde(d, S) - (frozenset().union(*[_n_tilde(d, T) for T in C]) if C else frozenset())
     n_f = ntf | {rho}
     l_f = d.L(S) - (frozenset().union(*[d.L(T) for T in C]) if C else frozenset())

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sinegordon.rule_engine import enumerate_negative_trees
-from sinegordon.tree_core import SCALING_DIM, DecoratedTree, ModelParams, dipole
+from sinegordon.tree_core import (SCALING_DIM, DecoratedTree, ModelParams,
+                                   dipole, parse_key)
 from sinegordon.moment_diagrams import BASE_POINT, build_diagram
+from sinegordon import power_counting
 from sinegordon.power_counting import (
-    MAX_CLUSTER_VERTICES, ClusterAuditReport, TotalHomogeneity,
+    MAX_CLUSTER_VERTICES, ClusterAuditReport, TotalHomogeneity, _quotient,
     all_coalescence_trees, big_graph_sigma_tilde,
     divergent_cluster_exclusions, identity_audit, inner_sigma_tilde,
     inner_total_homogeneity, large_scale_sigma_tilde, order_audit,
@@ -28,6 +30,13 @@ TAU4 = DecoratedTree("-", (0, 0, 0), (Xp, Xp, Xm))
 TAU6 = DecoratedTree("-", (0, 0, 0), (Xp,
                                       DecoratedTree("+", (0, 0, 0),
                                                     (Xm, Xp, Xm))))
+
+
+def _pinned(d, qhat):
+    """The vertices that stay at macroscopic separation: the base point and
+    the quotient images of the copy roots."""
+    return {BASE_POINT} | {qhat[r] for r in d.roots}
+
 
 # A hierarchy is a children map, as ``all_coalescence_trees`` returns it: a
 # tuple of (cluster, children) pairs, the vertex set first.
@@ -174,7 +183,7 @@ class TestOrderAndSubdivergence:
     def test_subdivergence_needs_contraction_exclusions(self):
         d = build_diagram(dipole(), 1, ModelParams.from_beta_bar(F(5, 4)))
         s0 = sg_total_homogeneity(d, ())
-        excl = divergent_cluster_exclusions(d, (), s0.qhat)
+        excl = divergent_cluster_exclusions(d, (), _quotient(d, ())[1])
         assert not subdivergence_audit(s0.sigma, s0.vertices).ok
         rep = subdivergence_audit(s0.sigma, s0.vertices, excluded=excl)
         assert rep.ok and rep.min_margin > 0
@@ -212,10 +221,20 @@ def _verdict(margins):
     return all(m > 0 for m in margins), min(margins, default=None)
 
 
+# The chain + - + - at 8/5 with the forest {1,2}, {1,2,3,4}, {5,6}: five
+# quotient vertices.  Its uncontracted divergent subtree {6, 7} has the
+# image {5, 7}, which re-expands to {5, 6, 7}; the sign audits skip the node
+# set {6, 7} and so still check {5, 6, 7}, the big-graph minimum (4/5).
+CHAIN = parse_key("(+;0,0,0;(-;0,0,0;(+;0,0,0;(-;0,0,0;))))")
+CHAIN_FOREST = (frozenset({1, 2}), frozenset({1, 2, 3, 4}), frozenset({5, 6}))
+
+
 def _small_setups():
     """(diagram, forest, member or None, setup): the p=1 dipole at both
     couplings with no forest and with both divergent members contracted,
-    and TAU4, localized to one member and with both copies contracted."""
+    TAU4, localized to one member and with both copies contracted, and a
+    four-node chain at 8/5 whose forest leaves divergent subtrees
+    uncontracted inside and beside its members."""
     out = []
     for bb in [F(5, 4), F(7, 5)]:
         d = build_diagram(dipole(), 1, ModelParams.from_beta_bar(bb))
@@ -227,6 +246,9 @@ def _small_setups():
     d4 = build_diagram(TAU4, 1, ModelParams.from_beta_bar(F(7, 4)))
     both = (frozenset({1, 2, 3, 4}), frozenset({5, 6, 7, 8}))
     out.append((d4, both, None, sg_total_homogeneity(d4, both)))
+    chain = build_diagram(CHAIN, 1, ModelParams.from_beta_bar(F(8, 5)))
+    out.append((chain, CHAIN_FOREST, None,
+                sg_total_homogeneity(chain, CHAIN_FOREST)))
     return out
 
 
@@ -247,9 +269,9 @@ class TestSubsetOracle:
                     setup.sigma.nested(a, setup.vertices)
 
     def test_subdivergence_matches_hierarchies(self):
-        for d, forest, _, setup in _small_setups():
-            for excluded in [(), divergent_cluster_exclusions(d, forest,
-                                                              setup.qhat)]:
+        for d, forest, S, setup in _small_setups():
+            qhat = _quotient(d, forest, S)[1]
+            for excluded in [(), divergent_cluster_exclusions(d, forest, qhat)]:
                 margins = [(len(a) - 1) * SCALING_DIM
                            - _hierarchy_nested(setup.sigma, tree, a)
                            for tree, a in _hierarchy_clusters(setup.vertices)
@@ -262,10 +284,11 @@ class TestSubsetOracle:
         for d, forest, S, setup in _small_setups():
             if S is None:
                 continue
+            qhat = _quotient(d, forest, S)[1]
             exact = all(
                 _hierarchy_nested(setup.sigma, tree, a)
                 - (len(a) - 1) * SCALING_DIM
-                == inner_sigma_tilde(d, S, reexpanded(setup, a))
+                == inner_sigma_tilde(d, S, reexpanded(qhat, a))
                 for tree, a in _hierarchy_clusters(setup.vertices))
             rep = identity_audit(d, S, forest)
             n = len(setup.vertices)
@@ -273,9 +296,11 @@ class TestSubsetOracle:
 
     def test_sign_audits_match_hierarchies(self):
         for d, forest, S, setup in _small_setups():
+            # the uncontracted divergent subtrees are skipped as node sets
             skip = {T for T in d.divergent_subtrees() if T not in forest}
             cut = d.cut_sites()
-            family = {a: reexpanded(setup, a)
+            qhat = _quotient(d, forest, S)[1]
+            family = {a: reexpanded(qhat, a)
                       for _, a in _hierarchy_clusters(setup.vertices)}
             if S is not None:
                 margins = [-inner_sigma_tilde(d, S, M)
@@ -286,27 +311,29 @@ class TestSubsetOracle:
                            for M in family.values() if M not in skip]
                 rep = sign_audit_big_graph(d, forest, d_cut=cut)
             assert (rep.ok, rep.min_margin) == _verdict(margins)
+            assert rep.checked == len(margins)
             if S is None:
                 rest = frozenset([BASE_POINT]) | frozenset(d.nodes)
+                comps = {comp for a, M in family.items()
+                         if _pinned(d, qhat) <= a
+                         for comp in _k_components(d, rest - M)}
                 margins = [large_scale_sigma_tilde(d, (), cut, comp)
-                           for a, M in family.items() if setup.pinned <= a
-                           for comp in _k_components(d, rest - M)]
+                           for comp in comps]
                 rep = sign_audit_large_scale(d, forest, d_cut=cut)
                 assert (rep.ok, rep.min_margin) == _verdict(margins)
+                assert rep.checked == len(margins)
 
     def test_cluster_cap(self):
         with pytest.raises(ValueError, match="refusing cluster audits"):
             subdivergence_audit(TotalHomogeneity(()),
                                 range(MAX_CLUSTER_VERTICES + 1))
-        # the large-scale audit reads no subsets, yet keeps the same cap: the
-        # p = 4 dipole has 17 vertices, the p = 5 one 21
-        for p, ok in [(4, True), (5, False)]:
-            d = build_diagram(dipole(), p, ModelParams.from_beta_bar(F(5, 4)))
-            if ok:
-                assert sign_audit_large_scale(d, ()).checked > 0
-            else:
-                with pytest.raises(ValueError, match="refusing cluster audits"):
-                    sign_audit_large_scale(d, ())
+        # the p = 5 dipole has 21 vertices: the big-graph audit, which
+        # passes over vertex subsets, refuses it, and the large-scale audit,
+        # which reads connected node sets, runs
+        d = build_diagram(dipole(), 5, ModelParams.from_beta_bar(F(5, 4)))
+        with pytest.raises(ValueError, match="refusing cluster audits"):
+            sign_audit_big_graph(d, ())
+        assert sign_audit_large_scale(d, ()).checked == 10
         # refused before the 2^18 nested weights are built
         with pytest.raises(ValueError, match="refusing cluster audits"):
             summability_probe(TotalHomogeneity(()),
@@ -363,6 +390,19 @@ class TestNineVertexDiagrams:
         assert alpha == -14 and rep.converged is True
 
 
+def _sign_reports(d, forest, S):
+    """The three sign audits' reports on ``d``: the inner one on the member
+    ``S``, and the full-diagram ones with the forest and no cut, with its
+    cut sites as ``d_cut``, and with no forest and every cut site as
+    ``s_cut``, as ``power audit --cuts`` sets it."""
+    cut = d.cut_sites()
+    out = [sign_audit_inner(d, S, forest).as_dict()]
+    for fs, s_cut, d_cut in [(forest, (), ()), (forest, (), cut), ((), cut, ())]:
+        out += [audit(d, fs, s_cut, d_cut).as_dict()
+                for audit in [sign_audit_big_graph, sign_audit_large_scale]]
+    return out
+
+
 class TestSignAudits:
     def test_cut_inside_a_member_is_refused(self):
         # its marker {0, 2} would lie outside the vertex set {0, 1, 3, 4}
@@ -372,6 +412,30 @@ class TestSignAudits:
             sg_total_homogeneity(d, forest, s_cut=(2,))
         setup = sg_total_homogeneity(d, forest, s_cut=(4,))
         assert setup.vertices == {BASE_POINT, 1, 3, 4}
+
+    def test_no_sign_audit_builds_a_total_homogeneity(self, monkeypatch):
+        def reports():
+            p54 = ModelParams.from_beta_bar(F(5, 4))
+            S4 = frozenset({1, 2, 3, 4})
+            out = [_sign_reports(d, d.divergent_subtrees(), frozenset({1, 2}))
+                   for d in [build_diagram(dipole(), p, p54) for p in (1, 2)]]
+            d4 = build_diagram(TAU4, 1, ModelParams.from_beta_bar(F(7, 4)))
+            return out + [_sign_reports(d4, (S4, frozenset({5, 6, 7, 8})), S4)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sign audit built a total homogeneity")
+
+        want = reports()
+        for name in ["sg_total_homogeneity", "inner_total_homogeneity"]:
+            monkeypatch.setattr(power_counting, name, refuse)
+        assert reports() == want
+        # the full-diagram audits refuse a cut inside a member themselves
+        d = build_diagram(dipole(), 1, ModelParams.from_beta_bar(F(5, 4)))
+        refused = (r"s_cut edges \[2\] are not kernel edges outside the "
+                   r"forest's members")
+        for audit in [sign_audit_big_graph, sign_audit_large_scale]:
+            with pytest.raises(ValueError, match=refused):
+                audit(d, (frozenset({1, 2}),), s_cut=(2,))
 
     def test_big_graph_and_large_scale(self):
         for bb in [F(5, 4), F(7, 5)]:
@@ -440,12 +504,12 @@ def _large_scale_by_complements(d, forest, d_cut):
     """The large-scale audit's report the long way: every cluster of the
     quotient vertices that holds the pinned ones, and the kernel components
     of what each leaves out, each set once, in sorted order."""
-    setup = sg_total_homogeneity(d, forest, d_cut=d_cut)
-    vs = sorted(setup.vertices)
+    vertices, qhat = _quotient(d, forest)
+    vs, pinned = sorted(vertices), _pinned(d, qhat)
     rest = frozenset([BASE_POINT]) | frozenset(d.nodes)
     family = {comp for k in range(2, len(vs)) for a in combinations(vs, k)
-              if setup.pinned <= frozenset(a)
-              for comp in _k_components(d, rest - reexpanded(setup, a))}
+              if pinned <= frozenset(a)
+              for comp in _k_components(d, rest - reexpanded(qhat, a))}
     rows = [(sorted(M), large_scale_sigma_tilde(d, (), d_cut, M))
             for M in sorted(family, key=sorted)]
     least = min((v for _, v in rows), default=None)
@@ -477,6 +541,21 @@ class TestLargeScaleFamily:
                     verdicts.add((rep.ok, rep.checked > 0))
         # both verdicts on nonempty families, and forests that leave none
         assert verdicts == {(True, True), (False, True), (True, False)}
+
+    def test_dipole_beyond_the_cluster_cap(self):
+        # from p = 5 on the dipole has more than MAX_CLUSTER_VERTICES
+        # vertices; the audit checks the 2p leaves, one noise of each copy
+        p54 = ModelParams.from_beta_bar(F(5, 4))
+        for p in range(2, 9):
+            d = build_diagram(dipole(), p, p54)
+            assert (len(d.nodes) + 1 > MAX_CLUSTER_VERTICES) == (p >= 5)
+            for d_cut, ok, least in [((), False, F(-3, 4)),
+                                     (d.cut_sites(), True, F(1, 4))]:
+                rep = sign_audit_large_scale(d, (), d_cut=d_cut)
+                assert (rep.checked, rep.ok, rep.min_margin) == (2 * p, ok, least)
+                # the oracle passes over 2^(4p + 1) vertex subsets
+                if p <= 4 or (p == 5 and d_cut):
+                    assert rep == _large_scale_by_complements(d, (), d_cut)
 
 
 class TestIdentity:

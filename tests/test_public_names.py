@@ -35,6 +35,7 @@ ALLOWED = {
         "benchmark tracer layer; the hierarchies of the cluster-audit oracles",
     "power_counting.divergent_cluster_exclusions": SUBDIVERGENCE,
     "power_counting.order_audit": "acceptance criterion 07",
+    "power_counting.sg_total_homogeneity": "acceptance criterion 07",
     "power_counting.subdivergence_audit": SUBDIVERGENCE,
     "power_counting.summability_probe": "acceptance criterion 07",
     "stochastic.correlation_slopes":
