@@ -402,6 +402,7 @@ def _power(subs):
 
 
 def _sim(subs):
+    from . import stochastic as st
     p = subs.add_parser("field")
     _add(p, *_SIM, "--eps", "--samples", "--out-csv")
     p.add_argument("--eps-list", type=float, nargs="+",
@@ -412,10 +413,8 @@ def _sim(subs):
     _add(p, *_SIM, "--dt", "--eps", "--samples", "--out-csv")
     p.add_argument("--lambda", dest="lam", type=float, action="append",
                    help="smearing scale (repeatable)")
-    # DipoleConfig's validated values, as literals: importing stochastic
-    # here would load numpy for every command
-    p.set_defaults(func=cmd_sim_dipole, eps=2.0**-5.5, dt=2.0**-11,
-                   samples=12)
+    p.set_defaults(func=cmd_sim_dipole, eps=st.DipoleConfig.eps,
+                   dt=st.DipoleConfig.dt, samples=st.DipoleConfig.n_samples)
 
     # the shifted equation needs beta^2 < 4*pi: default to criterion 11's 2*pi
     p = subs.add_parser("pde")

@@ -54,15 +54,15 @@ class TorusLattice:
     The lattice stores one full-grid table, the squared integer mode
     number ``m2``; ``k2`` and ``mu`` are derived from it on each read.  The
     tables it caches are the half-spectrum ones: ``sigma_k`` per width and
-    shape, and the heat tables per time step.
+    shape, and the heat tables at ``dt``, the step of every flow on it.
     """
 
     n: int
     dt: float = 2.0**-10
     _sigma_k: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
-    _heat: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    _heat: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         if self.n < 4 or self.n & (self.n - 1):
@@ -130,24 +130,21 @@ class TorusLattice:
             self._sigma_k[key] = sk
         return sk
 
-    def _heat_tables(self, dt: float
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only half-spectrum tables, cached per dt: the exponential-
-        Euler (decay, gain) of the heat flow du = (1/2) Laplacian u dt + f dt,
+    def _heat_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only half-spectrum tables, built once: the exponential-Euler
+        (decay, gain) of the heat flow du = (1/2) Laplacian u dt + f dt,
         decay = e^x and gain = dt (e^x - 1) / x with x = -mu dt, and the
         kick sqrt(1 - decay^2) of the unit OU process damped like it."""
-        tables = self._heat.get(dt)
-        if tables is None:
-            x = -self.mu[:, : self.n_rfft] * dt
+        if self._heat is None:
+            x = -self.mu[:, : self.n_rfft] * self.dt
             decay = np.exp(x)
-            tables = (decay, dt * np.divide(np.expm1(x), x,
-                                            out=np.ones_like(x),
-                                            where=x != 0),
-                      np.sqrt(1.0 - decay**2))
-            for t in tables:
+            self._heat = (decay, self.dt * np.divide(np.expm1(x), x,
+                                                     out=np.ones_like(x),
+                                                     where=x != 0),
+                          np.sqrt(1.0 - decay**2))
+            for t in self._heat:
                 t.flags.writeable = False
-            self._heat[dt] = tables
-        return tables
+        return self._heat
 
 
 def step_rng(seed: int, sample: int, step: int) -> np.random.Generator:
@@ -250,23 +247,22 @@ def renorm_slope(lat: TorusLattice, eps_list, beta_sq) -> float:
     return float(np.polyfit(np.log(eps_list), logs, 1)[0])
 
 
-def calibrate_width(lat: TorusLattice, eps_ref: float,
-                    shape: str = QUARTIC) -> float:
-    """Width for ``shape`` matching the variance of the Gaussian at eps_ref.
+def calibrate_width(lat: TorusLattice, eps_ref: float) -> float:
+    """Quartic width matching the variance of the Gaussian at eps_ref.
 
     Matching the exact lattice variances makes the two renormalization
     constants identical, isolating the mollifier-shape dependence.
     """
     target = sigma2(lat, eps_ref, GAUSS)
     lo, hi = lat.min_eps(), 1.0
-    if not sigma2(lat, hi, shape) <= target <= sigma2(lat, lo, shape):
+    if not sigma2(lat, hi, QUARTIC) <= target <= sigma2(lat, lo, QUARTIC):
         raise ValueError(f"target variance of eps_ref = {eps_ref} not "
                          f"reachable at widths in [{lo}, {hi}]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:       # adjacent floats: neither end can move
             break
-        if sigma2(lat, mid, shape) > target:
+        if sigma2(lat, mid, QUARTIC) > target:
             lo = mid
         else:
             hi = mid
@@ -279,17 +275,16 @@ def calibrate_width(lat: TorusLattice, eps_ref: float,
 @dataclass
 class GaussianField:
     """One stationary field realization, the ``rfft2`` half-spectrum
-    sigma_k z of a unit-variance OU process z damped like the heat flow.
-    Width and shape enter through sigma_k alone: one z serves them all."""
+    sigma_k z (sigma_k Gaussian of width eps) of a unit-variance OU process
+    z damped like the heat flow; one z serves every width and shape."""
 
     lat: TorusLattice
     eps: float
     z: np.ndarray               # unit-variance half-spectrum, the OU state
-    shape: str = GAUSS
     sigma_k: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.sigma_k = self.lat.sigma_k(self.eps, self.shape)
+        self.sigma_k = self.lat.sigma_k(self.eps)
 
     def real_space(self, out: np.ndarray | None = None,
                    tmp: np.ndarray | None = None) -> np.ndarray:
@@ -305,21 +300,21 @@ class GaussianField:
         out *= n**2
         return out
 
-    def advance(self, white: np.ndarray, dt: float):
-        """Exact equilibrium-preserving step of z, driven by the white-noise
-        half-spectrum ``white``, which it overwrites.  The damping is the
-        lattice's heat decay at ``dt``."""
-        decay, _, kick = self.lat._heat_tables(dt)
+    def advance(self, white: np.ndarray):
+        """Exact equilibrium-preserving step of z over the lattice's dt,
+        driven by the white-noise half-spectrum ``white``, which it
+        overwrites.  The damping is the lattice's heat decay."""
+        decay, _, kick = self.lat._heat_tables()
         np.multiply(decay, self.z, out=self.z)
         self.z += np.multiply(kick, white, out=white)
 
 
-def sample_phi(lat: TorusLattice, eps: float, seed: int, sample: int = 0,
-               shape: str = GAUSS) -> GaussianField:
+def sample_phi(lat: TorusLattice, eps: float, seed: int, sample: int = 0
+               ) -> GaussianField:
     """Equilibrium sample, deterministic in (seed, sample): z is the white
     noise of the Philox slot (seed, sample, 0)."""
     rng = step_rng(seed, sample, 0)
-    return GaussianField(lat, eps, white_spectral(lat, rng), shape)
+    return GaussianField(lat, eps, white_spectral(lat, rng))
 
 
 def _charges_into(t: np.ndarray, c_eps: float, d: np.ndarray, s: np.ndarray,
@@ -638,20 +633,18 @@ class _HeatDriver:
     """Exponential-Euler integrator of du = (1/2) Laplacian u dt + f dt.
 
     u and f are real, or stacks of real fields; the half-spectrum ``u_hat``
-    (zero unless given) is the driver's only own state, and ``step``
-    updates it in place, leaving the forcing's half-spectrum in ``f_hat``.
+    is the driver's only own state, and ``step`` advances it in place by
+    the lattice's dt, leaving the forcing's half-spectrum in ``f_hat``.
     ``step`` and ``profile`` transform through ``_tmp``, free between
     steps.  ``scratch`` is the pair (``f_hat``, ``_tmp``), shaped like
     ``u_hat`` and fresh unless given: drivers stepped in turn may share
     both, and the next step of any of them then overwrites ``f_hat``.
     """
 
-    def __init__(self, lat: TorusLattice, dt: float,
-                 u_hat: np.ndarray | None = None, scratch=None):
-        self.decay, self.gain, _ = lat._heat_tables(dt)
-        shape = self.decay.shape if u_hat is None else u_hat.shape
-        self.u_hat = np.zeros(shape, dtype=complex) if u_hat is None else u_hat
-        self.f_hat, self._tmp = (np.empty((2,) + shape, dtype=complex)
+    def __init__(self, lat: TorusLattice, u_hat: np.ndarray, scratch=None):
+        self.decay, self.gain, _ = lat._heat_tables()
+        self.u_hat = u_hat
+        self.f_hat, self._tmp = (np.empty((2,) + u_hat.shape, dtype=complex)
                                  if scratch is None else scratch)
 
     def step(self, forcing: np.ndarray) -> None:
@@ -684,7 +677,7 @@ class DipoleConfig:
     beta_sq: object = Fraction(5)
     eps: float = 2.0**-5.5
     lambdas: tuple = (2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5)
-    dt: float = 2.0**-11
+    dt: float = 2.0**-11     # must be lat.dt; the CLI and perfbench read it
     t_burn: float = 0.06
     t_measure: float = 0.2
     n_samples: int = 12
@@ -742,8 +735,7 @@ def _dipole_trajectory(lat: TorusLattice, cfg: DipoleConfig, seed: int,
         _charges_into(x, c_eps, d, forcing[1], forcing[0])
         flow.step(forcing)
         flow.u_hat[:, 0, 0] = 0.0
-        fld.advance(white_spectral(lat, rng(sample, step + 1), white, x, tmp),
-                    cfg.dt)
+        fld.advance(white_spectral(lat, rng(sample, step + 1), white, x, tmp))
         if step >= steps[0]:
             collect(step - steps[0], flow, forcing)
 
@@ -766,11 +758,13 @@ def dipole_counterterm(lat: TorusLattice, cfg: DipoleConfig) -> list[float]:
     pair correlation is exp(beta^2 Gamma_l).  The mean over measured slices
     m of E[u_hat(m) conj f_hat(m)] sums over lags that spectrum times
     decay^l gain and the share of slices at step >= l.  kappa smears it by
-    1 - psi_lambda, which vanishes on the zero mode that u lacks.
+    1 - psi_lambda, which vanishes on the zero mode that u lacks.  The
+    steps are the lattice's, so ``cfg.dt`` must be its dt.
     """
+    _refuse(_lattice_dt_window(lat, cfg))
     n, half = lat.n, lat.n_rfft
     beta2 = float(Fraction(cfg.beta_sq)) * np.pi
-    decay, gain, _ = lat._heat_tables(cfg.dt)
+    decay, gain, _ = lat._heat_tables()
     var = lat.mode_variances(cfg.eps)[:, :half]
     steps = _measured_steps(cfg)
     q = np.ones_like(decay)                         # decay^lag
@@ -791,16 +785,23 @@ def dipole_counterterm(lat: TorusLattice, cfg: DipoleConfig) -> list[float]:
                                 s=(n, n))[0, 0]) / n**2 for lam in cfg.lambdas]
 
 
+def _lattice_dt_window(lat, cfg):
+    yield ("lattice_dt", cfg.dt == lat.dt,
+           f"time step dt = {cfg.dt} is not the lattice's {lat.dt}")
+
+
 def _dipole_moment_window(lat, cfg):
     beta2 = float(Fraction(cfg.beta_sq)) * np.pi
     yield ("coupling", 4 * np.pi < beta2 < 16 * np.pi / 3,
            "dipole scaling window requires beta^2 in (4pi, 16pi/3)")
     yield ("dt", 0 < cfg.dt < np.inf,
            f"time step dt = {cfg.dt} must be positive and finite")
-    yield ("lattice_dt", cfg.dt == lat.dt,
-           f"time step dt = {cfg.dt} is not the lattice's {lat.dt}")
+    yield from _lattice_dt_window(lat, cfg)
     yield ("lambdas", len(set(cfg.lambdas)) >= 2,
            "need at least two distinct lambdas")
+    for lam in cfg.lambdas:  # blocks rounds lam**2; 1 is the torus' side
+        yield ("lambda_finite", -np.inf < lam <= 1,
+               f"lambda = {lam} is not a finite scale of at most 1")
     yield ("lambda_floor", not min(cfg.lambdas) * lat.n < 4,
            "smallest lambda is below 4 grid cells")
     # one time block has no standard error
@@ -889,7 +890,7 @@ def dipole_moment(lat: TorusLattice, cfg: DipoleConfig, seed: int
                 ab_blocks[i].append(float(np.mean(
                     np.add(np.square(re, out=a), im2, out=a))))
 
-    flow = _HeatDriver(lat, cfg.dt, np.zeros_like(g_sums[0]))   # (u_c, u_s)
+    flow = _HeatDriver(lat, np.zeros_like(g_sums[0]))   # (u_c, u_s)
     scratch = (*np.empty((2, n, n)), np.empty((2, n, n))), flow._tmp
     for sample in range(cfg.n_samples):
         _dipole_trajectory(lat, cfg, seed, sample, collect, flow, scratch)
@@ -938,14 +939,13 @@ def _shifted_steps(lat: TorusLattice, beta_sq, seed: int, widths, forcings,
     is the real C sin(beta (Phi + v)), from one inverse of the summed
     half-spectra.
     """
-    dt = lat.dt
-    n_steps = int(round(t_end / dt))
+    n_steps = int(round(t_end / lat.dt))
     beta = np.sqrt(float(Fraction(beta_sq)) * np.pi)
-    fld = sample_phi(lat, widths[0][0], seed, shape=widths[0][1])
+    fld = sample_phi(lat, widths[0][0], seed)
     rng = _step_rngs(seed)
     # every flow steps through one forcing half-spectrum and one scratch
     (x, d), (spare, tmp) = scratch
-    drivers = [_HeatDriver(lat, dt, u_hat, (spare, tmp)) for u_hat in u_hats]
+    drivers = [_HeatDriver(lat, u_hat, (spare, tmp)) for u_hat in u_hats]
     for step in range(1, n_steps + 1):
         for driver, (c_eps, scale) in zip(drivers, forcings):
             phi_v = np.multiply(scale, fld.z, out=spare)
@@ -954,7 +954,7 @@ def _shifted_steps(lat: TorusLattice, beta_sq, seed: int, widths, forcings,
             x *= 0.5 * beta
             _charges_into(x, c_eps, d, x)
             driver.step(x)
-        fld.advance(white_spectral(lat, rng(0, step), spare, x, tmp), dt)
+        fld.advance(white_spectral(lat, rng(0, step), spare, x, tmp))
         yield step, n_steps
 
 
@@ -1055,7 +1055,7 @@ def convergence_study(lat: TorusLattice, beta_sq, eps_list, seeds,
     """
     eps_list, seeds = sorted(eps_list, reverse=True), list(seeds)
     _refuse(_convergence_study_window(lat, beta_sq, eps_list, seeds, t_end))
-    swap_eps = calibrate_width(lat, eps_list[-1], QUARTIC)
+    swap_eps = calibrate_width(lat, eps_list[-1])
     widths = [(w, GAUSS) for w in eps_list] + [(swap_eps, QUARTIC)]
     forcings = _width_forcings(lat, beta_sq, widths)     # shared by the seeds
     # the dyadic neighbours, then the swap pair (finest Gaussian, quartic)

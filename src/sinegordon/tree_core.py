@@ -96,10 +96,11 @@ class ModelParams:
 
     @staticmethod
     def from_beta_bar(beta_bar) -> "ModelParams":
-        """Params specified directly by beta_bar (beta^2 chosen compatibly)."""
+        """Params given by beta_bar in (0, 2), with a compatible beta^2."""
         beta_bar = Fraction(beta_bar)
-        # any beta' < beta_bar works for combinatorics; take beta' = beta_bar/2
-        # when that is positive, i.e. beta_sq = 2*beta_bar.
+        if not 0 < beta_bar < 2:
+            raise ValueError(f"beta_bar = {beta_bar} not in (0, 2)")
+        # any beta' < beta_bar works for combinatorics; beta_sq = 2*beta_bar
         return ModelParams.make(2 * beta_bar, beta_bar=beta_bar)
 
 

@@ -48,6 +48,26 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: beta^2/pi = {argv[-1]} must be positive\n"
 
+    @pytest.mark.parametrize("beta_bar", ["0", "-1", "2", "5"])
+    def test_beta_bar_outside_0_2_is_named(self, capsys, beta_bar):
+        # not the beta^2/pi = 2 beta_bar it would set, and not supercritical
+        code, out, err = run_cli(["power", "audit", "--beta-bar", beta_bar],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: beta_bar = {beta_bar} not in (0, 2)\n"
+
+    @pytest.mark.parametrize("lam", ["inf", "nan", "-inf", "1e200"])
+    def test_dipole_lambda_must_be_a_finite_scale(self, capsys, lam):
+        # refused by the window, before the blocks rule rounds lambda^2
+        code, out, err = run_cli(["sim", "dipole", "--n", "32",
+                                  f"--lambda={lam}", "--lambda", "0.25"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: lambda = {float(lam)} is not a finite scale "
+                       "of at most 1\n")
+
     def test_bad_rational(self, capsys):
         code, _, err = run_cli(["trees", "enum", "--beta2-over-pi", "abc"], capsys)
         assert code == 2

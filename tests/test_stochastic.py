@@ -85,7 +85,7 @@ class TestField:
         rng = np.random.default_rng(0)
         for _ in range(32):
             white = np.fft.rfft2(rng.standard_normal((64, 64))) / 64
-            fld.advance(white, LAT.dt)
+            fld.advance(white)
         after = float(np.mean(fld.real_space() ** 2))
         assert abs(after - before) < 0.5 * before + 0.2
 
@@ -141,12 +141,12 @@ class TestRealInputOracle:
         sk = np.sqrt(lat.mode_variances(self.EPS))
         full = self.full_coeffs(lat, self.EPS, 0)
         fld = sample_phi(lat, self.EPS, self.SEED, 0)
-        for step, dt in enumerate([lat.dt, lat.dt, 2 * lat.dt], start=1):
+        decay = np.exp(-lat.mu * lat.dt)
+        for step in range(1, 4):
             w = step_rng(self.SEED, 0, step).standard_normal((self.N, self.N))
-            decay = np.exp(-lat.mu * dt)
             full = (decay * full
                     + sk * np.sqrt(1 - decay**2) * np.fft.fft2(w) / self.N)
-            fld.advance(np.fft.rfft2(w) / self.N, dt)
+            fld.advance(np.fft.rfft2(w) / self.N)
             ref = np.real(np.fft.ifft2(full)) * self.N**2
             assert np.allclose(fld.real_space(), ref, rtol=0, atol=1e-12)
 
@@ -414,14 +414,14 @@ class TestSigmaCache:
         b = sample_phi(lat, 2.0**-3, seed=0, sample=1)
         assert a.sigma_k is b.sigma_k
         assert len(calls) == 1
-        sample_phi(lat, 2.0**-3, seed=0, sample=0, shape=QUARTIC)
+        lat.sigma_k(2.0**-3, QUARTIC)
         assert len(calls) == 2 and len(lat._sigma_k) == 2
 
     def test_width_searches_do_not_grow_the_cache(self):
         lat = TorusLattice(32)
         sample_phi(lat, 2.0**-3, seed=0)
         sigma2(lat, 2.0**-4)
-        calibrate_width(lat, 2.0**-3, QUARTIC)
+        calibrate_width(lat, 2.0**-3)
         assert list(lat._sigma_k) == [(2.0**-3, GAUSS)]
 
     def test_convergence_study_tables_each_width_once(self, monkeypatch):
@@ -512,20 +512,19 @@ class TestLatticeTables:
 
 
 class TestHeatTables:
-    """One read-only (decay, gain, kick) triple per lattice and dt, shared by
-    every driver and field stepped at that dt."""
+    """One read-only (decay, gain, kick) triple per lattice, at its dt,
+    shared by every driver and field stepped on it."""
 
     LAT_N, DT = 32, 2.0**-8
 
     def test_cached_tables_are_read_only(self):
-        lat = TorusLattice(self.LAT_N)
-        tables = lat._heat_tables(self.DT)
-        assert lat._heat_tables(self.DT) is tables
+        lat = TorusLattice(self.LAT_N, dt=self.DT)
+        tables = lat._heat_tables()
+        assert lat._heat_tables() is tables
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 1] = 1.0
-        assert lat._heat_tables(2 * self.DT)[0] is not tables[0]
 
     def test_convergence_study_shares_one_table_pair_and_scratch(
             self, monkeypatch):
@@ -544,7 +543,7 @@ class TestHeatTables:
         for d in drivers:
             assert d.decay is first.decay and d.gain is first.gain
             assert d.f_hat is first.f_hat and d._tmp is first._tmp
-        decay, gain, _ = lat._heat_tables(lat.dt)
+        decay, gain, _ = lat._heat_tables()
         assert first.decay is decay and first.gain is gain
         u_hats = list({id(d): d.u_hat for d in drivers}.values())
         assert not any(np.shares_memory(u, v)
@@ -593,7 +592,7 @@ class TestHeatTables:
         assert stepped == {id(flow)}
         stack = (2, self.LAT_N, self.LAT_N // 2 + 1)
         assert flow.u_hat.shape == flow.f_hat.shape == stack
-        decay, gain, _ = lat._heat_tables(cfg.dt)
+        decay, gain, _ = lat._heat_tables()
         assert flow.decay is decay and flow.gain is gain
         assert all(np.shares_memory(h, flow._tmp) for h in halves)
         assert collect_scratch
@@ -939,9 +938,9 @@ class TestBufferedPrimitives:
     @pytest.mark.parametrize("n", [32, 128])
     def test_profile_is_irfft2(self, n):
         rng = np.random.default_rng(n)
-        drv = _HeatDriver(TorusLattice(n), 2.0**-8)
-        drv.u_hat = (rng.standard_normal((n, n // 2 + 1))
-                     + 1j * rng.standard_normal((n, n // 2 + 1)))
+        u_hat = (rng.standard_normal((n, n // 2 + 1))
+                 + 1j * rng.standard_normal((n, n // 2 + 1)))
+        drv = _HeatDriver(TorusLattice(n, dt=2.0**-8), u_hat)
         out = np.full((n, n), np.nan)
         assert drv.profile(out) is out
         assert np.array_equal(out, np.fft.irfft2(drv.u_hat, s=(n, n)))
@@ -1041,12 +1040,21 @@ class TestDipolePieces:
             dipole_moment(TorusLattice(32, dt=2.0**-8), cfg, seed=0)
 
     def test_time_step_must_be_the_lattice_step(self):
-        # the dipole steps by cfg.dt, so a lattice built for another step
-        # would be stepped silently at a step the caller did not give it
+        # the dipole steps at the lattice's dt, so another cfg.dt would
+        # place its measured slices and blocks at a step it does not take
         from sinegordon.stochastic import dipole_moment
         cfg = DipoleConfig(eps=2.0**-4, dt=2.0**-8, n_samples=1)
         with pytest.raises(ValueError, match="is not the lattice's"):
             dipole_moment(TorusLattice(32, dt=2.0**-9), cfg, seed=0)
+
+    def test_counterterm_refuses_another_time_step(self):
+        # the counterterm sums over the lattice's steps up to the slices
+        # that cfg.dt places, so the two must agree
+        cfg = DipoleConfig(eps=2.0**-4, dt=2.0**-8, t_burn=0.02,
+                           t_measure=0.06, lambdas=(2.0**-2, 2.0**-3))
+        with pytest.raises(ValueError, match="^time step dt = 0.00390625 is "
+                           "not the lattice's 0.001953125$"):
+            dipole_counterterm(TorusLattice(32, dt=2.0**-9), cfg)
 
     def test_lambda_floor_enforced(self):
         # two distinct lambdas, so that only the 1-cell one is refused
@@ -1157,7 +1165,7 @@ class TestPDE:
     def test_quartic_width_calibration(self):
         lat = TorusLattice(64)
         eps = 2.0**-4
-        w = calibrate_width(lat, eps, QUARTIC)
+        w = calibrate_width(lat, eps)
         assert np.isclose(sigma2(lat, w, QUARTIC), sigma2(lat, eps, GAUSS),
                           rtol=1e-10)
 
@@ -1167,7 +1175,7 @@ class TestPDE:
         lat = TorusLattice(32)
         assert sigma2(lat, 2.0, GAUSS) < sigma2(lat, 1.0, QUARTIC)
         with pytest.raises(ValueError, match="not reachable"):
-            calibrate_width(lat, 2.0, QUARTIC)
+            calibrate_width(lat, 2.0)
         with pytest.raises(ValueError, match="not reachable"):
             convergence_study(lat, Fraction(2), [4.0, 2.0], [0], t_end=lat.dt)
 
@@ -1191,7 +1199,7 @@ class TestPDE:
             return sigma2(*args)
 
         monkeypatch.setattr(stochastic, "sigma2", counted)
-        assert calibrate_width(lat, eps, QUARTIC) == 0.5 * (lo + hi)
+        assert calibrate_width(lat, eps) == 0.5 * (lo + hi)
         assert len(calls) < 100
 
     def test_convergence_study_transform_count(self, monkeypatch):
@@ -1329,8 +1337,7 @@ def _old_dipole_trajectory(lat, cfg, seed, sample, collect):
         f_hat = np.fft.fft2(xi_plus)
         f_hat[0, 0] = 0.0
         u_hat = decay * u_hat + gain * f_hat
-        fld.advance(white_spectral(lat, step_rng(seed, sample, step + 1)),
-                    cfg.dt)
+        fld.advance(white_spectral(lat, step_rng(seed, sample, step + 1)))
         if step >= n_burn:
             collect(np.conj(xi_plus), np.fft.ifft2(u_hat))
 
@@ -1426,7 +1433,7 @@ class TestSharedStepperOracle:
         eps_list, n_steps, start = [2.0**-2, 2.0**-3], 16, 4
         rep = convergence_study(lat, beta_sq, eps_list, seeds,
                                 t_end=n_steps * lat.dt)
-        widths = eps_list + [calibrate_width(lat, eps_list[-1], QUARTIC)]
+        widths = eps_list + [calibrate_width(lat, eps_list[-1])]
         shapes = [GAUSS, GAUSS, QUARTIC]
         consts = [renorm_constant(lat, w, beta_sq, sh)
                   for w, sh in zip(widths, shapes)]
@@ -1459,7 +1466,7 @@ class TestSharedStepperOracle:
         eps_list, n_steps, start = [2.0**-2, 2.0**-3, 2.0**-4], 16, 4
         rep = convergence_study(lat, beta_sq, eps_list, seeds,
                                 t_end=n_steps * lat.dt)
-        widths = eps_list + [calibrate_width(lat, eps_list[-1], QUARTIC)]
+        widths = eps_list + [calibrate_width(lat, eps_list[-1])]
         shapes = [GAUSS, GAUSS, GAUSS, QUARTIC]
         consts = [renorm_constant(lat, w, beta_sq, sh)
                   for w, sh in zip(widths, shapes)]
@@ -1619,9 +1626,7 @@ class TestHalfSpectrumResidue:
     N = 32
 
     def driver(self, half):
-        drv = _HeatDriver(TorusLattice(self.N), 2.0**-8)
-        drv.u_hat = half
-        return drv
+        return _HeatDriver(TorusLattice(self.N, dt=2.0**-8), half)
 
     def extension(self, half):
         """The full spectrum E(k, l) = conj(E(-k, -l)) for l > n/2."""

@@ -141,3 +141,12 @@ class TestModelParams:
         p = ModelParams.from_beta_bar(Fraction(5, 4))
         assert p.beta_bar == Fraction(5, 4)
         assert p.beta_prime < p.beta_bar < 2
+
+    @pytest.mark.parametrize("beta_bar", [Fraction(0), Fraction(-1),
+                                          Fraction(2), Fraction(5)])
+    def test_from_beta_bar_refuses_outside_0_2(self, beta_bar):
+        # the message names beta_bar, not the beta^2 derived from it
+        with pytest.raises(ValueError) as info:
+            ModelParams.from_beta_bar(beta_bar)
+        assert str(info.value) == f"beta_bar = {beta_bar} not in (0, 2)"
+        assert not isinstance(info.value, SupercriticalError)

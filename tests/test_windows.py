@@ -115,6 +115,12 @@ RULES = [
      "time step dt = 0.001953125 is not the lattice's 0.00390625"),
     ("dipole_moment", "lambdas", dict(lambdas=(2.0**-2, 2.0**-2)),
      dict(lambdas=(2.0**-2, 2.0**-3)), "need at least two distinct lambdas"),
+    # lambda = 1 averages blocks of 64 slices of dt = 2^-8
+    *[("dipole_moment", "lambda_finite",
+       dict(lambdas=(2.0**-2, lam), t_measure=128 * 2.0**-8),
+       dict(lambdas=(2.0**-2, 1.0), t_measure=128 * 2.0**-8),
+       f"lambda = {lam} is not a finite scale of at most 1")
+      for lam in (np.inf, np.nan, -np.inf, np.nextafter(1.0, 2.0), 1e200)],
     # 2^-3 is 4 cells of 32^2
     ("dipole_moment", "lambda_floor",
      dict(lambdas=(2.0**-2, np.nextafter(2.0**-3, 0.0))),
@@ -226,8 +232,8 @@ def test_no_raise_outside_the_windows():
     comes from a window, through ``_refuse``."""
     tree = ast.parse(Path(stochastic.__file__).read_text(encoding="utf-8"))
     guarded = {"chaos_mean", "correlation_slopes", "dipole_moment",
-               "solve_pde", "convergence_study", "_width_forcings",
-               "_shifted_steps"}
+               "dipole_counterterm", "solve_pde", "convergence_study",
+               "_width_forcings", "_shifted_steps"}
     found = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name in guarded:
